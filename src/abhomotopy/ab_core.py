@@ -21,6 +21,10 @@ both have degree 1 and the bracket has degree b - a + 1:
 compatible bracket ``ell2`` on words (a signed sum over shuffles that
 contract one adjacent cross pair).  Two structurally different
 evaluators of ell2 are provided; the second is an oracle.
+
+Structure constants are cached per algebra with integral values stored
+as ``int``, so every map built from them runs in integer arithmetic
+unless an instance supplies a genuine fraction.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .freemodule import Element, format_element
-from .signs import enumerate_shuffles, inverse, koszul_sign, koszul_sign_by_swaps
-from .tensor_coalgebra import Generator, Word, render_word, word_degree
+from .freemodule import Element, add_term, bilinear, format_element
+from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
+from .tensor_coalgebra import Generator, Word, signed_interleavings, word_degree
 
 
 class TruncationOverflow(Exception):
@@ -91,12 +95,15 @@ class AbAlgebra:
         return word_degree(w) - self.a + self.b
 
     # -- structure maps ------------------------------------------------
+    #
+    # Each cache fill goes through Element.from_terms, which stores
+    # integral coefficients as int whatever type the instance returned.
 
     def product(self, g1: Generator, g2: Generator) -> Element:
         key = (g1.gid, g2.gid)
         out = self._prod_cache.get(key)
         if out is None:
-            out = self.product_fn(g1.gid, g2.gid)
+            out = Element.from_terms(self.product_fn(g1.gid, g2.gid).items())
             self._check_degree(out, self.udeg(g1) + self.udeg(g2) + self.a, "product", key)
             self._prod_cache[key] = out
         return out
@@ -105,7 +112,7 @@ class AbAlgebra:
         key = (g1.gid, g2.gid)
         out = self._brk_cache.get(key)
         if out is None:
-            out = self.bracket_fn(g1.gid, g2.gid)
+            out = Element.from_terms(self.bracket_fn(g1.gid, g2.gid).items())
             self._check_degree(out, self.udeg(g1) + self.udeg(g2) + self.b, "bracket", key)
             self._brk_cache[key] = out
         return out
@@ -113,7 +120,7 @@ class AbAlgebra:
     def differential(self, g: Generator) -> Element:
         out = self._diff_cache.get(g.gid)
         if out is None:
-            out = self.diff_fn(g.gid)
+            out = Element.from_terms(self.diff_fn(g.gid).items())
             self._check_degree(out, self.udeg(g) + 1, "differential", (g.gid,))
             self._diff_cache[g.gid] = out
         return out
@@ -127,24 +134,13 @@ class AbAlgebra:
 
     # bilinear extensions over Elements of generators
     def product_elem(self, ex: Element, ey: Element) -> Element:
-        acc = Element.zero()
-        for g1, c1 in ex.items():
-            for g2, c2 in ey.items():
-                acc = acc + self.product(g1, g2).scale(c1 * c2)
-        return acc
+        return bilinear(self.product, ex, ey)
 
     def bracket_elem(self, ex: Element, ey: Element) -> Element:
-        acc = Element.zero()
-        for g1, c1 in ex.items():
-            for g2, c2 in ey.items():
-                acc = acc + self.bracket(g1, g2).scale(c1 * c2)
-        return acc
+        return bilinear(self.bracket, ex, ey)
 
     def diff_elem(self, ex: Element) -> Element:
-        acc = Element.zero()
-        for g, c in ex.items():
-            acc = acc + self.differential(g).scale(c)
-        return acc
+        return ex.map_basis(self.differential)
 
     # -- shifted operations --------------------------------------------
 
@@ -172,7 +168,7 @@ class Coderivation:
 
     def __call__(self, w: Word) -> Element:
         n = len(w)
-        acc = Element.zero()
+        acc: dict = {}
         for r, fn in self.taylor.items():
             if r > n:
                 continue
@@ -180,8 +176,8 @@ class Coderivation:
                 sgn = _sign(self.degree * sum(g.deg for g in w[:j]))
                 val = fn(w[j : j + r])
                 for g, c in val.items():
-                    acc = acc + Element.of(w[:j] + (g,) + w[j + r :], c * sgn)
-        return acc
+                    add_term(acc, w[:j] + (g,) + w[j + r :], c * sgn)
+        return Element(acc)
 
     def on_element(self, v: Element) -> Element:
         return v.map_basis(self.__call__)
@@ -216,38 +212,32 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
 
     Signed sum over all shuffles of the two words and all adjacent
     output positions where a letter of ``x`` immediately precedes a
-    letter of ``y``; that pair is contracted with ``ell``.
+    letter of ``y``; that pair is contracted with ``ell``, which moves
+    past the letters before it at the cost (-1)^((b-a+1) * their dg).
     """
-    p, q = len(x), len(y)
-    letters = x + y
-    degs = [g.deg for g in letters]
-    bma1 = algebra.b - algebra.a + 1
-    acc = Element.zero()
-    for sigma in enumerate_shuffles(p, q):
-        inv = inverse(sigma)
-        out = tuple(letters[inv[k]] for k in range(p + q))
-        eps = koszul_sign(degs, sigma)
+    bma1_odd = (algebra.b - algebra.a + 1) % 2
+    acc: dict = {}
+    for out, from_x, eps in signed_interleavings(x, y):
         prefix_dg = 0
-        for k in range(p + q - 1):
-            if inv[k] < p <= inv[k + 1]:
-                sgn = eps * _sign(bma1 * prefix_dg)
-                val = algebra.ell(out[k], out[k + 1])
-                for g, c in val.items():
-                    acc = acc + Element.of(out[:k] + (g,) + out[k + 2 :], c * sgn)
+        for k in range(len(out) - 1):
+            if from_x[k] and not from_x[k + 1]:
+                sgn = -eps if bma1_odd and prefix_dg % 2 else eps
+                for g, c in algebra.ell(out[k], out[k + 1]).items():
+                    add_term(acc, out[:k] + (g,) + out[k + 2 :], c * sgn)
             prefix_dg += out[k].deg
-    return acc
+    return Element(acc)
 
 
 def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Independent evaluator of the same bracket extension.
 
-    Chooses the contracted letter pair first, shuffles what precedes and
-    follows it, and recovers each term's sign from the full permutation
-    via the adjacent-transposition sign oracle.  Shares no code path
-    with :func:`ell2` beyond the shuffle enumerator.
+    Chooses the contracted letter pair first, interleaves what precedes
+    and follows it by the positions :func:`enumerate_shuffles` lists,
+    and recovers each term's sign from the full permutation via the
+    adjacent-transposition sign oracle.  Shares no code with
+    :func:`ell2`, which walks ``signed_interleavings`` and carries its
+    sign letter by letter.
     """
-    from .tensor_coalgebra import shuffle  # local import: avoids cycle at module load
-
     p, q = len(x), len(y)
     letters = x + y
     degs = [g.deg for g in letters]
@@ -257,9 +247,13 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     idx = tuple(Generator(str(i), degs[i]) for i in range(p + q))
 
     def interleavings(u: tuple, v: tuple):
-        if u and v:
-            return [t for t, _ in shuffle(u, v).items()]
-        return [u + v]
+        if not (u and v):
+            return [u + v]
+        both = u + v
+        return [
+            tuple(both[i] for i in inverse(sigma))
+            for sigma in enumerate_shuffles(len(u), len(v))
+        ]
 
     acc = Element.zero()
     for r in range(p):
@@ -290,15 +284,6 @@ def ell2_prime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
 def ell2_doubleprime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Symmetric form of the bracket: degree 1 for dg'' = dg - a + b."""
     return ell2_prime(algebra, x, y).scale(_sign(algebra.deg_s(x)))
-
-
-def bilinear(f: Callable, ex: Element, ey: Element) -> Element:
-    """Bilinear extension of a word-level binary map to Elements."""
-    acc = Element.zero()
-    for wx, cx in ex.items():
-        for wy, cy in ey.items():
-            acc = acc + f(wx, wy).scale(cx * cy)
-    return acc
 
 
 # -- axiom checking ------------------------------------------------------

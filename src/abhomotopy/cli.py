@@ -10,8 +10,10 @@ Subcommands:
   least one identity fails.
 
 Exit codes: 0 all pass, 1 any fail, 2 config/usage error, 3 everything
-relevant skipped by truncation.  Reports are deterministic given the
-flags; elapsed time goes to stderr only.
+relevant skipped by truncation.  Only parsing the configuration and
+building the instance can end in exit 2; an exception raised while the
+checks run is a bug and propagates with its traceback.  Reports are
+deterministic given the flags; elapsed time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ import time
 from fractions import Fraction
 
 from .instances import BUILTINS
-from .suites import SuiteConfig, run_check_algebra, run_mutation, run_verify_envelope
+from .suites import (
+    SuiteConfig,
+    build_instance,
+    perturbation_candidates,
+    run_check_algebra,
+    run_mutation,
+    run_verify_envelope,
+)
 
 USAGE_ERROR = 2
 
@@ -107,18 +116,28 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         if args.command == "check-algebra":
-            report = run_check_algebra(_config_from(args, ("axioms",)))
+            suites = ("axioms",)
         elif args.command == "verify-envelope":
             suites = tuple(s for s in args.suites.split(",") if s)
             unknown = set(suites) - {"coalgebra", "axioms", "core", "envelope"}
             if unknown:
                 raise ValueError(f"unknown suites: {sorted(unknown)}")
-            report = run_verify_envelope(_config_from(args, suites))
         else:
-            report = run_mutation(_config_from(args, ("core", "envelope")), rounds=args.rounds)
+            suites = ("core", "envelope")
+        config = _config_from(args, suites)
+        instance = build_instance(config)
+        if args.command == "mutation" and not perturbation_candidates(instance.algebra):
+            raise ValueError("no degree-homogeneous perturbation exists for this instance")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+
+    if args.command == "check-algebra":
+        report = run_check_algebra(config, instance)
+    elif args.command == "verify-envelope":
+        report = run_verify_envelope(config, instance)
+    else:
+        report = run_mutation(config, rounds=args.rounds, instance=instance)
 
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -1,11 +1,20 @@
 """Exact free modules over the rationals.
 
 An :class:`Element` is a finite formal linear combination of hashable
-basis objects with ``fractions.Fraction`` coefficients.  Zero
-coefficients are never stored, so equality of elements is equality of
-the underlying mappings.  Basis objects only need to be hashable; for
-deterministic output and row reduction a sort key is supplied
-externally (nested tuples of strings/ints throughout this package).
+basis objects with rational coefficients.  A coefficient enters as an
+``int`` when it is integral and as a ``fractions.Fraction`` otherwise,
+so signs, shuffle counts and builtin structure constants stay in
+integer arithmetic; fractions come only from row reduction and
+user-supplied rationals.  Equal values compare and hash equal whatever
+their type.  Zero coefficients are never stored, so equality of
+elements is equality of the underlying mappings.  Basis objects only
+need to be hashable; for deterministic output and row reduction a sort
+key is supplied externally (nested tuples of strings/ints throughout
+this package).
+
+Loops that build a result term by term accumulate into one private
+dict through :func:`add_term` and wrap it once at the end, instead of
+copying a partial sum per term.
 
 Row reduction is the plain sparse reduced-echelon algorithm over Q with
 first-nonzero pivoting; over an exact field nothing cleverer is needed.
@@ -16,11 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator
 
-Scalar = Fraction
+Scalar = int | Fraction
 
 
-def _coeff(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coeff(c) -> Scalar:
+    """The stored form of a rational: ``int`` when integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Element:
@@ -44,16 +57,16 @@ class Element:
     def from_terms(pairs: Iterable[tuple[Hashable, Scalar]]) -> "Element":
         acc: dict = {}
         for b, c in pairs:
-            _add_term(acc, b, c)
+            add_term(acc, b, c)
         return Element(acc)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, basis) -> Fraction:
-        return self.terms.get(basis, Fraction(0))
+    def coefficient(self, basis) -> Scalar:
+        return self.terms.get(basis, 0)
 
-    def items(self) -> Iterator[tuple[Hashable, Fraction]]:
+    def items(self) -> Iterator[tuple[Hashable, Scalar]]:
         return iter(self.terms.items())
 
     def sorted_items(self, key: Callable | None = None):
@@ -77,7 +90,7 @@ class Element:
             return Element(dict(other.terms))
         acc = dict(self.terms)
         for b, c in other.terms.items():
-            _add_term(acc, b, c)
+            add_term(acc, b, c)
         return Element(acc)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -85,7 +98,7 @@ class Element:
             return NotImplemented
         acc = dict(self.terms)
         for b, c in other.terms.items():
-            _add_term(acc, b, -c)
+            add_term(acc, b, -c)
         return Element(acc)
 
     def __neg__(self) -> "Element":
@@ -107,25 +120,43 @@ class Element:
         acc: dict = {}
         for b, c in self.terms.items():
             for b2, c2 in f(b).terms.items():
-                _add_term(acc, b2, c * c2)
+                add_term(acc, b2, c * c2)
         return Element(acc)
 
     def __repr__(self) -> str:
         return f"Element({format_element(self)})"
 
 
-def _add_term(acc: dict, basis, coeff) -> None:
+def add_term(acc: dict, basis, coeff) -> None:
+    """Add ``coeff * basis`` into an accumulator dict in place.
+
+    ``acc`` maps basis objects to nonzero coefficients; a sum that
+    reaches zero removes its key, so ``Element(acc)`` is valid at any
+    point.
+    """
     c = acc.get(basis)
     if c is None:
-        cc = _coeff(coeff)
-        if cc:
-            acc[basis] = cc
+        if type(coeff) is not int:
+            coeff = _coeff(coeff)
+        if coeff:
+            acc[basis] = coeff
     else:
         c = c + coeff
         if c:
             acc[basis] = c
         else:
             del acc[basis]
+
+
+def bilinear(f: Callable, ex: Element, ey: Element) -> Element:
+    """Bilinear extension of a basis-level binary map f(b1, b2) -> Element."""
+    acc: dict = {}
+    for b1, c1 in ex.terms.items():
+        for b2, c2 in ey.terms.items():
+            k = c1 * c2
+            for b, c in f(b1, b2).terms.items():
+                add_term(acc, b, c * k)
+    return Element(acc)
 
 
 def format_element(v: Element, render: Callable = str, key: Callable | None = None) -> str:
@@ -189,7 +220,7 @@ class ReducedBasis:
             if not c:
                 continue
             for b2, c2 in self._rows[b].terms.items():
-                _add_term(acc, b2, -c * c2)
+                add_term(acc, b2, -c * c2)
         return Element(acc)
 
     def contains(self, v: Element) -> bool:

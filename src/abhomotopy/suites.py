@@ -27,7 +27,6 @@ from .ab_core import (
     AbAlgebra,
     Coderivation,
     TruncationOverflow,
-    bilinear,
     check_ab_axioms,
     coderivation_D,
     ell2,
@@ -36,7 +35,7 @@ from .ab_core import (
     ell2_prime,
     load_algebra,
 )
-from .freemodule import Element, format_element
+from .freemodule import Element, bilinear, format_element
 from .instances import BUILTINS, Instance, builtin_instance
 from .sym_coalgebra import (
     SymWord,
@@ -1007,13 +1006,17 @@ def axiom_records(instance: Instance) -> list[CheckRecord]:
     return out
 
 
-def run_check_algebra(config: SuiteConfig) -> Report:
-    instance = build_instance(config)
+def run_check_algebra(config: SuiteConfig, instance: Instance | None = None) -> Report:
+    """Structure axioms of the configured instance (built here unless given)."""
+    if instance is None:
+        instance = build_instance(config)
     return Report("check-algebra", config.as_dict(), axiom_records(instance))
 
 
-def run_verify_envelope(config: SuiteConfig) -> Report:
-    instance = build_instance(config)
+def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -> Report:
+    """The configured suites on the configured instance (built here unless given)."""
+    if instance is None:
+        instance = build_instance(config)
     ctx = RunContext(instance, config)
     records: list[CheckRecord] = []
     if "coalgebra" in config.suites:
@@ -1078,8 +1081,10 @@ def perturb_algebra(algebra: AbAlgebra, choice: tuple[str, str, str, str]) -> Ab
     )
 
 
-def run_mutation(config: SuiteConfig, rounds: int = 1) -> Report:
-    instance = build_instance(config)
+def run_mutation(config: SuiteConfig, rounds: int = 1, instance: Instance | None = None) -> Report:
+    """Seeded single-constant mutants of the configured instance (built here unless given)."""
+    if instance is None:
+        instance = build_instance(config)
     rng = random.Random(config.seed)
     candidates = perturbation_candidates(instance.algebra)
     if not candidates:

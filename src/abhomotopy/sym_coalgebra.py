@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .ab_core import AbAlgebra, Coderivation, ell2_doubleprime
-from .freemodule import Element
+from .freemodule import Element, add_term
 from .signs import koszul_sign
 from .tensor_coalgebra import (
     ShuffleQuotient,
@@ -77,7 +77,14 @@ def sym_of(algebra: AbAlgebra, factors, coeff=1) -> Element:
     sign, sym = normalize(algebra, factors)
     if sym is None:
         return Element.zero()
-    return Element.of(sym, Fraction(coeff) * sign)
+    return Element.of(sym, coeff * sign)
+
+
+def _add_sym(acc: dict, algebra: AbAlgebra, factors, coeff) -> None:
+    """Accumulate ``coeff`` times the canonical form of a factor sequence."""
+    sign, sym = normalize(algebra, factors)
+    if sym is not None:
+        add_term(acc, sym, coeff * sign)
 
 
 def sym_degree(algebra: AbAlgebra, sym: SymWord) -> int:
@@ -96,10 +103,6 @@ def sym_key(sym: SymWord):
     return (len(sym), tuple(word_key(w) for w in sym))
 
 
-def sym_tuple_key(t):
-    return tuple(sym_key(s) for s in t)
-
-
 # -- coproduct -----------------------------------------------------------
 
 
@@ -113,7 +116,7 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
     if n < 2:
         return Element.zero()
     degs = [algebra.deg_s(w) for w in sym]
-    acc = Element.zero()
+    acc: dict = {}
     for r in range(1, n):
         for left in itertools.combinations(range(n), r):
             taken = set(left)
@@ -124,10 +127,8 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
             for rank, j in enumerate(right):
                 sigma[j] = r + rank
             s = koszul_sign(degs, sigma)
-            acc = acc + Element.of(
-                (tuple(sym[i] for i in left), tuple(sym[j] for j in right)), s
-            )
-    return acc
+            add_term(acc, (tuple(sym[i] for i in left), tuple(sym[j] for j in right)), s)
+    return Element(acc)
 
 
 # -- coderivation extensions ----------------------------------------------
@@ -136,27 +137,27 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
 def extend_m(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
     """Apply D to one factor at a time, after bringing it to the front."""
     degs = [algebra.deg_s(w) for w in sym]
-    acc = Element.zero()
+    acc: dict = {}
     for i in range(len(sym)):
         front = _sign(degs[i] * sum(degs[:i]))
         rest = sym[:i] + sym[i + 1 :]
         for w, c in D(sym[i]).items():
-            acc = acc + sym_of(algebra, (w,) + rest, c * front)
-    return acc
+            _add_sym(acc, algebra, (w,) + rest, c * front)
+    return Element(acc)
 
 
 def extend_ell(algebra: AbAlgebra, sym: SymWord) -> Element:
     """Contract one unordered factor pair with the symmetric bracket."""
     degs = [algebra.deg_s(w) for w in sym]
-    acc = Element.zero()
+    acc: dict = {}
     n = len(sym)
     for i in range(n):
         for j in range(i + 1, n):
             front = _sign(degs[i] * sum(degs[:i]) + degs[j] * (sum(degs[:j]) - degs[i]))
             rest = tuple(sym[k] for k in range(n) if k != i and k != j)
             for w, c in ell2_doubleprime(algebra, sym[i], sym[j]).items():
-                acc = acc + sym_of(algebra, (w,) + rest, c * front)
-    return acc
+                _add_sym(acc, algebra, (w,) + rest, c * front)
+    return Element(acc)
 
 
 def q_codifferential(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
@@ -212,7 +213,7 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
     n = len(sym)
     amb = algebra.a - algebra.b
     degs = [algebra.deg_s(w) for w in sym]
-    acc = Element.zero()
+    acc: dict = {}
     for s in range(n):
         xs = sym[s]
         if len(xs) < 2:
@@ -236,24 +237,21 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
                     u, v = xs[:cut], xs[cut:]
                     du, dv = algebra.deg_s(u), algebra.deg_s(v)
                     c0 = eps * _sign(amb * (deg_left + du))
-                    acc = acc + _sym_pair(
-                        algebra, fac_left + (u,), (v,) + fac_right, c0
-                    )
+                    _sym_pair(acc, algebra, fac_left + (u,), (v,) + fac_right, c0)
                     c1 = c0 * _sign(du * dv + amb + 1)
-                    acc = acc + _sym_pair(
-                        algebra, fac_left + (v,), (u,) + fac_right, c1
-                    )
-    return acc
+                    _sym_pair(acc, algebra, fac_left + (v,), (u,) + fac_right, c1)
+    return Element(acc)
 
 
-def _sym_pair(algebra: AbAlgebra, left, right, coeff) -> Element:
+def _sym_pair(acc: dict, algebra: AbAlgebra, left, right, coeff) -> None:
+    """Accumulate ``coeff`` times the canonical form of a pair of factor sequences."""
     sl, wl = normalize(algebra, left)
     if wl is None:
-        return Element.zero()
+        return
     sr, wr = normalize(algebra, right)
     if wr is None:
-        return Element.zero()
-    return Element.of((wl, wr), Fraction(coeff) * sl * sr)
+        return
+    add_term(acc, (wl, wr), coeff * sl * sr)
 
 
 def kappa(algebra: AbAlgebra, sym: SymWord) -> Element:
@@ -353,23 +351,18 @@ def sym_normal_form(algebra: AbAlgebra, quotient: ShuffleQuotient, v: Element) -
 
 
 def _nf_sym_word(algebra: AbAlgebra, quotient: ShuffleQuotient, sym: SymWord) -> Element:
-    parts: dict = {(): Fraction(1)}
+    parts: dict = {(): 1}
     for w in sym:
         nfw = quotient.normal_form_word(w)
         new: dict = {}
         for prefix, c in parts.items():
             for w2, c2 in nfw.items():
-                key = prefix + (w2,)
-                acc = new.get(key, 0) + c * c2
-                if acc:
-                    new[key] = acc
-                else:
-                    new.pop(key, None)
+                add_term(new, prefix + (w2,), c * c2)
         parts = new
-    out = Element.zero()
+    acc: dict = {}
     for factors, c in parts.items():
-        out = out + sym_of(algebra, factors, c)
-    return out
+        _add_sym(acc, algebra, factors, c)
+    return Element(acc)
 
 
 def sym_is_zero(algebra: AbAlgebra, quotient: ShuffleQuotient, v: Element) -> bool:

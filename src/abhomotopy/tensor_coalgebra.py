@@ -13,6 +13,11 @@ letter multiset (:class:`ShuffleQuotient`).  Blocks recur across every
 identity check, so their reduced bases are memoized; a racing double
 computation is harmless because the value per block is unique.
 
+Every signed sum over the interleavings of two words (the shuffle
+product here, the bracket extension ``ell2`` in :mod:`ab_core`) walks
+:func:`signed_interleavings`, which carries the Koszul sign letter by
+letter instead of recounting it per permutation.
+
 Tensor products of words (pairs, triples) are plain tuples of words;
 the graded slot calculus for them lives in :func:`apply_in_slot` and
 :func:`swap_adjacent_slots`.
@@ -21,10 +26,9 @@ the graded slot calculus for them lives in :func:`apply_in_slot` and
 from __future__ import annotations
 
 import itertools
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .freemodule import Element, ReducedBasis
-from .signs import enumerate_shuffles, inverse, koszul_sign
+from .freemodule import Element, ReducedBasis, add_term, bilinear
 
 
 class Generator(NamedTuple):
@@ -38,12 +42,6 @@ class Generator(NamedTuple):
 Word = tuple[Generator, ...]
 
 
-def word(*gens: Generator) -> Word:
-    if not gens:
-        raise ValueError("words are nonempty")
-    return tuple(gens)
-
-
 def word_degree(w: Word) -> int:
     return sum(g.deg for g in w)
 
@@ -51,10 +49,6 @@ def word_degree(w: Word) -> int:
 def word_key(w: Word):
     """Canonical total order on words: by length, then letter ids."""
     return (len(w), tuple(g.gid for g in w))
-
-
-def tuple_key(t: tuple[Word, ...]):
-    return tuple(word_key(w) for w in t)
 
 
 def render_word(w: Word) -> str:
@@ -65,40 +59,64 @@ def render_tuple(t: tuple[Word, ...]) -> str:
     return " (x) ".join(render_word(w) for w in t)
 
 
+def signed_interleavings(x: Word, y: Word) -> Iterator[tuple[Word, tuple[bool, ...], int]]:
+    """Every interleaving of ``x`` and ``y`` with its origin flags and Koszul sign.
+
+    Yields ``(word, from_x, sign)``: ``from_x[k]`` tells whether output
+    letter ``k`` comes from ``x``.  Both words keep their internal
+    order.  The sign is built letter by letter (the first-letter shuffle
+    recursion): placing ``y[j]`` ahead of the x letters ``x[i:]`` still
+    to come multiplies it by (-1)^(|y_j| * |x[i:]|), and placing an x
+    letter costs nothing.  Interleavings come in lexicographic order of
+    the positions of ``x``, the order of
+    :func:`~abhomotopy.signs.enumerate_shuffles`.
+
+    >>> a = Generator("a", 1); b = Generator("b", 1)
+    >>> [(render_word(w), s) for w, _, s in signed_interleavings((a,), (b,))]
+    [('(a|b)', 1), ('(b|a)', -1)]
+    """
+    p, q = len(x), len(y)
+    # odd_rest[i]: parity of the degree of x[i:]
+    odd_rest = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        odd_rest[i] = (odd_rest[i + 1] + x[i].deg) % 2
+    y_odd = [g.deg % 2 for g in y]
+    stack = [((), (), 0, 0, 1)]
+    while stack:
+        word, from_x, i, j, sign = stack.pop()
+        if i == p:
+            yield word + y[j:], from_x + (False,) * (q - j), sign
+        elif j == q:
+            yield word + x[i:], from_x + (True,) * (p - i), sign
+        else:
+            # pushed second, popped first: x-first branches come out first
+            y_sign = -sign if y_odd[j] and odd_rest[i] else sign
+            stack.append((word + (y[j],), from_x + (False,), i, j + 1, y_sign))
+            stack.append((word + (x[i],), from_x + (True,), i + 1, j, sign))
+
+
 def shuffle(x: Word, y: Word) -> Element:
-    """Signed sum of all shuffles of two words.
+    """Signed sum of all shuffles of two words, with integer coefficients.
 
     Both blocks keep their internal order; each interleaving carries the
-    Koszul sign of the rearrangement.
+    Koszul sign of the rearrangement.  Equal interleavings (from
+    repeated letters) add up or cancel.
 
     >>> a = Generator("a", 1); b = Generator("b", 1)
     >>> sorted((render_word(w), c) for w, c in shuffle((a,), (b,)).items())
-    [('(a|b)', Fraction(1, 1)), ('(b|a)', Fraction(-1, 1))]
+    [('(a|b)', 1), ('(b|a)', -1)]
     """
     if not x or not y:
         raise ValueError("shuffle needs two nonempty words")
-    letters = x + y
-    degs = [g.deg for g in letters]
     acc: dict = {}
-    for sigma in enumerate_shuffles(len(x), len(y)):
-        inv = inverse(sigma)
-        out = tuple(letters[inv[k]] for k in range(len(letters)))
-        s = koszul_sign(degs, sigma)
-        c = acc.get(out, 0) + s
-        if c:
-            acc[out] = c
-        else:
-            acc.pop(out, None)
-    return Element.from_terms(acc.items())
+    for out, _, sign in signed_interleavings(x, y):
+        add_term(acc, out, sign)
+    return Element(acc)
 
 
 def shuffle_elements(ex: Element, ey: Element) -> Element:
     """Bilinear extension of :func:`shuffle` to Elements of words."""
-    acc = Element.zero()
-    for wx, cx in ex.items():
-        for wy, cy in ey.items():
-            acc = acc + shuffle(wx, wy).scale(cx * cy)
-    return acc
+    return bilinear(shuffle, ex, ey)
 
 
 def cobracket(w: Word) -> Element:
@@ -106,12 +124,13 @@ def cobracket(w: Word) -> Element:
 
     Words of length 1 have no cut, so the result is zero.
     """
-    acc = Element.zero()
+    acc: dict = {}
     for j in range(1, len(w)):
         u, v = w[:j], w[j:]
         sign = -1 if (word_degree(u) * word_degree(v)) % 2 else 1
-        acc = acc + Element.of((u, v)) - Element.of((v, u), sign)
-    return acc
+        add_term(acc, (u, v), 1)
+        add_term(acc, (v, u), -sign)
+    return Element(acc)
 
 
 def _arrangements(items: Sequence[Generator]):
@@ -185,7 +204,7 @@ def apply_in_slot(
     the left of ``slot`` costs (-1)**(f_degree * sum of their degrees).
     ``f`` maps a slot entry to an Element of slot entries.
     """
-    acc = Element.zero()
+    acc: dict = {}
     for t, c in v.items():
         if f_degree % 2:
             left = sum(deg_of(x) for x in t[:slot])
@@ -193,8 +212,8 @@ def apply_in_slot(
                 c = -c
         img = f(t[slot])
         for r, c2 in img.items():
-            acc = acc + Element.of(t[:slot] + (r,) + t[slot + 1 :], c * c2)
-    return acc
+            add_term(acc, t[:slot] + (r,) + t[slot + 1 :], c * c2)
+    return Element(acc)
 
 
 def splice_in_slot(
@@ -207,15 +226,15 @@ def splice_in_slot(
     """Like :func:`apply_in_slot` for maps whose values are tuples of
     slot entries (cobrackets, coproducts): the result tuple is spliced
     into the slot, raising the tensor arity."""
-    acc = Element.zero()
+    acc: dict = {}
     for t, c in v.items():
         if f_degree % 2:
             left = sum(deg_of(x) for x in t[:slot])
             if left % 2:
                 c = -c
         for r, c2 in f(t[slot]).items():
-            acc = acc + Element.of(t[:slot] + r + t[slot + 1 :], c * c2)
-    return acc
+            add_term(acc, t[:slot] + r + t[slot + 1 :], c * c2)
+    return Element(acc)
 
 
 def contract_adjacent_slots(
@@ -226,26 +245,25 @@ def contract_adjacent_slots(
     deg_of: Callable,
 ) -> Element:
     """Feed slots (slot, slot+1) to a binary graded map, lowering the arity."""
-    acc = Element.zero()
+    acc: dict = {}
     for t, c in v.items():
         if f_degree % 2:
             left = sum(deg_of(x) for x in t[:slot])
             if left % 2:
                 c = -c
         for r, c2 in f2(t[slot], t[slot + 1]).items():
-            acc = acc + Element.of(t[:slot] + (r,) + t[slot + 2 :], c * c2)
-    return acc
+            add_term(acc, t[:slot] + (r,) + t[slot + 2 :], c * c2)
+    return Element(acc)
 
 
 def swap_adjacent_slots(v: Element, slot: int, deg_of: Callable) -> Element:
     """Graded flip of slots (slot, slot+1) on an Element of tuples."""
-    acc = Element.zero()
+    acc: dict = {}
     for t, c in v.items():
         if (deg_of(t[slot]) * deg_of(t[slot + 1])) % 2:
             c = -c
-        swapped = t[:slot] + (t[slot + 1], t[slot]) + t[slot + 2 :]
-        acc = acc + Element.of(swapped, c)
-    return acc
+        add_term(acc, t[:slot] + (t[slot + 1], t[slot]) + t[slot + 2 :], c)
+    return Element(acc)
 
 
 #: process-wide cache of shuffle-span bases; safe for concurrent reads,

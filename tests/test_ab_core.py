@@ -249,3 +249,20 @@ def test_truncation_reports_skip_not_pass():
     checks = {c.axiom: c.status for c in check_ab_axioms(A)}
     assert checks["product-commutativity"] == "skip"
     assert checks["bracket-jacobi"] == "skip"
+
+
+def test_mutant_ell2_differs_from_parent():
+    """Guard for any later memo of ell2: a mutant must not reuse its parent's values."""
+    from abhomotopy.suites import perturbation_candidates
+
+    parent = builtin_instance("poisson-super").algebra
+    choice = next(c for c in perturbation_candidates(parent) if c[0] == "bracket")
+    _, i1, i2, _ = choice
+    g1, g2 = parent.gen(i1), parent.gen(i2)
+    pairs = [((g1,), (g2,)), ((g1,), (g2, g1)), ((g2, g1), (g2,))]
+    before = [ell2(parent, x, y) for x, y in pairs]
+    mutant = perturb_algebra(parent, choice)
+    assert ell2(mutant, *pairs[0]) != before[0]
+    assert any(ell2(mutant, x, y) != b for (x, y), b in zip(pairs, before))
+    # the parent is unchanged by building and evaluating the mutant
+    assert [ell2(parent, x, y) for x, y in pairs] == before

@@ -47,6 +47,32 @@ def test_module_axioms(x, y, z, c, d):
     assert (x - x).is_zero()
 
 
+int_terms = st.dictionaries(st.sampled_from([W1, W2, W3]), st.integers(-6, 6), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_terms, st.integers(-3, 3).filter(bool))
+def test_int_and_fraction_coefficients_agree(terms, k):
+    as_int = Element.from_terms(terms.items())
+    as_fraction = Element.from_terms((b, Fraction(c)) for b, c in terms.items())
+    # stored without normalization, as an accumulator may leave them
+    raw_fraction = Element({b: Fraction(c) for b, c in terms.items() if c})
+    for other in (as_fraction, raw_fraction):
+        assert as_int == other
+        assert hash(as_int) == hash(other)
+        assert format_element(as_int) == format_element(other)
+        assert as_int.scale(k) == other.scale(Fraction(k))
+    assert all(type(c) is int for _, c in as_fraction.items())
+    assert all(type(c) is int for _, c in as_int.scale(Fraction(k)).items())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    assert type(Element.of(W1, Fraction(4, 2)).coefficient(W1)) is int
+    assert type(Element.of(W1, Fraction(1, 2)).coefficient(W1)) is Fraction
+    assert type((Element.of(W1, 2) + Element.of(W2, Fraction(6, 3))).coefficient(W2)) is int
+    assert Element.of(W1).coefficient(W2) == 0
+
+
 def test_map_basis_is_linear():
     f = lambda b: Element.of(b + "!", 2)
     v = Element.of(W1, 3) + Element.of(W2, Fraction(1, 2))

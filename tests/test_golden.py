@@ -1,0 +1,66 @@
+"""Byte-for-byte comparison of verify-envelope reports with stored goldens.
+
+``tests/golden/<builtin>.json`` is the stdout of
+
+    abhomotopy verify-envelope --algebra <builtin> --suites axioms,core,envelope \
+        --max-word-len 2 --max-sym-factors 2 --max-total-letters 3 --probe-gens 2 \
+        --format json
+
+(the ``FAST`` sizes of ``test_suites_cli.py``); ``half-constant.json`` is
+the same command run inside ``tests/golden`` on
+``half-constant-algebra.json``, a file algebra with "1/2" constants
+whose report carries a fractional witness.  A kernel change that
+alters any verdict, count or witness text changes these bytes; the
+determinism test in ``test_suites_cli.py`` only compares two runs of
+the same code and cannot see that.  Regenerate a golden only for a
+change that is meant to alter the report, and say why in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fractions import Fraction
+
+from abhomotopy.ab_core import load_algebra
+from abhomotopy.cli import main
+from abhomotopy.instances import BUILTINS
+
+GOLDEN = Path(__file__).parent / "golden"
+FAST_ARGS = [
+    "--max-word-len", "2",
+    "--max-sym-factors", "2",
+    "--max-total-letters", "3",
+    "--probe-gens", "2",
+]
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_report_matches_golden(builtin, capsys):
+    code = main(
+        ["verify-envelope", "--algebra", builtin, "--suites", "axioms,core,envelope",
+         *FAST_ARGS, "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{builtin}.json").read_text(encoding="utf-8")
+
+
+def test_fractional_constants_report_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code = main(
+        ["verify-envelope", "--algebra", "half-constant-algebra.json",
+         "--suites", "axioms,core,envelope", *FAST_ARGS, "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "lhs = 1/2*w; rhs = -1/2*w" in out
+    assert out == (GOLDEN / "half-constant.json").read_text(encoding="utf-8")
+
+
+def test_fractional_constants_stay_fractions():
+    A = load_algebra(str(GOLDEN / "half-constant-algebra.json"))
+    u, v = A.gen("u"), A.gen("v")
+    for value in (A.product(u, u), A.bracket(u, v), A.mu(u, u)):
+        (c,) = (c for _, c in value.items())
+        assert type(c) is Fraction and abs(c) == Fraction(1, 2)

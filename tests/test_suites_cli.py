@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,33 @@ def test_cli_unknown_algebra_is_usage_error(capsys):
 def test_cli_bad_suites_is_usage_error(capsys):
     code = main(["verify-envelope", "--algebra", "poisson-super", "--suites", "nope"])
     assert code == 2
+
+
+def test_bug_inside_a_check_is_not_a_usage_error():
+    """An exception raised while the checks run is a bug: it propagates with
+    its traceback instead of being reported as a usage error (exit 2)."""
+    script = (
+        "import sys\n"
+        "from abhomotopy import suites\n"
+        "def broken(ctx):\n"
+        "    raise KeyError('bug inside a check')\n"
+        "suites.check_d_squared = broken\n"
+        "from abhomotopy.cli import main\n"
+        "sys.exit(main(['verify-envelope', '--algebra', 'poisson-super', '--suites', 'core',\n"
+        "               '--max-word-len', '2', '--probe-gens', '2']))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode != 2
+    assert proc.returncode == 1
+    assert "KeyError: 'bug inside a check'" in proc.stderr
+    assert "Traceback" in proc.stderr
 
 
 def test_cli_param_overrides(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 from abhomotopy.freemodule import Element
+from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
 from abhomotopy.tensor_coalgebra import (
     QUOTIENT,
     Generator,
@@ -11,6 +12,7 @@ from abhomotopy.tensor_coalgebra import (
     cobracket,
     shuffle,
     shuffle_elements,
+    signed_interleavings,
     splice_in_slot,
     swap_adjacent_slots,
     word_degree,
@@ -46,6 +48,57 @@ def test_shuffle_commutativity_and_associativity_small():
         lhs = shuffle_elements(shuffle(x, y), Element.of(z))
         rhs = shuffle_elements(Element.of(x), shuffle(y, z))
         assert lhs == rhs
+
+
+def reference_shuffle(x, y):
+    """Shuffle product from the permutation enumerator and the by-swaps sign oracle."""
+    letters = x + y
+    degs = [g.deg for g in letters]
+    acc = Element.zero()
+    for sigma in enumerate_shuffles(len(x), len(y)):
+        out = tuple(letters[i] for i in inverse(sigma))
+        acc = acc + Element.of(out, koszul_sign_by_swaps(degs, sigma))
+    return acc
+
+
+def reference_inputs(max_total=6):
+    """Every split of every degree pattern over (0, 1, 2), on distinct letters
+    and on the repeated letters o (odd), e and t (even)."""
+    repeated = {0: Generator("e", 0), 1: Generator("o", 1), 2: Generator("t", 2)}
+    for n in range(2, max_total + 1):
+        for degs in itertools.product((0, 1, 2), repeat=n):
+            distinct = gens(*degs)
+            same = [repeated[d] for d in degs]
+            for p in range(1, n):
+                yield tuple(distinct[:p]), tuple(distinct[p:])
+                yield tuple(same[:p]), tuple(same[p:])
+
+
+def test_shuffle_matches_permutation_reference():
+    checked = 0
+    for x, y in reference_inputs():
+        assert shuffle(x, y) == reference_shuffle(x, y), (x, y)
+        checked += 1
+    assert checked == 2 * 4923
+    # the repeated-letter inputs exercise cancellation and doubling
+    o, e = Generator("o", 1), Generator("e", 0)
+    assert shuffle((o,), (o,)).is_zero()
+    assert shuffle((e,), (e,)) == Element.of((e, e), 2)
+
+
+def test_signed_interleavings_flags_and_order():
+    x, y = tuple(gens(1, 2)), tuple(gens(1))
+    got = list(signed_interleavings(x, y))
+    assert len(got) == 3
+    for out, from_x, _ in got:
+        assert tuple(g for g, f in zip(out, from_x) if f) == x
+        assert tuple(g for g, f in zip(out, from_x) if not f) == y
+    # lexicographic order of the positions of x, as enumerate_shuffles lists them
+    letters = x + y
+    assert [out for out, _, _ in got] == [
+        tuple(letters[i] for i in inverse(sigma)) for sigma in enumerate_shuffles(2, 1)
+    ]
+    assert [sign for _, _, sign in got] == [1, 1, -1]
 
 
 def test_span_dimensions_two_letters():
