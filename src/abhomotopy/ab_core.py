@@ -35,16 +35,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .freemodule import Element, add_term, bilinear, format_element
-from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
+from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
 from .tensor_coalgebra import Generator, Word, signed_interleavings, word_degree
 
 
 class TruncationOverflow(Exception):
     """A structure map left the retained basis; the check is inconclusive."""
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 @dataclass
@@ -146,11 +142,11 @@ class AbAlgebra:
 
     def mu(self, g1: Generator, g2: Generator) -> Element:
         """Shifted product, degree 1 in dg."""
-        return self.product(g1, g2).scale(_sign(g1.deg))
+        return self.product(g1, g2).scale(sign(g1.deg))
 
     def ell(self, g1: Generator, g2: Generator) -> Element:
         """Shifted bracket, degree b - a + 1 in dg."""
-        return self.bracket(g1, g2).scale(_sign((self.b - self.a + 1) * g1.deg))
+        return self.bracket(g1, g2).scale(sign((self.b - self.a + 1) * g1.deg))
 
 
 @dataclass
@@ -173,7 +169,7 @@ class Coderivation:
             if r > n:
                 continue
             for j in range(n - r + 1):
-                sgn = _sign(self.degree * sum(g.deg for g in w[:j]))
+                sgn = sign(self.degree * sum(g.deg for g in w[:j]))
                 val = fn(w[j : j + r])
                 for g, c in val.items():
                     add_term(acc, w[:j] + (g,) + w[j + r :], c * sgn)
@@ -268,7 +264,7 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
                     for pos, g in enumerate(out_idx):
                         sigma[int(g.gid)] = pos
                     sgn = koszul_sign_by_swaps(degs, sigma)
-                    sgn *= _sign(bma1 * sum(g.deg for g in pre))
+                    sgn *= sign(bma1 * sum(g.deg for g in pre))
                     left = tuple(letters[int(g.gid)] for g in pre)
                     right = tuple(letters[int(g.gid)] for g in post)
                     for g, c in val.items():
@@ -278,12 +274,12 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
 
 def ell2_prime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Antisymmetric form of the bracket: degree 0 for dg' = dg - a + b + 1."""
-    return ell2(algebra, x, y).scale(_sign((algebra.a - algebra.b - 1) * algebra.deg_l(x)))
+    return ell2(algebra, x, y).scale(sign((algebra.a - algebra.b - 1) * algebra.deg_l(x)))
 
 
 def ell2_doubleprime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Symmetric form of the bracket: degree 1 for dg'' = dg - a + b."""
-    return ell2_prime(algebra, x, y).scale(_sign(algebra.deg_s(x)))
+    return ell2_prime(algebra, x, y).scale(sign(algebra.deg_s(x)))
 
 
 # -- axiom checking ------------------------------------------------------
@@ -352,7 +348,7 @@ def check_ab_axioms(
     run(
         "product-commutativity",
         pairs,
-        lambda g1, g2: (A.product(g1, g2), A.product(g2, g1).scale(_sign((ud(g1) + a) * (ud(g2) + a)))),
+        lambda g1, g2: (A.product(g1, g2), A.product(g2, g1).scale(sign((ud(g1) + a) * (ud(g2) + a)))),
     )
     run(
         "product-associativity",
@@ -365,14 +361,14 @@ def check_ab_axioms(
     run(
         "bracket-antisymmetry",
         pairs,
-        lambda g1, g2: (A.bracket(g1, g2), A.bracket(g2, g1).scale(-_sign((ud(g1) + b) * (ud(g2) + b)))),
+        lambda g1, g2: (A.bracket(g1, g2), A.bracket(g2, g1).scale(-sign((ud(g1) + b) * (ud(g2) + b)))),
     )
 
     def jacobi(g1, g2, g3):
         total = Element.zero()
         for x, y, z in ((g1, g2, g3), (g2, g3, g1), (g3, g1, g2)):
             term = A.bracket_elem(A.bracket(x, y), Element.of(z))
-            total = total + term.scale(_sign((ud(x) + b) * (ud(z) + b)))
+            total = total + term.scale(sign((ud(x) + b) * (ud(z) + b)))
         return total, Element.zero()
 
     run("bracket-jacobi", triples, jacobi)
@@ -381,7 +377,7 @@ def check_ab_axioms(
         lhs = A.bracket_elem(Element.of(g1), A.product(g2, g3))
         rhs = A.product_elem(A.bracket(g1, g2), Element.of(g3)) + A.product_elem(
             Element.of(g2), A.bracket(g1, g3)
-        ).scale(_sign((ud(g2) + a) * (ud(g1) + b)))
+        ).scale(sign((ud(g2) + a) * (ud(g1) + b)))
         return lhs, rhs
 
     run("leibniz", triples, leibniz)
@@ -393,7 +389,7 @@ def check_ab_axioms(
         lambda g1, g2: (
             A.diff_elem(A.product(g1, g2)),
             A.product_elem(A.differential(g1), Element.of(g2))
-            + A.product_elem(Element.of(g1), A.differential(g2)).scale(_sign(ud(g1) + a)),
+            + A.product_elem(Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + a)),
         ),
     )
     run(
@@ -402,7 +398,7 @@ def check_ab_axioms(
         lambda g1, g2: (
             A.diff_elem(A.bracket(g1, g2)),
             A.bracket_elem(A.differential(g1), Element.of(g2))
-            + A.bracket_elem(Element.of(g1), A.differential(g2)).scale(_sign(ud(g1) + b)),
+            + A.bracket_elem(Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + b)),
         ),
     )
     return checks

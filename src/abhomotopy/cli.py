@@ -67,7 +67,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--probe-gens", type=int, default=3, metavar="K",
                      help="number of low-degree generators the word families are built from")
     sub.add_argument("--seed", type=int, default=0, metavar="S")
-    sub.add_argument("--jobs", type=int, default=1, metavar="J")
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report here (UTF-8, newline-terminated)")
     sub.add_argument("--format", choices=("json", "text"), default="text",
@@ -91,7 +90,6 @@ def _config_from(args: argparse.Namespace, suites: tuple[str, ...]) -> SuiteConf
         max_total_letters=args.max_total_letters,
         probe_gens=args.probe_gens,
         seed=args.seed,
-        jobs=args.jobs,
         suites=suites,
     )
 

@@ -54,11 +54,8 @@ from typing import Callable, NamedTuple
 
 from .ab_core import AbAlgebra, AxiomCheck, TruncationOverflow, check_ab_axioms
 from .freemodule import Element, format_element
+from .signs import sign
 from .tensor_coalgebra import Generator
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 # -- super polynomial monomials -------------------------------------------
@@ -100,7 +97,7 @@ def _merge_strict(t1: tuple[int, ...], t2: tuple[int, ...]):
     if set(t1) & set(t2):
         return 0, None
     crossings = sum(1 for a in t1 for b in t2 if a > b)
-    return _sign(crossings), tuple(sorted(t1 + t2))
+    return sign(crossings), tuple(sorted(t1 + t2))
 
 
 def smono_mul(m1: SMono, m2: SMono):
@@ -127,7 +124,7 @@ def sderiv(var: tuple[str, int], m: SMono):
     if idx not in m.odd:
         return 0, None
     crossed = sum(1 for t in m.odd if t < idx)
-    return _sign(crossed), SMono(m.even, tuple(t for t in m.odd if t != idx))
+    return sign(crossed), SMono(m.even, tuple(t for t in m.odd if t != idx))
 
 
 def poly_mul(e1: Element, e2: Element) -> Element:
@@ -232,7 +229,7 @@ def pv_wedge(v1: PVMono, v2: PVMono):
     if coef is None:
         return 0, None
     # v2's xi letters cross v1's dx letters (both odd)
-    s0 *= _sign(len(v2.coef.odd) * len(v1.dx))
+    s0 *= sign(len(v2.coef.odd) * len(v1.dx))
     s1, dx = _merge_strict(v1.dx, v2.dx)
     if dx is None:
         return 0, None
@@ -284,7 +281,7 @@ def pv_contract(v1: PVMono, v2: PVMono) -> Element:
             continue
         dxi = tuple(sorted(tuple(dxi1) + v2.dxi))
         acc = acc + Element.of(
-            PVMono(coef, dx, dxi), Fraction(c) * sf * sb * _sign(exponent)
+            PVMono(coef, dx, dxi), Fraction(c) * sf * sb * sign(exponent)
         )
     return acc
 
@@ -292,8 +289,8 @@ def pv_contract(v1: PVMono, v2: PVMono) -> Element:
 def pv_schouten(v1: PVMono, v2: PVMono) -> Element:
     """Schouten bracket of monomials, degree +1 in the T_poly grading."""
     d1, d2 = pv_degree(v1), pv_degree(v2)
-    return pv_contract(v1, v2).scale(_sign(d1 + 1)) - pv_contract(v2, v1).scale(
-        _sign(d1 * (d2 + 1))
+    return pv_contract(v1, v2).scale(sign(d1 + 1)) - pv_contract(v2, v1).scale(
+        sign(d1 * (d2 + 1))
     )
 
 
@@ -325,7 +322,7 @@ def vf_bracket_oracle(v1: PVMono, v2: PVMono) -> Element:
     if dmono is not None:
         sf, coef = smono_mul(v2.coef, dmono)
         if coef is not None:
-            out = out - Element.of(_pv_from_slot(coef, s1[0]), Fraction(c) * sf * _sign(cross))
+            out = out - Element.of(_pv_from_slot(coef, s1[0]), Fraction(c) * sf * sign(cross))
     return out
 
 
@@ -379,7 +376,7 @@ def poisson_bracket_mono(T: PoissonTensor, m1: SMono, m2: SMono) -> Element:
         c2, d2 = sderiv(_dvar(j), m2)
         if d2 is None:
             continue
-        sgn = _sign(T.m * fdeg + _ddeg(j) * (fdeg + _ddeg(i)))
+        sgn = sign(T.m * fdeg + _ddeg(j) * (fdeg + _ddeg(i)))
         term = poly_mul(poly_mul(w, Element.of(d1, c1)), Element.of(d2, c2))
         acc = acc + term.scale(Fraction(sgn))
     return acc
@@ -414,7 +411,7 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
     for i in names:
         for j in names:
             lhs = T.entry(i, j)
-            rhs = T.entry(j, i).scale(_sign(_ddeg(i) * _ddeg(j) + T.m + 1))
+            rhs = T.entry(j, i).scale(sign(_ddeg(i) * _ddeg(j) + T.m + 1))
             if lhs != rhs:
                 bad.append(f"omega[{i},{j}] vs omega[{j},{i}]")
     checks.append(
@@ -427,7 +424,7 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
             for l in names:
                 total = Element.zero()
                 for u, v, w in ((l, j, i), (j, i, l), (i, l, j)):
-                    s = _sign(_ddeg(u) * (T.m + _ddeg(w)))
+                    s = sign(_ddeg(u) * (T.m + _ddeg(w)))
                     for k in names:
                         term = poly_mul(T.entry(u, k), poly_deriv(_dvar(k), T.entry(v, w)))
                         total = total + term.scale(Fraction(s))

@@ -26,6 +26,15 @@ from typing import Sequence
 Permutation = tuple[int, ...]
 
 
+def sign(exponent: int) -> int:
+    """(-1)**exponent, for any integer exponent.
+
+    >>> sign(3), sign(-2)
+    (-1, 1)
+    """
+    return -1 if exponent % 2 else 1
+
+
 def identity_permutation(n: int) -> Permutation:
     return tuple(range(n))
 

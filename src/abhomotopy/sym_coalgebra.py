@@ -32,7 +32,7 @@ from typing import Callable
 
 from .ab_core import AbAlgebra, Coderivation, ell2_doubleprime
 from .freemodule import Element, add_term
-from .signs import koszul_sign
+from .signs import koszul_sign, sign
 from .tensor_coalgebra import (
     ShuffleQuotient,
     Word,
@@ -43,10 +43,6 @@ from .tensor_coalgebra import (
 )
 
 SymWord = tuple[Word, ...]
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 def _normalize_with(deg_of: Callable[[Word], int], factors) -> tuple[int, SymWord | None]:
@@ -106,28 +102,39 @@ def sym_key(sym: SymWord):
 # -- coproduct -----------------------------------------------------------
 
 
+def block_splits(degs: list[int], pinned: int | None = None):
+    """Ordered two-block splits of factor positions, with their Koszul sign.
+
+    Yields ``(left, right, eps)``: increasing position tuples and the
+    Koszul sign, in the degrees ``degs``, of arranging the factors as
+    left, then the ``pinned`` factor if one is given, then right.
+    Without a pinned factor only proper splits (both blocks nonempty)
+    occur; with one, every split of the other positions does.
+    """
+    n = len(degs)
+    others = [i for i in range(n) if i != pinned]
+    middle = () if pinned is None else (pinned,)
+    sizes = range(1, n) if pinned is None else range(n)
+    for r in sizes:
+        for left in itertools.combinations(others, r):
+            taken = set(left)
+            right = tuple(i for i in others if i not in taken)
+            sigma = [0] * n
+            for rank, i in enumerate(left + middle + right):
+                sigma[i] = rank
+            yield left, right, koszul_sign(degs, sigma)
+
+
 def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
     """Sum over proper two-block splits of the factor multiset.
 
     Each split carries the block Koszul sign in deg_s; a single factor
     has no proper split, so its coproduct is zero.
     """
-    n = len(sym)
-    if n < 2:
-        return Element.zero()
     degs = [algebra.deg_s(w) for w in sym]
     acc: dict = {}
-    for r in range(1, n):
-        for left in itertools.combinations(range(n), r):
-            taken = set(left)
-            right = tuple(i for i in range(n) if i not in taken)
-            sigma = [0] * n
-            for rank, i in enumerate(left):
-                sigma[i] = rank
-            for rank, j in enumerate(right):
-                sigma[j] = r + rank
-            s = koszul_sign(degs, sigma)
-            add_term(acc, (tuple(sym[i] for i in left), tuple(sym[j] for j in right)), s)
+    for left, right, eps in block_splits(degs):
+        add_term(acc, (tuple(sym[i] for i in left), tuple(sym[j] for j in right)), eps)
     return Element(acc)
 
 
@@ -139,7 +146,7 @@ def extend_m(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
     degs = [algebra.deg_s(w) for w in sym]
     acc: dict = {}
     for i in range(len(sym)):
-        front = _sign(degs[i] * sum(degs[:i]))
+        front = sign(degs[i] * sum(degs[:i]))
         rest = sym[:i] + sym[i + 1 :]
         for w, c in D(sym[i]).items():
             _add_sym(acc, algebra, (w,) + rest, c * front)
@@ -153,7 +160,7 @@ def extend_ell(algebra: AbAlgebra, sym: SymWord) -> Element:
     n = len(sym)
     for i in range(n):
         for j in range(i + 1, n):
-            front = _sign(degs[i] * sum(degs[:i]) + degs[j] * (sum(degs[:j]) - degs[i]))
+            front = sign(degs[i] * sum(degs[:i]) + degs[j] * (sum(degs[:j]) - degs[i]))
             rest = tuple(sym[k] for k in range(n) if k != i and k != j)
             for w, c in ell2_doubleprime(algebra, sym[i], sym[j]).items():
                 _add_sym(acc, algebra, (w,) + rest, c * front)
@@ -210,36 +217,23 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
 
     with eps the block Koszul sign arranging the factors into (I, s, J).
     """
-    n = len(sym)
     amb = algebra.a - algebra.b
     degs = [algebra.deg_s(w) for w in sym]
     acc: dict = {}
-    for s in range(n):
-        xs = sym[s]
+    for s, xs in enumerate(sym):
         if len(xs) < 2:
             continue
-        others = [i for i in range(n) if i != s]
-        for r in range(len(others) + 1):
-            for left in itertools.combinations(others, r):
-                taken = set(left)
-                right = tuple(i for i in others if i not in taken)
-                sigma = [0] * n
-                for rank, i in enumerate(left):
-                    sigma[i] = rank
-                sigma[s] = r
-                for rank, j in enumerate(right):
-                    sigma[j] = r + 1 + rank
-                eps = koszul_sign(degs, sigma)
-                deg_left = sum(degs[i] for i in left)
-                fac_left = tuple(sym[i] for i in left)
-                fac_right = tuple(sym[j] for j in right)
-                for cut in range(1, len(xs)):
-                    u, v = xs[:cut], xs[cut:]
-                    du, dv = algebra.deg_s(u), algebra.deg_s(v)
-                    c0 = eps * _sign(amb * (deg_left + du))
-                    _sym_pair(acc, algebra, fac_left + (u,), (v,) + fac_right, c0)
-                    c1 = c0 * _sign(du * dv + amb + 1)
-                    _sym_pair(acc, algebra, fac_left + (v,), (u,) + fac_right, c1)
+        for left, right, eps in block_splits(degs, pinned=s):
+            deg_left = sum(degs[i] for i in left)
+            fac_left = tuple(sym[i] for i in left)
+            fac_right = tuple(sym[j] for j in right)
+            for cut in range(1, len(xs)):
+                u, v = xs[:cut], xs[cut:]
+                du, dv = algebra.deg_s(u), algebra.deg_s(v)
+                c0 = eps * sign(amb * (deg_left + du))
+                _sym_pair(acc, algebra, fac_left + (u,), (v,) + fac_right, c0)
+                c1 = c0 * sign(du * dv + amb + 1)
+                _sym_pair(acc, algebra, fac_left + (v,), (u,) + fac_right, c1)
     return Element(acc)
 
 
@@ -287,10 +281,10 @@ def kappa(algebra: AbAlgebra, sym: SymWord) -> Element:
                 for cut in range(1, len(xs)):
                     u, v = xs[:cut], xs[cut:]
                     du, dv = dprime(u), dprime(v)
-                    c0 = eps * _sign(deg_left + du)
+                    c0 = eps * sign(deg_left + du)
                     acc = acc + _pair_with(dprime, fac_left + (u,), (v,) + fac_right, c0)
                     acc = acc + _pair_with(
-                        dprime, fac_left + (v,), (u,) + fac_right, c0 * _sign(dv * du)
+                        dprime, fac_left + (v,), (u,) + fac_right, c0 * sign(dv * du)
                     )
     return acc
 
@@ -327,7 +321,7 @@ def poisson_cobracket(algebra: AbAlgebra, sym: SymWord) -> Element:
                     du, dv = word_degree(u), word_degree(v)
                     acc = acc + _pair_with(word_degree, fac_left + (u,), (v,) + fac_right, eps)
                     acc = acc + _pair_with(
-                        word_degree, fac_left + (v,), (u,) + fac_right, -eps * _sign(du * dv)
+                        word_degree, fac_left + (v,), (u,) + fac_right, -eps * sign(du * dv)
                     )
     return acc
 

@@ -1,4 +1,4 @@
-"""Byte-for-byte comparison of verify-envelope reports with stored goldens.
+"""Byte-for-byte comparison of CLI reports with stored goldens.
 
 ``tests/golden/<builtin>.json`` is the stdout of
 
@@ -9,11 +9,22 @@
 (the ``FAST`` sizes of ``test_suites_cli.py``); ``half-constant.json`` is
 the same command run inside ``tests/golden`` on
 ``half-constant-algebra.json``, a file algebra with "1/2" constants
-whose report carries a fractional witness.  A kernel change that
-alters any verdict, count or witness text changes these bytes; the
-determinism test in ``test_suites_cli.py`` only compares two runs of
-the same code and cannot see that.  Regenerate a golden only for a
-change that is meant to alter the report, and say why in CHANGES.md.
+whose report carries a fractional witness.  ``mutation-<builtin>.json``
+is the stdout of
+
+    abhomotopy mutation --algebra <builtin> --seed 1 --rounds 2 \
+        --max-word-len 2 --max-sym-factors 2 --max-total-letters 3 --probe-gens 2 \
+        --format json
+
+Three of those ten rounds climb the whole mutation ladder undetected and
+the other seven name the first check that fails, so the mutation files
+pin the ladder's order, which the verify-envelope files cannot.
+
+A kernel change that alters any verdict, count or witness text changes
+these bytes; the determinism test in ``test_suites_cli.py`` only
+compares two runs of the same code and cannot see that.  Regenerate a
+golden only for a change that is meant to alter the report, and say
+why in CHANGES.md.
 """
 
 from pathlib import Path
@@ -44,6 +55,17 @@ def test_report_matches_golden(builtin, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{builtin}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_mutation_report_matches_golden(builtin, capsys):
+    code = main(
+        ["mutation", "--algebra", builtin, "--seed", "1", "--rounds", "2",
+         *FAST_ARGS, "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"mutation-{builtin}.json").read_text(encoding="utf-8")
+    assert code == (1 if "no identity failed on the mutant" in out else 0)
 
 
 def test_fractional_constants_report_matches_golden(capsys, monkeypatch):

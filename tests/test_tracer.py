@@ -1,0 +1,52 @@
+"""The benchmark's per-layer tracer (``perfbench/tracer.py``) still sees
+every identity check.
+
+The tracer counts checks by wrapping each ``check_*`` function of
+``abhomotopy.suites`` and sums the input counts of the records those
+calls return.  If the checks stopped going through such a function, or
+went through a reference the tracer cannot rebind, its counts would
+silently drop; this test runs the tracer as it is, in a fresh
+interpreter, and compares its counts with the report.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from abhomotopy.suites import CHECKS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+t = tracer.install()
+from abhomotopy.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["verify-envelope", "--algebra", "poisson-super", "--max-word-len", "2",
+                 "--max-sym-factors", "2", "--max-total-letters", "3", "--probe-gens", "2",
+                 "--format", "json"])
+checks = tracer.summary(t)["groups"]["suites.check"]
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "checks": checks}))
+"""
+
+
+def test_tracer_counts_match_report():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0
+    records = [r for r in doc["report"]["records"] if r["check"] in CHECKS]
+    checks = doc["checks"]
+    assert len(records) > 0
+    assert checks["calls"] == len(records)
+    assert checks["evaluated"] == sum(r["evaluated"] for r in records)
+    assert checks["skipped"] == sum(r["skipped"] for r in records)
