@@ -24,7 +24,9 @@ evaluators of ell2 are provided; the second is an oracle.
 
 Structure constants are cached per algebra with integral values stored
 as ``int``, so every map built from them runs in integer arithmetic
-unless an instance supplies a genuine fraction.
+unless an instance supplies a genuine fraction.  The shifted constants
+``mu`` and ``ell`` are cached beside them, so the sign is applied once
+per generator pair, not once per use.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ class AbAlgebra:
     return Elements over :class:`Generator`; they may raise
     :class:`TruncationOverflow`.  Generators carry the shifted degree
     dg = |.| + a - 1; ``unshifted`` keeps the original grading.
+
+    Four per-instance caches keyed by generator ids hold the structure
+    constants (``product``, ``bracket``, ``differential``) and the
+    shifted constants (``mu``, ``ell``).  A shifted cache is filled from
+    :meth:`product`/:meth:`bracket`, so the degree check runs and the
+    instance's map is called exactly once per pair either way.  A
+    mutant (:func:`~abhomotopy.suites.perturb_algebra`) is a new
+    instance with empty caches, so it never sees its parent's values.
+    Cached Elements are shared: callers must not mutate them.
     """
 
     name: str
@@ -69,6 +80,8 @@ class AbAlgebra:
         self._prod_cache: dict = {}
         self._brk_cache: dict = {}
         self._diff_cache: dict = {}
+        self._mu_cache: dict = {}
+        self._ell_cache: dict = {}
 
     # -- basis ---------------------------------------------------------
 
@@ -142,11 +155,21 @@ class AbAlgebra:
 
     def mu(self, g1: Generator, g2: Generator) -> Element:
         """Shifted product, degree 1 in dg."""
-        return self.product(g1, g2).scale(sign(g1.deg))
+        key = (g1.gid, g2.gid)
+        out = self._mu_cache.get(key)
+        if out is None:
+            out = self.product(g1, g2).scale(sign(g1.deg))
+            self._mu_cache[key] = out
+        return out
 
     def ell(self, g1: Generator, g2: Generator) -> Element:
         """Shifted bracket, degree b - a + 1 in dg."""
-        return self.bracket(g1, g2).scale(sign((self.b - self.a + 1) * g1.deg))
+        key = (g1.gid, g2.gid)
+        out = self._ell_cache.get(key)
+        if out is None:
+            out = self.bracket(g1, g2).scale(sign((self.b - self.a + 1) * g1.deg))
+            self._ell_cache[key] = out
+        return out
 
 
 @dataclass
@@ -278,8 +301,13 @@ def ell2_prime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
 
 
 def ell2_doubleprime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
-    """Symmetric form of the bracket: degree 1 for dg'' = dg - a + b."""
-    return ell2_prime(algebra, x, y).scale(sign(algebra.deg_s(x)))
+    """Symmetric form of the bracket: degree 1 for dg'' = dg - a + b.
+
+    The sign of :func:`ell2_prime` times (-1)^deg_s(x), applied to
+    :func:`ell2` in one step.
+    """
+    A = algebra
+    return ell2(A, x, y).scale(sign((A.a - A.b - 1) * A.deg_l(x) + A.deg_s(x)))
 
 
 # -- axiom checking ------------------------------------------------------

@@ -186,11 +186,15 @@ class ReducedBasis:
     vector, so tails contain no pivots and :meth:`reduce` is one pass.
     The reduced basis depends only on the span (and ``key``), not on the
     input order.
+
+    Rows are private term dicts, cleared in place when a new pivot
+    arrives; :meth:`basis` hands out copies, so no Element a caller
+    holds ever changes under a later :meth:`insert`.
     """
 
     def __init__(self, vectors: Iterable[Element], key: Callable):
         self.key = key
-        self._rows: dict = {}  # pivot basis object -> Element (pivot coeff 1)
+        self._rows: dict = {}  # pivot basis object -> term dict (pivot coeff 1)
         for v in vectors:
             self.insert(v)
 
@@ -202,13 +206,14 @@ class ReducedBasis:
         if r.is_zero():
             return
         pivot = self._pivot_of(r)
-        r = r.scale(Fraction(1) / r.coefficient(pivot))
+        new = r.scale(Fraction(1) / r.coefficient(pivot)).terms
         # keep reduced form: clear the new pivot from existing tails
-        for p, row in list(self._rows.items()):
-            c = row.coefficient(pivot)
+        for row in self._rows.values():
+            c = row.get(pivot)
             if c:
-                self._rows[p] = row - r.scale(c)
-        self._rows[pivot] = r
+                for b, x in new.items():
+                    add_term(row, b, -(x * c))
+        self._rows[pivot] = new
 
     def reduce(self, v: Element) -> Element:
         """Normal form of v modulo the span; zero iff v lies in the span."""
@@ -219,7 +224,7 @@ class ReducedBasis:
             c = acc.get(b)
             if not c:
                 continue
-            for b2, c2 in self._rows[b].terms.items():
+            for b2, c2 in self._rows[b].items():
                 add_term(acc, b2, -c * c2)
         return Element(acc)
 
@@ -230,4 +235,4 @@ class ReducedBasis:
         return len(self._rows)
 
     def basis(self) -> list[Element]:
-        return [self._rows[p] for p in sorted(self._rows, key=self.key)]
+        return [Element(dict(self._rows[p])) for p in sorted(self._rows, key=self.key)]

@@ -846,11 +846,37 @@ def axiom_records(instance: Instance) -> list[CheckRecord]:
     ]
 
 
+def degree_records(config: SuiteConfig, algebras: list[AbAlgebra]) -> list[CheckRecord]:
+    """A ``degree-homogeneity`` fail naming every inhomogeneous table entry
+    the run met, when the ``axioms`` suite (which reports it) did not run.
+
+    Structure maps record a violation when they are first evaluated, so
+    this is read after the checks; without it a run on inhomogeneous
+    input would report identity failures and never name their cause.
+    """
+    if "axioms" in config.suites:
+        return []
+    found = list(dict.fromkeys(v for A in algebras for v in A.degree_violations))
+    if not found:
+        return []
+    return [
+        CheckRecord(
+            "degree-homogeneity",
+            "every structure-table entry the checks evaluated is degree-homogeneous",
+            algebras[0].name,
+            "fail",
+            witness="; ".join(found),
+        )
+    ]
+
+
 def run_check_algebra(config: SuiteConfig, instance: Instance | None = None) -> Report:
     """Structure axioms of the configured instance (built here unless given)."""
     if instance is None:
         instance = build_instance(config)
-    return Report("check-algebra", config.as_dict(), axiom_records(instance))
+    records = axiom_records(instance)
+    records += degree_records(config, [instance.algebra])
+    return Report("check-algebra", config.as_dict(), records)
 
 
 def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -> Report:
@@ -868,6 +894,7 @@ def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -
         amb = ctx.algebra.a - ctx.algebra.b
         names += ENVELOPE + ((SPECIALIZATIONS[amb],) if amb in SPECIALIZATIONS else ())
     records += [check_identity(name, ctx) for name in names]
+    records += degree_records(config, [instance.algebra])
     return Report("verify-envelope", config.as_dict(), records)
 
 
@@ -921,9 +948,11 @@ def run_mutation(config: SuiteConfig, rounds: int = 1, instance: Instance | None
     if not candidates:
         raise ValueError("no degree-homogeneous perturbation exists for this instance")
     records: list[CheckRecord] = []
+    mutants: list[AbAlgebra] = []
     for k in range(rounds):
         choice = candidates[rng.randrange(len(candidates))]
         mutant = perturb_algebra(instance.algebra, choice)
+        mutants.append(mutant)
         mutant_instance = Instance(mutant, dict(instance.params))
         # the probe family must exercise the perturbed entry
         forced = tuple(dict.fromkeys(choice[1:3]))
@@ -945,4 +974,6 @@ def run_mutation(config: SuiteConfig, rounds: int = 1, instance: Instance | None
                 witness=f"detected by {found}" if found else "no identity failed on the mutant",
             )
         )
+    # perturbations are homogeneous: a mutant's violations are its parent's entries
+    records += degree_records(config, [instance.algebra, *mutants])
     return Report("mutation", config.as_dict(), records)

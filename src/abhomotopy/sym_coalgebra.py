@@ -19,6 +19,22 @@ specializations; they exist as independent oracles for
 ``cobracket_doubleprime`` and intentionally repeat its combinatorics
 with their own degree bookkeeping.
 
+Canonical insertion.  ``coproduct_delta``, ``extend_m``, ``extend_ell``
+and ``cobracket_doubleprime`` take a canonical SymWord.  Every factor
+tuple they emit is a subsequence of it (``X_I``, ``X_J`` or the rest
+after removing factors), which is canonical already, with at most one
+new word at its front or its end.  :func:`insert_factor` puts that word
+in place by one ordered scan; the Koszul sign is the parity of the odd
+factors it crosses.  No output is re-sorted, and the deg_s parities of
+the input factors are computed once per call.
+
+Full re-sorting (:func:`normalize`, :func:`sym_of`) remains where the
+input order is arbitrary: building probe SymWords, the factorwise
+quotient normal form, and the oracles.  ``kappa``, ``poisson_cobracket``
+and ``q_by_taylor`` re-sort every output through their own
+``_normalize_with``/``sym_of`` path, so they do not share the
+production kernels' insertion.
+
 Equality of the propositions' two sides is decided by rewriting every
 tensor-word factor to its shuffle-quotient normal form
 (:func:`sym_normal_form`) and comparing canonical Elements.
@@ -49,19 +65,53 @@ def _normalize_with(deg_of: Callable[[Word], int], factors) -> tuple[int, SymWor
     """Sort factors canonically, accumulating the graded swap sign."""
     arr = list(factors)
     keys = [word_key(w) for w in arr]
+    odds = [deg_of(w) % 2 for w in arr]
     sign = 1
     for i in range(1, len(arr)):
         j = i
         while j > 0 and keys[j] < keys[j - 1]:
-            if deg_of(arr[j]) % 2 and deg_of(arr[j - 1]) % 2:
+            if odds[j] and odds[j - 1]:
                 sign = -sign
             arr[j - 1], arr[j] = arr[j], arr[j - 1]
             keys[j - 1], keys[j] = keys[j], keys[j - 1]
+            odds[j - 1], odds[j] = odds[j], odds[j - 1]
             j -= 1
     for i in range(len(arr) - 1):
-        if arr[i] == arr[i + 1] and deg_of(arr[i]) % 2:
+        if odds[i] and arr[i] == arr[i + 1]:
             return 0, None
     return sign, tuple(arr)
+
+
+def insert_factor(
+    factors: SymWord, odds, w: Word, w_odd: int, front: bool
+) -> tuple[int, SymWord | None]:
+    """Canonical form of ``(w,) + factors`` (``front``) or ``factors + (w,)``.
+
+    ``factors`` must be canonical and ``odds`` hold its deg_s parities;
+    ``w_odd`` is the parity of ``w``.  Equals :func:`normalize` on the
+    same sequence: ``w`` passes the factors that sort strictly before it
+    (from the front) or strictly after it (from the end), the sign is
+    (-1)^(w_odd * odd factors passed), and an odd ``w`` next to an equal
+    factor gives (0, None).
+    """
+    kw = (len(w), w)
+    n = len(factors)
+    crossed = 0
+    if front:
+        p = 0
+        while p < n and (len(factors[p]), factors[p]) < kw:
+            crossed += odds[p]
+            p += 1
+        if w_odd and p < n and factors[p] == w:
+            return 0, None
+    else:
+        p = n
+        while p and kw < (len(factors[p - 1]), factors[p - 1]):
+            p -= 1
+            crossed += odds[p]
+        if w_odd and p and factors[p - 1] == w:
+            return 0, None
+    return (-1 if w_odd and crossed % 2 else 1), factors[:p] + (w,) + factors[p:]
 
 
 def normalize(algebra: AbAlgebra, factors) -> tuple[int, SymWord | None]:
@@ -84,7 +134,14 @@ def _add_sym(acc: dict, algebra: AbAlgebra, factors, coeff) -> None:
 
 
 def sym_degree(algebra: AbAlgebra, sym: SymWord) -> int:
-    return sum(algebra.deg_s(w) for w in sym)
+    return sum(map(word_degree, sym)) - len(sym) * (algebra.a - algebra.b)
+
+
+def _sym_degrees(algebra: AbAlgebra, sym: SymWord) -> tuple[list[int], list[int]]:
+    """deg_s of every factor of ``sym``, and their parities."""
+    amb = algebra.a - algebra.b
+    degs = [word_degree(w) - amb for w in sym]
+    return degs, [d % 2 for d in degs]
 
 
 def render_sym(sym: SymWord) -> str:
@@ -141,29 +198,42 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
 # -- coderivation extensions ----------------------------------------------
 
 
+def _add_front(acc: dict, amb: int, rest: SymWord, rest_odds, image: Element, coeff) -> None:
+    """Accumulate ``coeff`` times the canonical ``(w,) + rest`` for each
+    term of ``image``; ``rest`` is canonical."""
+    for w, c in image.items():
+        s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
+        if s:
+            add_term(acc, out, c * coeff * s)
+
+
 def extend_m(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
     """Apply D to one factor at a time, after bringing it to the front."""
-    degs = [algebra.deg_s(w) for w in sym]
+    amb = algebra.a - algebra.b
+    degs, odds = _sym_degrees(algebra, sym)
     acc: dict = {}
+    before = 0  # deg_s of sym[:i]
     for i in range(len(sym)):
-        front = sign(degs[i] * sum(degs[:i]))
-        rest = sym[:i] + sym[i + 1 :]
-        for w, c in D(sym[i]).items():
-            _add_sym(acc, algebra, (w,) + rest, c * front)
+        front = sign(degs[i] * before)
+        before += degs[i]
+        rest, rest_odds = sym[:i] + sym[i + 1 :], odds[:i] + odds[i + 1 :]
+        _add_front(acc, amb, rest, rest_odds, D(sym[i]), front)
     return Element(acc)
 
 
 def extend_ell(algebra: AbAlgebra, sym: SymWord) -> Element:
     """Contract one unordered factor pair with the symmetric bracket."""
-    degs = [algebra.deg_s(w) for w in sym]
+    amb = algebra.a - algebra.b
+    degs, odds = _sym_degrees(algebra, sym)
     acc: dict = {}
     n = len(sym)
+    before = list(itertools.accumulate(degs, initial=0))  # before[i]: deg_s of sym[:i]
     for i in range(n):
         for j in range(i + 1, n):
-            front = sign(degs[i] * sum(degs[:i]) + degs[j] * (sum(degs[:j]) - degs[i]))
-            rest = tuple(sym[k] for k in range(n) if k != i and k != j)
-            for w, c in ell2_doubleprime(algebra, sym[i], sym[j]).items():
-                _add_sym(acc, algebra, (w,) + rest, c * front)
+            front = sign(degs[i] * before[i] + degs[j] * (before[j] - degs[i]))
+            rest = sym[:i] + sym[i + 1 : j] + sym[j + 1 :]
+            rest_odds = odds[:i] + odds[i + 1 : j] + odds[j + 1 :]
+            _add_front(acc, amb, rest, rest_odds, ell2_doubleprime(algebra, sym[i], sym[j]), front)
     return Element(acc)
 
 
@@ -218,31 +288,35 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
     with eps the block Koszul sign arranging the factors into (I, s, J).
     """
     amb = algebra.a - algebra.b
-    degs = [algebra.deg_s(w) for w in sym]
+    degs, odds = _sym_degrees(algebra, sym)
     acc: dict = {}
     for s, xs in enumerate(sym):
         if len(xs) < 2:
             continue
+        # deg_s of both sides of every cut, from letter-degree prefix sums
+        prefix = list(itertools.accumulate(g.deg for g in xs))
+        cuts = []
+        for cut in range(1, len(xs)):
+            du, dv = prefix[cut - 1] - amb, prefix[-1] - prefix[cut - 1] - amb
+            cuts.append((xs[:cut], xs[cut:], du, du % 2, dv % 2, sign(du * dv + amb + 1)))
         for left, right, eps in block_splits(degs, pinned=s):
             deg_left = sum(degs[i] for i in left)
-            fac_left = tuple(sym[i] for i in left)
-            fac_right = tuple(sym[j] for j in right)
-            for cut in range(1, len(xs)):
-                u, v = xs[:cut], xs[cut:]
-                du, dv = algebra.deg_s(u), algebra.deg_s(v)
+            fac_left, odd_left = tuple(sym[i] for i in left), [odds[i] for i in left]
+            fac_right, odd_right = tuple(sym[j] for j in right), [odds[j] for j in right]
+            for u, v, du, u_odd, v_odd, flip in cuts:
                 c0 = eps * sign(amb * (deg_left + du))
-                _sym_pair(acc, algebra, fac_left + (u,), (v,) + fac_right, c0)
-                c1 = c0 * sign(du * dv + amb + 1)
-                _sym_pair(acc, algebra, fac_left + (v,), (u,) + fac_right, c1)
+                _add_pair(acc, fac_left, odd_left, u, u_odd, v, v_odd, fac_right, odd_right, c0)
+                _add_pair(acc, fac_left, odd_left, v, v_odd, u, u_odd, fac_right, odd_right, c0 * flip)
     return Element(acc)
 
 
-def _sym_pair(acc: dict, algebra: AbAlgebra, left, right, coeff) -> None:
-    """Accumulate ``coeff`` times the canonical form of a pair of factor sequences."""
-    sl, wl = normalize(algebra, left)
+def _add_pair(acc: dict, left, left_odds, x, x_odd, y, y_odd, right, right_odds, coeff) -> None:
+    """Accumulate ``coeff`` times the canonical ``left.x (x) y.right``;
+    ``left`` and ``right`` are canonical."""
+    sl, wl = insert_factor(left, left_odds, x, x_odd, False)
     if wl is None:
         return
-    sr, wr = normalize(algebra, right)
+    sr, wr = insert_factor(right, right_odds, y, y_odd, True)
     if wr is None:
         return
     add_term(acc, (wl, wr), coeff * sl * sr)

@@ -42,13 +42,34 @@ class Generator(NamedTuple):
 Word = tuple[Generator, ...]
 
 
+#: process-wide memo of word degrees, keyed by the word itself
+_WORD_DEGREE: dict = {}
+
+
 def word_degree(w: Word) -> int:
-    return sum(g.deg for g in w)
+    """dg degree of a word: the sum of its letter degrees.
+
+    Memoized process-wide by the word.  The memo is safe across algebras
+    and their mutants: a word is a tuple of Generators, and each
+    Generator carries its own degree, so equal words have equal degrees
+    whatever algebra they came from.  It holds one entry per distinct
+    word seen (a few hundred on a deep envelope run).
+    """
+    d = _WORD_DEGREE.get(w)
+    if d is None:
+        d = _WORD_DEGREE[w] = sum(g.deg for g in w)
+    return d
 
 
 def word_key(w: Word):
-    """Canonical total order on words: by length, then letter ids."""
-    return (len(w), tuple(g.gid for g in w))
+    """Canonical total order on words: by length, then letter ids.
+
+    A Generator is the pair (gid, deg) and compares as one, so ``w``
+    itself orders words of equal length by their letter ids whenever a
+    letter id determines its letter, as it does within every algebra
+    and every generic-letter family.  No per-word id tuple is built.
+    """
+    return (len(w), w)
 
 
 def render_word(w: Word) -> str:

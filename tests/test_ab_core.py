@@ -252,17 +252,47 @@ def test_truncation_reports_skip_not_pass():
 
 
 def test_mutant_ell2_differs_from_parent():
-    """Guard for any later memo of ell2: a mutant must not reuse its parent's values."""
+    """Guard for the per-algebra caches: a mutant must not reuse its parent's values.
+
+    The parent's shifted-constant caches (``mu``, ``ell``) are filled
+    first; a product mutant must then return its own ``mu`` and a
+    bracket mutant its own ``ell`` on the perturbed pair.
+    """
+    from abhomotopy.signs import sign
     from abhomotopy.suites import perturbation_candidates
 
     parent = builtin_instance("poisson-super").algebra
-    choice = next(c for c in perturbation_candidates(parent) if c[0] == "bracket")
-    _, i1, i2, _ = choice
+    filled = set()
+    for h1 in parent.generators:
+        for h2 in parent.generators:
+            try:
+                parent.mu(h1, h2), parent.ell(h1, h2)
+            except TruncationOverflow:
+                continue
+            filled.add((h1.gid, h2.gid))
+    candidates = perturbation_candidates(parent)
+    choice = next(c for c in candidates if c[0] == "bracket" and c[1:3] in filled)
+    _, i1, i2, tgt = choice
     g1, g2 = parent.gen(i1), parent.gen(i2)
     pairs = [((g1,), (g2,)), ((g1,), (g2, g1)), ((g2, g1), (g2,))]
     before = [ell2(parent, x, y) for x, y in pairs]
     mutant = perturb_algebra(parent, choice)
     assert ell2(mutant, *pairs[0]) != before[0]
     assert any(ell2(mutant, x, y) != b for (x, y), b in zip(pairs, before))
+    bump = Element.of(parent.gen(tgt))
+    ell_sign = sign((parent.b - parent.a + 1) * g1.deg)
+    assert mutant.ell(g1, g2) == (parent.bracket(g1, g2) + bump).scale(ell_sign)
+    assert mutant.ell(g1, g2) != parent.ell(g1, g2)
     # the parent is unchanged by building and evaluating the mutant
     assert [ell2(parent, x, y) for x, y in pairs] == before
+
+    choice = next(c for c in candidates if c[0] == "product" and c[1:3] in filled)
+    _, i1, i2, tgt = choice
+    g1, g2 = parent.gen(i1), parent.gen(i2)
+    before_mu = parent.mu(g1, g2)
+    mutant = perturb_algebra(parent, choice)
+    bump = Element.of(parent.gen(tgt))
+    assert mutant.mu(g1, g2) == (parent.product(g1, g2) + bump).scale(sign(g1.deg))
+    assert mutant.mu(g1, g2) != before_mu
+    assert mutant.ell(g1, g2) == parent.ell(g1, g2)
+    assert parent.mu(g1, g2) == before_mu

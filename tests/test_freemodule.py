@@ -163,3 +163,19 @@ def test_membership_against_dense_solver():
         for v in vectors:
             inside = inside + v.scale(rng.choice([-2, 1, 3]))
         assert ReducedBasis(vectors, key=str_key).contains(inside)
+
+
+def test_reduced_basis_rows_handed_out_are_not_mutated():
+    """Rows are cleared in place on insertion; Elements already returned by
+    basis() must not change with them."""
+    rb = ReducedBasis([Element.of(W1) + Element.of(W2)], key=str_key)
+    (first,) = rb.basis()
+    snapshot = dict(first.terms)
+    rb.insert(Element.of(W2, 3) + Element.of(W3))  # new pivot w2 clears w2 from row w1
+    assert first.terms == snapshot
+    assert rb.basis() == [
+        Element.of(W1) - Element.of(W3, Fraction(1, 3)),
+        Element.of(W2) + Element.of(W3, Fraction(1, 3)),
+    ]
+    rb.basis()[0].terms.clear()  # mutating a handed-out copy leaves the rows intact
+    assert rb.dimension() == 2 and rb.contains(Element.of(W1) - Element.of(W3, Fraction(1, 3)))

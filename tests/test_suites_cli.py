@@ -235,3 +235,42 @@ def test_cli_mutation_exit_zero(capsys):
         ]
     )
     assert code == 0
+
+
+INHOMOGENEOUS = {
+    "name": "inhomogeneous-bracket",
+    "a": 0,
+    "b": -1,
+    "generators": [{"id": "x", "degree": 0}, {"id": "y", "degree": 1}],
+    # [x, y] should have degree 0 + 1 - 1 = 0; y has degree 1
+    "bracket": [["x", "y", [["y", 1]]], ["y", "x", [["y", -1]]]],
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify-envelope", "--suites", "core,envelope"],
+        ["check-algebra"],
+        ["mutation", "--rounds", "2"],
+    ],
+)
+def test_every_command_names_inhomogeneous_input(tmp_path, capsys, command):
+    """Without the axioms suite the identity failures alone never say why;
+    the report must carry one degree-homogeneity fail naming the entries."""
+    path = tmp_path / "inhomogeneous.json"
+    path.write_text(json.dumps(INHOMOGENEOUS), encoding="utf-8")
+    sizes = ["--max-word-len", "2", "--max-sym-factors", "2", "--max-total-letters", "3"]
+    code = main([*command, "--algebra", str(path), *sizes, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["status"] == "fail"
+    degree = [r for r in doc["records"] if r["check"] == "degree-homogeneity"]
+    assert len(degree) == 1
+    assert degree[0]["status"] == "fail"
+    assert "bracket('x', 'y') -> y has degree 1, expected 0" in degree[0]["witness"]
+
+
+def test_homogeneous_input_gets_no_extra_degree_record():
+    config = SuiteConfig(algebra="gerstenhaber-toy", suites=("core",), **FAST)
+    report = run_verify_envelope(config)
+    assert [r.check for r in report.records] == list(CORE)

@@ -1,13 +1,22 @@
 import itertools
 
-from abhomotopy.ab_core import TruncationOverflow, coderivation_D
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abhomotopy.ab_core import TruncationOverflow, coderivation_D, ell2_doubleprime
 from abhomotopy.freemodule import Element
-from abhomotopy.signs import koszul_sign_by_swaps
+from abhomotopy.instances import BUILTINS, builtin_instance
+from abhomotopy.signs import koszul_sign_by_swaps, sign
+from abhomotopy.suites import RunContext, SuiteConfig
 from abhomotopy.sym_coalgebra import (
+    _normalize_with,
+    block_splits,
     cobracket_doubleprime,
     coproduct_delta,
     extend_ell,
     extend_m,
+    insert_factor,
     kappa,
     normalize,
     poisson_cobracket,
@@ -18,7 +27,7 @@ from abhomotopy.sym_coalgebra import (
     sym_of,
     sym_tensor_is_zero,
 )
-from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle, swap_adjacent_slots
+from abhomotopy.tensor_coalgebra import QUOTIENT, Generator, shuffle, swap_adjacent_slots
 
 
 def test_normalize_signs(nilpotent_algebra):
@@ -216,3 +225,129 @@ def test_sym_with_shuffle_image_factor_is_zero(poisson_poly_instance):
         acc = acc + sym_of(A, (w, other), c)
     assert not acc.is_zero()
     assert sym_is_zero(A, QUOTIENT, acc)
+
+
+# -- canonical insertion against the full re-sort -------------------------------
+
+# letters of every parity; words over them have mixed parities, and short
+# words over few letters make repeated factors (odd ones die) common
+_LETTERS = [Generator("p", 0), Generator("q", 1), Generator("r", 2), Generator("s", 1)]
+_words = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=3).map(tuple)
+_parity = lambda w: sum(g.deg for g in w) % 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_words, max_size=5), _words, st.booleans())
+def test_insert_factor_matches_full_resort(factors, w, front):
+    _, canonical = _normalize_with(_parity, factors)
+    if canonical is None:  # a repeated odd factor: not a canonical input
+        return
+    odds = [_parity(x) for x in canonical]
+    seq = (w,) + canonical if front else canonical + (w,)
+    assert insert_factor(canonical, odds, w, _parity(w), front) == _normalize_with(_parity, seq)
+
+
+def test_insert_factor_repeated_factors():
+    q, p = (Generator("q", 1),), (Generator("p", 0),)
+    odds = [_parity(x) for x in (p, q)]
+    # a repeated odd factor gives zero from either end
+    assert insert_factor((p, q), odds, q, 1, True) == (0, None)
+    assert insert_factor((p, q), odds, q, 1, False) == (0, None)
+    # a repeated even factor is kept
+    assert insert_factor((p, q), odds, p, 0, True) == (1, (p, p, q))
+    assert insert_factor((p, q), odds, p, 0, False) == (1, (p, p, q))
+
+
+# -- production kernels against re-sorting references -----------------------------
+#
+# The references restate each kernel with the parent's bookkeeping: every
+# output factor sequence is built in full and re-sorted by ``normalize``.
+
+
+def _ref_add(acc, A, factors, coeff):
+    sgn, sym = normalize(A, factors)
+    if sym is not None:
+        acc = acc + Element.of(sym, coeff * sgn)
+    return acc
+
+
+def ref_extend_m(A, sym, D):
+    degs = [A.deg_s(w) for w in sym]
+    acc = Element.zero()
+    for i in range(len(sym)):
+        front = sign(degs[i] * sum(degs[:i]))
+        rest = sym[:i] + sym[i + 1 :]
+        for w, c in D(sym[i]).items():
+            acc = _ref_add(acc, A, (w,) + rest, c * front)
+    return acc
+
+
+def ref_extend_ell(A, sym):
+    degs = [A.deg_s(w) for w in sym]
+    acc = Element.zero()
+    n = len(sym)
+    for i in range(n):
+        for j in range(i + 1, n):
+            front = sign(degs[i] * sum(degs[:i]) + degs[j] * (sum(degs[:j]) - degs[i]))
+            rest = tuple(sym[k] for k in range(n) if k not in (i, j))
+            for w, c in ell2_doubleprime(A, sym[i], sym[j]).items():
+                acc = _ref_add(acc, A, (w,) + rest, c * front)
+    return acc
+
+
+def ref_cobracket_doubleprime(A, sym):
+    amb = A.a - A.b
+    degs = [A.deg_s(w) for w in sym]
+    acc = Element.zero()
+    for s, xs in enumerate(sym):
+        for left, right, eps in block_splits(degs, pinned=s):
+            deg_left = sum(degs[i] for i in left)
+            fac_left = tuple(sym[i] for i in left)
+            fac_right = tuple(sym[j] for j in right)
+            for cut in range(1, len(xs)):
+                u, v = xs[:cut], xs[cut:]
+                du, dv = A.deg_s(u), A.deg_s(v)
+                c0 = eps * sign(amb * (deg_left + du))
+                c1 = c0 * sign(du * dv + amb + 1)
+                for lf, rf, c in ((fac_left + (u,), (v,) + fac_right, c0),
+                                  (fac_left + (v,), (u,) + fac_right, c1)):
+                    sl, wl = normalize(A, lf)
+                    sr, wr = normalize(A, rf)
+                    if wl is not None and wr is not None:
+                        acc = acc + Element.of((wl, wr), c * sl * sr)
+    return acc
+
+
+def _same_or_both_overflow(got_fn, want_fn) -> bool:
+    """Compare two evaluations; True when both overflowed the truncation."""
+    try:
+        want = want_fn()
+    except TruncationOverflow:
+        with pytest.raises(TruncationOverflow):
+            got_fn()
+        return True
+    assert got_fn() == want
+    return False
+
+
+FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2)
+
+
+@pytest.mark.parametrize("sizes", [FAST, {}], ids=["fast", "default"])
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_kernels_match_resorting_references(builtin, sizes):
+    """delta'', m and ell'' term by term on every probe sym of a builtin,
+    at the FAST sizes and at the command-line defaults."""
+    ctx = RunContext(builtin_instance(builtin), SuiteConfig(algebra=builtin, **sizes))
+    A, D = ctx.algebra, ctx.D
+    syms = dict.fromkeys(ctx.syms_letters + ctx.syms_factors + ctx.syms_small)
+    assert len(syms) > 10
+    evaluated = 0
+    for sym in syms:
+        for got_fn, want_fn in (
+            (lambda: cobracket_doubleprime(A, sym), lambda: ref_cobracket_doubleprime(A, sym)),
+            (lambda: extend_m(A, sym, D), lambda: ref_extend_m(A, sym, D)),
+            (lambda: extend_ell(A, sym), lambda: ref_extend_ell(A, sym)),
+        ):
+            evaluated += not _same_or_both_overflow(got_fn, want_fn)
+    assert evaluated > 0

@@ -16,6 +16,7 @@ from abhomotopy.tensor_coalgebra import (
     splice_in_slot,
     swap_adjacent_slots,
     word_degree,
+    word_key,
 )
 
 
@@ -255,3 +256,19 @@ def test_apply_in_slot_signs():
     assert apply_in_slot(v, 1, double, 0, word_degree) == v.scale(2)
     # an odd operator crossing the odd first slot flips the sign
     assert apply_in_slot(v, 1, double, 1, word_degree) == v.scale(-2)
+
+
+def test_word_key_is_the_letter_id_order():
+    letters = gens(0, 1, 2, 1)
+    words = [w for n in range(1, 4) for w in itertools.product(letters, repeat=n)]
+    by_ids = sorted(words, key=lambda w: (len(w), tuple(g.gid for g in w)))
+    assert sorted(words, key=word_key) == by_ids
+
+
+def test_word_degree_memo_tells_equal_ids_of_other_degrees_apart():
+    # a letter id may carry another degree in another algebra or mutant;
+    # the memo is keyed by the Generators themselves
+    even, odd = Generator("g", 0), Generator("g", 1)
+    assert word_degree((even, even)) == 0
+    assert word_degree((odd, odd)) == 2
+    assert word_degree((even, odd)) == 1
