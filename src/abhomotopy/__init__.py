@@ -23,7 +23,7 @@ from .ab_core import (
     ell2_prime,
     load_algebra,
 )
-from .freemodule import Element, ReducedBasis, row_reduce
+from .freemodule import Element, ReducedBasis
 from .instances import (
     BUILTINS,
     Instance,
@@ -35,7 +35,7 @@ from .instances import (
     pv_schouten,
     pv_wedge,
 )
-from .signs import block_sign, enumerate_shuffles, koszul_sign, koszul_sign_by_swaps
+from .signs import enumerate_shuffles, koszul_sign, koszul_sign_by_swaps
 from .suites import (
     Report,
     SuiteConfig,

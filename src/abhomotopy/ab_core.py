@@ -91,10 +91,6 @@ class AbAlgebra:
     def udeg(self, g: Generator) -> int:
         return self.unshifted[g.gid]
 
-    def deg_h(self, w: Word) -> int:
-        """dg degree of a word (sum of letter degrees)."""
-        return word_degree(w)
-
     def deg_l(self, w: Word) -> int:
         """Degree on the Lie-side shift: dg - a + b + 1."""
         return word_degree(w) - self.a + self.b + 1
@@ -140,16 +136,6 @@ class AbAlgebra:
                 msg = f"{op}{key} -> {g.gid} has degree {self.unshifted.get(g.gid)}, expected {expected}"
                 if msg not in self.degree_violations:
                     self.degree_violations.append(msg)
-
-    # bilinear extensions over Elements of generators
-    def product_elem(self, ex: Element, ey: Element) -> Element:
-        return bilinear(self.product, ex, ey)
-
-    def bracket_elem(self, ex: Element, ey: Element) -> Element:
-        return bilinear(self.bracket, ex, ey)
-
-    def diff_elem(self, ex: Element) -> Element:
-        return ex.map_basis(self.differential)
 
     # -- shifted operations --------------------------------------------
 
@@ -382,8 +368,8 @@ def check_ab_axioms(
         "product-associativity",
         triples,
         lambda g1, g2, g3: (
-            A.product_elem(A.product(g1, g2), Element.of(g3)),
-            A.product_elem(Element.of(g1), A.product(g2, g3)),
+            bilinear(A.product, A.product(g1, g2), Element.of(g3)),
+            bilinear(A.product, Element.of(g1), A.product(g2, g3)),
         ),
     )
     run(
@@ -395,38 +381,42 @@ def check_ab_axioms(
     def jacobi(g1, g2, g3):
         total = Element.zero()
         for x, y, z in ((g1, g2, g3), (g2, g3, g1), (g3, g1, g2)):
-            term = A.bracket_elem(A.bracket(x, y), Element.of(z))
+            term = bilinear(A.bracket, A.bracket(x, y), Element.of(z))
             total = total + term.scale(sign((ud(x) + b) * (ud(z) + b)))
         return total, Element.zero()
 
     run("bracket-jacobi", triples, jacobi)
 
     def leibniz(g1, g2, g3):
-        lhs = A.bracket_elem(Element.of(g1), A.product(g2, g3))
-        rhs = A.product_elem(A.bracket(g1, g2), Element.of(g3)) + A.product_elem(
-            Element.of(g2), A.bracket(g1, g3)
+        lhs = bilinear(A.bracket, Element.of(g1), A.product(g2, g3))
+        rhs = bilinear(A.product, A.bracket(g1, g2), Element.of(g3)) + bilinear(
+            A.product, Element.of(g2), A.bracket(g1, g3)
         ).scale(sign((ud(g2) + a) * (ud(g1) + b)))
         return lhs, rhs
 
     run("leibniz", triples, leibniz)
 
-    run("differential-squared", [(g,) for g in gens], lambda g: (A.diff_elem(A.differential(g)), Element.zero()))
+    run(
+        "differential-squared",
+        [(g,) for g in gens],
+        lambda g: (A.differential(g).map_basis(A.differential), Element.zero()),
+    )
     run(
         "differential-product",
         pairs,
         lambda g1, g2: (
-            A.diff_elem(A.product(g1, g2)),
-            A.product_elem(A.differential(g1), Element.of(g2))
-            + A.product_elem(Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + a)),
+            A.product(g1, g2).map_basis(A.differential),
+            bilinear(A.product, A.differential(g1), Element.of(g2))
+            + bilinear(A.product, Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + a)),
         ),
     )
     run(
         "differential-bracket",
         pairs,
         lambda g1, g2: (
-            A.diff_elem(A.bracket(g1, g2)),
-            A.bracket_elem(A.differential(g1), Element.of(g2))
-            + A.bracket_elem(Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + b)),
+            A.bracket(g1, g2).map_basis(A.differential),
+            bilinear(A.bracket, A.differential(g1), Element.of(g2))
+            + bilinear(A.bracket, Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + b)),
         ),
     )
     return checks
@@ -455,9 +445,10 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
          "differential": [["u", [["v", 1]]], ...],
          "max_degree":   4}          # optional
 
-    Missing pair entries mean zero.  With ``max_degree`` set, a missing
-    product/bracket entry whose degree-homogeneous output would exceed
-    the bound is treated as a truncation overflow instead of zero.
+    Missing pair entries mean zero; an entry given twice, or one naming
+    an undeclared generator, is an error.  With ``max_degree`` set, a
+    missing product/bracket entry whose degree-homogeneous output would
+    exceed the bound is treated as a truncation overflow instead of zero.
     """
     name = data.get("name", "unnamed")
     a, b = int(data["a"]), int(data["b"])
@@ -472,24 +463,25 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     by_id = {g.gid: g for g in gens}
     max_degree = data.get("max_degree")
 
-    def table(entries, arity) -> dict:
+    def table(op: str, arity: int) -> dict:
         out = {}
-        for entry in entries:
+        for entry in data.get(op, []):
             *key, value = entry
             if len(key) != arity:
                 raise ValueError(f"bad table entry {entry!r}")
-            for gid in key:
+            for gid in key + [str(gid) for gid, _ in value]:
                 if gid not in by_id:
                     raise ValueError(f"unknown generator {gid!r} in table entry {entry!r}")
-            elem = Element.from_terms(
+            if tuple(key) in out:
+                raise ValueError(f"duplicate {op} entry for {tuple(key)} in {entry!r}")
+            out[tuple(key)] = Element.from_terms(
                 (by_id[str(gid)], _parse_coeff(c)) for gid, c in value
             )
-            out[tuple(key)] = elem
         return out
 
-    prod = table(data.get("product", []), 2)
-    brk = table(data.get("bracket", []), 2)
-    diff = table(data.get("differential", []), 1)
+    prod = table("product", 2)
+    brk = table("bracket", 2)
+    diff = table("differential", 1)
 
     def lookup(tbl: dict, op_degree: int):
         def fn(*gids: str) -> Element:

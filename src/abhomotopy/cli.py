@@ -9,11 +9,12 @@ Subcommands:
 - ``mutation``:        perturb one structure constant and require that at
   least one identity fails.
 
-Exit codes: 0 all pass, 1 any fail, 2 config/usage error, 3 everything
-relevant skipped by truncation.  Only parsing the configuration and
-building the instance can end in exit 2; an exception raised while the
-checks run is a bug and propagates with its traceback.  Reports are
-deterministic given the flags; elapsed time goes to stderr only.
+Exit codes: 0 all pass, 1 any fail, 2 config/usage error, 3 every check
+skipped (a run that checks nothing never passes).  Only parsing the
+configuration and building the instance can end in exit 2; an exception
+raised while the checks run is a bug and propagates with its traceback.
+Reports are deterministic given the flags; elapsed time goes to stderr
+only.
 """
 
 from __future__ import annotations
@@ -58,12 +59,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--algebra", default="poisson-super",
                      help=f"builtin name ({', '.join(sorted(BUILTINS))}) or a JSON structure file")
     sub.add_argument("--param", action="append", default=[], metavar="K=V",
-                     help="instance parameter override; repeatable (JSON allowed for values)")
+                     help="builtin instance parameter override; repeatable (JSON allowed for values)")
     sub.add_argument("--max-word-len", type=int, default=3, metavar="L")
     sub.add_argument("--max-sym-factors", type=int, default=3, metavar="N")
     sub.add_argument("--max-total-letters", type=int, default=4, metavar="T")
-    sub.add_argument("--max-degree", type=int, default=None, metavar="M",
-                     help="override the instance's degree truncation")
     sub.add_argument("--probe-gens", type=int, default=3, metavar="K",
                      help="number of low-degree generators the word families are built from")
     sub.add_argument("--seed", type=int, default=0, metavar="S")
@@ -74,17 +73,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace, suites: tuple[str, ...]) -> SuiteConfig:
-    params = dict(_parse_param(p) for p in args.param)
-    if args.max_degree is not None:
-        if args.algebra in BUILTINS:
-            defaults = BUILTINS[args.algebra][1]
-            key = "max_degree" if "max_degree" in defaults else "max_coef_degree"
-            params.setdefault(key, args.max_degree)
-        else:
-            params.setdefault("max_degree", args.max_degree)
     return SuiteConfig(
         algebra=args.algebra,
-        params=params,
+        params=dict(_parse_param(p) for p in args.param),
         max_word_len=args.max_word_len,
         max_sym_factors=args.max_sym_factors,
         max_total_letters=args.max_total_letters,
@@ -120,7 +111,11 @@ def main(argv: list[str] | None = None) -> int:
             unknown = set(suites) - {"coalgebra", "axioms", "core", "envelope"}
             if unknown:
                 raise ValueError(f"unknown suites: {sorted(unknown)}")
+            if not suites:
+                raise ValueError("--suites names no suite")
         else:
+            if args.rounds < 1:
+                raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
             suites = ("core", "envelope")
         config = _config_from(args, suites)
         instance = build_instance(config)

@@ -101,19 +101,11 @@ class Element:
             add_term(acc, b, -c)
         return Element(acc)
 
-    def __neg__(self) -> "Element":
-        return Element({b: -c for b, c in self.terms.items()})
-
     def scale(self, coeff) -> "Element":
         c = _coeff(coeff)
         if not c:
             return Element()
         return Element({b: v * c for b, v in self.terms.items()})
-
-    def __mul__(self, coeff):
-        return self.scale(coeff)
-
-    __rmul__ = __mul__
 
     def map_basis(self, f: Callable[[Hashable], "Element"]) -> "Element":
         """Linear extension of a basis map f: basis -> Element."""
@@ -171,11 +163,6 @@ def format_element(v: Element, render: Callable = str, key: Callable | None = No
         parts.append(("- " if c < 0 else "+ ") + body)
     joined = " ".join(parts)
     return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
-
-
-def row_reduce(vectors: Iterable[Element], key: Callable) -> list[Element]:
-    """Reduced echelon basis of the span, as a pivot-ordered list."""
-    return ReducedBasis(vectors, key).basis()
 
 
 class ReducedBasis:

@@ -1,5 +1,12 @@
 """Builtin truncated instances: super polynomials and polyvector fields.
 
+An instance supplies what an (a,b)-algebra needs: a product, a bracket
+and a differential on basis monomials.  Both families go through one
+assembly, ``_monomial_algebra``, which makes the monomials within the
+truncation the generators and raises ``TruncationOverflow`` for a result
+outside them.  Maps on Elements are ``bilinear``/``map_basis`` extensions
+of the monomial maps.
+
 Super polynomial functions on R^{p|q} have basis monomials
 x_1^{e_1}..x_p^{e_p} xi_{j_1}..xi_{j_r} with j_1 < ... < j_r; the xi's
 square to zero.  Degrees: |x_i| = 2, |xi_j| = 1, so |m| = 2*sum(e) + r.
@@ -53,7 +60,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .ab_core import AbAlgebra, AxiomCheck, TruncationOverflow, check_ab_axioms
-from .freemodule import Element, format_element
+from .freemodule import Element, add_term, bilinear, format_element
 from .signs import sign
 from .tensor_coalgebra import Generator
 
@@ -127,23 +134,19 @@ def sderiv(var: tuple[str, int], m: SMono):
     return sign(crossed), SMono(m.even, tuple(t for t in m.odd if t != idx))
 
 
+def _term(pair) -> Element:
+    """The Element of a monomial-level ``(coefficient, monomial)`` result;
+    ``(0, None)`` gives zero."""
+    c, m = pair
+    return Element.of(m, c)
+
+
 def poly_mul(e1: Element, e2: Element) -> Element:
-    acc = Element.zero()
-    for m1, c1 in e1.items():
-        for m2, c2 in e2.items():
-            s, m = smono_mul(m1, m2)
-            if m is not None:
-                acc = acc + Element.of(m, c1 * c2 * s)
-    return acc
+    return bilinear(lambda m1, m2: _term(smono_mul(m1, m2)), e1, e2)
 
 
 def poly_deriv(var: tuple[str, int], e: Element) -> Element:
-    acc = Element.zero()
-    for m, c in e.items():
-        k, dm = sderiv(var, m)
-        if dm is not None:
-            acc = acc + Element.of(dm, c * k)
-    return acc
+    return e.map_basis(lambda m: _term(sderiv(var, m)))
 
 
 _FACTOR_RE = re.compile(r"^(xi|x)(\d+)(?:\^(\d+))?$")
@@ -238,13 +241,7 @@ def pv_wedge(v1: PVMono, v2: PVMono):
 
 
 def pv_wedge_elem(e1: Element, e2: Element) -> Element:
-    acc = Element.zero()
-    for v1, c1 in e1.items():
-        for v2, c2 in e2.items():
-            s, v = pv_wedge(v1, v2)
-            if v is not None:
-                acc = acc + Element.of(v, c1 * c2 * s)
-    return acc
+    return bilinear(lambda v1, v2: _term(pv_wedge(v1, v2)), e1, e2)
 
 
 def _deriv_slots(v: PVMono) -> list[tuple[str, int]]:
@@ -260,9 +257,9 @@ def pv_contract(v1: PVMono, v2: PVMono) -> Element:
     f2deg = smono_degree(v2.coef)
     slots = _deriv_slots(v1)
     block_deg = sum(_TDEG[k] for k, _ in slots)
-    acc = Element.zero()
+    acc: dict = {}
     prefix = 0
-    for s, (kind, idx) in enumerate(slots):
+    for kind, idx in slots:
         td = _TDEG[kind]
         exponent = (d1 + 1) + td * prefix + (f2deg + 1) * (block_deg - td)
         prefix += td
@@ -280,10 +277,8 @@ def pv_contract(v1: PVMono, v2: PVMono) -> Element:
         if dx is None:
             continue
         dxi = tuple(sorted(tuple(dxi1) + v2.dxi))
-        acc = acc + Element.of(
-            PVMono(coef, dx, dxi), Fraction(c) * sf * sb * sign(exponent)
-        )
-    return acc
+        add_term(acc, PVMono(coef, dx, dxi), c * sf * sb * sign(exponent))
+    return Element(acc)
 
 
 def pv_schouten(v1: PVMono, v2: PVMono) -> Element:
@@ -295,11 +290,7 @@ def pv_schouten(v1: PVMono, v2: PVMono) -> Element:
 
 
 def pv_schouten_elem(e1: Element, e2: Element) -> Element:
-    acc = Element.zero()
-    for v1, c1 in e1.items():
-        for v2, c2 in e2.items():
-            acc = acc + pv_schouten(v1, v2).scale(c1 * c2)
-    return acc
+    return bilinear(pv_schouten, e1, e2)
 
 
 def vf_bracket_oracle(v1: PVMono, v2: PVMono) -> Element:
@@ -366,7 +357,7 @@ class PoissonTensor:
 
 def poisson_bracket_mono(T: PoissonTensor, m1: SMono, m2: SMono) -> Element:
     fdeg = smono_degree(m1)
-    acc = Element.zero()
+    acc: dict = {}
     for (i, j), w in T.omega.items():
         if w.is_zero():
             continue
@@ -377,18 +368,14 @@ def poisson_bracket_mono(T: PoissonTensor, m1: SMono, m2: SMono) -> Element:
         if d2 is None:
             continue
         sgn = sign(T.m * fdeg + _ddeg(j) * (fdeg + _ddeg(i)))
-        term = poly_mul(poly_mul(w, Element.of(d1, c1)), Element.of(d2, c2))
-        acc = acc + term.scale(Fraction(sgn))
-    return acc
+        for m, c in poly_mul(poly_mul(w, Element.of(d1, c1)), Element.of(d2, c2)).items():
+            add_term(acc, m, c * sgn)
+    return Element(acc)
 
 
 def poisson_bracket(T: PoissonTensor, f: Element, g: Element) -> Element:
     """Bilinear degree-m bracket of super polynomials (f homogeneous termwise)."""
-    acc = Element.zero()
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            acc = acc + poisson_bracket_mono(T, m1, m2).scale(c1 * c2)
-    return acc
+    return bilinear(lambda m1, m2: poisson_bracket_mono(T, m1, m2), f, g)
 
 
 def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
@@ -453,16 +440,16 @@ class Instance:
     params: dict
     extra_checks: Callable[[], list[AxiomCheck]] = lambda: []
 
-    def check_structure(self, exhaustive_axioms: bool = True) -> list[AxiomCheck]:
+    def check_structure(self) -> list[AxiomCheck]:
         checks = list(self.extra_checks())
-        axioms = check_ab_axioms(self.algebra) if exhaustive_axioms else []
+        axioms = check_ab_axioms(self.algebra)
         # the axiom sweep populates the structure maps, so degree violations
         # are known by now; with nothing evaluable the degree check is moot
         if self.algebra.degree_violations:
             degree = AxiomCheck(
                 "degree-homogeneity", "fail", "; ".join(self.algebra.degree_violations)
             )
-        elif axioms and all(c.status == "skip" for c in axioms):
+        elif all(c.status == "skip" for c in axioms):
             degree = AxiomCheck("degree-homogeneity", "skip", "nothing evaluable at this truncation")
         else:
             degree = AxiomCheck("degree-homogeneity", "pass")
@@ -491,6 +478,45 @@ def _even_exponents(p: int, max_total: int):
             yield (head,) + tail
 
 
+def _monomial_algebra(
+    name: str, a: int, b: int, basis: list, degree: Callable, render: Callable,
+    product: Callable, bracket: Callable, differential: Callable, description: str,
+) -> AbAlgebra:
+    """The algebra on a sorted monomial basis, from monomial-level maps.
+
+    ``product``/``bracket`` take two monomials and ``differential`` one,
+    each returning an Element over monomials.  Generator ids are the
+    rendered monomials; ``degree`` is the unshifted grading.  A result
+    leaving the basis raises :class:`TruncationOverflow`, which the
+    identity checks count as a skip.
+    """
+    by_id = {render(m): m for m in basis}
+    unshifted = {gid: degree(m) for gid, m in by_id.items()}
+    gens = tuple(Generator(gid, d + a - 1) for gid, d in unshifted.items())
+    gen = {g.gid: g for g in gens}
+
+    def embed(e: Element, op: str, *gids: str) -> Element:
+        out = []
+        for m, c in e.items():
+            gid = render(m)
+            if gid not in gen:
+                raise TruncationOverflow(f"{op}({','.join(gids)}) of {name} leaves the basis: {gid}")
+            out.append((gen[gid], c))
+        return Element.from_terms(out)
+
+    return AbAlgebra(
+        name=name,
+        a=a,
+        b=b,
+        generators=gens,
+        unshifted=unshifted,
+        product_fn=lambda g1, g2: embed(product(by_id[g1], by_id[g2]), "product", g1, g2),
+        bracket_fn=lambda g1, g2: embed(bracket(by_id[g1], by_id[g2]), "bracket", g1, g2),
+        diff_fn=lambda g: embed(differential(by_id[g]), "d", g),
+        description=description,
+    )
+
+
 def build_poisson_instance(
     p: int,
     q: int,
@@ -501,44 +527,12 @@ def build_poisson_instance(
 ) -> Instance:
     """Super polynomials on R^{p|q} with an omega-defined bracket; a = 0, b = bracket degree."""
     T = PoissonTensor(p, q, bracket_degree, omega)
-    basis = _mono_basis(p, q, max_degree)
-    a, b = 0, bracket_degree
-    by_id = {smono_str(m): m for m in basis}
-    gens = tuple(Generator(smono_str(m), smono_degree(m) + a - 1) for m in basis)
-    unshifted = {smono_str(m): smono_degree(m) for m in basis}
-
-    def embed(e: Element, what: str) -> Element:
-        out = []
-        for mono, c in e.items():
-            gid = smono_str(mono)
-            if gid not in by_id:
-                raise TruncationOverflow(
-                    f"{what} produced {gid} of degree {smono_degree(mono)} outside max_degree={max_degree}"
-                )
-            out.append((Generator(gid, unshifted[gid] + a - 1), c))
-        return Element.from_terms(out)
-
-    def product_fn(g1: str, g2: str) -> Element:
-        s, m = smono_mul(by_id[g1], by_id[g2])
-        if m is None:
-            return Element.zero()
-        return embed(Element.of(m, s), f"product({g1},{g2})")
-
-    def bracket_fn(g1: str, g2: str) -> Element:
-        return embed(
-            poisson_bracket_mono(T, by_id[g1], by_id[g2]), f"bracket({g1},{g2})"
-        )
-
-    algebra = AbAlgebra(
-        name=name,
-        a=a,
-        b=b,
-        generators=gens,
-        unshifted=unshifted,
-        product_fn=product_fn,
-        bracket_fn=bracket_fn,
-        diff_fn=lambda g: Element.zero(),
-        description=f"super polynomials on R^({p}|{q}), bracket degree {b}, degrees <= {max_degree}",
+    algebra = _monomial_algebra(
+        name, 0, bracket_degree, _mono_basis(p, q, max_degree), smono_degree, smono_str,
+        product=lambda m1, m2: _term(smono_mul(m1, m2)),
+        bracket=lambda m1, m2: poisson_bracket_mono(T, m1, m2),
+        differential=lambda _: Element.zero(),
+        description=f"super polynomials on R^({p}|{q}), bracket degree {bracket_degree}, degrees <= {max_degree}",
     )
     params = {"p": p, "q": q, "m": bracket_degree, "max_degree": max_degree}
     return Instance(algebra, params, extra_checks=lambda: check_poisson_tensor(T))
@@ -583,52 +577,22 @@ def build_schouten_instance(
                             continue
                         basis.append(PVMono(coef, dx, dxi))
     basis.sort(key=lambda v: (degree_fn(v), pv_str(v)))
-    by_id = {pv_str(v): v for v in basis}
-    unshifted = {pv_str(v): degree_fn(v) for v in basis}
-    gens = tuple(Generator(pv_str(v), unshifted[pv_str(v)] + a - 1) for v in basis)
-
-    def embed(e: Element, what: str) -> Element:
-        out = []
-        for v, c in e.items():
-            gid = pv_str(v)
-            if gid not in by_id:
-                raise TruncationOverflow(
-                    f"{what} produced {gid} outside coefficient degree {max_coef_degree} / rank {max_rank}"
-                )
-            out.append((Generator(gid, unshifted[gid] + a - 1), c))
-        return Element.from_terms(out)
-
-    def product_fn(g1: str, g2: str) -> Element:
-        s, v = pv_wedge(by_id[g1], by_id[g2])
-        if v is None:
-            return Element.zero()
-        return embed(Element.of(v, s), f"wedge({g1},{g2})")
-
-    def bracket_fn(g1: str, g2: str) -> Element:
-        return embed(pv_schouten(by_id[g1], by_id[g2]), f"schouten({g1},{g2})")
 
     if differential == "zero":
-        diff_fn = lambda g: Element.zero()
+        diff = lambda _: Element.zero()
     elif differential == "poisson":
         if grading != "rank" or p < 2:
             raise ValueError("the bivector differential needs the rank grading and p >= 2")
         pi = PVMono(smono_one(p), (1, 2), ())
-
-        def diff_fn(g: str) -> Element:
-            return embed(pv_schouten(pi, by_id[g]), f"d({g})")
-
+        diff = lambda v: pv_schouten(pi, v)
     else:
         raise ValueError(f"unknown differential {differential!r}")
 
-    algebra = AbAlgebra(
-        name=name,
-        a=a,
-        b=b,
-        generators=gens,
-        unshifted=unshifted,
-        product_fn=product_fn,
-        bracket_fn=bracket_fn,
-        diff_fn=diff_fn,
+    algebra = _monomial_algebra(
+        name, a, b, basis, degree_fn, pv_str,
+        product=lambda v1, v2: _term(pv_wedge(v1, v2)),
+        bracket=pv_schouten,
+        differential=diff,
         description=(
             f"polyvectors on R^({p}|{q}), grading {grading!r}, coefficient degree <= "
             f"{max_coef_degree}, rank <= {max_rank}, differential {differential!r}"

@@ -11,11 +11,15 @@ Conventions used throughout the package:
   output order a_{inv(0)} ... a_{inv(n-1)} produces the Koszul sign
   (-1)**t, where t counts crossings of two odd-degree factors.  This is
   the signature of the permutation restricted to the odd-degree items.
+  Permuting whole blocks is the same computation on the block degrees.
 
 Two independent sign algorithms are provided: :func:`koszul_sign`
-(restricted signature, the production path) and
-:func:`koszul_sign_by_swaps` (explicit adjacent-transposition product,
-kept as an oracle because sign bugs are the dominant failure mode here).
+(restricted signature, the production path of the symmetric coalgebra's
+split enumerator ``block_splits`` and of the directly coded cobrackets)
+and :func:`koszul_sign_by_swaps` (explicit adjacent-transposition product,
+kept as an oracle because sign bugs are the dominant failure mode here;
+``ell2_oracle`` uses it with :func:`enumerate_shuffles`).  :func:`sign`
+is the parity sign every module uses.
 """
 
 from __future__ import annotations
@@ -35,14 +39,6 @@ def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(n))
-
-
-def is_permutation(sigma: Sequence[int]) -> bool:
-    return sorted(sigma) == list(range(len(sigma)))
-
-
 def inverse(sigma: Sequence[int]) -> Permutation:
     """Inverse in word notation: inverse(sigma)[sigma[i]] == i.
 
@@ -53,13 +49,6 @@ def inverse(sigma: Sequence[int]) -> Permutation:
     for i, s in enumerate(sigma):
         inv[s] = i
     return tuple(inv)
-
-
-def compose(sigma: Sequence[int], rho: Sequence[int]) -> Permutation:
-    """compose(sigma, rho)[i] == sigma[rho[i]]  (apply rho first)."""
-    if len(sigma) != len(rho):
-        raise ValueError("cannot compose permutations of different sizes")
-    return tuple(sigma[r] for r in rho)
 
 
 def koszul_sign(degrees: Sequence[int], sigma: Sequence[int]) -> int:
@@ -115,15 +104,6 @@ def koszul_sign_by_swaps(degrees: Sequence[int], sigma: Sequence[int]) -> int:
             current[p - 1], current[p] = v, u
             p -= 1
     return sign
-
-
-def block_sign(block_degrees: Sequence[int], sigma: Sequence[int]) -> int:
-    """Koszul sign for permuting whole homogeneous blocks.
-
-    Each block counts as a single letter whose degree is the block's
-    total degree, so this is :func:`koszul_sign` on the block degrees.
-    """
-    return koszul_sign(block_degrees, sigma)
 
 
 def enumerate_shuffles(p: int, q: int) -> list[Permutation]:

@@ -22,8 +22,11 @@ attribute (a profiler, a tracer) sees every call.
 
 Probe families: the ``probe_gens`` lowest-degree generators (forced to
 mix parities when the basis allows it), all words over them up to the
-configured length, and all multisets of those words within the
-configured factor/letter budgets.
+configured length, and the symmetric words one enumerator,
+:func:`probe_syms`, builds from them: every multiset of words within a
+factor budget and a letter budget.  The three symmetric families of a
+:class:`RunContext` differ only in those budgets.  A check whose family
+is empty at the configured sizes is a skip that says so.
 """
 
 from __future__ import annotations
@@ -127,8 +130,8 @@ class Report:
     def status(self) -> str:
         if any(r.status == "fail" for r in self.records):
             return "fail"
-        if self.records and all(r.status == "skip" for r in self.records):
-            return "skip"
+        if all(r.status == "skip" for r in self.records):
+            return "skip"  # also when nothing was checked at all
         return "pass"
 
     def counts(self) -> dict:
@@ -196,38 +199,27 @@ def probe_words(gens: list[Generator], max_len: int) -> list[Word]:
     return out
 
 
-def _distinct_syms(algebra: AbAlgebra, factor_seqs: Iterable) -> list[SymWord]:
-    """Canonical SymWords of the nonvanishing factor sequences, once each, sorted."""
-    seen: dict[SymWord, None] = {}
-    for factors in factor_seqs:
-        e = sym_of(algebra, factors)
-        if not e.is_zero():
-            seen.setdefault(next(iter(e.items()))[0])
-    return sorted(seen, key=sym_key)
-
-
-def probe_syms_by_letters(algebra: AbAlgebra, words: list[Word], max_letters: int) -> list[SymWord]:
-    """All canonical SymWords with total letter count within the budget."""
-    short = [w for w in words if len(w) <= max_letters]
-
-    def grow(prefix: tuple[Word, ...], start: int, letters: int):
-        if prefix:
-            yield prefix
-        for i in range(start, len(short)):
-            w = short[i]
-            if letters + len(w) <= max_letters:
-                yield from grow(prefix + (w,), i, letters + len(w))
-
-    return _distinct_syms(algebra, grow((), 0, 0))
-
-
-def probe_syms_by_factors(
-    algebra: AbAlgebra, words: list[Word], max_factors: int, factor_len: int
+def probe_syms(
+    algebra: AbAlgebra, words: list[Word], max_factors: int, max_letters: int
 ) -> list[SymWord]:
-    short = [w for w in words if len(w) <= factor_len]
-    sizes = range(1, max_factors + 1)
-    combos = (c for n in sizes for c in itertools.combinations_with_replacement(short, n))
-    return _distinct_syms(algebra, combos)
+    """Canonical SymWords of every multiset of at most ``max_factors`` of
+    ``words`` with at most ``max_letters`` letters in all: the nonvanishing
+    ones, once each, sorted."""
+    seen: dict[SymWord, None] = {}
+    frontier = [((), 0, 0)]  # (factors, first word index still allowed, letters)
+    for _ in range(max_factors):
+        grown = []
+        for factors, start, letters in frontier:
+            for i in range(start, len(words)):
+                n = letters + len(words[i])
+                if n <= max_letters:
+                    grown.append((factors + (words[i],), i, n))
+        for factors, _, _ in grown:
+            e = sym_of(algebra, factors)
+            if not e.is_zero():
+                seen.setdefault(next(iter(e.items()))[0])
+        frontier = grown
+    return sorted(seen, key=sym_key)
 
 
 def generic_letters(degrees: Iterable[int]) -> list[Generator]:
@@ -270,13 +262,10 @@ class RunContext:
             gens.insert(0, g)
         self.words = probe_words(gens, self.config.max_word_len)
         self.pair_words = [w for w in self.words if len(w) <= 2]
-        self.syms_letters = probe_syms_by_letters(
-            A, probe_words(gens, self.config.max_total_letters), self.config.max_total_letters
-        )
-        self.syms_factors = probe_syms_by_factors(
-            A, self.words, self.config.max_sym_factors, 2
-        )
-        self.syms_small = probe_syms_by_factors(A, self.words, 2, 2)
+        letters, factors = self.config.max_total_letters, self.config.max_sym_factors
+        self.syms_letters = probe_syms(A, probe_words(gens, letters), letters, letters)
+        self.syms_factors = probe_syms(A, self.pair_words, factors, 2 * factors)
+        self.syms_small = probe_syms(A, self.pair_words, 2, 4)
 
     # frequently used closures
     def sdeg(self, sym: SymWord) -> int:
@@ -817,7 +806,8 @@ def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
             witness = f"at {row.render(inp)}: {detail}"
             return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
     if evaluated == 0:
-        witness = "every input escaped the truncation"
+        witness = ("every input escaped the truncation" if skipped
+                   else "empty probe family: no input at these probe sizes")
         return CheckRecord(name, row.statement, instance, "skip", 0, skipped, witness)
     return CheckRecord(name, row.statement, instance, "pass", evaluated, skipped)
 
@@ -828,8 +818,12 @@ def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
 def build_instance(config: SuiteConfig) -> Instance:
     if config.algebra in BUILTINS:
         return builtin_instance(config.algebra, config.params)
-    algebra = load_algebra(config.algebra)
-    return Instance(algebra, dict(config.params))
+    if config.params:
+        raise ValueError(
+            f"parameters {sorted(config.params)} apply to builtin instances only, "
+            f"not to the structure file {config.algebra!r}"
+        )
+    return Instance(load_algebra(config.algebra), {})
 
 
 def axiom_records(instance: Instance) -> list[CheckRecord]:

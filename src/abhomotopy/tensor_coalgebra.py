@@ -10,8 +10,7 @@ span of all shuffle products.  No section of the quotient is ever
 chosen: equality of classes is decided by reducing against the
 row-reduced span of shuffle images inside the word block with the same
 letter multiset (:class:`ShuffleQuotient`).  Blocks recur across every
-identity check, so their reduced bases are memoized; a racing double
-computation is harmless because the value per block is unique.
+identity check, so their reduced bases are memoized.
 
 Every signed sum over the interleavings of two words (the shuffle
 product here, the bracket extension ``ell2`` in :mod:`ab_core`) walks
@@ -287,6 +286,5 @@ def swap_adjacent_slots(v: Element, slot: int, deg_of: Callable) -> Element:
     return Element(acc)
 
 
-#: process-wide cache of shuffle-span bases; safe for concurrent reads,
-#: and a racing populate only recomputes the same value.
+#: process-wide cache of shuffle-span bases
 QUOTIENT = ShuffleQuotient()

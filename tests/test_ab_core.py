@@ -296,3 +296,24 @@ def test_mutant_ell2_differs_from_parent():
     assert mutant.mu(g1, g2) != before_mu
     assert mutant.ell(g1, g2) == parent.ell(g1, g2)
     assert parent.mu(g1, g2) == before_mu
+
+
+def _table_doc(product):
+    return {
+        "a": 0,
+        "b": 0,
+        "generators": [{"id": "u", "degree": 0}, {"id": "w", "degree": 0}],
+        "product": product,
+    }
+
+
+def test_unknown_generator_in_table_value_is_named():
+    with pytest.raises(ValueError, match="unknown generator 'zz'"):
+        algebra_from_dict(_table_doc([["u", "u", [["zz", 1]]]]))
+
+
+def test_duplicate_table_entry_is_rejected():
+    # a second u*u entry used to overwrite the first without a word
+    doc = _table_doc([["u", "u", [["w", 1]]], ["u", "u", [["w", 2]]]])
+    with pytest.raises(ValueError, match=r"duplicate product entry for \('u', 'u'\)"):
+        algebra_from_dict(doc)

@@ -127,6 +127,55 @@ def test_cli_bad_suites_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-envelope", "--suites", ","],
+        ["mutation", "--rounds", "0"],
+        ["mutation", "--rounds", "-2"],
+    ],
+)
+def test_run_that_checks_nothing_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_report_without_records_is_not_a_pass():
+    report = suites.Report("verify-envelope", {}, [])
+    assert report.status == "skip"
+    assert report.exit_code() == 3
+
+
+def test_empty_probe_family_is_named_as_such():
+    # words of length 1 only: the coderivation law needs length >= 2
+    config = SuiteConfig(algebra="poisson-super", suites=("core",), **{**FAST, "max_word_len": 1})
+    ctx = suites.RunContext(suites.build_instance(config), config)
+    record = check_identity("codifferential-coderivation", ctx)
+    assert (record.status, record.evaluated, record.skipped) == ("skip", 0, 0)
+    assert "empty probe family" in record.witness
+    assert "escaped the truncation" not in record.witness
+
+
+def test_params_on_json_input_are_rejected(capsys):
+    path = Path(__file__).parent / "golden" / "half-constant-algebra.json"
+    code = main(["check-algebra", "--algebra", str(path), "--param", "foo=3"])
+    assert code == 2
+    assert "'foo'" in capsys.readouterr().err
+
+
+def test_unknown_generator_in_table_value_is_a_named_usage_error(tmp_path, capsys):
+    doc = {
+        "a": 0,
+        "b": 0,
+        "generators": [{"id": "u", "degree": 0}],
+        "product": [["u", "u", [["zz", 1]]]],
+    }
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-algebra", "--algebra", str(path)]) == 2
+    assert "unknown generator 'zz'" in capsys.readouterr().err
+
+
 def test_bug_inside_a_check_is_not_a_usage_error():
     """An exception raised while the checks run is a bug: it propagates with
     its traceback instead of being reported as a usage error (exit 2)."""

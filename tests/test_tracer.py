@@ -31,15 +31,16 @@ t = tracer.install()
 from abhomotopy.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = main(["verify-envelope", "--algebra", "poisson-super", "--max-word-len", "2",
+    code = main(["verify-envelope", "--algebra", sys.argv[3], "--max-word-len", "2",
                  "--max-sym-factors", "2", "--max-total-letters", "3", "--probe-gens", "2",
                  "--format", "json"])
 groups = tracer.summary(t)["groups"]
 print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "groups": groups}))
 """
 
-# call counts of this run, recorded before the symmetric-coalgebra kernels
-# were reworked; the work done is the same, so they must not move
+# call counts of the poisson-super run, recorded before the
+# symmetric-coalgebra kernels were reworked; the work done is the same,
+# so they must not move
 KERNEL_CALLS = {
     "ab_core.ell2": 1825,
     "sym_coalgebra.cobracket": 255,
@@ -48,10 +49,22 @@ KERNEL_CALLS = {
     "instances.structure_fn": 1253,
 }
 
+# the same for gerstenhaber-toy, which goes through the polyvector builder
+# and has a nonzero differential; recorded before the two instance
+# builders were merged into one
+SCHOUTEN_KERNEL_CALLS = {
+    "instances.structure_fn": 1528,
+    "ab_core.structure_maps": 19467,
+    "ab_core.coderivation": 612,
+    "ab_core.ell2": 1832,
+}
 
-def test_tracer_counts_match_report():
+
+def traced_run(algebra: str) -> dict:
+    """Counts and report of a FAST traced verify-envelope on ``algebra``,
+    checked against each other."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench"), algebra],
         capture_output=True,
         text=True,
         timeout=300,
@@ -65,5 +78,15 @@ def test_tracer_counts_match_report():
     assert checks["calls"] == len(records)
     assert checks["evaluated"] == sum(r["evaluated"] for r in records)
     assert checks["skipped"] == sum(r["skipped"] for r in records)
-    calls = {name: doc["groups"][name]["calls"] for name in KERNEL_CALLS}
-    assert calls == KERNEL_CALLS
+    return doc["groups"]
+
+
+def test_tracer_counts_match_report():
+    groups = traced_run("poisson-super")
+    assert {name: groups[name]["calls"] for name in KERNEL_CALLS} == KERNEL_CALLS
+
+
+def test_tracer_counts_on_the_polyvector_builder():
+    groups = traced_run("gerstenhaber-toy")
+    calls = {name: groups[name]["calls"] for name in SCHOUTEN_KERNEL_CALLS}
+    assert calls == SCHOUTEN_KERNEL_CALLS
