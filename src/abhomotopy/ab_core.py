@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
@@ -54,13 +54,14 @@ class AbAlgebra:
     :class:`TruncationOverflow`.  Generators carry the shifted degree
     dg = |.| + a - 1; ``unshifted`` keeps the original grading.
 
-    Four per-instance caches keyed by generator ids hold the structure
-    constants (``product``, ``bracket``, ``differential``) and the
-    shifted constants (``mu``, ``ell``).  A shifted cache is filled from
-    :meth:`product`/:meth:`bracket`, so the degree check runs and the
+    One per-instance cache, keyed by (map name, generator ids), holds
+    the structure constants (``product``, ``bracket``, ``differential``)
+    and the shifted constants (``mu``, ``ell``).  The structure constants
+    are filled by one method, which runs the degree check; a shifted
+    constant is filled from :meth:`product`/:meth:`bracket`, so the
     instance's map is called exactly once per pair either way.  A
     mutant (:func:`~abhomotopy.suites.perturb_algebra`) is a new
-    instance with empty caches, so it never sees its parent's values.
+    instance with an empty cache, so it never sees its parent's values.
     Cached Elements are shared: callers must not mutate them.
     """
 
@@ -77,11 +78,7 @@ class AbAlgebra:
 
     def __post_init__(self):
         self._by_id = {g.gid: g for g in self.generators}
-        self._prod_cache: dict = {}
-        self._brk_cache: dict = {}
-        self._diff_cache: dict = {}
-        self._mu_cache: dict = {}
-        self._ell_cache: dict = {}
+        self._cache: dict = {}  # (map name, *generator ids) -> Element
 
     # -- basis ---------------------------------------------------------
 
@@ -100,61 +97,58 @@ class AbAlgebra:
         return word_degree(w) - self.a + self.b
 
     # -- structure maps ------------------------------------------------
-    #
-    # Each cache fill goes through Element.from_terms, which stores
-    # integral coefficients as int whatever type the instance returned.
 
     def product(self, g1: Generator, g2: Generator) -> Element:
-        key = (g1.gid, g2.gid)
-        out = self._prod_cache.get(key)
-        if out is None:
-            out = Element.from_terms(self.product_fn(g1.gid, g2.gid).items())
-            self._check_degree(out, self.udeg(g1) + self.udeg(g2) + self.a, "product", key)
-            self._prod_cache[key] = out
-        return out
+        key = ("product", g1.gid, g2.gid)
+        out = self._cache.get(key)
+        return self._fill(key, self.product_fn, self.a) if out is None else out
 
     def bracket(self, g1: Generator, g2: Generator) -> Element:
-        key = (g1.gid, g2.gid)
-        out = self._brk_cache.get(key)
-        if out is None:
-            out = Element.from_terms(self.bracket_fn(g1.gid, g2.gid).items())
-            self._check_degree(out, self.udeg(g1) + self.udeg(g2) + self.b, "bracket", key)
-            self._brk_cache[key] = out
-        return out
+        key = ("bracket", g1.gid, g2.gid)
+        out = self._cache.get(key)
+        return self._fill(key, self.bracket_fn, self.b) if out is None else out
 
     def differential(self, g: Generator) -> Element:
-        out = self._diff_cache.get(g.gid)
-        if out is None:
-            out = Element.from_terms(self.diff_fn(g.gid).items())
-            self._check_degree(out, self.udeg(g) + 1, "differential", (g.gid,))
-            self._diff_cache[g.gid] = out
-        return out
+        key = ("differential", g.gid)
+        out = self._cache.get(key)
+        return self._fill(key, self.diff_fn, 1) if out is None else out
 
-    def _check_degree(self, out: Element, expected: int, op: str, key) -> None:
+    def _fill(self, key: tuple, fn: Callable, op_degree: int) -> Element:
+        """Cache the instance's value of a structure map on generator ids,
+        recording every output generator off the expected degree.
+
+        The value goes through Element.from_terms, which stores integral
+        coefficients as int whatever type the instance returned.
+        """
+        op, *gids = key
+        out = Element.from_terms(fn(*gids).items())
+        expected = sum(self.unshifted[gid] for gid in gids) + op_degree
         for g, _ in out.items():
-            if self.unshifted.get(g.gid) != expected:
-                msg = f"{op}{key} -> {g.gid} has degree {self.unshifted.get(g.gid)}, expected {expected}"
+            deg = self.unshifted.get(g.gid)
+            if deg != expected:
+                msg = f"{op}{tuple(gids)} -> {g.gid} has degree {deg}, expected {expected}"
                 if msg not in self.degree_violations:
                     self.degree_violations.append(msg)
+        self._cache[key] = out
+        return out
 
     # -- shifted operations --------------------------------------------
 
     def mu(self, g1: Generator, g2: Generator) -> Element:
         """Shifted product, degree 1 in dg."""
-        key = (g1.gid, g2.gid)
-        out = self._mu_cache.get(key)
+        key = ("mu", g1.gid, g2.gid)
+        out = self._cache.get(key)
         if out is None:
-            out = self.product(g1, g2).scale(sign(g1.deg))
-            self._mu_cache[key] = out
+            out = self._cache[key] = self.product(g1, g2).scale(sign(g1.deg))
         return out
 
     def ell(self, g1: Generator, g2: Generator) -> Element:
         """Shifted bracket, degree b - a + 1 in dg."""
-        key = (g1.gid, g2.gid)
-        out = self._ell_cache.get(key)
+        key = ("ell", g1.gid, g2.gid)
+        out = self._cache.get(key)
         if out is None:
-            out = self.bracket(g1, g2).scale(sign((self.b - self.a + 1) * g1.deg))
-            self._ell_cache[key] = out
+            twist = sign((self.b - self.a + 1) * g1.deg)
+            out = self._cache[key] = self.bracket(g1, g2).scale(twist)
         return out
 
 
@@ -310,12 +304,8 @@ def _render_gen_elem(v: Element) -> str:
     return format_element(v, render=lambda g: g.gid, key=lambda g: g.gid)
 
 
-def check_ab_axioms(
-    algebra: AbAlgebra,
-    pairs: Sequence[tuple[Generator, Generator]] | None = None,
-    triples: Sequence[tuple[Generator, Generator, Generator]] | None = None,
-) -> list[AxiomCheck]:
-    """Evaluate the defining identities exactly on generator tuples.
+def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
+    """Evaluate the defining identities exactly on all generator tuples.
 
     Seven laws: graded commutativity, associativity, graded
     antisymmetry, graded Jacobi, Leibniz, and the differential's
@@ -325,10 +315,8 @@ def check_ab_axioms(
     """
     A = algebra
     gens = A.generators
-    if pairs is None:
-        pairs = [(g1, g2) for g1 in gens for g2 in gens]
-    if triples is None:
-        triples = [(g1, g2, g3) for g1 in gens for g2 in gens for g3 in gens]
+    pairs = [(g1, g2) for g1 in gens for g2 in gens]
+    triples = [(g1, g2, g3) for g1 in gens for g2 in gens for g3 in gens]
     ud = A.udeg
     checks: list[AxiomCheck] = []
 
@@ -350,7 +338,7 @@ def check_ab_axioms(
                     )
                 )
                 return
-        if skips == len(list(samples)):
+        if skips == len(samples):
             checks.append(AxiomCheck(axiom, "skip", "every sample escaped the truncation"))
         elif skips:
             checks.append(AxiomCheck(axiom, "pass", f"{skips} sample(s) skipped at the truncation boundary"))

@@ -9,12 +9,14 @@ Subcommands:
 - ``mutation``:        perturb one structure constant and require that at
   least one identity fails.
 
-Exit codes: 0 all pass, 1 any fail, 2 config/usage error, 3 every check
-skipped (a run that checks nothing never passes).  Only parsing the
-configuration and building the instance can end in exit 2; an exception
-raised while the checks run is a bug and propagates with its traceback.
-Reports are deterministic given the flags; elapsed time goes to stderr
-only.
+Exit codes: 0 all pass, 1 any fail, 2 config/usage error (a probe size
+below 1 is one), 3 every check skipped or a requested suite checked
+nothing (a run that checks nothing never passes, and passes in one suite
+never cover another).  Only parsing the configuration and building the
+instance can end in exit 2; an exception raised while the checks run is
+a bug and propagates with its traceback.  Reports are deterministic
+given the flags (``--seed``, on ``mutation`` alone, picks the mutants);
+elapsed time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-total-letters", type=int, default=4, metavar="T")
     sub.add_argument("--probe-gens", type=int, default=3, metavar="K",
                      help="number of low-degree generators the word families are built from")
-    sub.add_argument("--seed", type=int, default=0, metavar="S")
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report here (UTF-8, newline-terminated)")
     sub.add_argument("--format", choices=("json", "text"), default="text",
@@ -80,7 +81,7 @@ def _config_from(args: argparse.Namespace, suites: tuple[str, ...]) -> SuiteConf
         max_sym_factors=args.max_sym_factors,
         max_total_letters=args.max_total_letters,
         probe_gens=args.probe_gens,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         suites=suites,
     )
 
@@ -100,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         if name == "mutation":
             sub.add_argument("--rounds", type=int, default=1,
                              help="number of seeded single-constant perturbations")
+            sub.add_argument("--seed", type=int, default=0, metavar="S",
+                             help="seed of the perturbation draw")
 
     args = parser.parse_args(argv)
     started = time.monotonic()

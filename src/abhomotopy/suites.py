@@ -7,11 +7,12 @@ an :class:`Identity` holding the statement, the probe family
 renderer naming a failing input.  One runner, :func:`check_identity`,
 turns a row into one record: ``pass``, ``fail`` (with the first
 witness) or ``skip`` when every input escaped the truncation; skips
-never count as passes.  Generic-letter rows take no context, the
-others a :class:`RunContext` over one instance.  The suites
-(:data:`COALGEBRA`, :data:`CORE`, :data:`ENVELOPE` plus one of
-:data:`SPECIALIZATIONS` by a - b) and the mutation ladder
-(:data:`MUTATION_ORDER`) are tuples of row names.  Identities that
+never count as passes, and a report in which one requested suite has
+only skips is a skip whatever the other suites did.  Generic-letter
+rows take no context, the others a :class:`RunContext` over one
+instance.  The suites (:data:`COALGEBRA`, :data:`CORE`,
+:data:`ENVELOPE` plus one of :data:`SPECIALIZATIONS` by a - b) and the
+mutation ladder (:data:`MUTATION_ORDER`) are tuples of row names.  Identities that
 differ only in their bracket or cobracket share one law factory.
 
 To add an identity, write its law (or call a law factory), add its row and
@@ -101,6 +102,13 @@ class SuiteConfig:
     seed: int = 0
     suites: tuple[str, ...] = ("coalgebra", "core", "envelope")
 
+    def __post_init__(self):
+        # a probe size below 1 empties probe families: a run that checks nothing
+        for name in ("max_word_len", "max_sym_factors", "max_total_letters", "probe_gens"):
+            if getattr(self, name) < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be at least 1, got {getattr(self, name)}")
+
     def as_dict(self) -> dict:
         params = {k: str(v) for k, v in sorted(self.params.items())}
         return {**asdict(self), "params": params, "suites": list(self.suites)}
@@ -125,12 +133,13 @@ class Report:
     command: str
     config: dict
     records: list[CheckRecord]
+    idle_suites: tuple[str, ...] = ()  # requested suites whose every record is a skip
 
     @property
     def status(self) -> str:
         if any(r.status == "fail" for r in self.records):
             return "fail"
-        if all(r.status == "skip" for r in self.records):
+        if self.idle_suites or all(r.status == "skip" for r in self.records):
             return "skip"  # also when nothing was checked at all
         return "pass"
 
@@ -163,6 +172,8 @@ class Report:
         lines.append(
             f"# status: {self.status} ({c['pass']} pass, {c['fail']} fail, {c['skip']} skip)"
         )
+        if self.idle_suites:
+            lines.append(f"# checked nothing: {', '.join(self.idle_suites)}")
         return "\n".join(lines) + "\n"
 
     def exit_code(self) -> int:
@@ -878,18 +889,22 @@ def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -
     if instance is None:
         instance = build_instance(config)
     ctx = RunContext(instance, config)
-    records: list[CheckRecord] = []
+    by_suite: dict[str, list[CheckRecord]] = {}
     if "coalgebra" in config.suites:
-        records += [check_identity(name) for name in COALGEBRA]
+        by_suite["coalgebra"] = [check_identity(name) for name in COALGEBRA]
     if "axioms" in config.suites:
-        records += axiom_records(instance)
-    names: tuple[str, ...] = CORE if "core" in config.suites else ()
+        by_suite["axioms"] = axiom_records(instance)
+    if "core" in config.suites:
+        by_suite["core"] = [check_identity(name, ctx) for name in CORE]
     if "envelope" in config.suites:
         amb = ctx.algebra.a - ctx.algebra.b
-        names += ENVELOPE + ((SPECIALIZATIONS[amb],) if amb in SPECIALIZATIONS else ())
-    records += [check_identity(name, ctx) for name in names]
+        names = ENVELOPE + ((SPECIALIZATIONS[amb],) if amb in SPECIALIZATIONS else ())
+        by_suite["envelope"] = [check_identity(name, ctx) for name in names]
+    records = [r for suite in by_suite.values() for r in suite]
     records += degree_records(config, [instance.algebra])
-    return Report("verify-envelope", config.as_dict(), records)
+    # passes in one suite never cover a suite that checked nothing
+    idle = tuple(name for name, suite in by_suite.items() if all(r.status == "skip" for r in suite))
+    return Report("verify-envelope", config.as_dict(), records, idle)
 
 
 def perturbation_candidates(algebra: AbAlgebra) -> list[tuple[str, str, str, str]]:

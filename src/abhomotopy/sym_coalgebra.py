@@ -17,7 +17,9 @@ odd factor is zero.  On this space live:
 of the Gerstenhaber-shaped (a-b = 1) and Poisson-shaped (a-b = 0)
 specializations; they exist as independent oracles for
 ``cobracket_doubleprime`` and intentionally repeat its combinatorics
-with their own degree bookkeeping.
+with their own degree bookkeeping.  They and ``q_by_taylor`` enumerate
+their factor splits through one enumerator of their own,
+``_oracle_splits``, never through the production ``block_splits``.
 
 Canonical insertion.  ``coproduct_delta``, ``extend_m``, ``extend_ell``
 and ``cobracket_doubleprime`` take a canonical SymWord.  Every factor
@@ -246,30 +248,16 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
     """Q assembled from its Taylor coefficients (D at one factor, the
     symmetric bracket at two, zero beyond); kept as a cross-check
     presentation of :func:`q_codifferential`."""
-    n = len(sym)
     degs = [algebra.deg_s(w) for w in sym]
     acc = Element.zero()
-    for r in (1, 2):
-        if r > n:
-            continue
-        for left in itertools.combinations(range(n), r):
-            taken = set(left)
-            rest = tuple(sym[i] for i in range(n) if i not in taken)
-            sigma = [0] * n
-            for rank, i in enumerate(left):
-                sigma[i] = rank
-            pos = r
-            for i in range(n):
-                if i not in taken:
-                    sigma[i] = pos
-                    pos += 1
-            s = koszul_sign(degs, sigma)
-            if r == 1:
-                val = D(sym[left[0]])
-            else:
-                val = ell2_doubleprime(algebra, sym[left[0]], sym[left[1]])
-            for w, c in val.items():
-                acc = acc + sym_of(algebra, (w,) + rest, c * s)
+    for left, rest, s in _oracle_splits(degs, (1, 2)):
+        if len(left) == 1:
+            val = D(sym[left[0]])
+        else:
+            val = ell2_doubleprime(algebra, sym[left[0]], sym[left[1]])
+        rest_factors = tuple(sym[i] for i in rest)
+        for w, c in val.items():
+            acc = acc + sym_of(algebra, (w,) + rest_factors, c * s)
     return acc
 
 
@@ -322,6 +310,33 @@ def _add_pair(acc: dict, left, left_odds, x, x_odd, y, y_odd, right, right_odds,
     add_term(acc, (wl, wr), coeff * sl * sr)
 
 
+def _oracle_splits(degs: list[int], sizes, pinned: int | None = None):
+    """The oracles' own enumeration of ordered factor splits.
+
+    Yields ``(left, right, eps)`` for every block ``left`` of a size in
+    ``sizes`` chosen from the positions other than ``pinned``, with
+    ``right`` the positions left over and ``eps`` the Koszul sign, in
+    ``degs``, of the arrangement left, pinned (if given), right.  Written
+    apart from :func:`block_splits`, the production enumerator the
+    oracles cross-check.
+    """
+    n = len(degs)
+    others = [i for i in range(n) if i != pinned]
+    for r in sizes:
+        for left in itertools.combinations(others, r):
+            right = tuple(i for i in others if i not in left)
+            sigma = [0] * n
+            for rank, i in enumerate(left):
+                sigma[i] = rank
+            after = r
+            if pinned is not None:
+                sigma[pinned] = r
+                after += 1
+            for rank, j in enumerate(right, start=after):
+                sigma[j] = rank
+            yield left, right, koszul_sign(degs, sigma)
+
+
 def kappa(algebra: AbAlgebra, sym: SymWord) -> Element:
     """Directly coded cosymmetric cobracket of the Gerstenhaber shape.
 
@@ -337,29 +352,18 @@ def kappa(algebra: AbAlgebra, sym: SymWord) -> Element:
         xs = sym[s]
         if len(xs) < 2:
             continue
-        others = [i for i in range(n) if i != s]
-        for r in range(len(others) + 1):
-            for left in itertools.combinations(others, r):
-                taken = set(left)
-                right = tuple(i for i in others if i not in taken)
-                sigma = [0] * n
-                for rank, i in enumerate(left):
-                    sigma[i] = rank
-                sigma[s] = r
-                for rank, j in enumerate(right):
-                    sigma[j] = r + 1 + rank
-                eps = koszul_sign(degs, sigma)
-                deg_left = sum(degs[i] for i in left)
-                fac_left = tuple(sym[i] for i in left)
-                fac_right = tuple(sym[j] for j in right)
-                for cut in range(1, len(xs)):
-                    u, v = xs[:cut], xs[cut:]
-                    du, dv = dprime(u), dprime(v)
-                    c0 = eps * sign(deg_left + du)
-                    acc = acc + _pair_with(dprime, fac_left + (u,), (v,) + fac_right, c0)
-                    acc = acc + _pair_with(
-                        dprime, fac_left + (v,), (u,) + fac_right, c0 * sign(dv * du)
-                    )
+        for left, right, eps in _oracle_splits(degs, range(n), pinned=s):
+            deg_left = sum(degs[i] for i in left)
+            fac_left = tuple(sym[i] for i in left)
+            fac_right = tuple(sym[j] for j in right)
+            for cut in range(1, len(xs)):
+                u, v = xs[:cut], xs[cut:]
+                du, dv = dprime(u), dprime(v)
+                c0 = eps * sign(deg_left + du)
+                acc = acc + _pair_with(dprime, fac_left + (u,), (v,) + fac_right, c0)
+                acc = acc + _pair_with(
+                    dprime, fac_left + (v,), (u,) + fac_right, c0 * sign(dv * du)
+                )
     return acc
 
 
@@ -376,27 +380,16 @@ def poisson_cobracket(algebra: AbAlgebra, sym: SymWord) -> Element:
         xs = sym[s]
         if len(xs) < 2:
             continue
-        others = [i for i in range(n) if i != s]
-        for r in range(len(others) + 1):
-            for left in itertools.combinations(others, r):
-                taken = set(left)
-                right = tuple(i for i in others if i not in taken)
-                sigma = [0] * n
-                for rank, i in enumerate(left):
-                    sigma[i] = rank
-                sigma[s] = r
-                for rank, j in enumerate(right):
-                    sigma[j] = r + 1 + rank
-                eps = koszul_sign(degs, sigma)
-                fac_left = tuple(sym[i] for i in left)
-                fac_right = tuple(sym[j] for j in right)
-                for cut in range(1, len(xs)):
-                    u, v = xs[:cut], xs[cut:]
-                    du, dv = word_degree(u), word_degree(v)
-                    acc = acc + _pair_with(word_degree, fac_left + (u,), (v,) + fac_right, eps)
-                    acc = acc + _pair_with(
-                        word_degree, fac_left + (v,), (u,) + fac_right, -eps * sign(du * dv)
-                    )
+        for left, right, eps in _oracle_splits(degs, range(n), pinned=s):
+            fac_left = tuple(sym[i] for i in left)
+            fac_right = tuple(sym[j] for j in right)
+            for cut in range(1, len(xs)):
+                u, v = xs[:cut], xs[cut:]
+                du, dv = word_degree(u), word_degree(v)
+                acc = acc + _pair_with(word_degree, fac_left + (u,), (v,) + fac_right, eps)
+                acc = acc + _pair_with(
+                    word_degree, fac_left + (v,), (u,) + fac_right, -eps * sign(du * dv)
+                )
     return acc
 
 

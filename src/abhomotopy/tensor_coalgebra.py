@@ -17,9 +17,15 @@ product here, the bracket extension ``ell2`` in :mod:`ab_core`) walks
 :func:`signed_interleavings`, which carries the Koszul sign letter by
 letter instead of recounting it per permutation.
 
-Tensor products of words (pairs, triples) are plain tuples of words;
-the graded slot calculus for them lives in :func:`apply_in_slot` and
-:func:`swap_adjacent_slots`.
+Tensor products of words (pairs, triples) are plain tuples of words.
+The graded slot calculus on them has one kernel, ``_slot_map``: it
+feeds one or two adjacent slots to a graded map with the Koszul prefix
+sign and puts the value back as one entry or spliced in.
+:func:`apply_in_slot`, :func:`splice_in_slot` and
+:func:`contract_adjacent_slots` are its entry points, and every caller
+goes through them, so a wrapper installed on those names (a profiler,
+a tracer) sees every call.  :func:`swap_adjacent_slots`, the graded
+flip, is a permutation and has its own loop.
 """
 
 from __future__ import annotations
@@ -211,69 +217,46 @@ class ShuffleQuotient:
         return self.normal_form_tensor(v, arity).is_zero()
 
 
-def apply_in_slot(
-    v: Element,
-    slot: int,
-    f: Callable,
-    f_degree: int,
-    deg_of: Callable,
+def _slot_map(
+    v: Element, slot: int, width: int, f: Callable, f_degree: int, deg_of: Callable, splice: bool
 ) -> Element:
-    """Apply a graded map to one slot of an Element of tuples.
+    """The one slot-calculus kernel behind the three public slot maps.
 
-    Koszul rule: moving a degree-``f_degree`` operator past the slots to
-    the left of ``slot`` costs (-1)**(f_degree * sum of their degrees).
-    ``f`` maps a slot entry to an Element of slot entries.
+    Feeds the ``width`` entries starting at ``slot`` (one or two) of each
+    tuple to ``f``, an Element-valued graded map of degree ``f_degree``,
+    and puts each image term back in their place: as one entry, or, with
+    ``splice``, as the entries of a tuple.  Koszul rule: moving ``f``
+    past the slots to the left of ``slot`` costs (-1)**(f_degree * sum
+    of their degrees).  The sign and the untouched head and tail of a
+    tuple are computed once per input term.
     """
     acc: dict = {}
+    odd = f_degree % 2
     for t, c in v.items():
-        if f_degree % 2:
-            left = sum(deg_of(x) for x in t[:slot])
-            if left % 2:
-                c = -c
-        img = f(t[slot])
-        for r, c2 in img.items():
-            add_term(acc, t[:slot] + (r,) + t[slot + 1 :], c * c2)
+        head, tail = t[:slot], t[slot + width :]
+        if odd and sum(map(deg_of, head)) % 2:
+            c = -c
+        for r, c2 in f(*t[slot : slot + width]).items():
+            add_term(acc, head + (r if splice else (r,)) + tail, c * c2)
     return Element(acc)
 
 
-def splice_in_slot(
-    v: Element,
-    slot: int,
-    f: Callable,
-    f_degree: int,
-    deg_of: Callable,
-) -> Element:
-    """Like :func:`apply_in_slot` for maps whose values are tuples of
-    slot entries (cobrackets, coproducts): the result tuple is spliced
-    into the slot, raising the tensor arity."""
-    acc: dict = {}
-    for t, c in v.items():
-        if f_degree % 2:
-            left = sum(deg_of(x) for x in t[:slot])
-            if left % 2:
-                c = -c
-        for r, c2 in f(t[slot]).items():
-            add_term(acc, t[:slot] + r + t[slot + 1 :], c * c2)
-    return Element(acc)
+def apply_in_slot(v: Element, slot: int, f: Callable, f_degree: int, deg_of: Callable) -> Element:
+    """Apply a graded map ``f`` (slot entry -> Element of slot entries) to one slot."""
+    return _slot_map(v, slot, 1, f, f_degree, deg_of, False)
+
+
+def splice_in_slot(v: Element, slot: int, f: Callable, f_degree: int, deg_of: Callable) -> Element:
+    """Apply a graded map whose values are tuples of slot entries (cobrackets,
+    coproducts) to one slot, splicing the tuple in and raising the arity."""
+    return _slot_map(v, slot, 1, f, f_degree, deg_of, True)
 
 
 def contract_adjacent_slots(
-    v: Element,
-    slot: int,
-    f2: Callable,
-    f_degree: int,
-    deg_of: Callable,
+    v: Element, slot: int, f2: Callable, f_degree: int, deg_of: Callable
 ) -> Element:
     """Feed slots (slot, slot+1) to a binary graded map, lowering the arity."""
-    acc: dict = {}
-    for t, c in v.items():
-        if f_degree % 2:
-            left = sum(deg_of(x) for x in t[:slot])
-            if left % 2:
-                c = -c
-        for r, c2 in f2(t[slot], t[slot + 1]).items():
-            add_term(acc, t[:slot] + (r,) + t[slot + 2 :], c * c2)
-    return Element(acc)
+    return _slot_map(v, slot, 2, f2, f_degree, deg_of, False)
 
 
 def swap_adjacent_slots(v: Element, slot: int, deg_of: Callable) -> Element:

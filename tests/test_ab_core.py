@@ -317,3 +317,10 @@ def test_duplicate_table_entry_is_rejected():
     doc = _table_doc([["u", "u", [["w", 1]]], ["u", "u", [["w", 2]]]])
     with pytest.raises(ValueError, match=r"duplicate product entry for \('u', 'u'\)"):
         algebra_from_dict(doc)
+
+
+def test_axiom_checker_takes_no_sample_override():
+    # the checker always runs every generator tuple
+    A = builtin_instance("poisson-super").algebra
+    with pytest.raises(TypeError):
+        check_ab_axioms(A, pairs=[])

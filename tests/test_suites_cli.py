@@ -133,11 +133,33 @@ def test_cli_bad_suites_is_usage_error(capsys):
         ["verify-envelope", "--suites", ","],
         ["mutation", "--rounds", "0"],
         ["mutation", "--rounds", "-2"],
+        ["verify-envelope", "--suites", "axioms,core", "--probe-gens", "0"],
+        ["verify-envelope", "--suites", "core", "--max-word-len", "0"],
+        ["check-algebra", "--max-sym-factors", "0"],
+        ["check-algebra", "--max-total-letters", "-1"],
+        ["mutation", "--probe-gens", "0"],
     ],
 )
 def test_run_that_checks_nothing_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "size", ["max_word_len", "max_sym_factors", "max_total_letters", "probe_gens"]
+)
+def test_config_rejects_probe_sizes_below_one(size):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        SuiteConfig(**{size: 0})
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "verify-envelope"])
+def test_seed_belongs_to_mutation_only(command, capsys):
+    # only the mutation draw reads the seed; elsewhere the flag did nothing
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_report_without_records_is_not_a_pass():
@@ -265,6 +287,28 @@ def test_cli_all_skipped_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(stub), encoding="utf-8")
     code = main(["check-algebra", "--algebra", str(path)])
     assert code == 3
+
+
+def test_suite_that_checked_nothing_is_not_covered_by_other_suites(tmp_path, capsys):
+    # every axiom of the stub escapes its truncation; the generic coalgebra
+    # suite and some instance checks still pass
+    stub = {
+        "name": "stub",
+        "a": 0,
+        "b": 0,
+        "generators": [{"id": "u", "degree": 2}],
+        "max_degree": 2,
+    }
+    path = tmp_path / "stub.json"
+    path.write_text(json.dumps(stub), encoding="utf-8")
+    sizes = ["--max-word-len", "2", "--max-sym-factors", "2", "--max-total-letters", "3",
+             "--probe-gens", "2"]
+    code = main(["verify-envelope", "--algebra", str(path), *sizes, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    axioms = [r for r in doc["records"] if r["check"] not in CHECKS]
+    assert axioms and all(r["status"] == "skip" for r in axioms)
+    assert doc["summary"]["pass"] > 0 and doc["summary"]["fail"] == 0
+    assert (code, doc["status"]) == (3, "skip")
 
 
 def test_cli_mutation_exit_zero(capsys):

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from abhomotopy.freemodule import Element
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
 from abhomotopy.tensor_coalgebra import (
@@ -10,6 +12,7 @@ from abhomotopy.tensor_coalgebra import (
     ShuffleQuotient,
     apply_in_slot,
     cobracket,
+    contract_adjacent_slots,
     shuffle,
     shuffle_elements,
     signed_interleavings,
@@ -256,6 +259,55 @@ def test_apply_in_slot_signs():
     assert apply_in_slot(v, 1, double, 0, word_degree) == v.scale(2)
     # an odd operator crossing the odd first slot flips the sign
     assert apply_in_slot(v, 1, double, 1, word_degree) == v.scale(-2)
+
+
+def _slot_map_by_hand(v, slot, width, f, f_degree, splice):
+    """The slot calculus written out: each tuple feeds entries slot..slot+width-1
+    to f, pays (-1)^(f_degree * degree of the entries before slot), and gets
+    each image term back as one entry or, with splice, as several."""
+    out = Element.zero()
+    for t, c in v.items():
+        before = 0
+        for k in range(slot):
+            before += word_degree(t[k])
+        sgn = -1 if (f_degree * before) % 2 else 1
+        for r, c2 in f(*[t[k] for k in range(slot, slot + width)]).items():
+            entries = list(r) if splice else [r]
+            image = list(t[:slot]) + entries + list(t[slot + width :])
+            out = out + Element.of(tuple(image), sgn * c * c2)
+    return out
+
+
+_E, _O, _P = Generator("e", 0), Generator("o", 1), Generator("p", 1)
+# triples of words of both parities in every slot: (o) odd, (e|o) odd,
+# (p) odd, (e) even, (o|p) even, (o|e) odd, (p|o) even
+_TRIPLES = Element.from_terms(
+    [
+        (((_O,), (_E, _O), (_P,)), 1),
+        (((_E,), (_O,), (_O, _P)), -3),
+        (((_O, _E), (_P, _O), (_E,)), 2),
+        (((_P, _O), (_O, _E), (_O,)), 5),
+    ]
+)
+
+
+@pytest.mark.parametrize("f_degree", [0, 1])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_slot_entry_points_match_the_written_out_rule(slot, f_degree):
+    unary = lambda w: Element.from_terms([(w[::-1], 2), (w + (_O,), -1)])
+    split = lambda w: Element.from_terms([((w, w[:1]), 1), ((w[-1:],), 3)])
+    binary = lambda u, w: Element.from_terms([(u + w, 1), (w + u, -2)])
+    v = _TRIPLES
+    assert apply_in_slot(v, slot, unary, f_degree, word_degree) == _slot_map_by_hand(
+        v, slot, 1, unary, f_degree, False
+    )
+    assert splice_in_slot(v, slot, split, f_degree, word_degree) == _slot_map_by_hand(
+        v, slot, 1, split, f_degree, True
+    )
+    if slot < 2:
+        assert contract_adjacent_slots(v, slot, binary, f_degree, word_degree) == _slot_map_by_hand(
+            v, slot, 2, binary, f_degree, False
+        )
 
 
 def test_word_key_is_the_letter_id_order():
