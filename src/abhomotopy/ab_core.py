@@ -20,7 +20,10 @@ both have degree 1 and the bracket has degree b - a + 1:
 ``D`` of the deconcatenation cobracket; ``ell`` extends to the unique
 compatible bracket ``ell2`` on words (a signed sum over shuffles that
 contract one adjacent cross pair).  Two structurally different
-evaluators of ell2 are provided; the second is an oracle.
+evaluators of ell2 are provided; the second is an oracle.  Both choose
+the contracted letter pair first and skip a pair whose bracket is zero,
+which on the builtins is most of them; they differ in how they sign a
+term (see :func:`ell2_oracle`).
 
 Structure constants are cached per algebra with integral values stored
 as ``int``, so every map built from them runs in integer arithmetic
@@ -31,9 +34,12 @@ per generator pair, not once per use.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .freemodule import Element, add_term, bilinear, format_element
@@ -168,14 +174,15 @@ class Coderivation:
     def __call__(self, w: Word) -> Element:
         n = len(w)
         acc: dict = {}
+        odd = self.degree % 2
         for r, fn in self.taylor.items():
-            if r > n:
-                continue
+            prefix_odd = 0  # parity of the degree of w[:j]
             for j in range(n - r + 1):
-                sgn = sign(self.degree * sum(g.deg for g in w[:j]))
+                sgn = -1 if odd and prefix_odd else 1
                 val = fn(w[j : j + r])
                 for g, c in val.items():
                     add_term(acc, w[:j] + (g,) + w[j + r :], c * sgn)
+                prefix_odd ^= w[j].deg % 2
         return Element(acc)
 
     def on_element(self, v: Element) -> Element:
@@ -206,6 +213,21 @@ def coderivation_D(algebra: AbAlgebra) -> Coderivation:
 # -- the bracket extension to words -------------------------------------
 
 
+@functools.cache
+def _pair_order(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """The letter pairs (r, s) of a p-letter and a q-letter word, in the
+    order a walk over their shuffles (by the positions of x, then the
+    position in the shuffle) first puts x_r right before y_s."""
+
+    def first(rs):
+        # that walk's first such shuffle, 0 marking an x letter and 1 a y
+        # letter: x[:r], y[:s], the pair, x[r+1:], y[s+1:]
+        r, s = rs
+        return (0,) * r + (1,) * s + (0, 1) + (0,) * (p - r - 1) + (1,) * (q - s - 1), r + s
+
+    return tuple(sorted(itertools.product(range(p), range(q)), key=first))
+
+
 def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Compatible bracket of two words, degree b - a + 1 in dg.
 
@@ -213,17 +235,61 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     output positions where a letter of ``x`` immediately precedes a
     letter of ``y``; that pair is contracted with ``ell``, which moves
     past the letters before it at the cost (-1)^((b-a+1) * their dg).
+
+    Enumerated pair first: for each letter pair (x_r, y_s) with
+    ``ell(x_r, y_s)`` nonzero, the shuffles that put x_r right before
+    y_s are an interleaving of ``x[:r]`` and ``y[:s]``, the pair, and an
+    interleaving of ``x[r+1:]`` and ``y[s+1:]``.  Their Koszul sign is
+    the two interleavings' signs times the closed-form block sign
+    (-1)^(|x_r| |y[:s]| + |x[r+1:]| |y[:s+1]|): the y letters of the
+    first part pass x[r:], and y_s passes x[r+1:].  A pair with zero
+    bracket costs one cached lookup and no interleaving.
+
+    The work matches a walk over all shuffles step for step: pairs are
+    looked up in the order such a walk first reaches them, so the same
+    structure constants are filled before a :class:`TruncationOverflow`,
+    and terms are summed in the walk's order (shuffles by the positions
+    of ``x``, then the contracted position), so the result's term order,
+    which the callers' loops follow, is the walk's too.
     """
     bma1_odd = (algebra.b - algebra.a + 1) % 2
+    ell = algebra.ell
+    p, q = len(x), len(y)
+    # parities of the degrees of x[:r] and of y[:s], for every r and s
+    x_pre = [0]
+    for g in x:
+        x_pre.append((x_pre[-1] + g.deg) % 2)
+    y_pre = [0]
+    for g in y:
+        y_pre.append((y_pre[-1] + g.deg) % 2)
+    terms = []  # (x positions of the shuffle, contracted position, word, coefficient)
+    for r, s in _pair_order(p, q):
+        val = ell(x[r], y[s])
+        if not val.terms:
+            continue
+        k = r + s
+        x_after_r = x_pre[p] ^ x_pre[r + 1]  # parity of |x[r+1:]|
+        odd = (x[r].deg % 2 & y_pre[s]) ^ (x_after_r & y_pre[s + 1]) ^ (bma1_odd & (x_pre[r] ^ y_pre[s]))
+        # both enumerations list the x positions in lexicographic order
+        posts = list(
+            zip(
+                signed_interleavings(x[r + 1 :], y[s + 1 :]),
+                itertools.combinations(range(k + 2, p + q), p - r - 1),
+            )
+        )
+        pres = zip(signed_interleavings(x[:r], y[:s]), itertools.combinations(range(k), r))
+        for (pre, e_pre), at in pres:
+            if odd:
+                e_pre = -e_pre
+            at += (k,)
+            for (post, e_post), post_at in posts:
+                sgn = e_pre * e_post
+                for g, c in val.items():
+                    terms.append((at + post_at, k, pre + (g,) + post, c * sgn))
+    terms.sort(key=itemgetter(0, 1))
     acc: dict = {}
-    for out, from_x, eps in signed_interleavings(x, y):
-        prefix_dg = 0
-        for k in range(len(out) - 1):
-            if from_x[k] and not from_x[k + 1]:
-                sgn = -eps if bma1_odd and prefix_dg % 2 else eps
-                for g, c in algebra.ell(out[k], out[k + 1]).items():
-                    add_term(acc, out[:k] + (g,) + out[k + 2 :], c * sgn)
-            prefix_dg += out[k].deg
+    for _, _, w, c in terms:
+        add_term(acc, w, c)
     return Element(acc)
 
 
@@ -233,9 +299,11 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     Chooses the contracted letter pair first, interleaves what precedes
     and follows it by the positions :func:`enumerate_shuffles` lists,
     and recovers each term's sign from the full permutation via the
-    adjacent-transposition sign oracle.  Shares no code with
-    :func:`ell2`, which walks ``signed_interleavings`` and carries its
-    sign letter by letter.
+    adjacent-transposition sign oracle, counting swaps over the whole
+    rearrangement.  Shares no code with :func:`ell2`, which enumerates
+    the same pairs but signs a term in closed form: the signs that
+    ``signed_interleavings`` carries for the parts before and after the
+    pair, times a block sign read off degree parities.
     """
     p, q = len(x), len(y)
     letters = x + y

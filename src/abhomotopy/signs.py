@@ -14,9 +14,11 @@ Conventions used throughout the package:
   Permuting whole blocks is the same computation on the block degrees.
 
 Two independent sign algorithms are provided: :func:`koszul_sign`
-(restricted signature, the production path of the symmetric coalgebra's
-split enumerator ``block_splits`` and of the directly coded cobrackets)
-and :func:`koszul_sign_by_swaps` (explicit adjacent-transposition product,
+(restricted signature, used by the symmetric coalgebra's oracles --
+the directly coded cobrackets and ``q_by_taylor`` -- and by the tests as
+the reference for the production split enumerator ``block_splits``,
+which reads its block signs off degree parities) and
+:func:`koszul_sign_by_swaps` (explicit adjacent-transposition product,
 kept as an oracle because sign bugs are the dominant failure mode here;
 ``ell2_oracle`` uses it with :func:`enumerate_shuffles`).  :func:`sign`
 is the parity sign every module uses.

@@ -277,10 +277,22 @@ class RunContext:
         self.syms_letters = probe_syms(A, probe_words(gens, letters), letters, letters)
         self.syms_factors = probe_syms(A, self.pair_words, factors, 2 * factors)
         self.syms_small = probe_syms(A, self.pair_words, 2, 4)
+        self._sdeg: dict[SymWord, int] = {}
 
     # frequently used closures
     def sdeg(self, sym: SymWord) -> int:
-        return sym_degree(self.algebra, sym)
+        """deg_s of a SymWord, memoized on this context.
+
+        The slot calculus asks for the same few hundred syms over and
+        over (a deep envelope run makes about 600,000 calls on under a
+        thousand distinct syms).  The memo lives on the context, so a
+        mutant, which gets a context of its own, never reads its
+        parent's degrees.
+        """
+        d = self._sdeg.get(sym)
+        if d is None:
+            d = self._sdeg[sym] = sym_degree(self.algebra, sym)
+        return d
 
     def q_op(self, sym: SymWord) -> Element:
         return q_codifferential(self.algebra, sym, self.D)

@@ -20,6 +20,9 @@ specializations; they exist as independent oracles for
 with their own degree bookkeeping.  They and ``q_by_taylor`` enumerate
 their factor splits through one enumerator of their own,
 ``_oracle_splits``, never through the production ``block_splits``.
+The two sign their splits differently: ``_oracle_splits`` builds each
+permutation and calls ``koszul_sign``, ``block_splits`` counts odd
+crossings from degree parities.
 
 Canonical insertion.  ``coproduct_delta``, ``extend_m``, ``extend_ell``
 and ``cobracket_doubleprime`` take a canonical SymWord.  Every factor
@@ -168,20 +171,38 @@ def block_splits(degs: list[int], pinned: int | None = None):
     Koszul sign, in the degrees ``degs``, of arranging the factors as
     left, then the ``pinned`` factor if one is given, then right.
     Without a pinned factor only proper splits (both blocks nonempty)
-    occur; with one, every split of the other positions does.
+    occur; with one, every split of the other positions does.  Blocks
+    ``left`` come in :func:`itertools.combinations` order, smallest
+    size first.  Complementing reverses the lexicographic order of
+    equal-size subsets, so the matching ``right`` blocks are the
+    combinations of the complementary size, read backwards.
+
+    The sign is read off the degree parities, with no permutation
+    built: each odd factor of ``left``, and an odd pinned factor,
+    crosses the odd factors placed after ``left`` that precede it.  One
+    bit mask of those factors and a popcount per crossing factor give
+    it in O(n).
     """
     n = len(degs)
+    odd = sum(1 << i for i, d in enumerate(degs) if d % 2)
     others = [i for i in range(n) if i != pinned]
-    middle = () if pinned is None else (pinned,)
+    pinned_bit = 0 if pinned is None else odd & (1 << pinned)
     sizes = range(1, n) if pinned is None else range(n)
     for r in sizes:
-        for left in itertools.combinations(others, r):
-            taken = set(left)
-            right = tuple(i for i in others if i not in taken)
-            sigma = [0] * n
-            for rank, i in enumerate(left + middle + right):
-                sigma[i] = rank
-            yield left, right, koszul_sign(degs, sigma)
+        rights = list(itertools.combinations(others, len(others) - r))
+        rights.reverse()
+        for left, right in zip(itertools.combinations(others, r), rights):
+            left_bits = 0
+            for i in left:
+                left_bits |= 1 << i
+            after = odd & ~left_bits  # odd factors placed after the left block
+            moving = (odd & left_bits) | pinned_bit
+            crossed = 0
+            while moving:
+                low = moving & -moving
+                crossed += (after & (low - 1)).bit_count()
+                moving ^= low
+            yield left, right, -1 if crossed % 2 else 1
 
 
 def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:

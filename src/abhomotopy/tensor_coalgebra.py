@@ -85,20 +85,19 @@ def render_tuple(t: tuple[Word, ...]) -> str:
     return " (x) ".join(render_word(w) for w in t)
 
 
-def signed_interleavings(x: Word, y: Word) -> Iterator[tuple[Word, tuple[bool, ...], int]]:
-    """Every interleaving of ``x`` and ``y`` with its origin flags and Koszul sign.
+def signed_interleavings(x: Word, y: Word) -> Iterator[tuple[Word, int]]:
+    """Every interleaving of ``x`` and ``y`` with its Koszul sign.
 
-    Yields ``(word, from_x, sign)``: ``from_x[k]`` tells whether output
-    letter ``k`` comes from ``x``.  Both words keep their internal
-    order.  The sign is built letter by letter (the first-letter shuffle
-    recursion): placing ``y[j]`` ahead of the x letters ``x[i:]`` still
-    to come multiplies it by (-1)^(|y_j| * |x[i:]|), and placing an x
-    letter costs nothing.  Interleavings come in lexicographic order of
-    the positions of ``x``, the order of
-    :func:`~abhomotopy.signs.enumerate_shuffles`.
+    Yields ``(word, sign)``.  Both words keep their internal order, and
+    either may be empty.  The sign is built letter by letter (the
+    first-letter shuffle recursion): placing ``y[j]`` ahead of the x
+    letters ``x[i:]`` still to come multiplies it by
+    (-1)^(|y_j| * |x[i:]|), and placing an x letter costs nothing.
+    Interleavings come in lexicographic order of the positions of ``x``,
+    the order of :func:`~abhomotopy.signs.enumerate_shuffles`.
 
     >>> a = Generator("a", 1); b = Generator("b", 1)
-    >>> [(render_word(w), s) for w, _, s in signed_interleavings((a,), (b,))]
+    >>> [(render_word(w), s) for w, s in signed_interleavings((a,), (b,))]
     [('(a|b)', 1), ('(b|a)', -1)]
     """
     p, q = len(x), len(y)
@@ -107,18 +106,18 @@ def signed_interleavings(x: Word, y: Word) -> Iterator[tuple[Word, tuple[bool, .
     for i in range(p - 1, -1, -1):
         odd_rest[i] = (odd_rest[i + 1] + x[i].deg) % 2
     y_odd = [g.deg % 2 for g in y]
-    stack = [((), (), 0, 0, 1)]
+    stack = [((), 0, 0, 1)]
     while stack:
-        word, from_x, i, j, sign = stack.pop()
+        word, i, j, sign = stack.pop()
         if i == p:
-            yield word + y[j:], from_x + (False,) * (q - j), sign
+            yield word + y[j:], sign
         elif j == q:
-            yield word + x[i:], from_x + (True,) * (p - i), sign
+            yield word + x[i:], sign
         else:
             # pushed second, popped first: x-first branches come out first
             y_sign = -sign if y_odd[j] and odd_rest[i] else sign
-            stack.append((word + (y[j],), from_x + (False,), i, j + 1, y_sign))
-            stack.append((word + (x[i],), from_x + (True,), i + 1, j, sign))
+            stack.append((word + (y[j],), i, j + 1, y_sign))
+            stack.append((word + (x[i],), i + 1, j, sign))
 
 
 def shuffle(x: Word, y: Word) -> Element:
@@ -135,7 +134,7 @@ def shuffle(x: Word, y: Word) -> Element:
     if not x or not y:
         raise ValueError("shuffle needs two nonempty words")
     acc: dict = {}
-    for out, _, sign in signed_interleavings(x, y):
+    for out, sign in signed_interleavings(x, y):
         add_term(acc, out, sign)
     return Element(acc)
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from abhomotopy.ab_core import (
+    AbAlgebra,
     TruncationOverflow,
     algebra_from_dict,
     bilinear,
@@ -16,9 +17,10 @@ from abhomotopy.ab_core import (
     ell2_prime,
     load_algebra,
 )
-from abhomotopy.freemodule import Element
-from abhomotopy.instances import builtin_instance
-from abhomotopy.suites import perturb_algebra
+from abhomotopy.freemodule import Element, add_term
+from abhomotopy.instances import BUILTINS, builtin_instance
+from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
+from abhomotopy.suites import perturb_algebra, probe_generators, probe_words
 from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle
 
 
@@ -197,6 +199,114 @@ def test_ell2_matches_oracle(bracket_algebra, toy_instance):
                     assert ell2(A, x, y) == ell2_oracle(A, x, y)
                 except TruncationOverflow:
                     continue
+
+
+def _probe_algebra(name):
+    if name in BUILTINS:
+        return builtin_instance(name).algebra
+    # every bracket on polyvector-even's probe generators vanishes; this
+    # mutant makes one nonzero on a pair of odd and even shifted degree
+    return perturb_algebra(
+        builtin_instance("polyvector-even").algebra, ("bracket", "dx1", "dx1^dx2", "1")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS) + ["polyvector-even-bracket-mutant"])
+def test_ell2_matches_oracle_on_probe_words(name):
+    """``ell2`` signs each term in closed form, the oracle by swaps over
+    the whole permutation; they agree on every pair of probe words with
+    at most six letters in all, at four probe generators, and escape the
+    truncation together."""
+    A = _probe_algebra(name)
+    words = probe_words(probe_generators(A, 4), 5)
+    nonzero = 0
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > 6:
+                continue
+            try:
+                got = ell2(A, x, y)
+            except TruncationOverflow:
+                with pytest.raises(TruncationOverflow):
+                    ell2_oracle(A, x, y)
+                continue
+            assert got == ell2_oracle(A, x, y), (x, y)
+            nonzero += not got.is_zero()
+    if name not in ("polyvector-even", "schouten-super"):
+        assert nonzero
+
+
+def _ell2_by_walk(A, x, y) -> dict:
+    """The bracket extension summed shuffle by shuffle, in the order of
+    ``enumerate_shuffles``, and within a shuffle by contracted position."""
+    p = len(x)
+    letters = x + y
+    degs = [g.deg for g in letters]
+    acc: dict = {}
+    for sigma in enumerate_shuffles(p, len(y)):
+        order = inverse(sigma)  # order[k]: the input letter at output position k
+        out = tuple(letters[i] for i in order)
+        eps = koszul_sign_by_swaps(degs, sigma)
+        for k in range(len(out) - 1):
+            if order[k] < p <= order[k + 1]:
+                sgn = eps * sign((A.b - A.a + 1) * sum(degs[i] for i in order[:k]))
+                for g, c in A.ell(out[k], out[k + 1]).items():
+                    add_term(acc, out[:k] + (g,) + out[k + 2 :], c * sgn)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["poisson-polynomial", "polyvector-even-bracket-mutant"])
+def test_ell2_sums_in_the_order_of_the_shuffle_walk(name):
+    """Pair-first ``ell2`` returns its terms in the order a walk over all
+    shuffles adds them, also when several letter pairs contribute, so every
+    caller's loop over its value does the same work in the same order."""
+    A = _probe_algebra(name)
+    words = probe_words(probe_generators(A, 4), 3)
+    several = 0
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > 5:
+                continue
+            got = list(ell2(A, x, y).items())
+            assert got == list(_ell2_by_walk(A, x, y).items()), (x, y)
+            pairs = sum(not A.ell(g, h).is_zero() for g in x for h in y)
+            several += pairs > 1 and len(got) > 1
+    assert several
+
+
+@pytest.mark.parametrize("name", ["gerstenhaber-toy", "schouten-super"])
+def test_ell2_looks_up_pairs_in_the_order_of_the_shuffle_walk(name):
+    """A walk over all shuffles and pair-first ``ell2`` ask the instance for
+    the same brackets in the same order, up to a truncation overflow too,
+    so both leave the same structure constants cached."""
+    parent = builtin_instance(name).algebra
+
+    def recording(log):
+        def bracket_fn(g1, g2):
+            log.append((g1, g2))
+            return parent.bracket_fn(g1, g2)
+
+        return AbAlgebra(
+            parent.name, parent.a, parent.b, parent.generators, parent.unshifted,
+            parent.product_fn, bracket_fn, parent.diff_fn,
+        )
+
+    logs = {"pairs first": [], "walk": []}
+    evaluators = {"pairs first": ell2, "walk": _ell2_by_walk}
+    algebras = {how: recording(log) for how, log in logs.items()}
+    words = probe_words(probe_generators(parent, 4), 3)
+    overflows = 0
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > 5:
+                continue
+            for how, evaluate in evaluators.items():
+                try:
+                    evaluate(algebras[how], x, y)
+                except TruncationOverflow:
+                    overflows += how == "walk"
+            assert logs["pairs first"] == logs["walk"], (x, y)
+    assert name != "schouten-super" or overflows
 
 
 def test_ell2_kills_shuffle_images(bracket_algebra):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from abhomotopy.ab_core import TruncationOverflow, coderivation_D, ell2_doubleprime
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
-from abhomotopy.signs import koszul_sign_by_swaps, sign
+from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps, sign
 from abhomotopy.suites import RunContext, SuiteConfig
 from abhomotopy.sym_coalgebra import (
     _normalize_with,
@@ -78,6 +78,39 @@ def test_coproduct_three_factors_against_block_sign_oracle(poisson_poly_instance
                 (tuple(factors[i] for i in left), tuple(factors[j] for j in right)), s
             )
     assert got == want
+
+
+def test_block_splits_signs_and_order_against_koszul_sign():
+    """The parity block sign equals ``koszul_sign`` of the arrangement
+    (left, pinned, right), and the splits come in ``itertools.combinations``
+    order, for up to six factors of degree 0-3 and every pinned position.
+
+    ``koszul_sign`` depends on degree parities only, so the expected
+    splits are built once per parity pattern and every degree vector of
+    that pattern is held to them."""
+    expected: dict = {}
+    checked = 0
+    for n in range(1, 7):
+        for degs in itertools.product(range(4), repeat=n):
+            for pinned in (None, *range(n)):
+                key = (tuple(d % 2 for d in degs), pinned)
+                if key not in expected:
+                    others = [i for i in range(n) if i != pinned]
+                    middle = () if pinned is None else (pinned,)
+                    sizes = range(1, n) if pinned is None else range(n)
+                    want = []
+                    for r in sizes:
+                        for left in itertools.combinations(others, r):
+                            right = tuple(i for i in others if i not in left)
+                            sigma = [0] * n
+                            for rank, i in enumerate(left + middle + right):
+                                sigma[i] = rank
+                            want.append((left, right, koszul_sign(degs, sigma)))
+                    expected[key] = want
+                got = list(block_splits(list(degs), pinned))
+                assert got == expected[key], (degs, pinned)
+                checked += len(got)
+    assert checked == 1166052
 
 
 def test_extensions_on_one_and_two_factors(toy_instance):
@@ -337,13 +370,15 @@ FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2
 @pytest.mark.parametrize("builtin", sorted(BUILTINS))
 def test_kernels_match_resorting_references(builtin, sizes):
     """delta'', m and ell'' term by term on every probe sym of a builtin,
-    at the FAST sizes and at the command-line defaults."""
+    at the FAST sizes and at the command-line defaults; the context's
+    memoized deg_s agrees with ``sym_degree`` on a first and a repeated call."""
     ctx = RunContext(builtin_instance(builtin), SuiteConfig(algebra=builtin, **sizes))
     A, D = ctx.algebra, ctx.D
     syms = dict.fromkeys(ctx.syms_letters + ctx.syms_factors + ctx.syms_small)
     assert len(syms) > 10
     evaluated = 0
     for sym in syms:
+        assert ctx.sdeg(sym) == ctx.sdeg(sym) == sym_degree(A, sym)
         for got_fn, want_fn in (
             (lambda: cobracket_doubleprime(A, sym), lambda: ref_cobracket_doubleprime(A, sym)),
             (lambda: extend_m(A, sym, D), lambda: ref_extend_m(A, sym, D)),

@@ -91,18 +91,23 @@ def test_shuffle_matches_permutation_reference():
 
 
 def test_signed_interleavings_flags_and_order():
-    x, y = tuple(gens(1, 2)), tuple(gens(1))
+    letters = tuple(gens(1, 2, 1))
+    x, y = letters[:2], letters[2:]
     got = list(signed_interleavings(x, y))
     assert len(got) == 3
-    for out, from_x, _ in got:
-        assert tuple(g for g, f in zip(out, from_x) if f) == x
-        assert tuple(g for g, f in zip(out, from_x) if not f) == y
+    # the letters are distinct, so each one's origin is the word holding it
+    for out, _ in got:
+        assert tuple(g for g in out if g in x) == x
+        assert tuple(g for g in out if g in y) == y
     # lexicographic order of the positions of x, as enumerate_shuffles lists them
-    letters = x + y
-    assert [out for out, _, _ in got] == [
+    assert [out for out, _ in got] == [
         tuple(letters[i] for i in inverse(sigma)) for sigma in enumerate_shuffles(2, 1)
     ]
-    assert [sign for _, _, sign in got] == [1, 1, -1]
+    assert [sign for _, sign in got] == [1, 1, -1]
+    # an empty word has the other word as its only interleaving
+    assert list(signed_interleavings(x, ())) == [(x, 1)]
+    assert list(signed_interleavings((), y)) == [(y, 1)]
+    assert list(signed_interleavings((), ())) == [((), 1)]
 
 
 def test_span_dimensions_two_letters():
