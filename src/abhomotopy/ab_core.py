@@ -20,10 +20,10 @@ both have degree 1 and the bracket has degree b - a + 1:
 ``D`` of the deconcatenation cobracket; ``ell`` extends to the unique
 compatible bracket ``ell2`` on words (a signed sum over shuffles that
 contract one adjacent cross pair).  Two structurally different
-evaluators of ell2 are provided; the second is an oracle.  Both choose
-the contracted letter pair first and skip a pair whose bracket is zero,
-which on the builtins is most of them; they differ in how they sign a
-term (see :func:`ell2_oracle`).
+evaluators of ell2 are provided, the second an oracle.  Both choose the
+contracted pair first and skip a pair whose bracket is zero (on the
+builtins, most pairs), and neither promises an order for its terms;
+they differ in how they sign a term (see :func:`ell2_oracle`).
 
 Structure constants are cached per algebra with integral values stored
 as ``int``, so every map built from them runs in integer arithmetic
@@ -34,12 +34,9 @@ per generator pair, not once per use.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable
 
 from .freemodule import Element, add_term, bilinear, format_element
@@ -213,21 +210,6 @@ def coderivation_D(algebra: AbAlgebra) -> Coderivation:
 # -- the bracket extension to words -------------------------------------
 
 
-@functools.cache
-def _pair_order(p: int, q: int) -> tuple[tuple[int, int], ...]:
-    """The letter pairs (r, s) of a p-letter and a q-letter word, in the
-    order a walk over their shuffles (by the positions of x, then the
-    position in the shuffle) first puts x_r right before y_s."""
-
-    def first(rs):
-        # that walk's first such shuffle, 0 marking an x letter and 1 a y
-        # letter: x[:r], y[:s], the pair, x[r+1:], y[s+1:]
-        r, s = rs
-        return (0,) * r + (1,) * s + (0, 1) + (0,) * (p - r - 1) + (1,) * (q - s - 1), r + s
-
-    return tuple(sorted(itertools.product(range(p), range(q)), key=first))
-
-
 def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Compatible bracket of two words, degree b - a + 1 in dg.
 
@@ -236,21 +218,15 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     letter of ``y``; that pair is contracted with ``ell``, which moves
     past the letters before it at the cost (-1)^((b-a+1) * their dg).
 
-    Enumerated pair first: for each letter pair (x_r, y_s) with
-    ``ell(x_r, y_s)`` nonzero, the shuffles that put x_r right before
-    y_s are an interleaving of ``x[:r]`` and ``y[:s]``, the pair, and an
-    interleaving of ``x[r+1:]`` and ``y[s+1:]``.  Their Koszul sign is
-    the two interleavings' signs times the closed-form block sign
-    (-1)^(|x_r| |y[:s]| + |x[r+1:]| |y[:s+1]|): the y letters of the
-    first part pass x[r:], and y_s passes x[r+1:].  A pair with zero
-    bracket costs one cached lookup and no interleaving.
-
-    The work matches a walk over all shuffles step for step: pairs are
-    looked up in the order such a walk first reaches them, so the same
-    structure constants are filled before a :class:`TruncationOverflow`,
-    and terms are summed in the walk's order (shuffles by the positions
-    of ``x``, then the contracted position), so the result's term order,
-    which the callers' loops follow, is the walk's too.
+    Enumerated pair first, in (r, s) order: for each letter pair
+    (x_r, y_s) with ``ell(x_r, y_s)`` nonzero, the shuffles that put x_r
+    right before y_s are an interleaving of ``x[:r]`` and ``y[:s]``, the
+    pair, and an interleaving of ``x[r+1:]`` and ``y[s+1:]``.  Their
+    Koszul sign is the two interleavings' signs times the closed-form
+    block sign (-1)^(|x_r| |y[:s]| + |x[r+1:]| |y[:s+1]|): the y letters
+    of the first part pass x[r:], and y_s passes x[r+1:].  A pair with
+    zero bracket costs one cached lookup and no interleaving.  The
+    result's term order is unspecified.
     """
     bma1_odd = (algebra.b - algebra.a + 1) % 2
     ell = algebra.ell
@@ -262,34 +238,22 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     y_pre = [0]
     for g in y:
         y_pre.append((y_pre[-1] + g.deg) % 2)
-    terms = []  # (x positions of the shuffle, contracted position, word, coefficient)
-    for r, s in _pair_order(p, q):
-        val = ell(x[r], y[s])
-        if not val.terms:
-            continue
-        k = r + s
-        x_after_r = x_pre[p] ^ x_pre[r + 1]  # parity of |x[r+1:]|
-        odd = (x[r].deg % 2 & y_pre[s]) ^ (x_after_r & y_pre[s + 1]) ^ (bma1_odd & (x_pre[r] ^ y_pre[s]))
-        # both enumerations list the x positions in lexicographic order
-        posts = list(
-            zip(
-                signed_interleavings(x[r + 1 :], y[s + 1 :]),
-                itertools.combinations(range(k + 2, p + q), p - r - 1),
-            )
-        )
-        pres = zip(signed_interleavings(x[:r], y[:s]), itertools.combinations(range(k), r))
-        for (pre, e_pre), at in pres:
-            if odd:
-                e_pre = -e_pre
-            at += (k,)
-            for (post, e_post), post_at in posts:
-                sgn = e_pre * e_post
-                for g, c in val.items():
-                    terms.append((at + post_at, k, pre + (g,) + post, c * sgn))
-    terms.sort(key=itemgetter(0, 1))
     acc: dict = {}
-    for _, _, w, c in terms:
-        add_term(acc, w, c)
+    for r in range(p):
+        for s in range(q):
+            val = ell(x[r], y[s])
+            if not val.terms:
+                continue
+            x_after_r = x_pre[p] ^ x_pre[r + 1]  # parity of |x[r+1:]|
+            odd = (x[r].deg % 2 & y_pre[s]) ^ (x_after_r & y_pre[s + 1]) ^ (bma1_odd & (x_pre[r] ^ y_pre[s]))
+            posts = list(signed_interleavings(x[r + 1 :], y[s + 1 :]))
+            for pre, e_pre in signed_interleavings(x[:r], y[:s]):
+                if odd:
+                    e_pre = -e_pre
+                for post, e_post in posts:
+                    sgn = e_pre * e_post
+                    for g, c in val.items():
+                        add_term(acc, pre + (g,) + post, c * sgn)
     return Element(acc)
 
 
@@ -481,12 +445,19 @@ def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
 # -- loading from structure-constant files -------------------------------
 
 
-def _parse_coeff(c) -> Fraction:
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    raise ValueError(f"cannot parse coefficient {c!r}")
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # int() would truncate 0.9 and read true as 1
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_coeff(c, entry) -> Fraction:
+    if type(c) in (int, str):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"coefficient {c!r} in table entry {entry!r} is not an integer or a 'num/den' string")
 
 
 def algebra_from_dict(data: dict) -> AbAlgebra:
@@ -507,17 +478,17 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     exceed the bound is treated as a truncation overflow instead of zero.
     """
     name = data.get("name", "unnamed")
-    a, b = int(data["a"]), int(data["b"])
+    a, b = _integer(data["a"], "a"), _integer(data["b"], "b")
     unshifted: dict[str, int] = {}
     gens = []
     for g in data["generators"]:
         gid = str(g["id"])
         if gid in unshifted:
             raise ValueError(f"duplicate generator id {gid!r}")
-        unshifted[gid] = int(g["degree"])
-        gens.append(Generator(gid, int(g["degree"]) + a - 1))
+        unshifted[gid] = _integer(g["degree"], f"degree of generator {gid!r}")
+        gens.append(Generator(gid, unshifted[gid] + a - 1))
     by_id = {g.gid: g for g in gens}
-    max_degree = data.get("max_degree")
+    max_degree = None if data.get("max_degree") is None else _integer(data["max_degree"], "max_degree")
 
     def table(op: str, arity: int) -> dict:
         out = {}
@@ -531,7 +502,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
             if tuple(key) in out:
                 raise ValueError(f"duplicate {op} entry for {tuple(key)} in {entry!r}")
             out[tuple(key)] = Element.from_terms(
-                (by_id[str(gid)], _parse_coeff(c)) for gid, c in value
+                (by_id[str(gid)], _parse_coeff(c, entry)) for gid, c in value
             )
         return out
 

@@ -304,7 +304,7 @@ class RunContext:
         return v.is_zero() or QUOTIENT.is_zero(v)
 
     def sym_zero(self, v: Element, arity: int) -> bool:
-        return sym_tensor_is_zero(self.algebra, QUOTIENT, v, arity)
+        return sym_tensor_is_zero(self.algebra, v, arity)
 
 
 def _pairs(ctx: RunContext) -> list[tuple[Word, Word]]:
@@ -494,7 +494,7 @@ def _coproduct_coassociative(ctx, sym):
 
 def _q_squared(ctx, sym):
     qq = ctx.q_op(sym).map_basis(ctx.q_op)
-    return sym_is_zero(ctx.algebra, QUOTIENT, qq), "Q^2 does not vanish in the quotient"
+    return sym_is_zero(ctx.algebra, qq), "Q^2 does not vanish in the quotient"
 
 
 def _q_taylor(ctx, sym):

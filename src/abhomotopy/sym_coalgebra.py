@@ -55,7 +55,7 @@ from .ab_core import AbAlgebra, Coderivation, ell2_doubleprime
 from .freemodule import Element, add_term
 from .signs import koszul_sign, sign
 from .tensor_coalgebra import (
-    ShuffleQuotient,
+    QUOTIENT,
     Word,
     apply_in_slot,
     render_word,
@@ -427,15 +427,15 @@ def _pair_with(deg_of, left, right, coeff) -> Element:
 # -- equality modulo shuffles ----------------------------------------------
 
 
-def sym_normal_form(algebra: AbAlgebra, quotient: ShuffleQuotient, v: Element) -> Element:
-    """Rewrite every factor of every SymWord to its quotient normal form."""
-    return v.map_basis(lambda sym: _nf_sym_word(algebra, quotient, sym))
+def sym_normal_form(algebra: AbAlgebra, v: Element) -> Element:
+    """Rewrite every factor of every SymWord to its :data:`QUOTIENT` normal form."""
+    return v.map_basis(lambda sym: _nf_sym_word(algebra, sym))
 
 
-def _nf_sym_word(algebra: AbAlgebra, quotient: ShuffleQuotient, sym: SymWord) -> Element:
+def _nf_sym_word(algebra: AbAlgebra, sym: SymWord) -> Element:
     parts: dict = {(): 1}
     for w in sym:
-        nfw = quotient.normal_form_word(w)
+        nfw = QUOTIENT.normal_form_word(w)
         new: dict = {}
         for prefix, c in parts.items():
             for w2, c2 in nfw.items():
@@ -447,20 +447,16 @@ def _nf_sym_word(algebra: AbAlgebra, quotient: ShuffleQuotient, sym: SymWord) ->
     return Element(acc)
 
 
-def sym_is_zero(algebra: AbAlgebra, quotient: ShuffleQuotient, v: Element) -> bool:
-    return v.is_zero() or sym_normal_form(algebra, quotient, v).is_zero()
+def sym_is_zero(algebra: AbAlgebra, v: Element) -> bool:
+    return v.is_zero() or sym_normal_form(algebra, v).is_zero()
 
 
-def sym_tensor_normal_form(
-    algebra: AbAlgebra, quotient: ShuffleQuotient, v: Element, arity: int
-) -> Element:
+def sym_tensor_normal_form(algebra: AbAlgebra, v: Element, arity: int) -> Element:
     deg = lambda sym: sym_degree(algebra, sym)
     for slot in range(arity):
-        v = apply_in_slot(v, slot, lambda s: _nf_sym_word(algebra, quotient, s), 0, deg)
+        v = apply_in_slot(v, slot, lambda s: _nf_sym_word(algebra, s), 0, deg)
     return v
 
 
-def sym_tensor_is_zero(
-    algebra: AbAlgebra, quotient: ShuffleQuotient, v: Element, arity: int
-) -> bool:
-    return v.is_zero() or sym_tensor_normal_form(algebra, quotient, v, arity).is_zero()
+def sym_tensor_is_zero(algebra: AbAlgebra, v: Element, arity: int) -> bool:
+    return v.is_zero() or sym_tensor_normal_form(algebra, v, arity).is_zero()

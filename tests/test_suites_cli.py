@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from abhomotopy.ab_core import TruncationOverflow, ell2
 from abhomotopy.cli import main
 from abhomotopy import suites
 from abhomotopy.suites import (
@@ -69,6 +70,33 @@ def test_check_algebra_report():
     assert report.exit_code() == 0
     checks = {r.check for r in report.records}
     assert "bracket-jacobi" in checks and "tensor-cyclic-closure" in checks
+
+
+@pytest.mark.parametrize(
+    "name, forced",
+    [
+        ("poisson-super", ("x1", "x2")),
+        ("polyvector-even", ("dx1", "x1")),
+        ("schouten-super", ("x1*xi1^dx1", "x1^dxi1")),
+    ],
+)
+def test_core_passes_on_nonzero_brackets(name, forced):
+    """At the default probes every bracket input is zero on these three
+    builtins; forcing a bracketing pair into the probe set makes ell2
+    nonzero on some pair of probe words, and the core suite still holds."""
+    config = SuiteConfig(algebra=name)
+    ctx = suites.RunContext(suites.build_instance(config), config, forced_gens=forced)
+    nonzero = 0
+    for x in ctx.pair_words:
+        for y in ctx.pair_words:
+            try:
+                nonzero += not ell2(ctx.algebra, x, y).is_zero()
+            except TruncationOverflow:
+                pass
+    assert nonzero
+    for check in CORE:
+        record = check_identity(check, ctx)
+        assert record.status == "pass" and record.evaluated > 0, (check, record.witness)
 
 
 def test_verify_envelope_report_is_deterministic():
@@ -196,6 +224,41 @@ def test_unknown_generator_in_table_value_is_a_named_usage_error(tmp_path, capsy
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check-algebra", "--algebra", str(path)]) == 2
     assert "unknown generator 'zz'" in capsys.readouterr().err
+
+
+def _loader_doc(**changes):
+    doc = {
+        "a": 0,
+        "b": -1,
+        "generators": [{"id": "u", "degree": 0}, {"id": "v", "degree": 1}],
+        "differential": [["u", [["v", 1]]]],
+    }
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (_loader_doc(a=0.9), "a must be an integer, got 0.9"),
+        (_loader_doc(b=True), "b must be an integer, got True"),
+        (
+            _loader_doc(generators=[{"id": "u", "degree": 0.7}, {"id": "v", "degree": 1}]),
+            "degree of generator 'u' must be an integer, got 0.7",
+        ),
+        (_loader_doc(max_degree="2"), "max_degree must be an integer, got '2'"),
+        (_loader_doc(differential=[["u", [["v", True]]]]), "coefficient True in table entry"),
+        (_loader_doc(differential=[["u", [["v", 0.5]]]]), "coefficient 0.5 in table entry"),
+        (_loader_doc(differential=[["u", [["v", "1/0"]]]]), "coefficient '1/0' in table entry"),
+    ],
+    ids=["float-a", "bool-b", "float-degree", "string-max-degree", "bool-coeff", "float-coeff", "zero-den"],
+)
+def test_loader_takes_only_exact_numbers(tmp_path, capsys, doc, named):
+    """int() used to truncate 0.9 to 0 and read true as 1, and a string
+    bound crashed mid-check: each is now a usage error naming the field."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-algebra", "--algebra", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_bug_inside_a_check_is_not_a_usage_error():

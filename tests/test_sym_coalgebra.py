@@ -27,7 +27,7 @@ from abhomotopy.sym_coalgebra import (
     sym_of,
     sym_tensor_is_zero,
 )
-from abhomotopy.tensor_coalgebra import QUOTIENT, Generator, shuffle, swap_adjacent_slots
+from abhomotopy.tensor_coalgebra import Generator, shuffle, swap_adjacent_slots
 
 
 def test_normalize_signs(nilpotent_algebra):
@@ -177,8 +177,8 @@ def test_m_squared_and_ell_squared_vanish(toy_instance):
         except TruncationOverflow:
             continue
         checked += 1
-        assert sym_is_zero(A, QUOTIENT, mm), sym
-        assert sym_is_zero(A, QUOTIENT, ll), sym
+        assert sym_is_zero(A, mm), sym
+        assert sym_is_zero(A, ll), sym
     assert checked > 10
 
 
@@ -245,7 +245,7 @@ def test_kappa_is_cosymmetric(toy_instance):
             continue
         sym = next(iter(e.items()))[0]
         k = kappa(A, sym)
-        assert sym_tensor_is_zero(A, QUOTIENT, swap_adjacent_slots(k, 0, sdeg) - k, 2)
+        assert sym_tensor_is_zero(A, swap_adjacent_slots(k, 0, sdeg) - k, 2)
 
 
 def test_sym_with_shuffle_image_factor_is_zero(poisson_poly_instance):
@@ -257,7 +257,7 @@ def test_sym_with_shuffle_image_factor_is_zero(poisson_poly_instance):
     for w, c in image.items():
         acc = acc + sym_of(A, (w, other), c)
     assert not acc.is_zero()
-    assert sym_is_zero(A, QUOTIENT, acc)
+    assert sym_is_zero(A, acc)
 
 
 # -- canonical insertion against the full re-sort -------------------------------
