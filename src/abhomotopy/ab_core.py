@@ -460,6 +460,15 @@ def _parse_coeff(c, entry) -> Fraction:
     raise ValueError(f"coefficient {c!r} in table entry {entry!r} is not an integer or a 'num/den' string")
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``, or a ``ValueError`` naming ``what`` and the missing field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def algebra_from_dict(data: dict) -> AbAlgebra:
     """Build an algebra from a structure-constant document.
 
@@ -473,29 +482,41 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
          "max_degree":   4}          # optional
 
     Missing pair entries mean zero; an entry given twice, or one naming
-    an undeclared generator, is an error.  With ``max_degree`` set, a
+    an undeclared generator, is an error, and so is a document of another
+    shape (a ``ValueError`` naming the field).  With ``max_degree`` set, a
     missing product/bracket entry whose degree-homogeneous output would
     exceed the bound is treated as a truncation overflow instead of zero.
     """
+    a = _integer(_field(data, "a", "the algebra document"), "a")
+    b = _integer(_field(data, "b", "the algebra document"), "b")
     name = data.get("name", "unnamed")
-    a, b = _integer(data["a"], "a"), _integer(data["b"], "b")
+    generators = _field(data, "generators", "the algebra document")
+    if not isinstance(generators, list):
+        raise ValueError(f"generators must be a list, got {generators!r}")
     unshifted: dict[str, int] = {}
     gens = []
-    for g in data["generators"]:
-        gid = str(g["id"])
+    for g in generators:
+        gid = str(_field(g, "id", "a generator"))
         if gid in unshifted:
             raise ValueError(f"duplicate generator id {gid!r}")
-        unshifted[gid] = _integer(g["degree"], f"degree of generator {gid!r}")
+        degree = _field(g, "degree", f"generator {gid!r}")
+        unshifted[gid] = _integer(degree, f"degree of generator {gid!r}")
         gens.append(Generator(gid, unshifted[gid] + a - 1))
     by_id = {g.gid: g for g in gens}
     max_degree = None if data.get("max_degree") is None else _integer(data["max_degree"], "max_degree")
 
     def table(op: str, arity: int) -> dict:
         out = {}
-        for entry in data.get(op, []):
-            *key, value = entry
-            if len(key) != arity:
+        entries = data.get(op, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"{op} must be a list of table entries, got {entries!r}")
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == arity + 1
+                    and all(isinstance(gid, str) for gid in entry[:-1])):
                 raise ValueError(f"bad table entry {entry!r}")
+            *key, value = entry
+            if not (isinstance(value, list) and all(isinstance(t, list) and len(t) == 2 for t in value)):
+                raise ValueError(f"{op} entry {entry!r} must end in a list of [id, coeff] pairs")
             for gid in key + [str(gid) for gid, _ in value]:
                 if gid not in by_id:
                     raise ValueError(f"unknown generator {gid!r} in table entry {entry!r}")

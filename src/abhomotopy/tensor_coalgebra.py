@@ -13,9 +13,13 @@ letter multiset (:class:`ShuffleQuotient`).  Blocks recur across every
 identity check, so their reduced bases are memoized.
 
 Every signed sum over the interleavings of two words (the shuffle
-product here, the bracket extension ``ell2`` in :mod:`ab_core`) walks
-:func:`signed_interleavings`, which carries the Koszul sign letter by
-letter instead of recounting it per permutation.
+product here, the bracket extension ``ell2`` in :mod:`ab_core`) reads
+shape tables: where the letters go depends only on the two lengths, and
+the Koszul signs only on which letters are odd.  Each shape (p, q) has
+one ``operator.itemgetter`` per interleaving, picking it out of
+``x + y``, and each shape and parity pattern its tuple of signs.  Both
+are built on first use and keyed by these combinatorics alone, never by
+letters, so every algebra and mutant shares them safely.
 
 Tensor products of words (pairs, triples) are plain tuples of words.
 The graded slot calculus on them has one kernel, ``_slot_map``: it
@@ -31,9 +35,10 @@ flip, is a permutation and has its own loop.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, NamedTuple, Sequence
+import operator
+from typing import Callable, NamedTuple, Sequence
 
-from .freemodule import Element, ReducedBasis, add_term, bilinear
+from .freemodule import Element, ReducedBasis, add_term
 
 
 class Generator(NamedTuple):
@@ -85,14 +90,61 @@ def render_tuple(t: tuple[Word, ...]) -> str:
     return " (x) ".join(render_word(w) for w in t)
 
 
-def signed_interleavings(x: Word, y: Word) -> Iterator[tuple[Word, int]]:
+#: interleaving getters per shape (p, q), in the order of the walk
+_GETTERS: dict = {}
+#: interleaving signs per (p, q, odd_mask), matching ``_GETTERS[(p, q)]``
+_SIGNS: dict = {}
+
+
+def _tables(p: int, q: int, xy: Word) -> tuple[tuple, tuple]:
+    """The getters of shape (p, q) and the signs for the parities of ``xy``.
+
+    A missing entry is built by the first-letter shuffle recursion over
+    positions in ``xy``: placing y letter j ahead of the x letters
+    ``x[i:]`` still to come multiplies the sign by (-1)^(|y_j| |x[i:]|),
+    and placing an x letter costs nothing.  Interleavings come in
+    lexicographic order of the positions of ``x``.
+    """
+    odd_mask = 0
+    bit = 1
+    for g in xy:
+        if g.deg & 1:
+            odd_mask |= bit
+        bit <<= 1
+    key = (p, q, odd_mask)
+    signs = _SIGNS.get(key)
+    if signs is None:
+        odd = [(odd_mask >> i) & 1 for i in range(p + q)]
+        # odd_rest[i]: parity of the degree of x[i:]
+        odd_rest = [0] * (p + 1)
+        for i in range(p - 1, -1, -1):
+            odd_rest[i] = odd_rest[i + 1] ^ odd[i]
+        walk = []
+        stack = [((), 0, 0, 1)]
+        while stack:
+            pos, i, j, sign = stack.pop()
+            if i == p:
+                walk.append((pos + tuple(range(p + j, p + q)), sign))
+            elif j == q:
+                walk.append((pos + tuple(range(i, p)), sign))
+            else:
+                # pushed second, popped first: x-first branches come out first
+                y_sign = -sign if odd[p + j] and odd_rest[i] else sign
+                stack.append((pos + (p + j,), i, j + 1, y_sign))
+                stack.append((pos + (i,), i + 1, j, sign))
+        signs = _SIGNS[key] = tuple(s for _, s in walk)
+        if (p, q) not in _GETTERS:
+            _GETTERS[p, q] = tuple(operator.itemgetter(*pos) for pos, _ in walk)
+    return _GETTERS[p, q], signs
+
+
+def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
     """Every interleaving of ``x`` and ``y`` with its Koszul sign.
 
-    Yields ``(word, sign)``.  Both words keep their internal order, and
-    either may be empty.  The sign is built letter by letter (the
-    first-letter shuffle recursion): placing ``y[j]`` ahead of the x
-    letters ``x[i:]`` still to come multiplies it by
-    (-1)^(|y_j| * |x[i:]|), and placing an x letter costs nothing.
+    Returns a list of ``(word, sign)``.  Both words keep their internal
+    order, and either may be empty.  Each getter of shape
+    (len(x), len(y)) is applied to ``x + y`` and paired with the sign
+    stored for the parities of those letters (see :func:`_tables`).
     Interleavings come in lexicographic order of the positions of ``x``,
     the order of :func:`~abhomotopy.signs.enumerate_shuffles`.
 
@@ -100,48 +152,61 @@ def signed_interleavings(x: Word, y: Word) -> Iterator[tuple[Word, int]]:
     >>> [(render_word(w), s) for w, s in signed_interleavings((a,), (b,))]
     [('(a|b)', 1), ('(b|a)', -1)]
     """
-    p, q = len(x), len(y)
-    # odd_rest[i]: parity of the degree of x[i:]
-    odd_rest = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        odd_rest[i] = (odd_rest[i + 1] + x[i].deg) % 2
-    y_odd = [g.deg % 2 for g in y]
-    stack = [((), 0, 0, 1)]
-    while stack:
-        word, i, j, sign = stack.pop()
-        if i == p:
-            yield word + y[j:], sign
-        elif j == q:
-            yield word + x[i:], sign
-        else:
-            # pushed second, popped first: x-first branches come out first
-            y_sign = -sign if y_odd[j] and odd_rest[i] else sign
-            stack.append((word + (y[j],), i, j + 1, y_sign))
-            stack.append((word + (x[i],), i + 1, j, sign))
+    if not x or not y:
+        return [(x + y, 1)]
+    xy = x + y
+    getters, signs = _tables(len(x), len(y), xy)
+    return [(get(xy), s) for get, s in zip(getters, signs)]
+
+
+def _shuffle_into(acc: dict, x: Word, y: Word, k) -> None:
+    """Add ``k`` times the shuffle of ``x`` and ``y`` into ``acc``, zeros kept."""
+    if not x or not y:
+        raise ValueError("shuffle needs two nonempty words")
+    xy = x + y
+    getters, signs = _tables(len(x), len(y), xy)
+    neg = -k
+    get = acc.get
+    for getter, s in zip(getters, signs):
+        w = getter(xy)
+        acc[w] = get(w, 0) + (k if s > 0 else neg)
+
+
+def _nonzero(acc: dict) -> Element:
+    """Element of the nonzero sums in ``acc``, integral ones as ``int``."""
+    return Element(
+        {w: c if type(c) is int or c.denominator != 1 else c.numerator for w, c in acc.items() if c}
+    )
 
 
 def shuffle(x: Word, y: Word) -> Element:
     """Signed sum of all shuffles of two words, with integer coefficients.
 
     Both blocks keep their internal order; each interleaving carries the
-    Koszul sign of the rearrangement.  Equal interleavings (from
-    repeated letters) add up or cancel.
+    Koszul sign of the rearrangement, read off the shape tables.  Equal
+    interleavings (from repeated letters) add up or cancel.
 
     >>> a = Generator("a", 1); b = Generator("b", 1)
     >>> sorted((render_word(w), c) for w, c in shuffle((a,), (b,)).items())
     [('(a|b)', 1), ('(b|a)', -1)]
     """
-    if not x or not y:
-        raise ValueError("shuffle needs two nonempty words")
     acc: dict = {}
-    for out, sign in signed_interleavings(x, y):
-        add_term(acc, out, sign)
-    return Element(acc)
+    _shuffle_into(acc, x, y, 1)
+    return _nonzero(acc)
 
 
 def shuffle_elements(ex: Element, ey: Element) -> Element:
-    """Bilinear extension of :func:`shuffle` to Elements of words."""
-    return bilinear(shuffle, ex, ey)
+    """Bilinear extension of :func:`shuffle` to Elements of words.
+
+    Every pair of terms adds its coefficient product times each signed
+    interleaving into one dict; zero sums are dropped once at the end.
+    Raises ``ValueError`` when a word of either Element is empty.
+    """
+    acc: dict = {}
+    for x, cx in ex.terms.items():
+        for y, cy in ey.terms.items():
+            _shuffle_into(acc, x, y, cx * cy)
+    return _nonzero(acc)
 
 
 def cobracket(w: Word) -> Element:

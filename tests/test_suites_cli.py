@@ -261,6 +261,31 @@ def test_loader_takes_only_exact_numbers(tmp_path, capsys, doc, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (_loader_doc(product=[["u", "u", 5]]), "product entry ['u', 'u', 5] must end in a list of [id, coeff] pairs"),
+        ([_loader_doc()], "the algebra document must be a JSON object"),
+        (
+            _loader_doc(generators=[{"id": "u"}, {"id": "v", "degree": 1}]),
+            "generator 'u' has no 'degree' field",
+        ),
+        ({k: v for k, v in _loader_doc().items() if k != "b"}, "the algebra document has no 'b' field"),
+        (_loader_doc(generators=["u"]), "a generator must be a JSON object, got 'u'"),
+        (_loader_doc(bracket={"u": 1}), "bracket must be a list of table entries"),
+    ],
+    ids=["int-table-value", "top-level-array", "no-degree", "no-b", "string-generator", "object-table"],
+)
+def test_loader_names_the_malformed_field(tmp_path, capsys, doc, named):
+    """A table value that is not a list of pairs and a top-level array used
+    to crash with a traceback (exit 1), and a generator without a degree
+    said only 'degree': each is now a usage error naming the cause."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-algebra", "--algebra", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_bug_inside_a_check_is_not_a_usage_error():
     """An exception raised while the checks run is a bug: it propagates with
     its traceback instead of being reported as a usage error (exit 2)."""

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from abhomotopy.freemodule import Element
+from abhomotopy.freemodule import Element, bilinear
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
 from abhomotopy.tensor_coalgebra import (
     QUOTIENT,
@@ -88,6 +88,46 @@ def test_shuffle_matches_permutation_reference():
     o, e = Generator("o", 1), Generator("e", 0)
     assert shuffle((o,), (o,)).is_zero()
     assert shuffle((e,), (e,)) == Element.of((e, e), 2)
+
+
+def test_shuffle_elements_matches_the_bilinear_reference():
+    """shuffle_elements agrees with the bilinear extension of the
+    permutation reference, and stores no zero and no integral Fraction."""
+    pairs = list(reference_inputs(max_total=4))
+    coeffs = [1, -2, Fraction(1, 2), Fraction(-3, 4), 3, Fraction(2, 3)]
+    checked = cancelled = 0
+    for k in range(0, len(pairs), 3):
+        (x1, y1), (x2, y2), (x3, y3) = pairs[k : k + 3]
+        # sums over repeated-letter and distinct-letter words, so terms cancel
+        ex = Element.from_terms([(x1, coeffs[k % 6]), (x2, coeffs[(k + 1) % 6]), (y3, coeffs[(k + 2) % 6])])
+        ey = Element.from_terms([(y1, coeffs[(k + 3) % 6]), (y2, coeffs[(k + 4) % 6]), (x3, Fraction(1, 2))])
+        got = shuffle_elements(ex, ey)
+        want = bilinear(reference_shuffle, ex, ey)
+        assert got == want, (ex, ey)
+        for c in got.terms.values():
+            assert c != 0
+            if c.denominator == 1:
+                assert type(c) is int, (ex, ey, c)
+        checked += 1
+        cancelled += len(got) < sum(
+            len(reference_shuffle(x, y)) for x in ex.terms for y in ey.terms
+        )
+    assert checked == 204 and cancelled > 0
+    # an integral Fraction coefficient comes back as int
+    o, e = Generator("o", 1), Generator("e", 0)
+    half = shuffle_elements(Element.of((e,), Fraction(1, 2)), Element.of((e,), 2))
+    assert half.terms == {(e, e): 2} and type(half.coefficient((e, e))) is int
+    # odd letters cancel: o|o with itself is zero
+    assert shuffle_elements(Element.of((o,), Fraction(3, 2)), Element.of((o,))).is_zero()
+
+
+def test_shuffle_elements_rejects_the_empty_word():
+    a, b = gens(1, 2)
+    with_empty = Element.from_terms([((a,), 1), ((), 2)])
+    with pytest.raises(ValueError):
+        shuffle_elements(with_empty, Element.of((b,)))
+    with pytest.raises(ValueError):
+        shuffle_elements(Element.of((b,)), with_empty)
 
 
 def test_signed_interleavings_flags_and_order():
