@@ -105,7 +105,14 @@ class Element:
         c = _coeff(coeff)
         if not c:
             return Element()
-        return Element({b: v * c for b, v in self.terms.items()})
+        terms = {b: v * c for b, v in self.terms.items()}
+        if c != 1 and c != -1:
+            # a stored Fraction is never integral, so only a factor other
+            # than a sign can make a product integral
+            for b, v in terms.items():
+                if type(v) is not int and v.denominator == 1:
+                    terms[b] = v.numerator
+        return Element(terms)
 
     def map_basis(self, f: Callable[[Hashable], "Element"]) -> "Element":
         """Linear extension of a basis map f: basis -> Element."""
@@ -123,8 +130,8 @@ def add_term(acc: dict, basis, coeff) -> None:
     """Add ``coeff * basis`` into an accumulator dict in place.
 
     ``acc`` maps basis objects to nonzero coefficients; a sum that
-    reaches zero removes its key, so ``Element(acc)`` is valid at any
-    point.
+    reaches zero removes its key and an integral sum is stored as
+    ``int``, so ``Element(acc)`` is valid at any point.
     """
     c = acc.get(basis)
     if c is None:
@@ -135,7 +142,7 @@ def add_term(acc: dict, basis, coeff) -> None:
     else:
         c = c + coeff
         if c:
-            acc[basis] = c
+            acc[basis] = c if type(c) is int else _coeff(c)
         else:
             del acc[basis]
 

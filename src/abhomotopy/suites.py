@@ -21,6 +21,16 @@ through this module's globals at call time, never through references
 captured when the table is built, so a wrapper installed on a module
 attribute (a profiler, a tracer) sees every call.
 
+Row memo: the two Jacobi rows list every multiset of three pair words in
+its three rotations, one after another, and the cyclic sum is invariant
+under rotation: each rotation sums the same three terms.  Their law
+keeps each completed term of the current orbit, and each inner bracket
+of two pair words, on the :class:`RunContext` for the length of one row;
+:func:`check_identity` empties that memo when the row starts and ends,
+so an orbit's bracket work is done once and no value outlives its row.
+Each rotation still sums its own three terms and runs its own quotient
+test, so it stays one evaluated input and the records do not change.
+
 Probe families: the ``probe_gens`` lowest-degree generators (forced to
 mix parities when the basis allows it), all words over them up to the
 configured length, and the symmetric words one enumerator,
@@ -256,6 +266,19 @@ def _cyclic_triples(words: list[Word]) -> list[tuple[Word, Word, Word]]:
 
 @dataclass
 class RunContext:
+    """One instance with its probe families, its codifferential and two
+    memos that no other context shares, so a mutant, which gets a context
+    of its own, never reads its parent's values.
+
+    ``sdeg`` memoizes sym degrees for the life of the context.  The
+    Jacobi laws keep a row memo that lives for one row only:
+    ``inner_brackets`` holds the row's bracket f(x, y) for x, y in
+    ``pair_words`` and ``orbit_terms`` the completed cyclic terms of the
+    current orbit, so at most |pair_words|^2 + 3 Elements;
+    :func:`check_identity` empties both when a row starts and ends, so
+    no row reads another row's values and nothing outlives its row.
+    """
+
     instance: Instance
     config: SuiteConfig
     forced_gens: tuple[str, ...] = ()  # generator ids the probe set must contain
@@ -278,6 +301,14 @@ class RunContext:
         self.syms_factors = probe_syms(A, self.pair_words, factors, 2 * factors)
         self.syms_small = probe_syms(A, self.pair_words, 2, 4)
         self._sdeg: dict[SymWord, int] = {}
+        # the Jacobi laws' row memo (see _jacobi)
+        self.inner_brackets: dict[tuple[Word, Word], Element] = {}
+        self.orbit_terms: dict[tuple[Word, Word, Word], Element] = {}
+
+    def clear_row_memo(self) -> None:
+        """Forget every value a law kept for later inputs of its row."""
+        self.inner_brackets.clear()
+        self.orbit_terms.clear()
 
     # frequently used closures
     def sdeg(self, sym: SymWord) -> int:
@@ -446,16 +477,43 @@ def _graded_symmetry(form, twist: int, detail: str):
 
 
 def _jacobi(form):
-    """Cyclic sum of (-1)^(deg x deg z) f(f(x,y),z) vanishes."""
+    """Cyclic sum of T(x,y,z) = (-1)^(deg x deg z) f(f(x,y),z) vanishes.
+
+    The sum runs over the three rotations of the input, so every rotation
+    of a triple sums the same three terms; :func:`_cyclic_triples` lists
+    the rotations of one multiset one after another.  The law therefore
+    keeps, on the context, each completed term of the current orbit
+    (``orbit_terms``, keyed by the ordered triple and dropped when the
+    next orbit starts) and each inner bracket f(x, y) (``inner_brackets``,
+    keyed by the ordered pair; x and y range over ``pair_words``).  Only
+    values that finished are kept: a :class:`TruncationOverflow` stores
+    nothing, so the next input meets it again.  A kept value spares only
+    work whose structure constants were already fetched, so the order in
+    which constants are first touched (hence ``degree_violations``) does
+    not change.  Each rotation is still its own input: it sums its three
+    terms in its own order and runs its own quotient test, which is what
+    a record's ``evaluated`` count and first witness describe.
+    """
     bracket, degree = form
 
     def law(ctx, triple):
         A = ctx.algebra
         fn = lambda u, v: bracket(A, u, v)
+        inner, orbit = ctx.inner_brackets, ctx.orbit_terms
+        rotations = (triple, triple[1:] + triple[:1], triple[2:] + triple[:2])
+        if not orbit.keys() <= set(rotations):
+            orbit.clear()  # a new orbit
         total = Element.zero()
-        for x, y, z in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
-            term = bilinear(fn, bracket(A, x, y), Element.of(z))
-            total = total + term.scale(sign(degree(A, x) * degree(A, z)))
+        for xyz in rotations:
+            term = orbit.get(xyz)
+            if term is None:
+                x, y, z = xyz
+                fxy = inner.get((x, y))
+                if fxy is None:
+                    fxy = inner[x, y] = bracket(A, x, y)
+                term = bilinear(fn, fxy, Element.of(z)).scale(sign(degree(A, x) * degree(A, z)))
+                orbit[xyz] = term
+            total = total + term
         return ctx.word_zero(total), "graded Jacobi fails in the quotient"
 
     return law
@@ -813,21 +871,28 @@ def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
 
     Generic-letter rows take no context.  An input on which a map leaves
     the truncation is counted as skipped; the first failing input ends
-    the check with its witness.
+    the check with its witness.  The context's row memo is emptied
+    before the first input and after the last, however the row ends.
     """
     row = CHECKS[name]
     instance = "generic-letters" if ctx is None else ctx.label
+    if ctx is not None:
+        ctx.clear_row_memo()
     evaluated = skipped = 0
-    for inp in row.inputs(ctx):
-        try:
-            ok, detail = row.law(ctx, inp)
-        except TruncationOverflow:
-            skipped += 1
-            continue
-        evaluated += 1
-        if not ok:
-            witness = f"at {row.render(inp)}: {detail}"
-            return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
+    try:
+        for inp in row.inputs(ctx):
+            try:
+                ok, detail = row.law(ctx, inp)
+            except TruncationOverflow:
+                skipped += 1
+                continue
+            evaluated += 1
+            if not ok:
+                witness = f"at {row.render(inp)}: {detail}"
+                return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
+    finally:
+        if ctx is not None:
+            ctx.clear_row_memo()
     if evaluated == 0:
         witness = ("every input escaped the truncation" if skipped
                    else "empty probe family: no input at these probe sizes")

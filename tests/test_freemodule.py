@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhomotopy.freemodule import Element, ReducedBasis, format_element
+from abhomotopy.freemodule import Element, ReducedBasis, add_term, bilinear, format_element
 from abhomotopy.tensor_coalgebra import Generator, shuffle, word_key
 
 W1, W2, W3 = "w1", "w2", "w3"
@@ -71,6 +71,29 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(Element.of(W1, Fraction(1, 2)).coefficient(W1)) is Fraction
     assert type((Element.of(W1, 2) + Element.of(W2, Fraction(6, 3))).coefficient(W2)) is int
     assert Element.of(W1).coefficient(W2) == 0
+
+
+def test_integral_results_of_fraction_arithmetic_are_stored_as_int():
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    acc = {W1: half}
+    add_term(acc, W1, three_halves)
+    assert acc == {W1: 2} and type(acc[W1]) is int
+    add_term(acc, W1, -2)
+    assert acc == {}
+    results = [
+        Element({W1: half}).scale(2),
+        Element({W1: Fraction(3, 4)}).scale(Fraction(4, 3)),
+        Element.of(W1, half) + Element.of(W1, three_halves),
+        bilinear(lambda b1, b2: Element.of(b1 + b2, Fraction(2, 3)),
+                 Element.of(W1, Fraction(3, 2)), Element.of(W2, 2)),
+        Element.of(W1, half).map_basis(lambda b: Element.of(b, 4)),
+        (Element.of(W1, half) + Element.of(W2, half)).map_basis(lambda b: Element.of(W3, 3)),
+    ]
+    for v in results:
+        assert len(v) == 1
+        assert all(type(c) is int for _, c in v.items()), v.terms
+    # a sign keeps a non-integral coefficient a Fraction
+    assert Element.of(W1, half).scale(-1).coefficient(W1) == Fraction(-1, 2)
 
 
 def test_map_basis_is_linear():

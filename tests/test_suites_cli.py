@@ -314,6 +314,19 @@ def test_bug_inside_a_check_is_not_a_usage_error():
     assert "Traceback" in proc.stderr
 
 
+def test_python_dash_m_runs_the_command_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "abhomotopy", "check-algebra", "--algebra", "poisson-super"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# status: pass" in proc.stdout
+
+
 def test_cli_param_overrides(capsys):
     code = main(
         [
