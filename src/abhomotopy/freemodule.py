@@ -3,14 +3,16 @@
 An :class:`Element` is a finite formal linear combination of hashable
 basis objects with rational coefficients.  A coefficient enters as an
 ``int`` when it is integral and as a ``fractions.Fraction`` otherwise,
-so signs, shuffle counts and builtin structure constants stay in
-integer arithmetic; fractions come only from row reduction and
-user-supplied rationals.  Equal values compare and hash equal whatever
-their type.  Zero coefficients are never stored, so equality of
-elements is equality of the underlying mappings.  Basis objects only
-need to be hashable; for deterministic output and row reduction a sort
-key is supplied externally (nested tuples of strings/ints throughout
-this package).
+so signs, shuffle counts, shuffle-quotient coordinates and integral
+structure constants stay in integer arithmetic; fractions come only
+from rational structure constants (builtin or user-supplied) and from
+the row reduction of :class:`ReducedBasis`, which the package keeps as
+an independent oracle for the shuffle quotient, off the verifier's
+path.  Equal values compare and hash equal whatever their type.  Zero
+coefficients are never stored, so equality of elements is equality of
+the underlying mappings.  Basis objects only need to be hashable; for
+deterministic output and row reduction a sort key is supplied
+externally (nested tuples of strings/ints throughout this package).
 
 Loops that build a result term by term accumulate into one private
 dict through :func:`add_term` and wrap it once at the end, instead of

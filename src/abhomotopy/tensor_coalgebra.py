@@ -6,11 +6,17 @@ both have degree 1).  A word is a nonempty tuple of Generators; the
 empty word is excluded everywhere.
 
 Words represent classes in the quotient of the tensor powers by the
-span of all shuffle products.  No section of the quotient is ever
-chosen: equality of classes is decided by reducing against the
-row-reduced span of shuffle images inside the word block with the same
-letter multiset (:class:`ShuffleQuotient`).  Blocks recur across every
-identity check, so their reduced bases are memoized.
+span of all shuffle products: the cofree Lie coalgebra.  No section of
+the quotient is ever chosen.  A class is zero exactly when it pairs to
+zero with every Lie element (Ree 1958), so :class:`ShuffleQuotient`
+maps a word to its integer coordinates against a basis of the free Lie
+superalgebra on its letters: the standard bracketings of the Lyndon
+words of its letter multiset, plus [P_l, P_l] for each odd Lyndon word
+l whose square has that multiset.  The map's kernel is exactly the
+shuffle span, so zero tests need no row reduction.  The coordinate
+table of a letter multiset (a block) is built once, and each word's
+coordinates are memoized by the word; both depend only on letters and
+their degrees, so every algebra and mutant shares them safely.
 
 Every signed sum over the interleavings of two words (the shuffle
 product here, the bracket extension ``ell2`` in :mod:`ab_core`) reads
@@ -34,11 +40,10 @@ flip, is a permutation and has its own loop.
 
 from __future__ import annotations
 
-import itertools
 import operator
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .freemodule import Element, ReducedBasis, add_term
+from .freemodule import Element, add_term
 
 
 class Generator(NamedTuple):
@@ -223,48 +228,164 @@ def cobracket(w: Word) -> Element:
     return Element(acc)
 
 
-def _arrangements(items: Sequence[Generator]):
-    """Distinct orderings of a multiset of generators, in lex order."""
-    seen = set()
-    for perm in itertools.permutations(sorted(items)):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
+def _lyndon_words(block: tuple[Generator, ...]) -> list[Word]:
+    """The Lyndon words whose letters are the sorted multiset ``block``.
+
+    A Lyndon word is strictly smaller than each of its proper suffixes,
+    so it starts with the least letter of its block; words are grown
+    from the remaining multiplicities after that letter and kept when
+    they pass the suffix test.  They come in lexicographic order.
+    """
+    letters = sorted(set(block))
+    left = {g: block.count(g) for g in letters}
+    left[block[0]] -= 1
+    n = len(block)
+    out: list[Word] = []
+    word = [block[0]]
+
+    def grow() -> None:
+        if len(word) == n:
+            w = tuple(word)
+            if all(w < w[i:] for i in range(1, n)):
+                out.append(w)
+            return
+        for g in letters:
+            if left[g]:
+                left[g] -= 1
+                word.append(g)
+                grow()
+                word.pop()
+                left[g] += 1
+
+    grow()
+    return out
+
+
+def _bracket(pu: dict, pv: dict, both_odd: bool) -> dict:
+    """Super commutator P_u P_v - (-1)^{|u||v|} P_v P_u of two polynomials
+    {word: int}, zero coefficients dropped."""
+    acc: dict = {}
+    get = acc.get
+    for x, cx in pu.items():
+        for y, cy in pv.items():
+            c = cx * cy
+            acc[x + y] = get(x + y, 0) + c
+            acc[y + x] = get(y + x, 0) + (c if both_odd else -c)
+    return {w: c for w, c in acc.items() if c}
+
+
+def _lie_polynomial(l: Word, memo: dict) -> dict:
+    """Standard bracketing P_l of a Lyndon word as a polynomial {word: int}.
+
+    The standard factorization l = uv takes v the longest proper Lyndon
+    suffix of l, which is its least proper suffix; then u is Lyndon too
+    and P_l = [P_u, P_v].  A letter is its own polynomial.
+    """
+    p = memo.get(l)
+    if p is None:
+        if len(l) == 1:
+            p = {l: 1}
+        else:
+            v = min(l[i:] for i in range(1, len(l)))
+            u = l[: len(l) - len(v)]
+            both_odd = bool(word_degree(u) & word_degree(v) & 1)
+            p = _bracket(_lie_polynomial(u, memo), _lie_polynomial(v, memo), both_odd)
+        memo[l] = p
+    return p
+
+
+def _lie_coordinates(block: tuple[Generator, ...]) -> dict[Word, Element]:
+    """Word -> its Lie coordinates {label: <w, P_label>} on one block.
+
+    Labels are the Lyndon words l of the block, paired with their
+    standard bracketing P_l, and, when every multiplicity is even, the
+    squares ll of the odd Lyndon words l of the half block, paired with
+    [P_l, P_l] = 2 P_l P_l.  A word missing from every polynomial is
+    absent from the table: its coordinates all vanish.
+    """
+    memo: dict = {}
+    pairings = [(l, _lie_polynomial(l, memo)) for l in _lyndon_words(block)]
+    half = block[::2]
+    if half == block[1::2]:
+        for l in _lyndon_words(half):
+            if word_degree(l) & 1:
+                p = _lie_polynomial(l, memo)
+                pairings.append((l + l, _bracket(p, p, True)))
+    coords: dict = {}
+    for label, poly in pairings:
+        for w, c in poly.items():
+            coords.setdefault(w, {})[label] = c
+    return {w: Element(terms) for w, terms in coords.items()}
 
 
 class ShuffleQuotient:
-    """Membership test for the shuffle span, block by block.
+    """Zero test for the shuffle quotient, by Lie coordinates per block.
 
-    The block of a word is its letter multiset; the span of all shuffle
-    products of two nonempty words partitioning that multiset is
-    row-reduced once per block and cached.
+    The block of a word is its letter multiset.  On a block, the normal
+    form of a word w is its coordinate vector sum_b <w, P_b> b, where
+    <w, P> is the coefficient of w in the polynomial P and the labels b
+    are words of the block:
+
+    - each Lyndon word l (letters ordered as Generators), with P_l its
+      standard bracketing under the super commutator
+      [U, V] = UV - (-1)^{|u||v|} VU in dg parity;
+    - each square ll of an odd Lyndon word l, with P = [P_l, P_l].
+
+    These P_b are a basis of the multidegree-``block`` part of the free
+    Lie superalgebra on the letters.  By Ree's theorem (1958; Reutenauer,
+    *Free Lie Algebras*, 1993), a homogeneous element is a shuffle
+    combination exactly when it pairs to zero with every Lie element,
+    so the kernel of the coordinate map is exactly the shuffle span.
+    The coordinates are integers: no fraction and no elimination.
+
+    The map is not a projection: <l, P_l'> is unitriangular in the
+    Lyndon words, with 2 on an odd square, so a label is not its own
+    normal form.  Callers may only zero-test normal forms, or compare
+    two of them; every caller does.
+
+    Each block's table word -> coordinates is built once, by
+    :meth:`span_basis`, and each word's normal form is memoized by the
+    word.  Both read only letters and their degrees (a Generator carries
+    its own), so they are safe across algebras and their mutants.
+
+    >>> o = Generator("o", 1); e = Generator("e", 0)
+    >>> q = ShuffleQuotient()
+    >>> q.is_zero(Element.of((o, o)))  # an odd square survives
+    False
+    >>> q.is_zero(Element.of((e, e)))  # an even square dies: twice e|e is a shuffle
+    True
+    >>> q.is_zero(shuffle((o,), (e,)))  # a two-letter shuffle dies
+    True
+    >>> q.normal_form_word((o, o)).coefficient((o, o))
+    2
     """
 
     def __init__(self):
-        self._bases: dict[tuple[Generator, ...], ReducedBasis] = {}
+        self._tables: dict[tuple[Generator, ...], dict[Word, Element]] = {}
+        self._nf: dict[Word, Element] = {}
 
     def block_of(self, w: Word) -> tuple[Generator, ...]:
         return tuple(sorted(w))
 
-    def span_basis(self, block: tuple[Generator, ...]) -> ReducedBasis:
-        basis = self._bases.get(block)
-        if basis is None:
-            vectors = []
-            n = len(block)
-            for arr in _arrangements(block):
-                for cut in range(1, n):
-                    vectors.append(shuffle(arr[:cut], arr[cut:]))
-            basis = ReducedBasis(vectors, key=word_key)
-            self._bases[block] = basis
-        return basis
+    def span_basis(self, block: tuple[Generator, ...]) -> dict[Word, Element]:
+        """The Lie-coordinate table of ``block``, built on first use."""
+        table = self._tables.get(block)
+        if table is None:
+            table = self._tables[block] = _lie_coordinates(block)
+        return table
 
     def normal_form_word(self, w: Word) -> Element:
-        if len(w) < 2:
-            return Element.of(w)
-        return self.span_basis(self.block_of(w)).reduce(Element.of(w))
+        nf = self._nf.get(w)
+        if nf is None:
+            if len(w) < 2:
+                nf = Element.of(w)
+            else:
+                nf = self.span_basis(self.block_of(w)).get(w) or Element()
+            self._nf[w] = nf
+        return nf
 
     def normal_form(self, v: Element) -> Element:
-        """Normal form of an Element of words modulo all shuffle spans."""
+        """Lie coordinates of an Element of words; zero iff v is a shuffle combination."""
         return v.map_basis(self.normal_form_word)
 
     def is_zero(self, v: Element) -> bool:
@@ -272,7 +393,7 @@ class ShuffleQuotient:
         return self.normal_form(v).is_zero()
 
     def normal_form_tensor(self, v: Element, arity: int) -> Element:
-        """Slotwise normal form on an Element of word tuples."""
+        """Slotwise Lie coordinates on an Element of word tuples."""
         for slot in range(arity):
             v = apply_in_slot(v, slot, self.normal_form_word, 0, word_degree)
         return v
@@ -333,5 +454,5 @@ def swap_adjacent_slots(v: Element, slot: int, deg_of: Callable) -> Element:
     return Element(acc)
 
 
-#: process-wide cache of shuffle-span bases
+#: process-wide quotient: Lie-coordinate tables per block, normal forms per word
 QUOTIENT = ShuffleQuotient()

@@ -1,10 +1,12 @@
+import importlib.util
 import itertools
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from abhomotopy.freemodule import Element, bilinear
+from abhomotopy.freemodule import Element, ReducedBasis, bilinear
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
 from abhomotopy.tensor_coalgebra import (
     QUOTIENT,
@@ -21,6 +23,8 @@ from abhomotopy.tensor_coalgebra import (
     word_degree,
     word_key,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def gens(*degs):
@@ -150,12 +154,109 @@ def test_signed_interleavings_flags_and_order():
     assert list(signed_interleavings((), ())) == [((), 1)]
 
 
+# -- the shuffle quotient against a row-reduction oracle ------------------------
+#
+# The oracle is the construction the Lie coordinates replaced: every
+# arrangement of a block, cut at every point and shuffled, row-reduced over
+# Q by ReducedBasis.  It never reads the quotient's tables.
+
+
+def arrangements(items):
+    """Distinct orderings of a multiset of generators, in lex order."""
+    seen = set()
+    for perm in itertools.permutations(sorted(items)):
+        if perm not in seen:
+            seen.add(perm)
+            yield perm
+
+
+def oracle_span(block):
+    """Every shuffle of a cut arrangement of ``block``, and their row-reduced span."""
+    n = len(block)
+    vectors = [shuffle(arr[:cut], arr[cut:]) for arr in arrangements(block) for cut in range(1, n)]
+    return vectors, ReducedBasis(vectors, key=word_key)
+
+
+def quotient_dimension(q, block):
+    """Rank of the normal forms of the words of ``block``, and how many labels they use."""
+    images = [q.normal_form_word(w) for w in arrangements(block)]
+    labels = {b for nf in images for b in nf.terms}
+    return ReducedBasis(images, key=word_key).dimension(), len(labels)
+
+
+def span_dimensions(q, block):
+    """Dimension of the shuffle span of ``block``: by the oracle, and as the
+    number of words minus the rank of the quotient's normal forms."""
+    words = len(list(arrangements(block)))
+    return oracle_span(block)[1].dimension(), words - quotient_dimension(q, block)[0]
+
+
+def assert_agrees_with_oracle(q, block):
+    """Both normal forms have the same kernel on ``block``: every shuffle dies,
+    each word is zero under both or neither, and the rank of the Lie
+    coordinates is the oracle's quotient dimension and the label count."""
+    vectors, oracle = oracle_span(block)
+    words = list(arrangements(block))
+    for v in vectors:
+        assert q.is_zero(v), (block, v)
+    for w in words:
+        assert q.is_zero(Element.of(w)) == oracle.contains(Element.of(w)), w
+    rank, labels = quotient_dimension(q, block)
+    assert rank == len(words) - oracle.dimension() == labels, block
+
+
+def letter_patterns(max_letters):
+    """Every block of at most ``max_letters`` letters up to renaming: the
+    multisets of (multiplicity, parity) pairs, one pair per distinct letter."""
+    kinds = [(m, p) for m in range(1, max_letters + 1) for p in (0, 1)]
+    for k in range(1, max_letters + 1):
+        for pattern in itertools.combinations_with_replacement(kinds, k):
+            if sum(m for m, _ in pattern) <= max_letters:
+                yield pattern
+
+
+def ordered_block(pattern):
+    """The block of a sequence of (multiplicity, parity) pairs, its letters
+    ordered as the sequence is."""
+    return tuple(g for i, (m, p) in enumerate(pattern) for g in [Generator(f"x{i}", p)] * m)
+
+
+def workload_blocks():
+    """The letter blocks of the benchmark's quotient workload."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [tuple(sorted(Generator(*x) for x in block)) for block in workloads.QUOTIENT_BLOCKS]
+
+
+def test_lie_coordinates_agree_with_row_reduction_on_workload_blocks():
+    q = ShuffleQuotient()
+    blocks = workload_blocks()
+    assert max(len(b) for b in blocks) == 6
+    for block in blocks:
+        assert_agrees_with_oracle(q, block)
+
+
+def test_lie_coordinates_agree_with_row_reduction_up_to_five_letters():
+    # every multiplicity and parity of each letter, in every letter order:
+    # the Lyndon labels depend on the order, the quotient does not
+    q = ShuffleQuotient()
+    seen = set()
+    for pattern in letter_patterns(5):
+        if len(pattern) == 1 and pattern[0][0] == 1:
+            continue  # a single letter is its own class
+        for order in itertools.permutations(pattern):
+            if order not in seen:
+                seen.add(order)
+                assert_agrees_with_oracle(q, ordered_block(order))
+
+
 def test_span_dimensions_two_letters():
     q = ShuffleQuotient()
     a, b = gens(2, 2)
-    assert q.span_basis(q.block_of((a, b))).dimension() == 1
+    assert span_dimensions(q, q.block_of((a, b))) == (1, 1)
     a, b = gens(1, 1)
-    assert q.span_basis(q.block_of((a, b))).dimension() == 1
+    assert span_dimensions(q, q.block_of((a, b))) == (1, 1)
 
 
 def test_square_words_parity():
@@ -168,8 +269,13 @@ def test_square_words_parity():
     assert q.is_zero(Element.of((even, even)))
 
 
-def witt_multidegree(multiplicities):
-    """Free Lie algebra dimension in one even multidegree (necklace count)."""
+def witt_multidegree(multiplicities, parities=None):
+    """Free Lie superalgebra dimension in one multidegree (Petrogradsky 2000).
+
+    (1/n) sum over d | gcd(m_i) of mu(d) (-1)^(o + o/d) (n/d)! / prod (m_i/d)!,
+    with o the total multiplicity of the odd letters (``parities[i]`` is the
+    parity of letter i, all even by default: the necklace count).
+    """
 
     def mobius(n):
         out, m = 1, n
@@ -186,6 +292,7 @@ def witt_multidegree(multiplicities):
         return out
 
     n = sum(multiplicities)
+    odd = sum(m for m, p in zip(multiplicities, parities or [0] * len(multiplicities)) if p)
     g = 0
     for m in multiplicities:
         g = gcd(g, m)
@@ -196,7 +303,7 @@ def witt_multidegree(multiplicities):
         num = factorial(n // d)
         for m in multiplicities:
             num //= factorial(m // d)
-        total += mobius(d) * num
+        total += mobius(d) * (-1) ** (odd + odd // d) * num
     return total // n
 
 
@@ -222,8 +329,18 @@ def test_quotient_dimension_matches_necklace_count_even_letters():
         for i, m in enumerate(mult):
             letters.extend([Generator(f"e{i}", 2)] * m)
         block = q.block_of(tuple(letters))
-        span = q.span_basis(block).dimension()
-        assert count_words(mult) - span == witt_multidegree(mult), mult
+        for span in span_dimensions(q, block):
+            assert count_words(mult) - span == witt_multidegree(mult), mult
+
+
+def test_quotient_dimension_matches_super_witt_formula():
+    q = ShuffleQuotient()
+    patterns = list(letter_patterns(6))
+    assert len(patterns) == 138
+    for pattern in patterns:
+        mult = [m for m, _ in pattern]
+        rank, labels = quotient_dimension(q, ordered_block(pattern))
+        assert rank == labels == witt_multidegree(mult, [p for _, p in pattern]), pattern
 
 
 def test_quotient_dimension_multilinear_even():
@@ -232,11 +349,11 @@ def test_quotient_dimension_multilinear_even():
     for n in (2, 3, 4):
         letters = tuple(Generator(f"m{i}", 0) for i in range(n))
         block = q.block_of(letters)
-        dim = q.span_basis(block).dimension()
-        assert factorial(n) - dim == factorial(n - 1)
+        for dim in span_dimensions(q, block):
+            assert factorial(n) - dim == factorial(n - 1)
     # the n = 3 block is 6-dimensional with a 4-dimensional shuffle span
     letters = tuple(Generator(f"m{i}", 0) for i in range(3))
-    assert q.span_basis(q.block_of(letters)).dimension() == 4
+    assert span_dimensions(q, q.block_of(letters)) == (4, 4)
 
 
 def test_shuffle_images_vanish_in_quotient():
