@@ -13,10 +13,12 @@ Exit codes: 0 all pass, 1 any fail, 2 config/usage error (a probe size
 below 1 is one), 3 every check skipped or a requested suite checked
 nothing (a run that checks nothing never passes, and passes in one suite
 never cover another).  Only parsing the configuration and building the
-instance can end in exit 2; an exception raised while the checks run is
-a bug and propagates with its traceback.  Reports are deterministic
-given the flags (``--seed``, on ``mutation`` alone, picks the mutants);
-elapsed time goes to stderr only.
+instance can end in exit 2; a ``--report`` path naming a directory or
+inside a missing one is a configuration error, found before any check
+runs.  An exception raised while the checks run is a bug and propagates
+with its traceback.  Reports are deterministic given the flags
+(``--seed``, on ``mutation`` alone, picks the mutants); elapsed time goes
+to stderr only.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from .instances import BUILTINS
 from .suites import (
@@ -71,6 +74,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="write the JSON report here (UTF-8, newline-terminated)")
     sub.add_argument("--format", choices=("json", "text"), default="text",
                      help="stdout presentation")
+
+
+def _check_report_path(path: str) -> None:
+    """Refuse a ``--report`` path the report could not be written to, so
+    the run stops before any check instead of after all of them."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"--report {path}: is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(f"--report {path}: no directory {target.parent}")
 
 
 def _config_from(args: argparse.Namespace, suites: tuple[str, ...]) -> SuiteConfig:
@@ -120,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.rounds < 1:
                 raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
             suites = ("core", "envelope")
+        if args.report:
+            _check_report_path(args.report)
         config = _config_from(args, suites)
         instance = build_instance(config)
         if args.command == "mutation" and not perturbation_candidates(instance.algebra):

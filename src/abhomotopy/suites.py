@@ -21,15 +21,28 @@ through this module's globals at call time, never through references
 captured when the table is built, so a wrapper installed on a module
 attribute (a profiler, a tracer) sees every call.
 
-Row memo: the two Jacobi rows list every multiset of three pair words in
-its three rotations, one after another, and the cyclic sum is invariant
-under rotation: each rotation sums the same three terms.  Their law
-keeps each completed term of the current orbit, and each inner bracket
-of two pair words, on the :class:`RunContext` for the length of one row;
-:func:`check_identity` empties that memo when the row starts and ends,
-so an orbit's bracket work is done once and no value outlives its row.
-Each rotation still sums its own three terms and runs its own quotient
-test, so it stays one evaluated input and the records do not change.
+Row memo: a law may keep values on the :class:`RunContext` for later
+inputs of its row; :func:`check_identity` empties that memo when the row
+starts and ends, so no value outlives its row.  Two kinds are kept:
+
+- The two Jacobi rows list every multiset of three pair words in its
+  three rotations, one after another, and the cyclic sum is invariant
+  under rotation: each rotation sums the same three terms.  Their law
+  keeps each completed term of the current orbit and each inner bracket
+  of two pair words, so an orbit's bracket work is done once.  Each
+  rotation still sums its own three terms and runs its own quotient
+  test, so it stays one evaluated input.
+- The symmetric-cobracket rows (coJacobi, coLeibniz, the twisted
+  coderivation laws of m and ell'') and the Q coderivation row apply a
+  map inside a slot of a 2-tensor, whose entries are strict sub-syms of
+  the input; across a row's inputs the same few sub-syms recur many
+  times.  The image of each one is kept, keyed by (map, sym).  The maps
+  applied to the input itself are not kept: each input occurs once per
+  row, and its images hold most of the terms.
+
+Only finished values are kept, and a kept value spares only work whose
+structure constants were already fetched, so the records and the order
+in which constants are first touched do not change.
 
 Probe families: the ``probe_gens`` lowest-degree generators (forced to
 mix parities when the basis allows it), all words over them up to the
@@ -270,13 +283,22 @@ class RunContext:
     memos that no other context shares, so a mutant, which gets a context
     of its own, never reads its parent's values.
 
-    ``sdeg`` memoizes sym degrees for the life of the context.  The
-    Jacobi laws keep a row memo that lives for one row only:
-    ``inner_brackets`` holds the row's bracket f(x, y) for x, y in
-    ``pair_words`` and ``orbit_terms`` the completed cyclic terms of the
-    current orbit, so at most |pair_words|^2 + 3 Elements;
-    :func:`check_identity` empties both when a row starts and ends, so
-    no row reads another row's values and nothing outlives its row.
+    ``sdeg`` memoizes sym degrees for the life of the context.  The laws
+    keep a row memo that lives for one row only; :func:`check_identity`
+    empties it when a row starts and ends, so no row reads another row's
+    values and nothing outlives its row:
+
+    - ``inner_brackets`` holds the Jacobi row's bracket f(x, y) for x, y
+      in ``pair_words``, and ``orbit_terms`` the completed cyclic terms
+      of the current orbit: at most |pair_words|^2 + 3 Elements.
+    - ``slot_images`` holds, under (map name, sym), the image of each
+      sym a symmetric law met inside a slot (see :meth:`in_slot`), a
+      strict sub-sym of the input at hand.  A law applies its maps to
+      the input itself without the table: each sym is an input once per
+      row, so keeping those images would cost memory for no reuse.
+      ``row_interned`` interns the syms in the kept images' basis keys,
+      and the words in those syms, so an equal sym or word met in many
+      images is one object.
     """
 
     instance: Instance
@@ -301,14 +323,52 @@ class RunContext:
         self.syms_factors = probe_syms(A, self.pair_words, factors, 2 * factors)
         self.syms_small = probe_syms(A, self.pair_words, 2, 4)
         self._sdeg: dict[SymWord, int] = {}
-        # the Jacobi laws' row memo (see _jacobi)
+        # the row memo: the Jacobi laws' brackets (see _jacobi) and the
+        # images of maps the symmetric laws apply inside a slot (see in_slot)
         self.inner_brackets: dict[tuple[Word, Word], Element] = {}
         self.orbit_terms: dict[tuple[Word, Word, Word], Element] = {}
+        self.slot_images: dict[tuple[str, SymWord], Element] = {}
+        self.row_interned: dict = {}  # each kept SymWord and Word, to itself
 
     def clear_row_memo(self) -> None:
-        """Forget every value a law kept for later inputs of its row."""
+        """Forget every value a law kept for later inputs of its row: the
+        Jacobi brackets and orbit terms, the slot images and the syms and
+        words interned for them."""
         self.inner_brackets.clear()
         self.orbit_terms.clear()
+        self.slot_images.clear()
+        self.row_interned.clear()
+
+    def in_slot(self, name: str, f: Callable[[SymWord], Element], arity: int):
+        """``f`` as a law applies it inside a slot: the image of each sym
+        is computed once per row and kept in ``slot_images`` under
+        (``name``, sym), so ``name`` must tell apart the maps one row
+        applies.  ``arity`` is that of the image's basis keys: 1 for a
+        map to syms (m, ell'', Q), 2 for one to pairs of syms (Delta,
+        delta'').  A map that leaves the truncation raises and keeps
+        nothing.  Never pass the row's input itself through this.
+        """
+        images, interned = self.slot_images, self.row_interned
+
+        def intern(s: SymWord) -> SymWord:
+            out = interned.get(s)
+            if out is None:
+                out = tuple([interned.setdefault(w, w) for w in s])
+                interned[out] = out
+            return out
+
+        def image(sym: SymWord) -> Element:
+            key = (name, sym)
+            v = images.get(key)
+            if v is None:
+                if arity == 1:
+                    terms = {intern(t): c for t, c in f(sym).items()}
+                else:
+                    terms = {tuple([intern(s) for s in t]): c for t, c in f(sym).items()}
+                v = images[key] = Element(terms)
+            return v
+
+        return image
 
     # frequently used closures
     def sdeg(self, sym: SymWord) -> int:
@@ -391,11 +451,17 @@ def _coantisymmetry(detail: str):
 
 
 def _cojacobi(detail: str):
-    """(id + t12 t23 + t23 t12)(delta x id) delta = 0."""
+    """(id + t12 t23 + t23 t12)(delta x id) delta = 0.
+
+    With a context, the delta'' spliced into slot 0 keeps its image of
+    each sub-sym for the row (:meth:`RunContext.in_slot`); delta'' of
+    the input itself is computed afresh, once per input.
+    """
 
     def law(ctx, x):
         delta, amb, deg, zero = _cobracket_of(ctx)
-        dd = splice_in_slot(delta(x), 0, delta, amb, deg)
+        inner = delta if ctx is None else ctx.in_slot("delta''", delta, 2)
+        dd = splice_in_slot(delta(x), 0, inner, amb, deg)
         t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, deg), 0, deg)
         t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, deg), 1, deg)
         return zero(dd + t1 + t2, 3), detail
@@ -560,15 +626,22 @@ def _q_taylor(ctx, sym):
     return same, "the two presentations of Q differ"
 
 
-def _sym_coderivation(coproduct, op, twisted: bool, detail: str):
-    """(op x id + id x op) c = (-1)^((a-b) twisted) c op, for c = Delta or delta''."""
+def _sym_coderivation(coproduct, op_name: str, op, twisted: bool, detail: str):
+    """(op x id + id x op) c = (-1)^((a-b) twisted) c op, for c = Delta or delta''.
+
+    ``op`` applied inside a slot keeps its image of each sub-sym for the
+    row, under ``op_name`` (:meth:`RunContext.in_slot`).  ``c`` and
+    ``op`` of the input, and ``c`` over the terms of op(input), are
+    computed afresh: the input occurs once per row.
+    """
 
     def law(ctx, sym):
         A = ctx.algebra
         c = lambda s: coproduct(A, s)
         f = lambda s: op(ctx, s)
+        inner = ctx.in_slot(op_name, f, 1)
         d = c(sym)
-        lhs = apply_in_slot(d, 0, f, 1, ctx.sdeg) + apply_in_slot(d, 1, f, 1, ctx.sdeg)
+        lhs = apply_in_slot(d, 0, inner, 1, ctx.sdeg) + apply_in_slot(d, 1, inner, 1, ctx.sdeg)
         rhs = f(sym).map_basis(c).scale(sign((A.a - A.b) * twisted))
         return ctx.sym_zero(lhs - rhs, 2), detail
 
@@ -576,10 +649,16 @@ def _sym_coderivation(coproduct, op, twisted: bool, detail: str):
 
 
 def _coleibniz(ctx, sym):
+    """(id x Delta) delta'' = (delta'' x id) Delta + t12 (id x delta'') Delta.
+
+    The Delta and delta'' spliced into a slot keep their images of each
+    sub-sym for the row, apart by name (:meth:`RunContext.in_slot`);
+    delta'' and Delta of the input itself are computed afresh.
+    """
     A = ctx.algebra
     amb = A.a - A.b
-    delta_fn = lambda s: coproduct_delta(A, s)
-    dpp_fn = lambda s: cobracket_doubleprime(A, s)
+    delta_fn = ctx.in_slot("Delta", lambda s: coproduct_delta(A, s), 2)
+    dpp_fn = ctx.in_slot("delta''", lambda s: cobracket_doubleprime(A, s), 2)
     lhs = splice_in_slot(cobracket_doubleprime(A, sym), 1, delta_fn, 0, ctx.sdeg)
     d = coproduct_delta(A, sym)
     r1 = splice_in_slot(d, 0, dpp_fn, amb, ctx.sdeg)
@@ -748,6 +827,7 @@ CHECKS: dict[str, Identity] = {
         _syms_letters,
         _sym_coderivation(
             lambda A, s: coproduct_delta(A, s),
+            "Q",
             lambda ctx, s: ctx.q_op(s),
             False,
             "Q is not a coderivation of Delta",
@@ -783,6 +863,7 @@ CHECKS: dict[str, Identity] = {
         _syms_factors,
         _sym_coderivation(
             lambda A, s: cobracket_doubleprime(A, s),
+            "m",
             lambda ctx, s: extend_m(ctx.algebra, s, ctx.D),
             True,
             "twisted coderivation law fails",
@@ -794,6 +875,7 @@ CHECKS: dict[str, Identity] = {
         _syms_factors,
         _sym_coderivation(
             lambda A, s: cobracket_doubleprime(A, s),
+            "ell''",
             lambda ctx, s: extend_ell(ctx.algebra, s),
             True,
             "twisted coderivation law fails",
@@ -871,8 +953,11 @@ def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
 
     Generic-letter rows take no context.  An input on which a map leaves
     the truncation is counted as skipped; the first failing input ends
-    the check with its witness.  The context's row memo is emptied
-    before the first input and after the last, however the row ends.
+    the check with its witness.  The context's row memo (the Jacobi
+    brackets and orbit terms, the slot images of sub-syms and what was
+    interned for them; see :class:`RunContext`) is emptied before the first
+    input and after the last, however the row ends, so a row's kept
+    values live exactly as long as the row.
     """
     row = CHECKS[name]
     instance = "generic-letters" if ctx is None else ctx.label

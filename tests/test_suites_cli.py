@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from abhomotopy.ab_core import TruncationOverflow, ell2
+from abhomotopy import cli, suites
 from abhomotopy.cli import main
-from abhomotopy import suites
 from abhomotopy.suites import (
     CHECKS,
     COALGEBRA,
@@ -143,6 +143,24 @@ def test_cli_check_algebra_json(tmp_path, capsys):
     on_disk = report_path.read_text(encoding="utf-8")
     assert on_disk == out
     assert on_disk.endswith("\n")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_report_path_is_a_usage_error_before_any_check(
+    tmp_path, monkeypatch, capsys, where
+):
+    """Such a path used to run every check and then die with a traceback."""
+    path = tmp_path / "nowhere" / "r.json" if where == "missing-directory" else tmp_path
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a check ran before the report path was refused")
+
+    monkeypatch.setattr(cli, "run_verify_envelope", must_not_run)
+    assert main(["verify-envelope", "--suites", "core", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert not (tmp_path / "nowhere").exists()
 
 
 def test_cli_unknown_algebra_is_usage_error(capsys):
