@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .ab_core import AbAlgebra, AxiomCheck, TruncationOverflow, check_ab_axioms
+from .ab_core import AbAlgebra, AxiomCheck, TruncationOverflow, _integer, check_ab_axioms
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import sign
 from .tensor_coalgebra import Generator
@@ -625,18 +625,18 @@ def _omega_from_param(value, p: int, q: int) -> dict[tuple[str, str], Element]:
 
 def _build_polyvector_even(params: dict) -> Instance:
     return build_schouten_instance(
-        p=int(params["d"]),
+        p=params["d"],
         q=0,
-        max_coef_degree=int(params["max_coef_degree"]),
-        max_rank=int(params["max_rank"]),
+        max_coef_degree=params["max_coef_degree"],
+        max_rank=params["max_rank"],
         grading="double",
         name="polyvector-even",
     )
 
 
 def _build_poisson_polynomial(params: dict) -> Instance:
-    d = int(params["d"])
-    m = int(params["m"])
+    d = params["d"]
+    m = params["m"]
     if params.get("omega") is not None:
         omega = _omega_from_param(params["omega"], d, 0)
     else:
@@ -651,24 +651,24 @@ def _build_poisson_polynomial(params: dict) -> Instance:
         q=0,
         bracket_degree=2 * m - 4,
         omega=omega,
-        max_degree=int(params["max_degree"]),
+        max_degree=params["max_degree"],
         name="poisson-polynomial",
     )
 
 
 def _build_schouten_super(params: dict) -> Instance:
     return build_schouten_instance(
-        p=int(params["p"]),
-        q=int(params["q"]),
-        max_coef_degree=int(params["max_coef_degree"]),
-        max_rank=int(params["max_rank"]),
+        p=params["p"],
+        q=params["q"],
+        max_coef_degree=params["max_coef_degree"],
+        max_rank=params["max_rank"],
         grading="tpoly",
         name="schouten-super",
     )
 
 
 def _build_poisson_super(params: dict) -> Instance:
-    p, q = int(params["p"]), int(params["q"])
+    p, q = params["p"], params["q"]
     if params.get("omega") is not None:
         omega = _omega_from_param(params["omega"], p, q)
     else:
@@ -679,19 +679,19 @@ def _build_poisson_super(params: dict) -> Instance:
     return build_poisson_instance(
         p=p,
         q=q,
-        bracket_degree=int(params["m"]),
+        bracket_degree=params["m"],
         omega=omega,
-        max_degree=int(params["max_degree"]),
+        max_degree=params["max_degree"],
         name="poisson-super",
     )
 
 
 def _build_gerstenhaber_toy(params: dict) -> Instance:
     return build_schouten_instance(
-        p=int(params["d"]),
+        p=params["d"],
         q=0,
-        max_coef_degree=int(params["max_coef_degree"]),
-        max_rank=int(params["max_rank"]),
+        max_coef_degree=params["max_coef_degree"],
+        max_rank=params["max_rank"],
         grading="rank",
         differential=params.get("differential", "poisson"),
         name="gerstenhaber-toy",
@@ -711,7 +711,8 @@ BUILTINS: dict[str, tuple[Callable[[dict], Instance], dict]] = {
 
 
 def builtin_instance(name: str, params: dict | None = None) -> Instance:
-    """Build a named instance; unknown parameter keys are rejected."""
+    """Build a named instance; unknown parameter keys, and parameters with
+    an integer default given anything but an integer, are rejected."""
     if name not in BUILTINS:
         raise KeyError(f"unknown builtin instance {name!r}; have {sorted(BUILTINS)}")
     builder, defaults = BUILTINS[name]
@@ -719,5 +720,7 @@ def builtin_instance(name: str, params: dict | None = None) -> Instance:
     for k, v in (params or {}).items():
         if k not in defaults:
             raise ValueError(f"instance {name!r} takes no parameter {k!r}")
+        if type(defaults[k]) is int:  # a size or degree: never truncated
+            v = _integer(v, f"parameter {k!r} of instance {name!r}")
         merged[k] = v
     return builder(merged)

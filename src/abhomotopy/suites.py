@@ -22,23 +22,22 @@ captured when the table is built, so a wrapper installed on a module
 attribute (a profiler, a tracer) sees every call.
 
 Row memo: a law may keep values on the :class:`RunContext` for later
-inputs of its row; :func:`check_identity` empties that memo when the row
-starts and ends, so no value outlives its row.  Two kinds are kept:
+inputs of its row, in one table that :func:`check_identity` empties when
+the row starts and ends, so no value outlives its row.  Laws fill it
+through one accessor, :meth:`RunContext.kept`, which keeps a map's image
+of each argument under (map name, argument):
 
-- The two Jacobi rows list every multiset of three pair words in its
-  three rotations, one after another, and the cyclic sum is invariant
-  under rotation: each rotation sums the same three terms.  Their law
-  keeps each completed term of the current orbit and each inner bracket
-  of two pair words, so an orbit's bracket work is done once.  Each
-  rotation still sums its own three terms and runs its own quotient
-  test, so it stays one evaluated input.
 - The symmetric-cobracket rows (coJacobi, coLeibniz, the twisted
   coderivation laws of m and ell'') and the Q coderivation row apply a
   map inside a slot of a 2-tensor, whose entries are strict sub-syms of
   the input; across a row's inputs the same few sub-syms recur many
-  times.  The image of each one is kept, keyed by (map, sym).  The maps
-  applied to the input itself are not kept: each input occurs once per
-  row, and its images hold most of the terms.
+  times.  The maps applied to the input itself are not kept: each input
+  occurs once per row, and its images hold most of the terms.
+- The two Jacobi rows keep each inner bracket f(x, y) of two pair words,
+  keyed by the pair.  They list every multiset of three pair words in
+  its three rotations, one after another, and each rotation sums the
+  same three terms, so the law also keeps the verdict of the current
+  orbit, and only that one.
 
 Only finished values are kept, and a kept value spares only work whose
 structure constants were already fetched, so the records and the order
@@ -283,22 +282,12 @@ class RunContext:
     memos that no other context shares, so a mutant, which gets a context
     of its own, never reads its parent's values.
 
-    ``sdeg`` memoizes sym degrees for the life of the context.  The laws
-    keep a row memo that lives for one row only; :func:`check_identity`
-    empties it when a row starts and ends, so no row reads another row's
-    values and nothing outlives its row:
-
-    - ``inner_brackets`` holds the Jacobi row's bracket f(x, y) for x, y
-      in ``pair_words``, and ``orbit_terms`` the completed cyclic terms
-      of the current orbit: at most |pair_words|^2 + 3 Elements.
-    - ``slot_images`` holds, under (map name, sym), the image of each
-      sym a symmetric law met inside a slot (see :meth:`in_slot`), a
-      strict sub-sym of the input at hand.  A law applies its maps to
-      the input itself without the table: each sym is an input once per
-      row, so keeping those images would cost memory for no reuse.
-      ``row_interned`` interns the syms in the kept images' basis keys,
-      and the words in those syms, so an equal sym or word met in many
-      images is one object.
+    ``sdeg`` memoizes sym degrees for the life of the context.
+    ``row_memo`` is the row table: what the laws keep for later inputs of
+    one row, filled through :meth:`kept` (and the Jacobi law's orbit
+    verdict, see :func:`_jacobi`).  :func:`check_identity` empties it when
+    a row starts and ends, so no row reads another row's values and
+    nothing outlives its row.
     """
 
     instance: Instance
@@ -323,49 +312,44 @@ class RunContext:
         self.syms_factors = probe_syms(A, self.pair_words, factors, 2 * factors)
         self.syms_small = probe_syms(A, self.pair_words, 2, 4)
         self._sdeg: dict[SymWord, int] = {}
-        # the row memo: the Jacobi laws' brackets (see _jacobi) and the
-        # images of maps the symmetric laws apply inside a slot (see in_slot)
-        self.inner_brackets: dict[tuple[Word, Word], Element] = {}
-        self.orbit_terms: dict[tuple[Word, Word, Word], Element] = {}
-        self.slot_images: dict[tuple[str, SymWord], Element] = {}
-        self.row_interned: dict = {}  # each kept SymWord and Word, to itself
+        # kept images under (map name, argument), each interned sym and
+        # word to itself, and the Jacobi law's orbit verdict
+        self.row_memo: dict = {}
 
     def clear_row_memo(self) -> None:
-        """Forget every value a law kept for later inputs of its row: the
-        Jacobi brackets and orbit terms, the slot images and the syms and
-        words interned for them."""
-        self.inner_brackets.clear()
-        self.orbit_terms.clear()
-        self.slot_images.clear()
-        self.row_interned.clear()
+        """Forget every value a law kept for later inputs of its row."""
+        self.row_memo.clear()
 
-    def in_slot(self, name: str, f: Callable[[SymWord], Element], arity: int):
-        """``f`` as a law applies it inside a slot: the image of each sym
-        is computed once per row and kept in ``slot_images`` under
-        (``name``, sym), so ``name`` must tell apart the maps one row
-        applies.  ``arity`` is that of the image's basis keys: 1 for a
-        map to syms (m, ell'', Q), 2 for one to pairs of syms (Delta,
-        delta'').  A map that leaves the truncation raises and keeps
-        nothing.  Never pass the row's input itself through this.
+    def kept(self, name: str, f: Callable[[Any], Element], arity: int) -> Callable[[Any], Element]:
+        """``f``, with its image of each argument computed once per row and
+        kept in the row table under (``name``, argument), so ``name`` must
+        tell apart the maps one row applies.  ``arity`` is that of the
+        image's basis keys: 1 for a map to syms or words, 2 for one to
+        pairs of syms.  The syms in a kept image, and the words in them,
+        are interned in the same table, so an equal sym or word met in
+        many images is one object.  A map that leaves the truncation
+        raises and keeps nothing.  Never pass the row's input itself
+        through this: each input occurs once per row, so keeping its
+        images would cost memory for no reuse.
         """
-        images, interned = self.slot_images, self.row_interned
+        memo = self.row_memo
 
-        def intern(s: SymWord) -> SymWord:
-            out = interned.get(s)
+        def intern(s: tuple) -> tuple:
+            out = memo.get(s)
             if out is None:
-                out = tuple([interned.setdefault(w, w) for w in s])
-                interned[out] = out
+                out = tuple([memo.setdefault(w, w) for w in s])
+                memo[out] = out
             return out
 
-        def image(sym: SymWord) -> Element:
-            key = (name, sym)
-            v = images.get(key)
+        def image(arg) -> Element:
+            key = (name, arg)
+            v = memo.get(key)
             if v is None:
                 if arity == 1:
-                    terms = {intern(t): c for t, c in f(sym).items()}
+                    terms = {intern(t): c for t, c in f(arg).items()}
                 else:
-                    terms = {tuple([intern(s) for s in t]): c for t, c in f(sym).items()}
-                v = images[key] = Element(terms)
+                    terms = {tuple([intern(s) for s in t]): c for t, c in f(arg).items()}
+                v = memo[key] = Element(terms)
             return v
 
         return image
@@ -454,13 +438,13 @@ def _cojacobi(detail: str):
     """(id + t12 t23 + t23 t12)(delta x id) delta = 0.
 
     With a context, the delta'' spliced into slot 0 keeps its image of
-    each sub-sym for the row (:meth:`RunContext.in_slot`); delta'' of
-    the input itself is computed afresh, once per input.
+    each sub-sym for the row (:meth:`RunContext.kept`); delta'' of the
+    input itself is computed afresh, once per input.
     """
 
     def law(ctx, x):
         delta, amb, deg, zero = _cobracket_of(ctx)
-        inner = delta if ctx is None else ctx.in_slot("delta''", delta, 2)
+        inner = delta if ctx is None else ctx.kept("delta''", delta, 2)
         dd = splice_in_slot(delta(x), 0, inner, amb, deg)
         t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, deg), 0, deg)
         t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, deg), 1, deg)
@@ -521,6 +505,9 @@ def _ell2_well_defined(ctx, triple):
     return ctx.word_zero(val), "bracket of a shuffle image is nonzero in the quotient"
 
 
+# the row-table key of the Jacobi law's orbit verdict: (rotations, ok)
+_ORBIT = "orbit"
+
 # A word-level bracket form is (bracket(A, x, y), degree(A, x)): ell2' in
 # the dg' grading or ell2'' in the dg'' grading.
 _LIE = (lambda A, x, y: ell2_prime(A, x, y), AbAlgebra.deg_l)
@@ -546,41 +533,34 @@ def _jacobi(form):
     """Cyclic sum of T(x,y,z) = (-1)^(deg x deg z) f(f(x,y),z) vanishes.
 
     The sum runs over the three rotations of the input, so every rotation
-    of a triple sums the same three terms; :func:`_cyclic_triples` lists
-    the rotations of one multiset one after another.  The law therefore
-    keeps, on the context, each completed term of the current orbit
-    (``orbit_terms``, keyed by the ordered triple and dropped when the
-    next orbit starts) and each inner bracket f(x, y) (``inner_brackets``,
-    keyed by the ordered pair; x and y range over ``pair_words``).  Only
-    values that finished are kept: a :class:`TruncationOverflow` stores
-    nothing, so the next input meets it again.  A kept value spares only
-    work whose structure constants were already fetched, so the order in
-    which constants are first touched (hence ``degree_violations``) does
-    not change.  Each rotation is still its own input: it sums its three
-    terms in its own order and runs its own quotient test, which is what
-    a record's ``evaluated`` count and first witness describe.
+    of a triple sums the same three terms to the same total, and
+    :func:`_cyclic_triples` lists the rotations of one multiset one after
+    another.  The law therefore keeps, in the row table, the verdict of
+    the current orbit (under :data:`_ORBIT`, replaced when the next orbit
+    starts) and each inner bracket f(x, y), keyed by the pair x, y of
+    pair words (:meth:`RunContext.kept`).  Only finished values are kept:
+    a :class:`TruncationOverflow` stores no verdict, so the next rotation
+    meets it again.  A kept value spares only work whose structure
+    constants were already fetched, so the order in which constants are
+    first touched (hence ``degree_violations``) does not change.  Each
+    rotation is still its own input, counted in a record's ``evaluated``;
+    a failing orbit ends the row at its first rotation.
     """
     bracket, degree = form
 
     def law(ctx, triple):
-        A = ctx.algebra
-        fn = lambda u, v: bracket(A, u, v)
-        inner, orbit = ctx.inner_brackets, ctx.orbit_terms
-        rotations = (triple, triple[1:] + triple[:1], triple[2:] + triple[:2])
-        if not orbit.keys() <= set(rotations):
-            orbit.clear()  # a new orbit
-        total = Element.zero()
-        for xyz in rotations:
-            term = orbit.get(xyz)
-            if term is None:
-                x, y, z = xyz
-                fxy = inner.get((x, y))
-                if fxy is None:
-                    fxy = inner[x, y] = bracket(A, x, y)
-                term = bilinear(fn, fxy, Element.of(z)).scale(sign(degree(A, x) * degree(A, z)))
-                orbit[xyz] = term
-            total = total + term
-        return ctx.word_zero(total), "graded Jacobi fails in the quotient"
+        orbit = ctx.row_memo.get(_ORBIT)
+        if orbit is None or triple not in orbit[0]:
+            A = ctx.algebra
+            fn = lambda u, v: bracket(A, u, v)
+            inner = ctx.kept("bracket", lambda xy: bracket(A, *xy), 1)
+            rotations = (triple, triple[1:] + triple[:1], triple[2:] + triple[:2])
+            total = Element.zero()
+            for x, y, z in rotations:
+                term = bilinear(fn, inner((x, y)), Element.of(z))
+                total = total + term.scale(sign(degree(A, x) * degree(A, z)))
+            orbit = ctx.row_memo[_ORBIT] = (rotations, ctx.word_zero(total))
+        return orbit[1], "graded Jacobi fails in the quotient"
 
     return law
 
@@ -630,16 +610,16 @@ def _sym_coderivation(coproduct, op_name: str, op, twisted: bool, detail: str):
     """(op x id + id x op) c = (-1)^((a-b) twisted) c op, for c = Delta or delta''.
 
     ``op`` applied inside a slot keeps its image of each sub-sym for the
-    row, under ``op_name`` (:meth:`RunContext.in_slot`).  ``c`` and
-    ``op`` of the input, and ``c`` over the terms of op(input), are
-    computed afresh: the input occurs once per row.
+    row, under ``op_name`` (:meth:`RunContext.kept`).  ``c`` and ``op``
+    of the input, and ``c`` over the terms of op(input), are computed
+    afresh: the input occurs once per row.
     """
 
     def law(ctx, sym):
         A = ctx.algebra
         c = lambda s: coproduct(A, s)
         f = lambda s: op(ctx, s)
-        inner = ctx.in_slot(op_name, f, 1)
+        inner = ctx.kept(op_name, f, 1)
         d = c(sym)
         lhs = apply_in_slot(d, 0, inner, 1, ctx.sdeg) + apply_in_slot(d, 1, inner, 1, ctx.sdeg)
         rhs = f(sym).map_basis(c).scale(sign((A.a - A.b) * twisted))
@@ -652,13 +632,13 @@ def _coleibniz(ctx, sym):
     """(id x Delta) delta'' = (delta'' x id) Delta + t12 (id x delta'') Delta.
 
     The Delta and delta'' spliced into a slot keep their images of each
-    sub-sym for the row, apart by name (:meth:`RunContext.in_slot`);
+    sub-sym for the row, apart by name (:meth:`RunContext.kept`);
     delta'' and Delta of the input itself are computed afresh.
     """
     A = ctx.algebra
     amb = A.a - A.b
-    delta_fn = ctx.in_slot("Delta", lambda s: coproduct_delta(A, s), 2)
-    dpp_fn = ctx.in_slot("delta''", lambda s: cobracket_doubleprime(A, s), 2)
+    delta_fn = ctx.kept("Delta", lambda s: coproduct_delta(A, s), 2)
+    dpp_fn = ctx.kept("delta''", lambda s: cobracket_doubleprime(A, s), 2)
     lhs = splice_in_slot(cobracket_doubleprime(A, sym), 1, delta_fn, 0, ctx.sdeg)
     d = coproduct_delta(A, sym)
     r1 = splice_in_slot(d, 0, dpp_fn, amb, ctx.sdeg)
@@ -929,7 +909,12 @@ ENVELOPE = (
 )
 # appended to the envelope suite when a - b has the key's value
 SPECIALIZATIONS = {1: "specialization-gerstenhaber", 0: "specialization-poisson"}
-# cheap, sensitive checks first; a mutant stops at the first failure
+# cheap, sensitive checks first; a mutant stops at the first failure.  Left
+# out: sym-cobracket-coantisymmetry, codifferential-q-coderivation and
+# sym-cobracket-m-twist, which no degree-homogeneous product or bracket
+# mutant can fail: delta'' and the factorwise zero test read only a - b and
+# letter degrees, and m and Q = m + ell'' are coderivation extensions by
+# construction
 MUTATION_ORDER = (
     "lie-bracket-antisymmetry",
     "sym-bracket-symmetry",
@@ -941,9 +926,6 @@ MUTATION_ORDER = (
     "sym-bracket-differential",
     "bracket-extension-compatibility",
     "codifferential-q-squared",
-    "codifferential-q-coderivation",
-    "sym-cobracket-coantisymmetry",
-    "sym-cobracket-m-twist",
     "sym-cobracket-ell-twist",
 )
 
@@ -953,11 +935,10 @@ def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
 
     Generic-letter rows take no context.  An input on which a map leaves
     the truncation is counted as skipped; the first failing input ends
-    the check with its witness.  The context's row memo (the Jacobi
-    brackets and orbit terms, the slot images of sub-syms and what was
-    interned for them; see :class:`RunContext`) is emptied before the first
-    input and after the last, however the row ends, so a row's kept
-    values live exactly as long as the row.
+    the check with its witness.  The context's row table
+    (:attr:`RunContext.row_memo`) is emptied before the first input and
+    after the last, however the row ends, so a row's kept values live
+    exactly as long as the row.
     """
     row = CHECKS[name]
     instance = "generic-letters" if ctx is None else ctx.label

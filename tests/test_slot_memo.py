@@ -1,28 +1,42 @@
-"""The symmetric laws keep the slot images of sub-syms; no record may show it.
+"""The row memo keeps values for one row; no record may show it.
 
-The coJacobi and coLeibniz rows, the twisted coderivation rows of m and
-ell'' and the Q coderivation row keep on the context, for one row, the
-image of each sym a map meets inside a slot (``RunContext.slot_images``,
-keyed by map name and sym).  The reference below is each law without any
-memo, as every input ran it before: each slot entry's image is computed
-afresh.  On every builtin, with a probe set that makes the bracket
+Seven rows keep values in ``RunContext.row_memo`` through
+``RunContext.kept``, under (map name, argument).  The slot rows (coJacobi,
+coLeibniz, the m and ell'' twists and the Q coderivation) keep the image
+of each sym a map meets inside a slot; the two Jacobi rows keep each inner
+bracket of two pair words and their current orbit verdict
+(``test_jacobi_memo.py``).
+
+The reference below is each law without any memo, as every input ran it
+before.  On every builtin, with a probe set that makes the bracket
 nonzero, and on two hand-made algebras (one where truncation skips
-inputs, one with inhomogeneous table entries), the memoized rows must
-give the reference's record field for field and touch structure
-constants in the same first order (``degree_violations``).  The table
-must be empty once a row has ended, must never take in an image of the
-input being checked, and must belong to its context alone.
+inputs, one with inhomogeneous table entries), the rows must give the
+reference's record field for field and touch structure constants in the
+same first order (``degree_violations``).  The table must be empty once a
+row has ended, belong to its context alone, keep nothing for an input
+that left the truncation, and never take in an image of the input being
+checked.
 """
 
 import dataclasses
 
 import pytest
 
-from abhomotopy.ab_core import AbAlgebra, TruncationOverflow
-from abhomotopy.freemodule import Element
+from abhomotopy.ab_core import TruncationOverflow, algebra_from_dict
+from abhomotopy.freemodule import Element, bilinear
 from abhomotopy.instances import Instance
 from abhomotopy.signs import sign
-from abhomotopy.suites import CHECKS, CheckRecord, RunContext, check_identity, perturb_algebra
+from abhomotopy.suites import (
+    _LIE,
+    _SYM,
+    CHECKS,
+    CheckRecord,
+    RunContext,
+    SuiteConfig,
+    build_instance,
+    check_identity,
+    perturb_algebra,
+)
 from abhomotopy.sym_coalgebra import (
     cobracket_doubleprime,
     coproduct_delta,
@@ -30,14 +44,63 @@ from abhomotopy.sym_coalgebra import (
     extend_m,
 )
 from abhomotopy.tensor_coalgebra import apply_in_slot, splice_in_slot, swap_adjacent_slots
-from test_jacobi_memo import (
-    FORCED,
-    INHOMOGENEOUS,
-    MUTANT,
-    TRUNCATED,
-    builtin_context,
-    document_context,
-)
+
+SMALL = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=1)
+
+# a pair of generators with a nonzero bracket on each builtin, forced into
+# the probe set so the rows bracket something
+FORCED = {
+    "gerstenhaber-toy": ("x1", "dx1"),
+    "poisson-polynomial": ("x1", "x2"),
+    "poisson-super": ("x1", "x2"),
+    "polyvector-even": ("dx1", "x1"),
+    "schouten-super": ("x1*xi1^dx1", "x1^dxi1"),
+}
+
+_BRACKETS = [
+    ["u", "v", [["v", 1]]],
+    ["v", "u", [["v", -1]]],
+    ["u", "w", [["w", 1]]],
+    ["w", "u", [["w", -1]]],
+]
+_GENERATORS = [{"id": "u", "degree": 0}, {"id": "v", "degree": 1}, {"id": "w", "degree": 2}]
+# products leave the truncation at degree 2, so some inputs are skipped
+TRUNCATED = {"name": "truncated", "a": 0, "b": 0, "max_degree": 2,
+             "generators": _GENERATORS, "bracket": _BRACKETS}
+# three entries off their degree, met in a fixed order by the rows
+INHOMOGENEOUS = {
+    **TRUNCATED,
+    "name": "inhomogeneous",
+    "bracket": _BRACKETS + [["v", "w", [["u", 1]]], ["w", "v", [["u", 1]]], ["w", "w", [["v", 1]]]],
+}
+
+
+# -- the seven rows without any memo -------------------------------------------
+
+FORMS = {"lie-bracket-jacobi": _LIE, "sym-bracket-jacobi": _SYM}
+
+
+def rotations(triple):
+    return (triple, triple[1:] + triple[:1], triple[2:] + triple[:2])
+
+
+def cyclic_total(ctx, form, triple):
+    """Sum of (-1)^(deg x deg z) f(f(x,y),z) over the rotations, no memo."""
+    bracket, degree = form
+    A = ctx.algebra
+    fn = lambda u, v: bracket(A, u, v)
+    total = Element.zero()
+    for x, y, z in rotations(triple):
+        term = bilinear(fn, bracket(A, x, y), Element.of(z))
+        total = total + term.scale(sign(degree(A, x) * degree(A, z)))
+    return total
+
+
+def _jacobi(form):
+    def law(ctx, triple):
+        return ctx.word_zero(cyclic_total(ctx, form, triple)), "graded Jacobi fails in the quotient"
+
+    return law
 
 
 def _cojacobi(ctx, x):
@@ -74,8 +137,9 @@ def _coderivation(coproduct, op, twisted, detail):
     return law
 
 
-# the five memoized rows, each written out without any memo
 REFERENCE_LAWS = {
+    "lie-bracket-jacobi": _jacobi(_LIE),
+    "sym-bracket-jacobi": _jacobi(_SYM),
     "codifferential-q-coderivation": _coderivation(
         coproduct_delta, lambda ctx, s: ctx.q_op(s), False, "Q is not a coderivation of Delta"
     ),
@@ -91,6 +155,7 @@ REFERENCE_LAWS = {
     ),
 }
 ROWS = sorted(REFERENCE_LAWS)
+SLOT_ROWS = sorted(set(ROWS) - set(FORMS))
 
 
 def reference_record(name, ctx):
@@ -113,187 +178,24 @@ def reference_record(name, ctx):
     return CheckRecord(name, row.statement, ctx.label, "pass", evaluated, skipped)
 
 
-def assert_slot_memo_empty(ctx):
-    assert ctx.slot_images == {} and ctx.row_interned == {}
+# -- contexts -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ROWS)
-@pytest.mark.parametrize("builtin", sorted(FORCED))
-def test_memo_records_equal_the_reference(builtin, name):
-    reference_ctx, ctx = builtin_context(builtin), builtin_context(builtin)
-    expected = reference_record(name, reference_ctx)
-    assert expected.status == "pass" and expected.evaluated > 0
-    assert check_identity(name, ctx).as_dict() == expected.as_dict()
-    assert ctx.algebra.degree_violations == reference_ctx.algebra.degree_violations
-    assert_slot_memo_empty(ctx)
+def builtin_context(builtin):
+    config = SuiteConfig(algebra=builtin, **SMALL)
+    return RunContext(build_instance(config), config, forced_gens=FORCED[builtin])
 
 
-@pytest.mark.parametrize("name", ROWS)
-@pytest.mark.parametrize("doc", [TRUNCATED, INHOMOGENEOUS], ids=lambda d: d["name"])
-def test_memo_keeps_skips_and_first_touch_order(doc, name):
-    """Fresh algebras on both sides, so each fills its own structure-map cache."""
-    reference_ctx, ctx = document_context(doc), document_context(doc)
-    expected = reference_record(name, reference_ctx)
-    record = check_identity(name, ctx)
-    assert record.as_dict() == expected.as_dict()
-    assert ctx.algebra.degree_violations == reference_ctx.algebra.degree_violations
-    assert_slot_memo_empty(ctx)
+def document_context(doc):
+    config = SuiteConfig(algebra=doc["name"], probe_gens=3, max_word_len=2)
+    return RunContext(Instance(algebra_from_dict(doc), {}), config)
 
 
-def test_the_documents_exercise_skips_and_a_failure():
-    """The two documents above are not vacuous for these rows: truncation
-    skips inputs of a row that still evaluates some, and the inhomogeneous
-    entries make a row fail."""
-    truncated = {name: check_identity(name, document_context(TRUNCATED)) for name in ROWS}
-    assert any(r.status == "pass" and r.skipped > 0 for r in truncated.values())
-    inhomogeneous = {name: check_identity(name, document_context(INHOMOGENEOUS)) for name in ROWS}
-    assert any(r.status == "fail" for r in inhomogeneous.values())
-
-
-# what each kept image must equal, by the name it is kept under
-MAPS = {
-    "delta''": lambda ctx, s: cobracket_doubleprime(ctx.algebra, s),
-    "Delta": lambda ctx, s: coproduct_delta(ctx.algebra, s),
-    "m": lambda ctx, s: extend_m(ctx.algebra, s, ctx.D),
-    "ell''": lambda ctx, s: extend_ell(ctx.algebra, s),
-    "Q": lambda ctx, s: ctx.q_op(s),
-}
-
-
-def image_afresh(ctx, name, sym):
-    try:
-        return MAPS[name](ctx, sym)
-    except TruncationOverflow:
-        return "overflow"
-
-
-@pytest.mark.parametrize("where", ["gerstenhaber-toy", "schouten-super", "truncated"])
-def test_kept_images_equal_the_maps_and_never_the_input_at_hand(where, monkeypatch):
-    """After every input, passed or skipped, each newly kept image equals
-    its map's image computed afresh (so it is a finished value, under the
-    right map's name), and no key names that input.  Within a row, kept
-    images are read again."""
-    ctx = document_context(TRUNCATED) if where == "truncated" else builtin_context(where)
-    skipped = 0
-    for name in ROWS:
-        row = CHECKS[name]
-        seen = {"inputs": 0, "skipped": 0, "lookups": 0, "computed": 0}
-        checked = set()
-
-        def law(c, inp, inner=row.law, seen=seen, checked=checked):
-            try:
-                return inner(c, inp)
-            except TruncationOverflow:
-                seen["skipped"] += 1
-                raise
-            finally:
-                seen["inputs"] += 1
-                for key, image in c.slot_images.items():
-                    if key not in checked:
-                        map_name, sym = key
-                        assert sym != inp, inp
-                        assert image == image_afresh(c, map_name, sym), key
-                        checked.add(key)
-
-        def in_slot(map_name, f, arity, inner=RunContext.in_slot, seen=seen):
-            def computed(s):
-                seen["computed"] += 1
-                return f(s)
-
-            image = inner(ctx, map_name, computed, arity)
-
-            def looked_up(s):
-                seen["lookups"] += 1
-                return image(s)
-
-            return looked_up
-
-        monkeypatch.setitem(CHECKS, name, dataclasses.replace(row, law=law))
-        monkeypatch.setattr(ctx, "in_slot", in_slot)
-        record = check_identity(name, ctx)
-        assert record.status == "pass" and seen["inputs"] > 1
-        assert 0 < len(checked) <= seen["computed"] < seen["lookups"]
-        assert_slot_memo_empty(ctx)
-        assert seen["skipped"] == record.skipped
-        skipped += record.skipped
-        monkeypatch.undo()
-    assert skipped > 0  # overflows were met, and kept nothing
-
-
-def test_an_overflow_keeps_nothing():
-    ctx = builtin_context("poisson-super")
-    sym = ctx.syms_factors[-1]
-    calls = []
-
-    def overflowing(s):
-        calls.append(s)
-        raise TruncationOverflow("left the truncation")
-
-    image = ctx.in_slot("m", overflowing, 1)
-    for _ in range(2):
-        with pytest.raises(TruncationOverflow):
-            image(sym)
-    assert calls == [sym, sym]
-    assert_slot_memo_empty(ctx)
-
-
-def test_images_are_interned_per_row(monkeypatch):
-    """Equal syms in the basis keys of kept images are one object, and so
-    are equal words in those syms."""
-    ctx = builtin_context("schouten-super")
-    name = "sym-cobracket-coleibniz"
-    row = CHECKS[name]
-    objects, uses = [], []
-
-    def law(c, inp, inner=row.law):
-        out = inner(c, inp)
-        by_value: dict = {}
-        count = 0
-        for image in c.slot_images.values():
-            for key in image.terms:
-                for sym in key:
-                    for part in (sym, *sym):
-                        by_value.setdefault(part, set()).add(id(part))
-                        count += 1
-        objects.append(max((len(ids) for ids in by_value.values()), default=1))
-        uses.append(count - len(by_value))  # repeated occurrences of a sym or word
-        return out
-
-    monkeypatch.setitem(CHECKS, name, dataclasses.replace(row, law=law))
-    assert check_identity(name, ctx).status == "pass"
-    assert max(objects) == 1 and max(uses) > 0
-
-
-def test_each_context_has_a_table_of_its_own():
-    """A law run outside ``check_identity`` leaves its images on its own
-    context; the mutant's law, run right after on its own context, must
-    give the reference's answer on every input."""
-    parent = builtin_context("poisson-super")
-    mutant, reference = bracket_mutant(parent), bracket_mutant(parent)
-    assert parent.slot_images is not mutant.slot_images
-    name = "sym-cobracket-ell-twist"
-    inputs = CHECKS[name].inputs(mutant)
-
-    def verdicts(law, ctx):
-        out = []
-        for inp in inputs:
-            try:
-                out.append(law(ctx, inp))
-            except TruncationOverflow:
-                out.append("skip")
-        return out
-
-    verdicts(CHECKS[name].law, parent)
-    assert parent.slot_images and not mutant.slot_images
-    found = verdicts(CHECKS[name].law, mutant)
-    assert found == verdicts(REFERENCE_LAWS[name], reference)
-    assert any(v != "skip" and not v[0] for v in found)
-    parent.clear_row_memo()
-    mutant.clear_row_memo()
+# a bracket mutant of poisson-super that breaks graded Jacobi and the ell'' twist
+MUTANT = ("bracket", "x1", "x1^2", "x1")
 
 
 def bracket_mutant(parent):
-    """The Jacobi mutant of poisson-super: it also breaks the ell'' twist."""
     mutant = perturb_algebra(parent.algebra, MUTANT)
     return RunContext(Instance(mutant, dict(parent.instance.params)), parent.config,
                       forced_gens=MUTANT[1:3])
@@ -315,30 +217,226 @@ def differential_mutant(parent):
         out = A.diff_fn(g)
         return out + bump if g == gid else out
 
-    mutant = AbAlgebra(
-        name=A.name + "-mutant", a=A.a, b=A.b, generators=A.generators, unshifted=A.unshifted,
-        product_fn=A.product_fn, bracket_fn=A.bracket_fn, diff_fn=diff_fn,
-        description=f"{A.description}; differential({gid}) += {target}",
-    )
+    mutant = dataclasses.replace(A, name=A.name + "-mutant", diff_fn=diff_fn, degree_violations=[],
+                                 description=f"{A.description}; differential({gid}) += {target}")
     return RunContext(Instance(mutant, dict(parent.instance.params)), parent.config,
                       forced_gens=(gid,))
+
+
+# -- reading the table ------------------------------------------------------------
+
+# what each kept image must equal, and the arity of its basis keys, by the
+# name it is kept under; "bracket" is the Jacobi row's bracket of a pair
+MAPS = {
+    "delta''": (lambda ctx, row, s: cobracket_doubleprime(ctx.algebra, s), 2),
+    "Delta": (lambda ctx, row, s: coproduct_delta(ctx.algebra, s), 2),
+    "m": (lambda ctx, row, s: extend_m(ctx.algebra, s, ctx.D), 1),
+    "ell''": (lambda ctx, row, s: extend_ell(ctx.algebra, s), 1),
+    "Q": (lambda ctx, row, s: ctx.q_op(s), 1),
+    "bracket": (lambda ctx, row, xy: FORMS[row][0](ctx.algebra, *xy), 1),
+}
+
+
+def kept_images(ctx):
+    """The row table's images, {(map name, argument): Element}; its other
+    entries are interned objects, each its own value, and orbit verdicts."""
+    return {k: v for k, v in ctx.row_memo.items() if isinstance(v, Element)}
+
+
+# -- records -----------------------------------------------------------------------
+
+
+def assert_records_equal_the_reference(make_context, name):
+    """Row ``name`` on a fresh context from ``make_context`` against the
+    reference on another: the same record and first-touch order, and an
+    empty table after the row.  Returns the record and its context."""
+    reference_ctx, ctx = make_context(), make_context()
+    expected = reference_record(name, reference_ctx)
+    record = check_identity(name, ctx)
+    assert record.as_dict() == expected.as_dict()
+    assert ctx.algebra.degree_violations == reference_ctx.algebra.degree_violations
+    assert ctx.row_memo == {}
+    return record, ctx
+
+
+@pytest.mark.parametrize("name", SLOT_ROWS)
+@pytest.mark.parametrize("builtin", sorted(FORCED))
+def test_memo_records_equal_the_reference(builtin, name):
+    record, _ = assert_records_equal_the_reference(lambda: builtin_context(builtin), name)
+    assert record.status == "pass" and record.evaluated > 0
+
+
+@pytest.mark.parametrize("name", SLOT_ROWS)
+@pytest.mark.parametrize("doc", [TRUNCATED, INHOMOGENEOUS], ids=lambda d: d["name"])
+def test_memo_keeps_skips_and_first_touch_order(doc, name):
+    """Fresh algebras on both sides, so each fills its own structure-map cache."""
+    assert_records_equal_the_reference(lambda: document_context(doc), name)
+
+
+def test_the_documents_exercise_skips_and_a_failure():
+    """The two documents are not vacuous for the slot rows: truncation
+    skips inputs of a row that still evaluates some, and the inhomogeneous
+    entries make a row fail."""
+    truncated = [check_identity(name, document_context(TRUNCATED)) for name in SLOT_ROWS]
+    assert any(r.status == "pass" and r.skipped > 0 for r in truncated)
+    inhomogeneous = [check_identity(name, document_context(INHOMOGENEOUS)) for name in SLOT_ROWS]
+    assert any(r.status == "fail" for r in inhomogeneous)
+
+
+def assert_mutant_after_its_parent_fails_as_the_reference(mutate, rows):
+    """The parent's rows run first in the same process; the mutant must
+    not read any value the parent's rows computed.  Returns the rows the
+    mutant fails."""
+    parent = builtin_context("poisson-super")
+    mutant_ctx = mutate(parent)
+    failed = []
+    for name in rows:
+        assert check_identity(name, parent).status == "pass"
+        assert parent.row_memo == {}
+        record = check_identity(name, mutant_ctx)
+        assert mutant_ctx.row_memo == {}
+        expected = reference_record(name, mutate(builtin_context("poisson-super")))
+        assert record.as_dict() == expected.as_dict()
+        if record.status == "fail":
+            assert record.evaluated > 3
+            failed.append(name)
+    return failed
 
 
 @pytest.mark.parametrize("mutate", [bracket_mutant, differential_mutant],
                          ids=["bracket", "differential"])
 def test_mutant_after_its_parent_still_fails_with_the_reference_witness(mutate):
-    """The parent's rows run first in the same process; the mutant must
-    not read any image the parent's rows computed."""
-    parent = builtin_context("poisson-super")
-    mutant_ctx = mutate(parent)
-    failed = []
+    assert assert_mutant_after_its_parent_fails_as_the_reference(mutate, SLOT_ROWS)
+
+
+# -- the table ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["gerstenhaber-toy", "schouten-super", "truncated"])
+def test_kept_images_equal_the_maps_and_never_the_input_at_hand(where, monkeypatch):
+    """On every row that keeps images, after every input, passed or
+    skipped: each newly kept image equals its map's image computed afresh
+    (so it is a finished value, under the right map's name), and no key
+    names that input.  Within a row, kept images are read again."""
+    ctx = document_context(TRUNCATED) if where == "truncated" else builtin_context(where)
+    skipped = 0
     for name in ROWS:
-        assert check_identity(name, parent).status == "pass"
-        assert_slot_memo_empty(parent)
-        record = check_identity(name, mutant_ctx)
-        assert_slot_memo_empty(mutant_ctx)
-        expected = reference_record(name, mutate(builtin_context("poisson-super")))
-        assert record.as_dict() == expected.as_dict()
-        if record.status == "fail":
-            failed.append(record)
-    assert failed and max(r.evaluated for r in failed) > 3
+        row = CHECKS[name]
+        seen = {"inputs": 0, "skipped": 0, "lookups": 0, "computed": 0}
+        checked = set()
+
+        def law(c, inp, inner=row.law, seen=seen, checked=checked, name=name):
+            try:
+                return inner(c, inp)
+            except TruncationOverflow:
+                seen["skipped"] += 1
+                raise
+            finally:
+                seen["inputs"] += 1
+                for key, image in kept_images(c).items():
+                    if key not in checked:
+                        map_name, arg = key
+                        assert arg != inp, inp
+                        try:
+                            afresh = MAPS[map_name][0](c, name, arg)
+                        except TruncationOverflow:
+                            afresh = "overflow"
+                        assert image == afresh, key
+                        checked.add(key)
+
+        def kept(map_name, f, arity, inner=RunContext.kept, seen=seen):
+            def computed(arg):
+                seen["computed"] += 1
+                return f(arg)
+
+            image = inner(ctx, map_name, computed, arity)
+
+            def looked_up(arg):
+                seen["lookups"] += 1
+                return image(arg)
+
+            return looked_up
+
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(row, law=law))
+        monkeypatch.setattr(ctx, "kept", kept)
+        record = check_identity(name, ctx)
+        assert record.status == "pass" and seen["inputs"] > 1
+        assert 0 < len(checked) <= seen["computed"] < seen["lookups"]
+        assert ctx.row_memo == {}
+        assert seen["skipped"] == record.skipped
+        skipped += record.skipped
+        monkeypatch.undo()
+    assert skipped > 0  # overflows were met, and kept nothing
+
+
+def test_an_overflow_keeps_nothing():
+    ctx = builtin_context("poisson-super")
+    sym = ctx.syms_factors[-1]
+    calls = []
+
+    def overflowing(s):
+        calls.append(s)
+        raise TruncationOverflow("left the truncation")
+
+    image = ctx.kept("m", overflowing, 1)
+    for _ in range(2):
+        with pytest.raises(TruncationOverflow):
+            image(sym)
+    assert calls == [sym, sym]
+    assert ctx.row_memo == {}
+
+
+def test_images_are_interned_per_row(monkeypatch):
+    """Equal syms in the basis keys of kept images are one object, and so
+    are equal words in those syms; for the Jacobi brackets, whose basis
+    keys are words, equal words and the letters in them."""
+    ctx = builtin_context("schouten-super")
+    for name in ("sym-cobracket-coleibniz", "sym-cobracket-ell-twist", "sym-bracket-jacobi"):
+        row = CHECKS[name]
+        objects, uses = [], []
+
+        def law(c, inp, inner=row.law, objects=objects, uses=uses):
+            out = inner(c, inp)
+            by_value: dict = {}
+            count = 0
+            for (map_name, _), image in kept_images(c).items():
+                for key in image.terms:
+                    for unit in ([key] if MAPS[map_name][1] == 1 else key):
+                        for part in (unit, *unit):
+                            by_value.setdefault(part, set()).add(id(part))
+                            count += 1
+            objects.append(max((len(ids) for ids in by_value.values()), default=1))
+            uses.append(count - len(by_value))  # repeated occurrences of one value
+            return out
+
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(row, law=law))
+        assert check_identity(name, ctx).status == "pass"
+        assert max(objects) == 1 and max(uses) > 0, name
+
+
+def test_each_context_has_a_table_of_its_own():
+    """A law run outside ``check_identity`` leaves its values on its own
+    context; the mutant's law, run right after on its own context, must
+    give the reference's answer on every input."""
+    parent = builtin_context("poisson-super")
+    mutant, reference = bracket_mutant(parent), bracket_mutant(parent)
+    assert parent.row_memo is not mutant.row_memo
+    for name in ("sym-cobracket-ell-twist", "sym-bracket-jacobi"):
+        inputs = CHECKS[name].inputs(mutant)
+
+        def verdicts(law, ctx):
+            out = []
+            for inp in inputs:
+                try:
+                    out.append(law(ctx, inp))
+                except TruncationOverflow:
+                    out.append("skip")
+            return out
+
+        verdicts(CHECKS[name].law, parent)
+        assert parent.row_memo and not mutant.row_memo
+        found = verdicts(CHECKS[name].law, mutant)
+        assert found == verdicts(REFERENCE_LAWS[name], reference)
+        assert any(v != "skip" and not v[0] for v in found)
+        for ctx in (parent, mutant):
+            ctx.clear_row_memo()

@@ -50,9 +50,6 @@ def test_check_table_integrity():
         "sym-bracket-differential",
         "bracket-extension-compatibility",
         "codifferential-q-squared",
-        "codifferential-q-coderivation",
-        "sym-cobracket-coantisymmetry",
-        "sym-cobracket-m-twist",
         "sym-cobracket-ell-twist",
     )
     # the runner is the only check_* function: per-check tracing wraps exactly those
@@ -343,6 +340,27 @@ def test_python_dash_m_runs_the_command_line():
     )
     assert proc.returncode == 0, proc.stderr
     assert "# status: pass" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "algebra, param",
+    [
+        ("poisson-super", "max_degree=7/2"),
+        ("poisson-super", "max_degree=true"),
+        ("gerstenhaber-toy", "max_rank=2.5"),
+        ("gerstenhaber-toy", "d=5/2"),
+        ("schouten-super", "q=[1]"),
+    ],
+)
+def test_non_integer_builtin_parameter_is_a_named_usage_error(algebra, param, capsys):
+    """An integer parameter given a fraction, a decimal, a word or a list is
+    refused before any check, naming the parameter and the instance: never
+    truncated (7/2 is not 3)."""
+    code = main(["verify-envelope", "--algebra", algebra, "--param", param, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    key = param.partition("=")[0]
+    assert f"parameter {key!r} of instance {algebra!r} must be an integer" in captured.err
 
 
 def test_cli_param_overrides(capsys):
