@@ -56,7 +56,7 @@ def _parse_param(text: str):
         pass
     try:
         return key, Fraction(value)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # "1/0" stays a string, refused by its reader
         return key, value
 
 
@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         instance = build_instance(config)
         if args.command == "mutation" and not perturbation_candidates(instance.algebra):
             raise ValueError("no degree-homogeneous perturbation exists for this instance")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -612,14 +612,40 @@ def build_schouten_instance(
 # -- builtin registry ---------------------------------------------------------
 
 
-def _omega_from_param(value, p: int, q: int) -> dict[tuple[str, str], Element]:
-    """Accept {"x1,x2": "x1*x2", ...} style mappings from config input."""
-    out = {}
-    for key, text in value.items():
-        i, j = (s.strip() for s in key.split(","))
-        out[(i, j)] = parse_poly(text, p, q) if isinstance(text, str) else Element.of(
-            smono_one(p), text
+def _at_least(params: dict, key: str, low: int, instance: str, why: str = "") -> None:
+    """Refuse a parameter below ``low``, naming it and the instance."""
+    if params[key] < low:
+        raise ValueError(
+            f"parameter {key!r} of instance {instance!r} must be at least {low}{why}, "
+            f"got {params[key]}"
         )
+
+
+def _omega_from_param(value, p: int, q: int, instance: str) -> dict[tuple[str, str], Element]:
+    """Accept {"x1,x2": "x1*x2", "x2,x1": -1, ...} from config input: each key
+    names two derivative symbols of R^(p|q), each value is a polynomial
+    string or an integer.  Anything else is a ``ValueError`` naming the
+    parameter and the instance."""
+    what = f"parameter 'omega' of instance {instance!r}"
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object mapping 'i,j' to a polynomial, got {value!r}")
+    symbols = PoissonTensor(p, q, 0).names()
+    out = {}
+    for key, entry in value.items():
+        pair = tuple(s.strip() for s in key.split(","))
+        if len(pair) != 2 or not set(pair) <= set(symbols):
+            raise ValueError(f"{what}: key {key!r} is not 'i,j' with i, j among {symbols}")
+        if type(entry) is int:  # a float or a bool is not an exact coefficient
+            out[pair] = Element.of(smono_one(p), entry)
+        elif isinstance(entry, str):
+            try:
+                out[pair] = parse_poly(entry, p, q)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{what}: entry {key!r}: {exc}") from None
+        else:
+            raise ValueError(
+                f"{what}: entry {key!r} must be a polynomial string or an integer, got {entry!r}"
+            )
     return out
 
 
@@ -638,11 +664,11 @@ def _build_poisson_polynomial(params: dict) -> Instance:
     d = params["d"]
     m = params["m"]
     if params.get("omega") is not None:
-        omega = _omega_from_param(params["omega"], d, 0)
+        omega = _omega_from_param(params["omega"], d, 0, "poisson-polynomial")
     else:
         # default: omega^{12} = x1*x2 when m = 2, else a power of x1 of the right degree
-        if d < 2:
-            raise ValueError("the polynomial Poisson instance needs d >= 2")
+        _at_least(params, "d", 2, "poisson-polynomial", " for the default tensor")
+        _at_least(params, "m", 0, "poisson-polynomial", " for the default tensor")
         text = "x1*x2" if m == 2 else ("1" if m == 0 else f"x1^{m}")
         w = parse_poly(text, d, 0)
         omega = {("x1", "x2"): w, ("x2", "x1"): w.scale(-1)}
@@ -670,10 +696,9 @@ def _build_schouten_super(params: dict) -> Instance:
 def _build_poisson_super(params: dict) -> Instance:
     p, q = params["p"], params["q"]
     if params.get("omega") is not None:
-        omega = _omega_from_param(params["omega"], p, q)
+        omega = _omega_from_param(params["omega"], p, q, "poisson-super")
     else:
-        if p < 2:
-            raise ValueError("the default constant tensor needs p >= 2")
+        _at_least(params, "p", 2, "poisson-super", " for the default tensor")
         one = Element.of(smono_one(p) if q == 0 else SMono((0,) * p, ()))
         omega = {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)}
     return build_poisson_instance(
@@ -687,13 +712,16 @@ def _build_poisson_super(params: dict) -> Instance:
 
 
 def _build_gerstenhaber_toy(params: dict) -> Instance:
+    differential = params.get("differential", "poisson")
+    if differential == "poisson":
+        _at_least(params, "d", 2, "gerstenhaber-toy", " for the bivector differential")
     return build_schouten_instance(
         p=params["d"],
         q=0,
         max_coef_degree=params["max_coef_degree"],
         max_rank=params["max_rank"],
         grading="rank",
-        differential=params.get("differential", "poisson"),
+        differential=differential,
         name="gerstenhaber-toy",
     )
 
@@ -710,9 +738,15 @@ BUILTINS: dict[str, tuple[Callable[[dict], Instance], dict]] = {
 }
 
 
+# sizes of the variable sets and of the truncation, never negative; ``m``
+# is a bracket degree, bounded only by poisson-polynomial's default tensor
+_SIZES = ("d", "p", "q", "max_degree", "max_coef_degree", "max_rank")
+
+
 def builtin_instance(name: str, params: dict | None = None) -> Instance:
-    """Build a named instance; unknown parameter keys, and parameters with
-    an integer default given anything but an integer, are rejected."""
+    """Build a named instance; unknown parameter keys, parameters with an
+    integer default given anything but an integer, and negative sizes are
+    rejected."""
     if name not in BUILTINS:
         raise KeyError(f"unknown builtin instance {name!r}; have {sorted(BUILTINS)}")
     builder, defaults = BUILTINS[name]
@@ -723,4 +757,6 @@ def builtin_instance(name: str, params: dict | None = None) -> Instance:
         if type(defaults[k]) is int:  # a size or degree: never truncated
             v = _integer(v, f"parameter {k!r} of instance {name!r}")
         merged[k] = v
+        if k in _SIZES:
+            _at_least(merged, k, 0, name)
     return builder(merged)

@@ -13,7 +13,11 @@ rows take no context, the others a :class:`RunContext` over one
 instance.  The suites (:data:`COALGEBRA`, :data:`CORE`,
 :data:`ENVELOPE` plus one of :data:`SPECIALIZATIONS` by a - b) and the
 mutation ladder (:data:`MUTATION_ORDER`) are tuples of row names.  Identities that
-differ only in their bracket or cobracket share one law factory.
+differ only in their bracket or co-operation share one law factory: a row
+names its co-operation (the word cobracket delta, delta'' or the
+coproduct Delta) and :func:`_co_operation` gives its map, degree, slot
+grading and zero test, so one coderivation law, one flip law and one
+"two evaluators agree" law serve the word and the symmetric side alike.
 
 To add an identity, write its law (or call a law factory), add its row and
 put its name in exactly one suite tuple.  Laws reach the package's maps
@@ -28,10 +32,10 @@ through one accessor, :meth:`RunContext.kept`, which keeps a map's image
 of each argument under (map name, argument):
 
 - The symmetric-cobracket rows (coJacobi, coLeibniz, the twisted
-  coderivation laws of m and ell'') and the Q coderivation row apply a
-  map inside a slot of a 2-tensor, whose entries are strict sub-syms of
-  the input; across a row's inputs the same few sub-syms recur many
-  times.  The maps applied to the input itself are not kept: each input
+  coderivation laws of m and ell''), the Q coderivation row and the word
+  coderivation row of D apply a map inside a slot of a 2-tensor, whose
+  entries are strict sub-syms (sub-words for D) of the input; across a
+  row's inputs the same few recur many times.  The maps applied to the input itself are not kept: each input
   occurs once per row, and its images hold most of the terms.
 - The two Jacobi rows keep each inner bracket f(x, y) of two pair words,
   keyed by the pair.  They list every multiset of three pair words in
@@ -414,28 +418,33 @@ def _shuffle_associativity(_, split):
     return lhs == rhs, "sides differ"
 
 
-def _cobracket_of(ctx: RunContext | None):
-    """(cobracket, its degree, slot grading, zero test): the deconcatenation
-    cobracket on generic words without a context, delta'' with one."""
-    if ctx is None:
-        return cobracket, 0, word_degree, QUOTIENT.tensor_is_zero
+def _co_operation(ctx: RunContext | None, name: str):
+    """(map, its degree, slot grading, zero test) of the co-operation a row
+    names: ``"delta"``, the deconcatenation cobracket on words (generic
+    words without a context), or, on the symmetric coalgebra, the
+    cobracket ``"delta''"`` or the coproduct ``"Delta"``."""
+    if name == "delta":
+        zero = QUOTIENT.tensor_is_zero if ctx is None else lambda v, _: ctx.pair_zero(v)
+        return cobracket, 0, word_degree, zero
     A = ctx.algebra
+    if name == "Delta":
+        return (lambda s: coproduct_delta(A, s)), 0, ctx.sdeg, ctx.sym_zero
     return (lambda s: cobracket_doubleprime(A, s)), A.a - A.b, ctx.sdeg, ctx.sym_zero
 
 
-def _coantisymmetry(detail: str):
-    """tau.delta = -(-1)^deg(delta) delta."""
+def _flip(co: str, twist: int, detail: str):
+    """tau.c = -(-1)^(twist + deg c) c: twist 0 for a cobracket, 1 for the coproduct."""
 
     def law(ctx, x):
-        delta, amb, deg, zero = _cobracket_of(ctx)
-        d = delta(x)
-        return zero(swap_adjacent_slots(d, 0, deg) + d.scale(sign(amb)), 2), detail
+        c, degree, deg, zero = _co_operation(ctx, co)
+        d = c(x)
+        return zero(swap_adjacent_slots(d, 0, deg) + d.scale(sign(twist + degree)), 2), detail
 
     return law
 
 
-def _cojacobi(detail: str):
-    """(id + t12 t23 + t23 t12)(delta x id) delta = 0.
+def _cojacobi(co: str, detail: str):
+    """(id + t12 t23 + t23 t12)(delta x id) delta = 0, for the cobracket ``co``.
 
     With a context, the delta'' spliced into slot 0 keeps its image of
     each sub-sym for the row (:meth:`RunContext.kept`); delta'' of the
@@ -443,8 +452,8 @@ def _cojacobi(detail: str):
     """
 
     def law(ctx, x):
-        delta, amb, deg, zero = _cobracket_of(ctx)
-        inner = delta if ctx is None else ctx.kept("delta''", delta, 2)
+        delta, amb, deg, zero = _co_operation(ctx, co)
+        inner = delta if ctx is None else ctx.kept(co, delta, 2)
         dd = splice_in_slot(delta(x), 0, inner, amb, deg)
         t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, deg), 0, deg)
         t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, deg), 1, deg)
@@ -461,21 +470,41 @@ def _d_squared(ctx, w):
     return False, f"D(D(w)) = {format_element(dd, render_word, word_key)}"
 
 
-def _d_coderivation(ctx, w):
-    d = cobracket(w)
-    lhs = apply_in_slot(d, 0, ctx.D, 1, word_degree) + apply_in_slot(d, 1, ctx.D, 1, word_degree)
-    rhs = ctx.D(w).map_basis(cobracket)
-    return ctx.pair_zero(lhs - rhs), "coderivation law fails in the quotient"
+def _coderivation(co: str, op_name: str, op, detail: str):
+    """(op x id + id x op) c = (-1)^deg(c) c op, for a degree-1 map ``op``
+    and the co-operation c named ``co``.
+
+    ``op`` applied inside a slot keeps its image of each sub-word or
+    sub-sym for the row, under ``op_name`` (:meth:`RunContext.kept`).
+    ``c`` and ``op`` of the input, and ``c`` over the terms of op(input),
+    are computed afresh: the input occurs once per row.
+    """
+
+    def law(ctx, x):
+        c, degree, deg, zero = _co_operation(ctx, co)
+        f = lambda s: op(ctx, s)
+        inner = ctx.kept(op_name, f, 1)
+        d = c(x)
+        lhs = apply_in_slot(d, 0, inner, 1, deg) + apply_in_slot(d, 1, inner, 1, deg)
+        rhs = f(x).map_basis(c).scale(sign(degree))
+        return zero(lhs - rhs, 2), detail
+
+    return law
 
 
-def _ell2_oracle(ctx, pair):
-    lhs, rhs = ell2(ctx.algebra, *pair), ell2_oracle(ctx.algebra, *pair)
-    if lhs == rhs:
-        return True, ""
-    return False, (
-        f"evaluator {format_element(lhs, render_word, word_key)} vs "
-        f"oracle {format_element(rhs, render_word, word_key)}"
-    )
+def _agree(lhs_name: str, lhs, rhs_name: str, rhs, render, key=None):
+    """Two independent evaluators of one map agree exactly, term by term."""
+
+    def law(ctx, x):
+        u, v = lhs(ctx.algebra, x), rhs(ctx.algebra, x)
+        if u == v:
+            return True, ""
+        return False, (
+            f"{lhs_name} {format_element(u, render, key)} vs "
+            f"{rhs_name} {format_element(v, render, key)}"
+        )
+
+    return law
 
 
 def _ell2_compatibility(ctx, pair):
@@ -582,18 +611,11 @@ def _leibniz(form, twist: int, detail: str):
     return law
 
 
-def _coproduct_cocommutative(ctx, sym):
-    d = coproduct_delta(ctx.algebra, sym)
-    return ctx.sym_zero(swap_adjacent_slots(d, 0, ctx.sdeg) - d, 2), "flip changes the coproduct"
-
-
 def _coproduct_coassociative(ctx, sym):
-    A = ctx.algebra
-    delta_fn = lambda s: coproduct_delta(A, s)
-    d = coproduct_delta(A, sym)
-    lhs = splice_in_slot(d, 0, delta_fn, 0, ctx.sdeg)
-    rhs = splice_in_slot(d, 1, delta_fn, 0, ctx.sdeg)
-    return ctx.sym_zero(lhs - rhs, 3), "coassociativity fails"
+    Delta, _, deg, zero = _co_operation(ctx, "Delta")
+    d = Delta(sym)
+    lhs, rhs = splice_in_slot(d, 0, Delta, 0, deg), splice_in_slot(d, 1, Delta, 0, deg)
+    return zero(lhs - rhs, 3), "coassociativity fails"
 
 
 def _q_squared(ctx, sym):
@@ -606,28 +628,6 @@ def _q_taylor(ctx, sym):
     return same, "the two presentations of Q differ"
 
 
-def _sym_coderivation(coproduct, op_name: str, op, twisted: bool, detail: str):
-    """(op x id + id x op) c = (-1)^((a-b) twisted) c op, for c = Delta or delta''.
-
-    ``op`` applied inside a slot keeps its image of each sub-sym for the
-    row, under ``op_name`` (:meth:`RunContext.kept`).  ``c`` and ``op``
-    of the input, and ``c`` over the terms of op(input), are computed
-    afresh: the input occurs once per row.
-    """
-
-    def law(ctx, sym):
-        A = ctx.algebra
-        c = lambda s: coproduct(A, s)
-        f = lambda s: op(ctx, s)
-        inner = ctx.kept(op_name, f, 1)
-        d = c(sym)
-        lhs = apply_in_slot(d, 0, inner, 1, ctx.sdeg) + apply_in_slot(d, 1, inner, 1, ctx.sdeg)
-        rhs = f(sym).map_basis(c).scale(sign((A.a - A.b) * twisted))
-        return ctx.sym_zero(lhs - rhs, 2), detail
-
-    return law
-
-
 def _coleibniz(ctx, sym):
     """(id x Delta) delta'' = (delta'' x id) Delta + t12 (id x delta'') Delta.
 
@@ -635,30 +635,14 @@ def _coleibniz(ctx, sym):
     sub-sym for the row, apart by name (:meth:`RunContext.kept`);
     delta'' and Delta of the input itself are computed afresh.
     """
-    A = ctx.algebra
-    amb = A.a - A.b
-    delta_fn = ctx.kept("Delta", lambda s: coproduct_delta(A, s), 2)
-    dpp_fn = ctx.kept("delta''", lambda s: cobracket_doubleprime(A, s), 2)
-    lhs = splice_in_slot(cobracket_doubleprime(A, sym), 1, delta_fn, 0, ctx.sdeg)
-    d = coproduct_delta(A, sym)
-    r1 = splice_in_slot(d, 0, dpp_fn, amb, ctx.sdeg)
-    r2 = swap_adjacent_slots(splice_in_slot(d, 1, dpp_fn, amb, ctx.sdeg), 0, ctx.sdeg)
-    return ctx.sym_zero(lhs - r1 - r2, 3), "coLeibniz fails"
-
-
-def _specialization(oracle, name: str):
-    """delta'' equals a directly coded cobracket, term by term."""
-
-    def law(ctx, sym):
-        lhs, rhs = cobracket_doubleprime(ctx.algebra, sym), oracle(ctx.algebra, sym)
-        if lhs == rhs:
-            return True, ""
-        return False, (
-            f"delta'' {format_element(lhs, render_sym_tuple)} vs {name} "
-            f"{format_element(rhs, render_sym_tuple)}"
-        )
-
-    return law
+    Delta, _, deg, zero = _co_operation(ctx, "Delta")
+    delta, amb, _, _ = _co_operation(ctx, "delta''")
+    lhs = splice_in_slot(delta(sym), 1, ctx.kept("Delta", Delta, 2), 0, deg)
+    d = Delta(sym)
+    inner = ctx.kept("delta''", delta, 2)
+    r1 = splice_in_slot(d, 0, inner, amb, deg)
+    r2 = swap_adjacent_slots(splice_in_slot(d, 1, inner, amb, deg), 0, deg)
+    return zero(lhs - r1 - r2, 3), "coLeibniz fails"
 
 
 # -- the table ----------------------------------------------------------------------
@@ -707,13 +691,13 @@ CHECKS: dict[str, Identity] = {
     "cobracket-coantisymmetry": Identity(
         "tau.delta = -delta on the shuffle quotient",
         lambda _: _generic_words(4),
-        _coantisymmetry("flip plus identity does not vanish in the quotient"),
+        _flip("delta", 0, "flip plus identity does not vanish in the quotient"),
         _render_degrees,
     ),
     "cobracket-cojacobi": Identity(
         "(id + t12 t23 + t23 t12)(delta x id) delta = 0 on the shuffle quotient",
         lambda _: _generic_words(4),
-        _cojacobi("cyclic sum does not vanish in the quotient"),
+        _cojacobi("delta", "cyclic sum does not vanish in the quotient"),
         _render_degrees,
     ),
     # core: D and the word brackets
@@ -723,13 +707,16 @@ CHECKS: dict[str, Identity] = {
     "codifferential-coderivation": Identity(
         "(D x id + id x D) delta = delta D on the shuffle quotient",
         lambda ctx: [w for w in ctx.words if len(w) >= 2],
-        _d_coderivation,
+        _coderivation(
+            "delta", "D", lambda ctx, w: ctx.D(w), "coderivation law fails in the quotient"
+        ),
         render_word,
     ),
     "bracket-extension-oracle": Identity(
         "two independent evaluators of the word bracket agree exactly",
         lambda ctx: [(x, y) for x in ctx.words for y in ctx.words if len(x) + len(y) <= 5],
-        _ell2_oracle,
+        _agree("evaluator", lambda A, p: ell2(A, *p), "oracle", lambda A, p: ell2_oracle(A, *p),
+               render_word, word_key),
         _render_words,
     ),
     "bracket-extension-compatibility": Identity(
@@ -788,7 +775,10 @@ CHECKS: dict[str, Identity] = {
     ),
     # envelope: the symmetric coalgebra, Q and delta''
     "coproduct-cocommutativity": Identity(
-        "tau''.Delta = Delta", _syms_letters, _coproduct_cocommutative, render_sym
+        "tau''.Delta = Delta",
+        _syms_letters,
+        _flip("Delta", 1, "flip changes the coproduct"),
+        render_sym,
     ),
     "coproduct-coassociativity": Identity(
         "(Delta x id) Delta = (id x Delta) Delta",
@@ -805,12 +795,8 @@ CHECKS: dict[str, Identity] = {
     "codifferential-q-coderivation": Identity(
         "(Q x id + id x Q) Delta = Delta Q, modulo shuffles factorwise",
         _syms_letters,
-        _sym_coderivation(
-            lambda A, s: coproduct_delta(A, s),
-            "Q",
-            lambda ctx, s: ctx.q_op(s),
-            False,
-            "Q is not a coderivation of Delta",
+        _coderivation(
+            "Delta", "Q", lambda ctx, s: ctx.q_op(s), "Q is not a coderivation of Delta"
         ),
         render_sym,
     ),
@@ -823,13 +809,13 @@ CHECKS: dict[str, Identity] = {
     "sym-cobracket-coantisymmetry": Identity(
         "tau''.delta'' = -(-1)^(a-b) delta''",
         _syms_factors,
-        _coantisymmetry("twisted coantisymmetry fails"),
+        _flip("delta''", 0, "twisted coantisymmetry fails"),
         render_sym,
     ),
     "sym-cobracket-cojacobi": Identity(
         "(id + t12 t23 + t23 t12)(delta'' x id) delta'' = 0",
         _syms_factors,
-        _cojacobi("coJacobi fails"),
+        _cojacobi("delta''", "coJacobi fails"),
         render_sym,
     ),
     "sym-cobracket-coleibniz": Identity(
@@ -841,11 +827,8 @@ CHECKS: dict[str, Identity] = {
     "sym-cobracket-m-twist": Identity(
         "(m x id + id x m) delta'' = (-1)^(a-b) delta'' m",
         _syms_factors,
-        _sym_coderivation(
-            lambda A, s: cobracket_doubleprime(A, s),
-            "m",
-            lambda ctx, s: extend_m(ctx.algebra, s, ctx.D),
-            True,
+        _coderivation(
+            "delta''", "m", lambda ctx, s: extend_m(ctx.algebra, s, ctx.D),
             "twisted coderivation law fails",
         ),
         render_sym,
@@ -853,11 +836,8 @@ CHECKS: dict[str, Identity] = {
     "sym-cobracket-ell-twist": Identity(
         "(ell'' x id + id x ell'') delta'' = (-1)^(a-b) delta'' ell''",
         _syms_factors,
-        _sym_coderivation(
-            lambda A, s: cobracket_doubleprime(A, s),
-            "ell''",
-            lambda ctx, s: extend_ell(ctx.algebra, s),
-            True,
+        _coderivation(
+            "delta''", "ell''", lambda ctx, s: extend_ell(ctx.algebra, s),
             "twisted coderivation law fails",
         ),
         render_sym,
@@ -865,13 +845,15 @@ CHECKS: dict[str, Identity] = {
     "specialization-gerstenhaber": Identity(
         "at a-b = 1 the cobracket equals the directly coded cosymmetric one, exactly",
         _syms_small,
-        _specialization(lambda A, s: kappa(A, s), "kappa"),
+        _agree("delta''", lambda A, s: cobracket_doubleprime(A, s), "kappa",
+               lambda A, s: kappa(A, s), render_sym_tuple),
         render_sym,
     ),
     "specialization-poisson": Identity(
         "at a-b = 0 the cobracket equals the directly coded coantisymmetric one, exactly",
         _syms_small,
-        _specialization(lambda A, s: poisson_cobracket(A, s), "direct"),
+        _agree("delta''", lambda A, s: cobracket_doubleprime(A, s), "direct",
+               lambda A, s: poisson_cobracket(A, s), render_sym_tuple),
         render_sym,
     ),
 }

@@ -13,6 +13,13 @@ odd factor is zero.  On this space live:
 - the degree-(a-b) cobracket ``cobracket_doubleprime`` that cuts one
   factor at every deconcatenation point.
 
+All four enumerate factor splits through one enumerator,
+:func:`block_splits`, the one production place that works out the Koszul
+sign of moving factors past each other: the two blocks of Delta, the
+blocks around the cut factor of delta'', and the one or two factors that
+m and ell'' bring to the front (one body, ``_extend``, over the block
+size).
+
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
 of the Gerstenhaber-shaped (a-b = 1) and Poisson-shaped (a-b = 0)
 specializations; they exist as independent oracles for
@@ -164,14 +171,16 @@ def sym_key(sym: SymWord):
 # -- coproduct -----------------------------------------------------------
 
 
-def block_splits(degs: list[int], pinned: int | None = None):
+def block_splits(degs: list[int], pinned: int | None = None, size: int | None = None):
     """Ordered two-block splits of factor positions, with their Koszul sign.
 
     Yields ``(left, right, eps)``: increasing position tuples and the
     Koszul sign, in the degrees ``degs``, of arranging the factors as
     left, then the ``pinned`` factor if one is given, then right.
-    Without a pinned factor only proper splits (both blocks nonempty)
-    occur; with one, every split of the other positions does.  Blocks
+    With ``size``, only the left blocks of that size occur (none when it
+    exceeds the positions to choose from); without it, and without a
+    pinned factor, only proper splits (both blocks nonempty) occur, and
+    with a pinned factor every split of the other positions does.  Blocks
     ``left`` come in :func:`itertools.combinations` order, smallest
     size first.  Complementing reverses the lexicographic order of
     equal-size subsets, so the matching ``right`` blocks are the
@@ -187,7 +196,10 @@ def block_splits(degs: list[int], pinned: int | None = None):
     odd = sum(1 << i for i, d in enumerate(degs) if d % 2)
     others = [i for i in range(n) if i != pinned]
     pinned_bit = 0 if pinned is None else odd & (1 << pinned)
-    sizes = range(1, n) if pinned is None else range(n)
+    if size is not None:
+        sizes = range(size, min(size, len(others)) + 1)
+    else:
+        sizes = range(1, n) if pinned is None else range(n)
     for r in sizes:
         rights = list(itertools.combinations(others, len(others) - r))
         rights.reverse()
@@ -221,43 +233,31 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
 # -- coderivation extensions ----------------------------------------------
 
 
-def _add_front(acc: dict, amb: int, rest: SymWord, rest_odds, image: Element, coeff) -> None:
-    """Accumulate ``coeff`` times the canonical ``(w,) + rest`` for each
-    term of ``image``; ``rest`` is canonical."""
-    for w, c in image.items():
-        s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
-        if s:
-            add_term(acc, out, c * coeff * s)
+def _extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
+    """The coderivation extension of ``f``, a map from ``size`` factors to
+    Elements of words: ``f`` takes each unordered block of ``size``
+    factors, after bringing it to the front, and its image words take the
+    block's place in front of the other factors."""
+    amb = algebra.a - algebra.b
+    degs, odds = _sym_degrees(algebra, sym)
+    acc: dict = {}
+    for block, others, front in block_splits(degs, size=size):
+        rest, rest_odds = tuple([sym[i] for i in others]), [odds[i] for i in others]
+        for w, c in f(*[sym[i] for i in block]).items():
+            s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
+            if s:
+                add_term(acc, out, c * front * s)
+    return Element(acc)
 
 
 def extend_m(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
     """Apply D to one factor at a time, after bringing it to the front."""
-    amb = algebra.a - algebra.b
-    degs, odds = _sym_degrees(algebra, sym)
-    acc: dict = {}
-    before = 0  # deg_s of sym[:i]
-    for i in range(len(sym)):
-        front = sign(degs[i] * before)
-        before += degs[i]
-        rest, rest_odds = sym[:i] + sym[i + 1 :], odds[:i] + odds[i + 1 :]
-        _add_front(acc, amb, rest, rest_odds, D(sym[i]), front)
-    return Element(acc)
+    return _extend(algebra, sym, 1, D)
 
 
 def extend_ell(algebra: AbAlgebra, sym: SymWord) -> Element:
     """Contract one unordered factor pair with the symmetric bracket."""
-    amb = algebra.a - algebra.b
-    degs, odds = _sym_degrees(algebra, sym)
-    acc: dict = {}
-    n = len(sym)
-    before = list(itertools.accumulate(degs, initial=0))  # before[i]: deg_s of sym[:i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            front = sign(degs[i] * before[i] + degs[j] * (before[j] - degs[i]))
-            rest = sym[:i] + sym[i + 1 : j] + sym[j + 1 :]
-            rest_odds = odds[:i] + odds[i + 1 : j] + odds[j + 1 :]
-            _add_front(acc, amb, rest, rest_odds, ell2_doubleprime(algebra, sym[i], sym[j]), front)
-    return Element(acc)
+    return _extend(algebra, sym, 2, lambda x, y: ell2_doubleprime(algebra, x, y))
 
 
 def q_codifferential(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:

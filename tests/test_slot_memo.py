@@ -1,11 +1,11 @@
 """The row memo keeps values for one row; no record may show it.
 
-Seven rows keep values in ``RunContext.row_memo`` through
+Eight rows keep values in ``RunContext.row_memo`` through
 ``RunContext.kept``, under (map name, argument).  The slot rows (coJacobi,
-coLeibniz, the m and ell'' twists and the Q coderivation) keep the image
-of each sym a map meets inside a slot; the two Jacobi rows keep each inner
-bracket of two pair words and their current orbit verdict
-(``test_jacobi_memo.py``).
+coLeibniz, the m and ell'' twists, the Q coderivation and the word
+coderivation of D) keep the image of each sym or word a map meets inside a
+slot; the two Jacobi rows keep each inner bracket of two pair words and
+their current orbit verdict (``test_jacobi_memo.py``).
 
 The reference below is each law without any memo, as every input ran it
 before.  On every builtin, with a probe set that makes the bracket
@@ -43,7 +43,13 @@ from abhomotopy.sym_coalgebra import (
     extend_ell,
     extend_m,
 )
-from abhomotopy.tensor_coalgebra import apply_in_slot, splice_in_slot, swap_adjacent_slots
+from abhomotopy.tensor_coalgebra import (
+    apply_in_slot,
+    cobracket,
+    splice_in_slot,
+    swap_adjacent_slots,
+    word_degree,
+)
 
 SMALL = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=1)
 
@@ -75,7 +81,7 @@ INHOMOGENEOUS = {
 }
 
 
-# -- the seven rows without any memo -------------------------------------------
+# -- the eight rows without any memo -------------------------------------------
 
 FORMS = {"lie-bracket-jacobi": _LIE, "sym-bracket-jacobi": _SYM}
 
@@ -137,7 +143,15 @@ def _coderivation(coproduct, op, twisted, detail):
     return law
 
 
+def _d_coderivation(ctx, w):
+    d = cobracket(w)
+    lhs = apply_in_slot(d, 0, ctx.D, 1, word_degree) + apply_in_slot(d, 1, ctx.D, 1, word_degree)
+    rhs = ctx.D(w).map_basis(cobracket)
+    return ctx.pair_zero(lhs - rhs), "coderivation law fails in the quotient"
+
+
 REFERENCE_LAWS = {
+    "codifferential-coderivation": _d_coderivation,
     "lie-bracket-jacobi": _jacobi(_LIE),
     "sym-bracket-jacobi": _jacobi(_SYM),
     "codifferential-q-coderivation": _coderivation(
@@ -233,6 +247,7 @@ MAPS = {
     "m": (lambda ctx, row, s: extend_m(ctx.algebra, s, ctx.D), 1),
     "ell''": (lambda ctx, row, s: extend_ell(ctx.algebra, s), 1),
     "Q": (lambda ctx, row, s: ctx.q_op(s), 1),
+    "D": (lambda ctx, row, w: ctx.D(w), 1),
     "bracket": (lambda ctx, row, xy: FORMS[row][0](ctx.algebra, *xy), 1),
 }
 
@@ -283,6 +298,13 @@ def test_the_documents_exercise_skips_and_a_failure():
     assert any(r.status == "fail" for r in inhomogeneous)
 
 
+# inputs a failing row must have evaluated, so that it failed after its
+# table held values: the differential mutant breaks the word coderivation
+# law at its second word, (xi1|1), whose cobracket holds (xi1, 1) and
+# (1, xi1), so slot 1 reads the images of D that slot 0 kept
+EVALUATED_BEFORE_FAILING = {"codifferential-coderivation": 1}
+
+
 def assert_mutant_after_its_parent_fails_as_the_reference(mutate, rows):
     """The parent's rows run first in the same process; the mutant must
     not read any value the parent's rows computed.  Returns the rows the
@@ -298,7 +320,7 @@ def assert_mutant_after_its_parent_fails_as_the_reference(mutate, rows):
         expected = reference_record(name, mutate(builtin_context("poisson-super")))
         assert record.as_dict() == expected.as_dict()
         if record.status == "fail":
-            assert record.evaluated > 3
+            assert record.evaluated > EVALUATED_BEFORE_FAILING.get(name, 3)
             failed.append(name)
     return failed
 

@@ -315,6 +315,27 @@ def test_bug_inside_a_check_is_not_a_usage_error():
         "sys.exit(main(['verify-envelope', '--algebra', 'poisson-super', '--suites', 'core',\n"
         "               '--max-word-len', '2', '--probe-gens', '2']))\n"
     )
+    assert_exits_with_traceback(script, "KeyError: 'bug inside a check'")
+
+
+def test_bug_inside_a_builder_is_not_a_usage_error():
+    """Only input errors are usage errors: a ``KeyError`` raised while the
+    instance is built is a bug too, and used to exit 2 as one."""
+    script = (
+        "import sys\n"
+        "from abhomotopy import instances\n"
+        "def broken(params):\n"
+        "    raise KeyError('bug inside a builder')\n"
+        "instances.BUILTINS['poisson-super'] = (broken, instances.BUILTINS['poisson-super'][1])\n"
+        "from abhomotopy.cli import main\n"
+        "sys.exit(main(['check-algebra', '--algebra', 'poisson-super']))\n"
+    )
+    assert_exits_with_traceback(script, "KeyError: 'bug inside a builder'")
+
+
+def assert_exits_with_traceback(script: str, error: str) -> None:
+    """``script`` run in a fresh interpreter exits 1, not 2, printing
+    ``error`` under a traceback."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -325,7 +346,7 @@ def test_bug_inside_a_check_is_not_a_usage_error():
     )
     assert proc.returncode != 2
     assert proc.returncode == 1
-    assert "KeyError: 'bug inside a check'" in proc.stderr
+    assert error in proc.stderr
     assert "Traceback" in proc.stderr
 
 
@@ -350,6 +371,7 @@ def test_python_dash_m_runs_the_command_line():
         ("gerstenhaber-toy", "max_rank=2.5"),
         ("gerstenhaber-toy", "d=5/2"),
         ("schouten-super", "q=[1]"),
+        ("poisson-super", "max_degree=1/0"),
     ],
 )
 def test_non_integer_builtin_parameter_is_a_named_usage_error(algebra, param, capsys):
@@ -361,6 +383,81 @@ def test_non_integer_builtin_parameter_is_a_named_usage_error(algebra, param, ca
     assert code == 2 and captured.out == ""
     key = param.partition("=")[0]
     assert f"parameter {key!r} of instance {algebra!r} must be an integer" in captured.err
+
+
+def refused_before_any_check(monkeypatch, capsys, argv: list[str]) -> str:
+    """Run ``argv`` with every check runner refusing to run; it must exit 2
+    with no report.  Returns its standard error."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a check ran before the parameter was refused")
+
+    for runner in ("run_check_algebra", "run_verify_envelope", "run_mutation"):
+        monkeypatch.setattr(cli, runner, must_not_run)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "algebra, param, least",
+    [
+        ("polyvector-even", "d=-1", 0),
+        ("gerstenhaber-toy", "d=-1", 0),
+        ("schouten-super", "p=-1", 0),
+        ("poisson-super", "q=-1", 0),
+        ("poisson-super", "max_degree=-1", 0),
+        ("poisson-polynomial", "max_degree=-2", 0),
+        ("schouten-super", "max_rank=-1", 0),
+        ("polyvector-even", "max_coef_degree=-1", 0),
+        ("poisson-polynomial", "m=-1", 0),
+        ("gerstenhaber-toy", "d=0", 2),
+        ("poisson-polynomial", "d=1", 2),
+        ("poisson-super", "p=1", 2),
+    ],
+)
+def test_builtin_parameter_out_of_range_is_a_named_usage_error(
+    algebra, param, least, monkeypatch, capsys
+):
+    """A negative size used to die in a RecursionError, build an empty
+    basis that passed check-algebra on the tensor checks alone, or run a
+    report of skips only; poisson-polynomial's m = -1 failed to parse its
+    own default tensor, and a builder's own minimum named the builder's
+    variable (p) where the user had set d."""
+    argv = ["verify-envelope", "--algebra", algebra, "--param", param]
+    err = refused_before_any_check(monkeypatch, capsys, argv)
+    key = param.partition("=")[0]
+    assert f"parameter {key!r} of instance {algebra!r} must be at least {least}" in err
+
+
+@pytest.mark.parametrize(
+    "algebra, omega, named",
+    [
+        ("poisson-super", "[1]", "must be a JSON object"),
+        ("poisson-super", "x1", "must be a JSON object"),
+        ("poisson-super", '{"x1": 1}', "key 'x1'"),
+        ("poisson-super", '{"x9,x1": 1}', "key 'x9,x1'"),
+        ("poisson-super", '{"y1,x1": 1}', "key 'y1,x1'"),
+        ("poisson-polynomial", '{"x1,xi1": 1}', "key 'x1,xi1'"),
+        ("poisson-super", '{"x1,x2": [1]}', "entry 'x1,x2'"),
+        ("poisson-super", '{"x1,x2": 0.5}', "entry 'x1,x2'"),
+        ("poisson-super", '{"x1,x2": true}', "entry 'x1,x2'"),
+        ("poisson-super", '{"x1,x2": "1/0"}', "entry 'x1,x2'"),
+        ("poisson-super", '{"x1,x2": "x9"}', "variable 'x9' out of range"),
+    ],
+)
+def test_malformed_omega_is_a_named_usage_error(algebra, omega, named, monkeypatch, capsys):
+    """Each used to crash (an AttributeError, IndexError or TypeError, some
+    inside the checks) or to say only 'not enough values to unpack'."""
+    argv = ["check-algebra", "--algebra", algebra, "--param", f"omega={omega}"]
+    err = refused_before_any_check(monkeypatch, capsys, argv)
+    assert f"parameter 'omega' of instance {algebra!r}" in err and named in err
+
+
+@pytest.mark.parametrize("omega", ['{"x1,x2": 1, "x2,x1": -1}', '{"x1,x2": "1/2", "x2,x1": "-1/2"}'])
+def test_exact_omega_is_taken(omega, capsys):
+    assert main(["check-algebra", "--algebra", "poisson-super", "--param", f"omega={omega}"]) == 0
 
 
 def test_cli_param_overrides(capsys):

@@ -83,7 +83,9 @@ def test_coproduct_three_factors_against_block_sign_oracle(poisson_poly_instance
 def test_block_splits_signs_and_order_against_koszul_sign():
     """The parity block sign equals ``koszul_sign`` of the arrangement
     (left, pinned, right), and the splits come in ``itertools.combinations``
-    order, for up to six factors of degree 0-3 and every pinned position.
+    order, for up to six factors of degree 0-3, every pinned position and
+    every block size: none given, 0 up to a full left block, and one more
+    than there are positions to choose from, which yields nothing.
 
     ``koszul_sign`` depends on degree parities only, so the expected
     splits are built once per parity pattern and every degree vector of
@@ -93,24 +95,31 @@ def test_block_splits_signs_and_order_against_koszul_sign():
     for n in range(1, 7):
         for degs in itertools.product(range(4), repeat=n):
             for pinned in (None, *range(n)):
-                key = (tuple(d % 2 for d in degs), pinned)
-                if key not in expected:
-                    others = [i for i in range(n) if i != pinned]
-                    middle = () if pinned is None else (pinned,)
-                    sizes = range(1, n) if pinned is None else range(n)
-                    want = []
-                    for r in sizes:
-                        for left in itertools.combinations(others, r):
-                            right = tuple(i for i in others if i not in left)
-                            sigma = [0] * n
-                            for rank, i in enumerate(left + middle + right):
-                                sigma[i] = rank
-                            want.append((left, right, koszul_sign(degs, sigma)))
-                    expected[key] = want
-                got = list(block_splits(list(degs), pinned))
-                assert got == expected[key], (degs, pinned)
-                checked += len(got)
-    assert checked == 1166052
+                for size in (None, *range(n + 2)):
+                    key = (tuple(d % 2 for d in degs), pinned, size)
+                    if key not in expected:
+                        others = [i for i in range(n) if i != pinned]
+                        middle = () if pinned is None else (pinned,)
+                        if size is not None:
+                            sizes = [size]
+                        else:
+                            sizes = range(1, n) if pinned is None else range(n)
+                        want = []
+                        for r in sizes:
+                            for left in itertools.combinations(others, r):
+                                right = tuple(i for i in others if i not in left)
+                                sigma = [0] * n
+                                for rank, i in enumerate(left + middle + right):
+                                    sigma[i] = rank
+                                want.append((left, right, koszul_sign(degs, sigma)))
+                        expected[key] = want
+                    got = list(block_splits(list(degs), pinned, size))
+                    assert got == expected[key], (degs, pinned, size)
+                    checked += len(got)
+    assert checked == 2343024
+    assert [s[0] for s in block_splits([1, 0, 1], size=3)] == [(0, 1, 2)]
+    assert list(block_splits([1, 0, 1], size=4)) == []
+    assert list(block_splits([1, 0, 1], pinned=1, size=3)) == []
 
 
 def test_extensions_on_one_and_two_factors(toy_instance):

@@ -64,11 +64,13 @@ KERNEL_CALLS = {
 # builders were merged into one (ell2 as above: 1832 calls before the
 # Jacobi rows' row memo).  The slot images kept per row moved ell2,
 # coderivation and the cached structure-map lookups as above (896, 612
-# and 19467 calls before); structure_fn, the first touches, does not move
+# and 19467 calls before); structure_fn, the first touches, does not move.
+# The word coderivation row keeping D's image of each sub-word for the row
+# moved coderivation and the cached lookups again (416 and 19229 before)
 SCHOUTEN_KERNEL_CALLS = {
     "instances.structure_fn": 1528,
-    "ab_core.structure_maps": 19229,
-    "ab_core.coderivation": 416,
+    "ab_core.structure_maps": 19221,
+    "ab_core.coderivation": 408,
     "ab_core.ell2": 848,
     "tensor_coalgebra.slot_calculus": 2082,
     "sym_coalgebra.oracles": 50,
