@@ -13,12 +13,12 @@ Exit codes: 0 all pass, 1 any fail, 2 config/usage error (a probe size
 below 1 is one), 3 every check skipped or a requested suite checked
 nothing (a run that checks nothing never passes, and passes in one suite
 never cover another).  Only parsing the configuration and building the
-instance can end in exit 2; a ``--report`` path naming a directory or
-inside a missing one is a configuration error, found before any check
-runs.  An exception raised while the checks run is a bug and propagates
-with its traceback.  Reports are deterministic given the flags
-(``--seed``, on ``mutation`` alone, picks the mutants); elapsed time goes
-to stderr only.
+instance can end in exit 2; a ``--report`` path that is empty, names a
+directory or lies inside a missing one is a configuration error, found
+before any check runs.  An exception raised while the checks run is a
+bug and propagates with its traceback.  Reports are deterministic given
+the flags (``--seed``, on ``mutation`` alone, picks the mutants);
+elapsed time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _check_report_path(path: str) -> None:
     """Refuse a ``--report`` path the report could not be written to, so
     the run stops before any check instead of after all of them."""
+    if not path:
+        raise ValueError("--report: empty path")
     target = Path(path)
     if target.is_dir():
         raise ValueError(f"--report {path}: is a directory")
@@ -133,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.rounds < 1:
                 raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
             suites = ("core", "envelope")
-        if args.report:
+        if args.report is not None:
             _check_report_path(args.report)
         config = _config_from(args, suites)
         instance = build_instance(config)
@@ -150,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         report = run_mutation(config, rounds=args.rounds, instance=instance)
 
-    if args.report:
+    if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())

@@ -1,18 +1,19 @@
 """The row memo keeps values for one row; no record may show it.
 
-Eight rows keep values in ``RunContext.row_memo`` through
+Nine rows keep values in ``RunContext.row_memo`` through
 ``RunContext.kept``, under (map name, argument).  The slot rows (coJacobi,
-coLeibniz, the m and ell'' twists, the Q coderivation and the word
-coderivation of D) keep the image of each sym or word a map meets inside a
-slot; the two Jacobi rows keep each inner bracket of two pair words and
-their current orbit verdict (``test_jacobi_memo.py``).
+coLeibniz, coassociativity, the m and ell'' twists, the Q coderivation and
+the word coderivation of D) keep the image of each sym or word a map meets
+inside a slot; the two Jacobi rows keep each inner bracket of two pair
+words and their current orbit verdict (``test_jacobi_memo.py``).
 
 The reference below is each law without any memo, as every input ran it
-before.  On every builtin, with a probe set that makes the bracket
-nonzero, and on two hand-made algebras (one where truncation skips
-inputs, one with inhomogeneous table entries), the rows must give the
-reference's record field for field and touch structure constants in the
-same first order (``degree_violations``).  The table must be empty once a
+before, over the tests' own maps, bracket forms and zero tests.  On every
+builtin, with a probe set that makes the bracket nonzero, and on two
+hand-made algebras (one where truncation skips inputs, one with
+inhomogeneous table entries), the rows must give the reference's record
+field for field and touch structure constants in the same first order
+(``degree_violations``).  The table must be empty once a
 row has ended, belong to its context alone, keep nothing for an input
 that left the truncation, and never take in an image of the input being
 checked.
@@ -22,13 +23,17 @@ import dataclasses
 
 import pytest
 
-from abhomotopy.ab_core import TruncationOverflow, algebra_from_dict
+from abhomotopy.ab_core import (
+    AbAlgebra,
+    TruncationOverflow,
+    algebra_from_dict,
+    ell2_doubleprime,
+    ell2_prime,
+)
 from abhomotopy.freemodule import Element, bilinear
 from abhomotopy.instances import Instance
 from abhomotopy.signs import sign
 from abhomotopy.suites import (
-    _LIE,
-    _SYM,
     CHECKS,
     CheckRecord,
     RunContext,
@@ -42,8 +47,11 @@ from abhomotopy.sym_coalgebra import (
     coproduct_delta,
     extend_ell,
     extend_m,
+    q_codifferential,
+    sym_tensor_is_zero,
 )
 from abhomotopy.tensor_coalgebra import (
+    QUOTIENT,
     apply_in_slot,
     cobracket,
     splice_in_slot,
@@ -81,9 +89,30 @@ INHOMOGENEOUS = {
 }
 
 
-# -- the eight rows without any memo -------------------------------------------
+# -- the nine rows without any memo --------------------------------------------
 
-FORMS = {"lie-bracket-jacobi": _LIE, "sym-bracket-jacobi": _SYM}
+# a bracket form is (bracket(A, x, y), degree(A, x)): ell2' in the dg'
+# grading, ell2'' in the dg'' grading
+FORMS = {
+    "lie-bracket-jacobi": (ell2_prime, AbAlgebra.deg_l),
+    "sym-bracket-jacobi": (ell2_doubleprime, AbAlgebra.deg_s),
+}
+
+
+def word_zero(v):
+    return v.is_zero() or QUOTIENT.is_zero(v)
+
+
+def pair_zero(v):
+    return v.is_zero() or QUOTIENT.tensor_is_zero(v, 2)
+
+
+def sym_zero(ctx, v, arity):
+    return sym_tensor_is_zero(ctx.algebra, v, arity)
+
+
+def q_op(ctx, sym):
+    return q_codifferential(ctx.algebra, sym, ctx.D)
 
 
 def rotations(triple):
@@ -104,7 +133,7 @@ def cyclic_total(ctx, form, triple):
 
 def _jacobi(form):
     def law(ctx, triple):
-        return ctx.word_zero(cyclic_total(ctx, form, triple)), "graded Jacobi fails in the quotient"
+        return word_zero(cyclic_total(ctx, form, triple)), "graded Jacobi fails in the quotient"
 
     return law
 
@@ -115,7 +144,7 @@ def _cojacobi(ctx, x):
     dd = splice_in_slot(delta(x), 0, delta, A.a - A.b, ctx.sdeg)
     t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, ctx.sdeg), 0, ctx.sdeg)
     t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, ctx.sdeg), 1, ctx.sdeg)
-    return ctx.sym_zero(dd + t1 + t2, 3), "coJacobi fails"
+    return sym_zero(ctx, dd + t1 + t2, 3), "coJacobi fails"
 
 
 def _coleibniz(ctx, sym):
@@ -127,7 +156,14 @@ def _coleibniz(ctx, sym):
     d = coproduct_delta(A, sym)
     r1 = splice_in_slot(d, 0, dpp_fn, amb, ctx.sdeg)
     r2 = swap_adjacent_slots(splice_in_slot(d, 1, dpp_fn, amb, ctx.sdeg), 0, ctx.sdeg)
-    return ctx.sym_zero(lhs - r1 - r2, 3), "coLeibniz fails"
+    return sym_zero(ctx, lhs - r1 - r2, 3), "coLeibniz fails"
+
+
+def _coassociative(ctx, sym):
+    Delta = lambda s: coproduct_delta(ctx.algebra, s)
+    d = Delta(sym)
+    lhs, rhs = splice_in_slot(d, 0, Delta, 0, ctx.sdeg), splice_in_slot(d, 1, Delta, 0, ctx.sdeg)
+    return sym_zero(ctx, lhs - rhs, 3), "coassociativity fails"
 
 
 def _coderivation(coproduct, op, twisted, detail):
@@ -138,7 +174,7 @@ def _coderivation(coproduct, op, twisted, detail):
         d = c(sym)
         lhs = apply_in_slot(d, 0, f, 1, ctx.sdeg) + apply_in_slot(d, 1, f, 1, ctx.sdeg)
         rhs = f(sym).map_basis(c).scale(sign((A.a - A.b) * twisted))
-        return ctx.sym_zero(lhs - rhs, 2), detail
+        return sym_zero(ctx, lhs - rhs, 2), detail
 
     return law
 
@@ -147,15 +183,16 @@ def _d_coderivation(ctx, w):
     d = cobracket(w)
     lhs = apply_in_slot(d, 0, ctx.D, 1, word_degree) + apply_in_slot(d, 1, ctx.D, 1, word_degree)
     rhs = ctx.D(w).map_basis(cobracket)
-    return ctx.pair_zero(lhs - rhs), "coderivation law fails in the quotient"
+    return pair_zero(lhs - rhs), "coderivation law fails in the quotient"
 
 
 REFERENCE_LAWS = {
     "codifferential-coderivation": _d_coderivation,
-    "lie-bracket-jacobi": _jacobi(_LIE),
-    "sym-bracket-jacobi": _jacobi(_SYM),
+    "lie-bracket-jacobi": _jacobi(FORMS["lie-bracket-jacobi"]),
+    "sym-bracket-jacobi": _jacobi(FORMS["sym-bracket-jacobi"]),
+    "coproduct-coassociativity": _coassociative,
     "codifferential-q-coderivation": _coderivation(
-        coproduct_delta, lambda ctx, s: ctx.q_op(s), False, "Q is not a coderivation of Delta"
+        coproduct_delta, q_op, False, "Q is not a coderivation of Delta"
     ),
     "sym-cobracket-cojacobi": _cojacobi,
     "sym-cobracket-coleibniz": _coleibniz,
@@ -240,15 +277,16 @@ def differential_mutant(parent):
 # -- reading the table ------------------------------------------------------------
 
 # what each kept image must equal, and the arity of its basis keys, by the
-# name it is kept under; "bracket" is the Jacobi row's bracket of a pair
+# name it is kept under; a bracket form's argument is a pair of words
 MAPS = {
-    "delta''": (lambda ctx, row, s: cobracket_doubleprime(ctx.algebra, s), 2),
-    "Delta": (lambda ctx, row, s: coproduct_delta(ctx.algebra, s), 2),
-    "m": (lambda ctx, row, s: extend_m(ctx.algebra, s, ctx.D), 1),
-    "ell''": (lambda ctx, row, s: extend_ell(ctx.algebra, s), 1),
-    "Q": (lambda ctx, row, s: ctx.q_op(s), 1),
-    "D": (lambda ctx, row, w: ctx.D(w), 1),
-    "bracket": (lambda ctx, row, xy: FORMS[row][0](ctx.algebra, *xy), 1),
+    "delta''": (lambda ctx, s: cobracket_doubleprime(ctx.algebra, s), 2),
+    "Delta": (lambda ctx, s: coproduct_delta(ctx.algebra, s), 2),
+    "m": (lambda ctx, s: extend_m(ctx.algebra, s, ctx.D), 1),
+    "ell''": (lambda ctx, s: extend_ell(ctx.algebra, s), 1),
+    "Q": (q_op, 1),
+    "D": (lambda ctx, w: ctx.D(w), 1),
+    "ell2'": (lambda ctx, xy: ell2_prime(ctx.algebra, *xy), 1),
+    "ell2''": (lambda ctx, xy: ell2_doubleprime(ctx.algebra, *xy), 1),
 }
 
 
@@ -347,7 +385,7 @@ def test_kept_images_equal_the_maps_and_never_the_input_at_hand(where, monkeypat
         seen = {"inputs": 0, "skipped": 0, "lookups": 0, "computed": 0}
         checked = set()
 
-        def law(c, inp, inner=row.law, seen=seen, checked=checked, name=name):
+        def law(c, inp, inner=row.law, seen=seen, checked=checked):
             try:
                 return inner(c, inp)
             except TruncationOverflow:
@@ -360,18 +398,25 @@ def test_kept_images_equal_the_maps_and_never_the_input_at_hand(where, monkeypat
                         map_name, arg = key
                         assert arg != inp, inp
                         try:
-                            afresh = MAPS[map_name][0](c, name, arg)
+                            afresh = MAPS[map_name][0](c, arg)
                         except TruncationOverflow:
                             afresh = "overflow"
                         assert image == afresh, key
                         checked.add(key)
 
-        def kept(map_name, f, arity, inner=RunContext.kept, seen=seen):
+        def kept(map_name, inner=RunContext.kept, seen=seen):
+            # the accessor reads the map once, when the law asks for it
+            entry = ctx.maps[map_name]
+
             def computed(arg):
                 seen["computed"] += 1
-                return f(arg)
+                return entry.fn(arg)
 
-            image = inner(ctx, map_name, computed, arity)
+            ctx.maps[map_name] = entry._replace(fn=computed)
+            try:
+                image = inner(ctx, map_name)
+            finally:
+                ctx.maps[map_name] = entry
 
             def looked_up(arg):
                 seen["lookups"] += 1
@@ -400,7 +445,8 @@ def test_an_overflow_keeps_nothing():
         calls.append(s)
         raise TruncationOverflow("left the truncation")
 
-    image = ctx.kept("m", overflowing, 1)
+    ctx.maps["m"] = ctx.maps["m"]._replace(fn=overflowing)
+    image = ctx.kept("m")
     for _ in range(2):
         with pytest.raises(TruncationOverflow):
             image(sym)

@@ -142,18 +142,20 @@ def test_cli_check_algebra_json(tmp_path, capsys):
     assert on_disk.endswith("\n")
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_unwritable_report_path_is_a_usage_error_before_any_check(
     tmp_path, monkeypatch, capsys, where
 ):
-    """Such a path used to run every check and then die with a traceback."""
-    path = tmp_path / "nowhere" / "r.json" if where == "missing-directory" else tmp_path
+    """Such a path used to run every check and then die with a traceback;
+    an empty one (``--report=``) ran every check, wrote nothing and exited 0."""
+    path = {"missing-directory": tmp_path / "nowhere" / "r.json", "directory": tmp_path,
+            "empty": ""}[where]
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a check ran before the report path was refused")
 
     monkeypatch.setattr(cli, "run_verify_envelope", must_not_run)
-    assert main(["verify-envelope", "--suites", "core", "--report", str(path)]) == 2
+    assert main(["verify-envelope", "--suites", "core", f"--report={path}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and str(path) in captured.err
@@ -595,6 +597,17 @@ def test_every_command_names_inhomogeneous_input(tmp_path, capsys, command):
     assert len(degree) == 1
     assert degree[0]["status"] == "fail"
     assert "bracket('x', 'y') -> y has degree 1, expected 0" in degree[0]["witness"]
+
+
+def test_check_algebra_names_inhomogeneous_input_once_whatever_the_suites(tmp_path):
+    """The default ``SuiteConfig`` has no ``axioms`` suite, yet
+    ``run_check_algebra`` always reports the structure axioms, which hold
+    the degree-homogeneity record; it used to add a second one."""
+    path = tmp_path / "inhomogeneous.json"
+    path.write_text(json.dumps(INHOMOGENEOUS), encoding="utf-8")
+    report = run_check_algebra(SuiteConfig(algebra=str(path)))
+    degree = [r for r in report.records if r.check == "degree-homogeneity"]
+    assert len(degree) == 1 and degree[0].status == "fail"
 
 
 def test_homogeneous_input_gets_no_extra_degree_record():

@@ -46,16 +46,20 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "groups": 
 # ell2, cobracket, coproduct and q moved again when the symmetric laws
 # began to keep, for one row, the image of each sub-sym a map meets inside
 # a slot, where every input used to apply the map afresh (889, 255, 215
-# and 140 calls before); the slot maps and structure_fn do not move
+# and 140 calls before); the slot maps and structure_fn do not move.
+# coproduct moved again when coassociativity began to keep the Delta it
+# splices into a slot (176 before)
 KERNEL_CALLS = {
     "ab_core.ell2": 849,
     "sym_coalgebra.cobracket": 156,
-    "sym_coalgebra.coproduct": 176,
+    "sym_coalgebra.coproduct": 134,
     "sym_coalgebra.q": 98,
     "instances.structure_fn": 1253,
     # recorded before the three slot maps and the oracles' split
-    # enumeration were each folded into one body
-    "tensor_coalgebra.slot_calculus": 2082,
+    # enumeration were each folded into one body (2082 calls); the
+    # generic-letter cobracket rows' zero test then began to skip the
+    # slotwise normal form of a raw zero, as the instance rows' always did
+    "tensor_coalgebra.slot_calculus": 1482,
     "sym_coalgebra.oracles": 26,
 }
 
@@ -66,13 +70,14 @@ KERNEL_CALLS = {
 # coderivation and the cached structure-map lookups as above (896, 612
 # and 19467 calls before); structure_fn, the first touches, does not move.
 # The word coderivation row keeping D's image of each sub-word for the row
-# moved coderivation and the cached lookups again (416 and 19229 before)
+# moved coderivation and the cached lookups again (416 and 19229 before).
+# slot_calculus moved as above (2082 before)
 SCHOUTEN_KERNEL_CALLS = {
     "instances.structure_fn": 1528,
     "ab_core.structure_maps": 19221,
     "ab_core.coderivation": 408,
     "ab_core.ell2": 848,
-    "tensor_coalgebra.slot_calculus": 2082,
+    "tensor_coalgebra.slot_calculus": 1482,
     "sym_coalgebra.oracles": 50,
 }
 
