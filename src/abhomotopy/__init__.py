@@ -4,7 +4,7 @@ The package builds, for a graded algebra carrying a degree-a commutative
 product and a degree-b Lie bracket tied by a Leibniz identity, the
 associated homotopy structure: the shuffle-quotient tensor coalgebra
 with its codifferential, the bracket extension, and the symmetric
-coalgebra with the codifferential Q and the degree-(a-b) cobracket.
+coalgebra with the codifferential Q and the degree-(b-a) cobracket.
 Every identity that structure promises is checkable exactly (rational
 arithmetic) on finitely truncated instances via :mod:`abhomotopy.suites`
 or the ``abhomotopy`` command line.

@@ -5,21 +5,26 @@ Every identity is one row of :data:`CHECKS`, keyed by its check name:
 an :class:`Identity` holding the statement, the probe family
 ``inputs(ctx)``, the law ``law(ctx, input) -> (ok, detail)`` and a
 renderer naming a failing input.  One runner, :func:`check_identity`,
-turns a row into one record: ``pass``, ``fail`` (with the first
-witness) or ``skip`` when every input escaped the truncation; skips
-never count as passes, and a report in which one requested suite has
-only skips is a skip whatever the other suites did.  Generic-letter
-rows take no context, the others a :class:`RunContext` over one
-instance.  The suites (:data:`COALGEBRA`, :data:`CORE`,
-:data:`ENVELOPE` plus one of :data:`SPECIALIZATIONS` by a - b) and the
-mutation ladder (:data:`MUTATION_ORDER`) are tuples of row names.
+turns a row into one record over one :class:`RunContext`: ``pass``,
+``fail`` (with the first witness) or ``skip`` when every input escaped
+the truncation; skips never count as passes, and a report in which one
+requested suite has only skips is a skip whatever the other suites did.
+The rows of :data:`COALGEBRA` run on generic letters and read no
+instance, so their records name ``generic-letters`` as their instance.
+The suites (:data:`COALGEBRA`, :data:`CORE`, :data:`ENVELOPE` plus one of
+:data:`SPECIALIZATIONS` by a - b) and the mutation ladder
+(:data:`MUTATION_ORDER`) are tuples of row names.
 
 Rows name their maps: each context holds one table, :attr:`RunContext.maps`,
 name -> :class:`StructureMap` (map, degree, slot grading, zero test, image
-arity), of ``delta`` (also in :data:`WORD_MAPS` for the generic-letter
-rows), ``D``, ``ell2'``, ``ell2''``, ``Delta``, ``delta''``, ``Q``, ``m``
-and ``ell''``.  Identities that differ only in the maps they name share one
-law factory, which reads every sign off the named maps' degrees.
+arity), of ``delta``, ``D``, the bracket extension ``ell2`` and its forms
+``ell2'`` and ``ell2''``, ``Delta``, ``delta''``, ``Q``, ``m`` and
+``ell''``, and every row reaches every envelope map through it; an
+oracle row compares one entry with an independent evaluator of its own.
+The two shuffle rows alone call a kernel directly: they test the tensor
+coalgebra's own product, which is no map of the envelope.
+Identities that differ only in the maps they name share one law factory,
+which reads every sign off the named maps' degrees.
 
 To add an identity, write its law (or call a law factory), add its row and
 put its name in exactly one suite tuple.  Laws reach the package's maps
@@ -36,11 +41,12 @@ the row starts and ends, so no value outlives its row.  Laws fill it
 through one accessor, :meth:`RunContext.kept`, which keeps the image of
 each argument under a map of the table, keyed by (map name, argument):
 
-- A map applied inside a slot is the row's kept map: the symmetric
-  coJacobi, coLeibniz, coassociativity and the coderivation rows (of D,
-  Q, m and ell'') apply one inside a slot of a tensor whose entries are strict sub-syms
-  (sub-words for D) of the input, and across a row's inputs the same few
-  recur many times.  Maps applied to the input itself are not kept: each
+- A map applied inside a slot is the row's kept map: the two coJacobi
+  rows (of delta and delta''), coLeibniz, coassociativity and the
+  coderivation rows (of D, Q, m and ell'') apply one inside a slot of a
+  tensor whose entries are strict sub-syms (sub-words for delta and D)
+  of the input, and across a row's inputs the same few recur many
+  times.  Maps applied to the input itself are not kept: each
   input occurs once per row, and its images hold most of the terms.
 - The two Jacobi rows keep each inner bracket f(x, y) of two pair words,
   keyed by the pair.  They list every multiset of three pair words in
@@ -301,10 +307,6 @@ def _word_zero(v: Element, arity: int) -> bool:
     return v.is_zero() or (QUOTIENT.is_zero(v) if arity == 1 else QUOTIENT.tensor_is_zero(v, arity))
 
 
-# the word cobracket reads no instance: the generic-letter rows find it here
-WORD_MAPS = {"delta": StructureMap(lambda w: cobracket(w), 0, word_degree, _word_zero, 2)}
-
-
 # -- per-instance context ------------------------------------------------------
 
 
@@ -350,8 +352,11 @@ class RunContext:
         D, sdeg = self.D, self.sdeg
         sym_zero = lambda v, n: sym_is_zero(A, v) if n == 1 else sym_tensor_is_zero(A, v, n)
         self.maps: dict[str, StructureMap] = {
-            **WORD_MAPS,
+            "delta": StructureMap(lambda w: cobracket(w), 0, word_degree, _word_zero, 2),
             "D": StructureMap(D, 1, word_degree, _word_zero, 1),
+            "ell2": StructureMap(
+                lambda xy: ell2(A, *xy), A.b - A.a + 1, word_degree, _word_zero, 1
+            ),
             "ell2'": StructureMap(lambda xy: ell2_prime(A, *xy), 0, A.deg_l, _word_zero, 1),
             "ell2''": StructureMap(lambda xy: ell2_doubleprime(A, *xy), 1, A.deg_s, _word_zero, 1),
             "Delta": StructureMap(lambda s: coproduct_delta(A, s), 0, sdeg, sym_zero, 2),
@@ -421,10 +426,6 @@ def _pairs(ctx: RunContext) -> list[tuple[Word, Word]]:
     return [(x, y) for x in ctx.pair_words for y in ctx.pair_words]
 
 
-def _render_words(t) -> str:
-    return render_tuple(t) if isinstance(t[0], tuple) else render_word(t)
-
-
 def _render_degrees(w: Word) -> str:
     return f"word with degrees {tuple(g.deg for g in w)}"
 
@@ -453,7 +454,7 @@ def _flip(co: str, twist: int, detail: str):
     """tau.c = -(-1)^(twist + deg c) c: twist 0 for a cobracket, 1 for the coproduct."""
 
     def law(ctx, x):
-        c = (ctx.maps if ctx else WORD_MAPS)[co]
+        c = ctx.maps[co]
         d = c.fn(x)
         flipped = swap_adjacent_slots(d, 0, c.grading) + d.scale(sign(twist + c.degree))
         return c.zero(flipped, 2), detail
@@ -463,13 +464,12 @@ def _flip(co: str, twist: int, detail: str):
 
 def _cojacobi(co: str, detail: str):
     """(id + t12 t23 + t23 t12)(delta x id) delta = 0, for the cobracket
-    ``co``; with a context, the delta in slot 0 is the row's kept map."""
+    ``co``; the delta in slot 0 is the row's kept map."""
 
     def law(ctx, x):
-        delta = (ctx.maps if ctx else WORD_MAPS)[co]
+        delta = ctx.maps[co]
         deg = delta.grading
-        inner = delta.fn if ctx is None else ctx.kept(co)
-        dd = splice_in_slot(delta.fn(x), 0, inner, delta.degree, deg)
+        dd = splice_in_slot(delta.fn(x), 0, ctx.kept(co), delta.degree, deg)
         t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, deg), 0, deg)
         t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, deg), 1, deg)
         return delta.zero(dd + t1 + t2, 3), detail
@@ -477,12 +477,18 @@ def _cojacobi(co: str, detail: str):
     return law
 
 
-def _d_squared(ctx, w):
-    dd = ctx.D.on_element(ctx.D(w))
-    # the raw identity is expected; fall back to the quotient statement
-    if _word_zero(dd, 1):
-        return True, ""
-    return False, f"D(D(w)) = {format_element(dd, render_word, word_key)}"
+def _square_zero(op: str, render, key):
+    """op(op(x)) = 0, for the map named ``op``: raw, or else in the
+    quotient; a failure names the square."""
+
+    def law(ctx, x):
+        f = ctx.maps[op]
+        square = f.fn(x).map_basis(f.fn)
+        if f.zero(square, 1):
+            return True, ""
+        return False, f"{op}({op}(x)) = {format_element(square, render, key)}"
+
+    return law
 
 
 def _coderivation(co: str, op: str, detail: str):
@@ -500,46 +506,44 @@ def _coderivation(co: str, op: str, detail: str):
     return law
 
 
-def _agree(lhs_name: str, lhs, rhs_name: str, rhs, render, key=None):
-    """Two independent evaluators of one map agree exactly, term by term."""
+def _agree(name: str, oracle_name: str, oracle, render, key=None):
+    """The map named ``name`` and an independent evaluator of it,
+    ``oracle(ctx, x)``, agree exactly, term by term."""
 
     def law(ctx, x):
-        u, v = lhs(ctx.algebra, x), rhs(ctx.algebra, x)
+        u, v = ctx.maps[name].fn(x), oracle(ctx, x)
         if u == v:
             return True, ""
         return False, (
-            f"{lhs_name} {format_element(u, render, key)} vs "
-            f"{rhs_name} {format_element(v, render, key)}"
+            f"{name} {format_element(u, render, key)} vs "
+            f"{oracle_name} {format_element(v, render, key)}"
         )
 
     return law
 
 
 def _ell2_compatibility(ctx, pair):
-    A = ctx.algebra
-    x, y = pair
-    bma1 = A.b - A.a + 1
-    fn = lambda u, v: ell2(A, u, v)
-    lhs = ell2(A, x, y).map_basis(cobracket)
-    start = Element.of((x, y))
-    left_split = splice_in_slot(start, 0, cobracket, 0, word_degree)
-    right_split = splice_in_slot(start, 1, cobracket, 0, word_degree)
-    t1 = contract_adjacent_slots(
-        swap_adjacent_slots(left_split, 1, word_degree), 0, fn, bma1, word_degree
-    )
-    t2 = contract_adjacent_slots(right_split, 0, fn, bma1, word_degree)
-    t3 = contract_adjacent_slots(left_split, 1, fn, bma1, word_degree)
-    t4 = contract_adjacent_slots(
-        swap_adjacent_slots(right_split, 0, word_degree), 1, fn, bma1, word_degree
-    )
-    return _word_zero(lhs - (t1 + t2 + t3 + t4), 2), "compatibility with delta fails"
+    """delta ell2(x, y) is the sum of the four contractions by ell2 of
+    delta x (x) y and x (x) delta y."""
+    ell, delta = ctx.maps["ell2"], ctx.maps["delta"]
+    deg = delta.grading
+    fn = lambda u, v: ell.fn((u, v))
+    lhs = ell.fn(pair).map_basis(delta.fn)
+    start = Element.of(pair)
+    left_split = splice_in_slot(start, 0, delta.fn, delta.degree, deg)
+    right_split = splice_in_slot(start, 1, delta.fn, delta.degree, deg)
+    t1 = contract_adjacent_slots(swap_adjacent_slots(left_split, 1, deg), 0, fn, ell.degree, deg)
+    t2 = contract_adjacent_slots(right_split, 0, fn, ell.degree, deg)
+    t3 = contract_adjacent_slots(left_split, 1, fn, ell.degree, deg)
+    t4 = contract_adjacent_slots(swap_adjacent_slots(right_split, 0, deg), 1, fn, ell.degree, deg)
+    return delta.zero(lhs - (t1 + t2 + t3 + t4), 2), "compatibility with delta fails"
 
 
 def _ell2_well_defined(ctx, triple):
-    A = ctx.algebra
+    ell = ctx.maps["ell2"]
     u, v, y = triple
-    val = bilinear(lambda s, t: ell2(A, s, t), shuffle(u, v), Element.of(y))
-    return _word_zero(val, 1), "bracket of a shuffle image is nonzero in the quotient"
+    val = bilinear(lambda s, t: ell.fn((s, t)), shuffle(u, v), Element.of(y))
+    return ell.zero(val, 1), "bracket of a shuffle image is nonzero in the quotient"
 
 
 # the row-table key of the Jacobi law's orbit verdict: (rotations, ok)
@@ -597,12 +601,12 @@ def _leibniz(form: str, detail: str):
     """D f(x,y) = (-1)^deg f f(Dx,y) + (-1)^(deg f + deg x) f(x,Dy)."""
 
     def law(ctx, pair):
-        f, D = ctx.maps[form], ctx.D
+        f, D = ctx.maps[form], ctx.maps["D"]
         x, y = pair
         fn = lambda u, v: f.fn((u, v))
-        lhs = D.on_element(f.fn(pair))
-        rhs = bilinear(fn, D(x), Element.of(y)).scale(sign(f.degree)) + bilinear(
-            fn, Element.of(x), D(y)
+        lhs = f.fn(pair).map_basis(D.fn)
+        rhs = bilinear(fn, D.fn(x), Element.of(y)).scale(sign(f.degree)) + bilinear(
+            fn, Element.of(x), D.fn(y)
         ).scale(sign(f.degree + f.grading(x)))
         return f.zero(lhs - rhs, 1), detail
 
@@ -617,16 +621,6 @@ def _coproduct_coassociative(ctx, sym):
     lhs = splice_in_slot(d, 0, inner, Delta.degree, Delta.grading)
     rhs = splice_in_slot(d, 1, inner, Delta.degree, Delta.grading)
     return Delta.zero(lhs - rhs, 3), "coassociativity fails"
-
-
-def _q_squared(ctx, sym):
-    Q = ctx.maps["Q"]
-    return Q.zero(Q.fn(sym).map_basis(Q.fn), 1), "Q^2 does not vanish in the quotient"
-
-
-def _q_taylor(ctx, sym):
-    same = ctx.maps["Q"].fn(sym) == q_by_taylor(ctx.algebra, sym, ctx.D)
-    return same, "the two presentations of Q differ"
 
 
 def _coleibniz(ctx, sym):
@@ -650,8 +644,8 @@ class Identity:
     """One row of :data:`CHECKS`."""
 
     statement: str
-    inputs: Callable[[RunContext | None], Iterable]  # the probe family
-    law: Callable[[RunContext | None, Any], tuple[bool, str]]  # (ok, detail) per input
+    inputs: Callable[[RunContext], Iterable]  # the probe family
+    law: Callable[[RunContext, Any], tuple[bool, str]]  # (ok, detail) per input
     render: Callable[[Any], str]  # names a failing input in the witness
 
 
@@ -699,7 +693,10 @@ CHECKS: dict[str, Identity] = {
     ),
     # core: D and the word brackets
     "codifferential-squared": Identity(
-        "D.D = 0 on tensor words (raw, quotient fallback)", _words, _d_squared, render_word
+        "D.D = 0 on tensor words (raw, quotient fallback)",
+        _words,
+        _square_zero("D", render_word, word_key),
+        render_word,
     ),
     "codifferential-coderivation": Identity(
         "(D x id + id x D) delta = delta D on the shuffle quotient",
@@ -710,15 +707,15 @@ CHECKS: dict[str, Identity] = {
     "bracket-extension-oracle": Identity(
         "two independent evaluators of the word bracket agree exactly",
         lambda ctx: [(x, y) for x in ctx.words for y in ctx.words if len(x) + len(y) <= 5],
-        _agree("evaluator", lambda A, p: ell2(A, *p), "oracle", lambda A, p: ell2_oracle(A, *p),
+        _agree("ell2", "oracle", lambda ctx, p: ell2_oracle(ctx.algebra, *p),
                render_word, word_key),
-        _render_words,
+        render_tuple,
     ),
     "bracket-extension-compatibility": Identity(
         "delta.ell2 matches its defining coproduct expansion on the quotient",
         _pairs,
         _ell2_compatibility,
-        _render_words,
+        render_tuple,
     ),
     "bracket-extension-quotient": Identity(
         "ell2 kills shuffle images, hence is defined on the quotient",
@@ -736,37 +733,37 @@ CHECKS: dict[str, Identity] = {
         "ell2' is graded antisymmetric on the quotient",
         _pairs,
         _graded_symmetry("ell2'", "graded antisymmetry fails in the quotient"),
-        _render_words,
+        render_tuple,
     ),
     "lie-bracket-jacobi": Identity(
         "ell2' satisfies graded Jacobi on the quotient",
         lambda ctx: _cyclic_triples(ctx.pair_words),
         _jacobi("ell2'"),
-        _render_words,
+        render_tuple,
     ),
     "lie-bracket-differential": Identity(
         "D(ell2'(x,y)) = ell2'(Dx,y) + (-1)^dg'(x) ell2'(x,Dy) on the quotient",
         _pairs,
         _leibniz("ell2'", "D is not a derivation of ell2'"),
-        _render_words,
+        render_tuple,
     ),
     "sym-bracket-symmetry": Identity(
         "ell2'' is graded symmetric on the quotient",
         _pairs,
         _graded_symmetry("ell2''", "graded symmetry fails in the quotient"),
-        _render_words,
+        render_tuple,
     ),
     "sym-bracket-jacobi": Identity(
         "ell2'' satisfies graded Jacobi on the quotient",
         lambda ctx: _cyclic_triples(ctx.pair_words),
         _jacobi("ell2''"),
-        _render_words,
+        render_tuple,
     ),
     "sym-bracket-differential": Identity(
         "D(ell2''(x,y)) = -ell2''(Dx,y) + (-1)^(1+dg''(x)) ell2''(x,Dy) on the quotient",
         _pairs,
         _leibniz("ell2''", "twisted derivation law fails"),
-        _render_words,
+        render_tuple,
     ),
     # envelope: the symmetric coalgebra, Q and delta''
     "coproduct-cocommutativity": Identity(
@@ -784,7 +781,7 @@ CHECKS: dict[str, Identity] = {
     "codifferential-q-squared": Identity(
         "Q^2 = 0 on the symmetric coalgebra, modulo shuffles factorwise",
         _syms_letters,
-        _q_squared,
+        _square_zero("Q", render_sym, sym_key),
         render_sym,
     ),
     "codifferential-q-coderivation": Identity(
@@ -796,7 +793,8 @@ CHECKS: dict[str, Identity] = {
     "codifferential-q-taylor": Identity(
         "Q = m + ell'' equals its Taylor-coefficient presentation, exactly",
         _syms_letters,
-        _q_taylor,
+        _agree("Q", "taylor", lambda ctx, s: q_by_taylor(ctx.algebra, s, ctx.maps["D"].fn),
+               render_sym, sym_key),
         render_sym,
     ),
     "sym-cobracket-coantisymmetry": Identity(
@@ -832,15 +830,14 @@ CHECKS: dict[str, Identity] = {
     "specialization-gerstenhaber": Identity(
         "at a-b = 1 the cobracket equals the directly coded cosymmetric one, exactly",
         _syms_small,
-        _agree("delta''", lambda A, s: cobracket_doubleprime(A, s), "kappa",
-               lambda A, s: kappa(A, s), render_sym_tuple),
+        _agree("delta''", "kappa", lambda ctx, s: kappa(ctx.algebra, s), render_sym_tuple),
         render_sym,
     ),
     "specialization-poisson": Identity(
         "at a-b = 0 the cobracket equals the directly coded coantisymmetric one, exactly",
         _syms_small,
-        _agree("delta''", lambda A, s: cobracket_doubleprime(A, s), "direct",
-               lambda A, s: poisson_cobracket(A, s), render_sym_tuple),
+        _agree("delta''", "direct", lambda ctx, s: poisson_cobracket(ctx.algebra, s),
+               render_sym_tuple),
         render_sym,
     ),
 }
@@ -899,20 +896,20 @@ MUTATION_ORDER = (
 )
 
 
-def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
-    """Evaluate row ``name`` of :data:`CHECKS` over its probe family.
+def check_identity(name: str, ctx: RunContext) -> CheckRecord:
+    """Evaluate row ``name`` of :data:`CHECKS` over its probe family on ``ctx``.
 
-    Generic-letter rows take no context.  An input on which a map leaves
-    the truncation is counted as skipped; the first failing input ends
-    the check with its witness.  The context's row table
+    A row of :data:`COALGEBRA` reads no instance, and its record says
+    ``generic-letters`` where the others name ``ctx``.  An input on which
+    a map leaves the truncation is counted as skipped; the first failing
+    input ends the check with its witness.  The context's row table
     (:attr:`RunContext.row_memo`) is emptied before the first input and
     after the last, however the row ends, so a row's kept values live
     exactly as long as the row.
     """
     row = CHECKS[name]
-    instance = "generic-letters" if ctx is None else ctx.label
-    if ctx is not None:
-        ctx.clear_row_memo()
+    instance = "generic-letters" if name in COALGEBRA else ctx.label
+    ctx.clear_row_memo()
     evaluated = skipped = 0
     try:
         for inp in row.inputs(ctx):
@@ -926,8 +923,7 @@ def check_identity(name: str, ctx: RunContext | None = None) -> CheckRecord:
                 witness = f"at {row.render(inp)}: {detail}"
                 return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
     finally:
-        if ctx is not None:
-            ctx.clear_row_memo()
+        ctx.clear_row_memo()
     if evaluated == 0:
         witness = ("every input escaped the truncation" if skipped
                    else "empty probe family: no input at these probe sizes")
@@ -1002,7 +998,7 @@ def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -
     ctx = RunContext(instance, config)
     by_suite: dict[str, list[CheckRecord]] = {}
     if "coalgebra" in config.suites:
-        by_suite["coalgebra"] = [check_identity(name) for name in COALGEBRA]
+        by_suite["coalgebra"] = [check_identity(name, ctx) for name in COALGEBRA]
     if "axioms" in config.suites:
         by_suite["axioms"] = axiom_records(instance)
     if "core" in config.suites:

@@ -10,7 +10,7 @@ odd factor is zero.  On this space live:
 - the coderivation extensions ``extend_m`` (of the word codifferential
   D) and ``extend_ell`` (of the symmetric bracket), and their sum, the
   codifferential ``q_codifferential`` with Q^2 = 0 modulo shuffles,
-- the degree-(a-b) cobracket ``cobracket_doubleprime`` that cuts one
+- the degree-(b-a) cobracket ``cobracket_doubleprime`` that cuts one
   factor at every deconcatenation point.
 
 All four enumerate factor splits through one enumerator,
@@ -286,7 +286,7 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
 
 
 def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
-    """Degree-(a-b) cobracket: cut one factor, split the rest two ways.
+    """Degree-(b-a) cobracket: cut one factor, split the rest two ways.
 
     For every factor X_s, every deconcatenation X_s = U (x) V and every
     ordered split (I, J) of the remaining factors this contributes
@@ -295,6 +295,8 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
             * ( X_I.U (x) V.X_J  +  (-1)^(deg_s U deg_s V + a - b + 1) X_I.V (x) U.X_J )
 
     with eps the block Koszul sign arranging the factors into (I, s, J).
+    The degree is in deg_s summed over the two tensor factors: cutting one
+    factor in two subtracts one more a - b.
     """
     amb = algebra.a - algebra.b
     degs, odds = _sym_degrees(algebra, sym)

@@ -19,6 +19,11 @@ is the stdout of
 Three of those ten rounds climb the whole mutation ladder undetected and
 the other seven name the first check that fails, so the mutation files
 pin the ladder's order, which the verify-envelope files cannot.
+``coalgebra.json`` is the stdout of
+
+    abhomotopy verify-envelope --suites coalgebra --format json
+
+at the default sizes: the generic-letter rows, which no other golden runs.
 
 A kernel change that alters any verdict, count or witness text changes
 these bytes; the determinism test in ``test_suites_cli.py`` only
@@ -66,6 +71,13 @@ def test_mutation_report_matches_golden(builtin, capsys):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"mutation-{builtin}.json").read_text(encoding="utf-8")
     assert code == (1 if "no identity failed on the mutant" in out else 0)
+
+
+def test_coalgebra_report_matches_golden(capsys):
+    code = main(["verify-envelope", "--suites", "coalgebra", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / "coalgebra.json").read_text(encoding="utf-8")
 
 
 def test_fractional_constants_report_matches_golden(capsys, monkeypatch):

@@ -1,44 +1,71 @@
 """The table of structure maps the rows name (``RunContext.maps``) is
-checked, not trusted.
+checked, not trusted, and it is the only way a row reaches a map.
 
 Every law reads its signs off the degrees the table declares.  On every
 builtin, at small probe sizes with a probe set that makes the bracket
 nonzero, every image term of every named map must have the grading of
 the map's argument plus the declared degree, the grading summed over the
 factors of a tensor: the two slots of a co-operation's image, the two
-words a bracket form takes.  Arguments that leave the truncation are
-skipped.  The word zero test, which the generic-letter rows and the
-instance rows share, must normalize every slot it is told of.
+words a bracket takes.  Arguments that leave the truncation are skipped.
+The word zero test must normalize every slot it is told of.
+
+Every row but the two shuffle rows, which test the tensor coalgebra's
+own product, must reach its maps through the table: with every entry
+replaced by a stub that raises, each such row raises; with the kernels
+guarded so that only a table entry may call them, and with the context's
+``D`` attribute raising, the rows give the records they give untouched.
 """
 
 import pytest
 
+from abhomotopy import suites
 from abhomotopy.ab_core import TruncationOverflow
 from abhomotopy.freemodule import Element
-from abhomotopy.suites import WORD_MAPS, RunContext, SuiteConfig, build_instance, generic_letters
+from abhomotopy.suites import (
+    CHECKS,
+    CORE,
+    ENVELOPE,
+    RunContext,
+    SuiteConfig,
+    build_instance,
+    check_identity,
+    generic_letters,
+)
 from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle
 from test_slot_memo import FORCED
 
 FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2)
 
-BRACKET_FORMS = ("ell2'", "ell2''")
+PAIR_MAPS = ("ell2", "ell2'", "ell2''")
+
+# rows that test the shuffle product itself, which is no map of the table
+SHUFFLE_ROWS = ("shuffle-commutativity", "shuffle-associativity")
+TABLE_ROWS = [name for name in CHECKS if name not in SHUFFLE_ROWS]
+
+# the kernels behind the table's entries, as this module binds them
+KERNELS = ("cobracket", "ell2", "ell2_prime", "ell2_doubleprime", "coproduct_delta",
+           "cobracket_doubleprime", "q_codifferential", "extend_m", "extend_ell")
+
+
+def forced_context(builtin):
+    config = SuiteConfig(algebra=builtin, **FAST)
+    return RunContext(build_instance(config), config, forced_gens=FORCED[builtin])
 
 
 def arguments(ctx, name):
     """The probe arguments of the map named ``name``."""
     if name in ("delta", "D"):
         return ctx.words
-    if name in BRACKET_FORMS:
+    if name in PAIR_MAPS:
         return [(x, y) for x in ctx.pair_words for y in ctx.pair_words]
     return list(dict.fromkeys(ctx.syms_letters + ctx.syms_factors))
 
 
 @pytest.mark.parametrize("builtin", sorted(FORCED))
 def test_every_named_map_has_its_declared_degree(builtin):
-    config = SuiteConfig(algebra=builtin, **FAST)
-    ctx = RunContext(build_instance(config), config, forced_gens=FORCED[builtin])
+    ctx = forced_context(builtin)
     assert sorted(ctx.maps) == sorted(
-        ["delta", "D", "ell2'", "ell2''", "Delta", "delta''", "Q", "m", "ell''"]
+        ["delta", "D", "ell2", "ell2'", "ell2''", "Delta", "delta''", "Q", "m", "ell''"]
     )
     for name, entry in ctx.maps.items():
         evaluated = terms = 0
@@ -48,7 +75,7 @@ def test_every_named_map_has_its_declared_degree(builtin):
             except TruncationOverflow:
                 continue
             evaluated += 1
-            parts = arg if name in BRACKET_FORMS else (arg,)
+            parts = arg if name in PAIR_MAPS else (arg,)
             expected = sum(map(entry.grading, parts)) + entry.degree
             for key in image.terms:
                 factors = (key,) if entry.arity == 1 else key
@@ -59,18 +86,70 @@ def test_every_named_map_has_its_declared_degree(builtin):
         assert terms > 0, name
 
 
-def test_one_delta_serves_the_generic_and_the_instance_rows():
-    config = SuiteConfig(algebra="poisson-super", **FAST)
-    assert RunContext(build_instance(config), config).maps["delta"] is WORD_MAPS["delta"]
-
-
 def test_the_word_zero_test_normalizes_every_slot():
     """A 3-tensor whose last slot holds a shuffle image is zero in the
     quotient; normalizing only the first two slots would miss it."""
     a, b = ((g,) for g in generic_letters((0, 1)))
-    zero = WORD_MAPS["delta"].zero
+    zero = forced_context("poisson-super").maps["delta"].zero
     v = Element({(a, b, w): c for w, c in shuffle(a, b).items()})
     assert not v.is_zero() and not QUOTIENT.tensor_is_zero(v, 2)
     assert zero(v, 3)
     assert not zero(Element.of((a, b, a + b)), 3)
     assert zero(Element.zero(), 3)
+
+
+class Stubbed(Exception):
+    """Raised by a stub that stands in for a map."""
+
+
+def raising(*_):
+    raise Stubbed
+
+
+@pytest.mark.parametrize("builtin", sorted(FORCED))
+def test_every_row_but_the_shuffle_rows_reads_the_table(builtin):
+    ctx = forced_context(builtin)
+    for name, entry in ctx.maps.items():
+        ctx.maps[name] = entry._replace(fn=raising)
+    for name in TABLE_ROWS:
+        with pytest.raises(Stubbed):
+            check_identity(name, ctx)
+
+
+def test_no_row_calls_a_kernel_beside_the_table(monkeypatch):
+    """Each kernel is guarded so that it runs only inside a table entry."""
+    expected = [check_identity(name, forced_context("gerstenhaber-toy")) for name in TABLE_ROWS]
+    ctx = forced_context("gerstenhaber-toy")
+    depth = [0]
+    for name, entry in ctx.maps.items():
+
+        def inside(arg, fn=entry.fn):
+            depth[0] += 1
+            try:
+                return fn(arg)
+            finally:
+                depth[0] -= 1
+
+        ctx.maps[name] = entry._replace(fn=inside)
+    for kernel in KERNELS:
+
+        def guarded(*args, fn=getattr(suites, kernel), kernel=kernel):
+            assert depth[0], f"{kernel} called beside the table"
+            return fn(*args)
+
+        monkeypatch.setattr(suites, kernel, guarded)
+    found = [check_identity(name, ctx) for name in TABLE_ROWS]
+    assert [r.as_dict() for r in found] == [r.as_dict() for r in expected]
+
+
+@pytest.mark.parametrize("builtin", sorted(FORCED))
+def test_no_row_reads_the_context_codifferential(builtin):
+    """``RunContext.D`` is for callers outside the rows; the rows read D
+    from the table, which holds it from construction."""
+    names = CORE + ENVELOPE
+    expected = [check_identity(name, forced_context(builtin)) for name in names]
+    ctx = forced_context(builtin)
+    ctx.D = raising
+    found = [check_identity(name, ctx) for name in names]
+    assert [r.as_dict() for r in found] == [r.as_dict() for r in expected]
+    assert any(r.evaluated for r in found)

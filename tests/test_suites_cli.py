@@ -27,8 +27,10 @@ FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2
 
 
 def test_coalgebra_suite_passes():
+    config = SuiteConfig(**FAST)
+    ctx = suites.RunContext(suites.build_instance(config), config)
     for name in COALGEBRA:
-        record = check_identity(name)
+        record = check_identity(name, ctx)
         assert record.status == "pass", (record.check, record.witness)
         assert (record.check, record.instance) == (name, "generic-letters")
 
