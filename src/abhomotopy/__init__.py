@@ -18,9 +18,7 @@ from .ab_core import (
     check_ab_axioms,
     coderivation_D,
     ell2,
-    ell2_doubleprime,
     ell2_oracle,
-    ell2_prime,
     load_algebra,
 )
 from .freemodule import Element, ReducedBasis
@@ -46,8 +44,7 @@ from .suites import (
 from .sym_coalgebra import (
     cobracket_doubleprime,
     coproduct_delta,
-    extend_ell,
-    extend_m,
+    extend,
     kappa,
     poisson_cobracket,
     q_codifferential,

@@ -23,7 +23,8 @@ contract one adjacent cross pair).  Two structurally different
 evaluators of ell2 are provided, the second an oracle.  Both choose the
 contracted pair first and skip a pair whose bracket is zero (on the
 builtins, most pairs), and neither promises an order for its terms;
-they differ in how they sign a term (see :func:`ell2_oracle`).
+they differ in how they sign a term (see :func:`ell2_oracle`).  Its
+signed forms ell2' and ell2'' live in ``suites.RunContext.maps``.
 
 Structure constants are cached per algebra with integral values stored
 as ``int``, so every map built from them runs in integer arithmetic
@@ -305,21 +306,6 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
                     for g, c in val.items():
                         acc = acc + Element.of(left + (g,) + right, c * sgn)
     return acc
-
-
-def ell2_prime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
-    """Antisymmetric form of the bracket: degree 0 for dg' = dg - a + b + 1."""
-    return ell2(algebra, x, y).scale(sign((algebra.a - algebra.b - 1) * algebra.deg_l(x)))
-
-
-def ell2_doubleprime(algebra: AbAlgebra, x: Word, y: Word) -> Element:
-    """Symmetric form of the bracket: degree 1 for dg'' = dg - a + b.
-
-    The sign of :func:`ell2_prime` times (-1)^deg_s(x), applied to
-    :func:`ell2` in one step.
-    """
-    A = algebra
-    return ell2(A, x, y).scale(sign((A.a - A.b - 1) * A.deg_l(x) + A.deg_s(x)))
 
 
 # -- axiom checking ------------------------------------------------------

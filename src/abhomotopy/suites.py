@@ -21,6 +21,11 @@ arity), of ``delta``, ``D``, the bracket extension ``ell2`` and its forms
 ``ell2'`` and ``ell2''``, ``Delta``, ``delta''``, ``Q``, ``m`` and
 ``ell''``, and every row reaches every envelope map through it; an
 oracle row compares one entry with an independent evaluator of its own.
+The table composes the envelope from the ``D`` and ``ell2`` entries:
+``ell2'`` and ``ell2''`` are ``ell2`` times their signs, ``m`` and
+``ell''`` extend ``D`` and ``ell2''`` as coderivations, and ``Q`` takes
+both as its Taylor coefficients.  A composite looks its parts up in the
+table when called, so replacing one entry reaches every map built on it.
 The two shuffle rows alone call a kernel directly: they test the tensor
 coalgebra's own product, which is no map of the envelope.
 Identities that differ only in the maps they name share one law factory,
@@ -30,10 +35,10 @@ To add an identity, write its law (or call a law factory), add its row and
 put its name in exactly one suite tuple.  Laws reach the package's maps
 through this module's globals at call time, never through references
 captured when a table is built: the entries of :attr:`RunContext.maps`
-are lambdas that look their kernel up when called (``D`` is an
-:class:`~.ab_core.Coderivation`, whose ``__call__`` is looked up on its
-class), so a wrapper installed on a module attribute (a profiler, a
-tracer) sees every call.
+are lambdas that look their kernel, or their parts, up when called
+(``D`` is an :class:`~.ab_core.Coderivation`, whose ``__call__`` is
+looked up on its class), so a wrapper installed on a module attribute (a
+profiler, a tracer) sees every call.
 
 Row memo: a law may keep values on the :class:`RunContext` for later
 inputs of its row, in one table that :func:`check_identity` empties when
@@ -81,9 +86,7 @@ from .ab_core import (
     TruncationOverflow,
     coderivation_D,
     ell2,
-    ell2_doubleprime,
     ell2_oracle,
-    ell2_prime,
     load_algebra,
 )
 from .freemodule import Element, bilinear, format_element
@@ -93,8 +96,7 @@ from .sym_coalgebra import (
     SymWord,
     cobracket_doubleprime,
     coproduct_delta,
-    extend_ell,
-    extend_m,
+    extend,
     kappa,
     poisson_cobracket,
     q_by_taylor,
@@ -127,6 +129,8 @@ from .tensor_coalgebra import (
 
 # -- configuration and report ----------------------------------------------
 
+SUITES = ("coalgebra", "axioms", "core", "envelope")  # every suite, in report order
+
 
 @dataclass
 class SuiteConfig:
@@ -145,6 +149,13 @@ class SuiteConfig:
             if getattr(self, name) < 1:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be at least 1, got {getattr(self, name)}")
+        if not self.suites:
+            raise ValueError("--suites names no suite")
+        for i, name in enumerate(self.suites):
+            if name not in SUITES:
+                raise ValueError(f"--suites: unknown suite {name!r}, not one of {','.join(SUITES)}")
+            if name in self.suites[:i]:
+                raise ValueError(f"--suites names {name!r} twice")
 
     def as_dict(self) -> dict:
         params = {k: str(v) for k, v in sorted(self.params.items())}
@@ -312,9 +323,9 @@ def _word_zero(v: Element, arity: int) -> bool:
 
 @dataclass
 class RunContext:
-    """One instance with its probe families, codifferential, map table
-    (``maps``) and two memos that no other context shares, so a mutant,
-    which gets a context of its own, never reads its parent's values.
+    """One instance with its probe families, map table (``maps``) and two
+    memos that no other context shares, so a mutant, which gets a context
+    of its own, never reads its parent's values.
 
     ``sdeg`` memoizes sym degrees for the life of the context.
     ``row_memo`` is the row table: what the laws keep for later inputs of
@@ -331,7 +342,6 @@ class RunContext:
     def __post_init__(self):
         A = self.instance.algebra
         self.algebra = A
-        self.D = coderivation_D(A)
         self.label = f"{A.name}({', '.join(f'{k}={v}' for k, v in sorted(self.instance.params.items()))})"
         gens = probe_generators(A, self.config.probe_gens)
         for gid in reversed(self.forced_gens):
@@ -349,24 +359,31 @@ class RunContext:
         # kept images under (map name, argument), each interned sym and
         # word to itself, and the Jacobi law's orbit verdict
         self.row_memo: dict = {}
-        D, sdeg = self.D, self.sdeg
+        sdeg, amb1 = self.sdeg, A.a - A.b - 1
         sym_zero = lambda v, n: sym_is_zero(A, v) if n == 1 else sym_tensor_is_zero(A, v, n)
-        self.maps: dict[str, StructureMap] = {
+        # ell2', ell2'', Q, m and ell'' look their parts up here when called
+        maps: dict[str, StructureMap] = {
             "delta": StructureMap(lambda w: cobracket(w), 0, word_degree, _word_zero, 2),
-            "D": StructureMap(D, 1, word_degree, _word_zero, 1),
-            "ell2": StructureMap(
-                lambda xy: ell2(A, *xy), A.b - A.a + 1, word_degree, _word_zero, 1
-            ),
-            "ell2'": StructureMap(lambda xy: ell2_prime(A, *xy), 0, A.deg_l, _word_zero, 1),
-            "ell2''": StructureMap(lambda xy: ell2_doubleprime(A, *xy), 1, A.deg_s, _word_zero, 1),
+            "D": StructureMap(coderivation_D(A), 1, word_degree, _word_zero, 1),
+            "ell2": StructureMap(lambda xy: ell2(A, *xy), A.b - A.a + 1, word_degree, _word_zero, 1),
+            "ell2'": StructureMap(  # antisymmetric form: degree 0 for dg' = dg - a + b + 1
+                lambda xy: maps["ell2"].fn(xy).scale(sign(amb1 * A.deg_l(xy[0]))),
+                0, A.deg_l, _word_zero, 1),
+            # symmetric form: degree 1 for dg'' = dg - a + b; the sign of ell2'
+            # times (-1)^deg_s(x), applied to ell2 in one step
+            "ell2''": StructureMap(
+                lambda xy: maps["ell2"].fn(xy).scale(sign(amb1 * A.deg_l(xy[0]) + A.deg_s(xy[0]))),
+                1, A.deg_s, _word_zero, 1),
             "Delta": StructureMap(lambda s: coproduct_delta(A, s), 0, sdeg, sym_zero, 2),
             "delta''": StructureMap(  # cutting a factor in two lowers deg_s by a - b
                 lambda s: cobracket_doubleprime(A, s), A.b - A.a, sdeg, sym_zero, 2
             ),
-            "Q": StructureMap(lambda s: q_codifferential(A, s, D), 1, sdeg, sym_zero, 1),
-            "m": StructureMap(lambda s: extend_m(A, s, D), 1, sdeg, sym_zero, 1),
-            "ell''": StructureMap(lambda s: extend_ell(A, s), 1, sdeg, sym_zero, 1),
+            "Q": StructureMap(lambda s: q_codifferential(A, s, maps["D"].fn, maps["ell2''"].fn),
+                              1, sdeg, sym_zero, 1),
+            "m": StructureMap(lambda s: extend(A, s, 1, maps["D"].fn), 1, sdeg, sym_zero, 1),
+            "ell''": StructureMap(lambda s: extend(A, s, 2, maps["ell2''"].fn), 1, sdeg, sym_zero, 1),
         }
+        self.maps = maps
 
     def clear_row_memo(self) -> None:
         """Forget every value a law kept for later inputs of its row."""
@@ -793,7 +810,8 @@ CHECKS: dict[str, Identity] = {
     "codifferential-q-taylor": Identity(
         "Q = m + ell'' equals its Taylor-coefficient presentation, exactly",
         _syms_letters,
-        _agree("Q", "taylor", lambda ctx, s: q_by_taylor(ctx.algebra, s, ctx.maps["D"].fn),
+        _agree("Q", "taylor",
+               lambda ctx, s: q_by_taylor(ctx.algebra, s, ctx.maps["D"].fn, ctx.maps["ell2''"].fn),
                render_sym, sym_key),
         render_sym,
     ),

@@ -7,9 +7,10 @@ odd factor is zero.  On this space live:
 
 - the two-block coproduct ``coproduct_delta`` (cocommutative,
   coassociative, degree 0),
-- the coderivation extensions ``extend_m`` (of the word codifferential
-  D) and ``extend_ell`` (of the symmetric bracket), and their sum, the
-  codifferential ``q_codifferential`` with Q^2 = 0 modulo shuffles,
+- the coderivation extension ``extend`` of a map on one or two factors,
+  and the codifferential ``q_codifferential``, Q = m + ell'' with
+  Q^2 = 0 modulo shuffles, built from the two Taylor coefficients it is
+  given (D and ell2''; this module builds no map on words),
 - the degree-(b-a) cobracket ``cobracket_doubleprime`` that cuts one
   factor at every deconcatenation point.
 
@@ -17,7 +18,7 @@ All four enumerate factor splits through one enumerator,
 :func:`block_splits`, the one production place that works out the Koszul
 sign of moving factors past each other: the two blocks of Delta, the
 blocks around the cut factor of delta'', and the one or two factors that
-m and ell'' bring to the front (one body, ``_extend``, over the block
+m and ell'' bring to the front (one body, ``extend``, over the block
 size).
 
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
@@ -31,8 +32,8 @@ The two sign their splits differently: ``_oracle_splits`` builds each
 permutation and calls ``koszul_sign``, ``block_splits`` counts odd
 crossings from degree parities.
 
-Canonical insertion.  ``coproduct_delta``, ``extend_m``, ``extend_ell``
-and ``cobracket_doubleprime`` take a canonical SymWord.  Every factor
+Canonical insertion.  ``coproduct_delta``, ``extend`` and
+``cobracket_doubleprime`` take a canonical SymWord.  Every factor
 tuple they emit is a subsequence of it (``X_I``, ``X_J`` or the rest
 after removing factors), which is canonical already, with at most one
 new word at its front or its end.  :func:`insert_factor` puts that word
@@ -58,7 +59,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable
 
-from .ab_core import AbAlgebra, Coderivation, ell2_doubleprime
+from .ab_core import AbAlgebra
 from .freemodule import Element, add_term
 from .signs import koszul_sign, sign
 from .tensor_coalgebra import (
@@ -233,49 +234,42 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
 # -- coderivation extensions ----------------------------------------------
 
 
-def _extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
+def extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
     """The coderivation extension of ``f``, a map from ``size`` factors to
     Elements of words: ``f`` takes each unordered block of ``size``
     factors, after bringing it to the front, and its image words take the
-    block's place in front of the other factors."""
+    block's place in front of the other factors.  A one-factor block
+    reaches ``f`` as its word, a pair as (x, y): m extends D at size 1,
+    ell'' the symmetric bracket at size 2."""
     amb = algebra.a - algebra.b
     degs, odds = _sym_degrees(algebra, sym)
     acc: dict = {}
     for block, others, front in block_splits(degs, size=size):
         rest, rest_odds = tuple([sym[i] for i in others]), [odds[i] for i in others]
-        for w, c in f(*[sym[i] for i in block]).items():
+        arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
+        for w, c in f(arg).items():
             s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
             if s:
                 add_term(acc, out, c * front * s)
     return Element(acc)
 
 
-def extend_m(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
-    """Apply D to one factor at a time, after bringing it to the front."""
-    return _extend(algebra, sym, 1, D)
+def q_codifferential(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable) -> Element:
+    """The codifferential Q = m + ell'' (degree 1 in deg_s): the coderivation
+    extension of its two Taylor coefficients, ``D`` on one factor and the
+    symmetric ``bracket`` (of a pair) on two."""
+    return extend(algebra, sym, 1, D) + extend(algebra, sym, 2, bracket)
 
 
-def extend_ell(algebra: AbAlgebra, sym: SymWord) -> Element:
-    """Contract one unordered factor pair with the symmetric bracket."""
-    return _extend(algebra, sym, 2, lambda x, y: ell2_doubleprime(algebra, x, y))
-
-
-def q_codifferential(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
-    """The codifferential Q = m + ell'' (degree 1 in deg_s)."""
-    return extend_m(algebra, sym, D) + extend_ell(algebra, sym)
-
-
-def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Coderivation) -> Element:
-    """Q assembled from its Taylor coefficients (D at one factor, the
-    symmetric bracket at two, zero beyond); kept as a cross-check
-    presentation of :func:`q_codifferential`."""
+def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable) -> Element:
+    """Q assembled from its Taylor coefficients (``D`` at one factor, the
+    symmetric ``bracket`` of a pair at two, zero beyond); kept as a
+    cross-check presentation of :func:`q_codifferential`.  Given the same
+    two coefficients, it pins Q's assembly from them, not D or ell2''."""
     degs = [algebra.deg_s(w) for w in sym]
     acc = Element.zero()
     for left, rest, s in _oracle_splits(degs, (1, 2)):
-        if len(left) == 1:
-            val = D(sym[left[0]])
-        else:
-            val = ell2_doubleprime(algebra, sym[left[0]], sym[left[1]])
+        val = D(sym[left[0]]) if len(left) == 1 else bracket((sym[left[0]], sym[left[1]]))
         rest_factors = tuple(sym[i] for i in rest)
         for w, c in val.items():
             acc = acc + sym_of(algebra, (w,) + rest_factors, c * s)

@@ -11,15 +11,13 @@ from abhomotopy.ab_core import (
     coderivation_d,
     coderivation_mu,
     ell2,
-    ell2_doubleprime,
     ell2_oracle,
-    ell2_prime,
     load_algebra,
 )
 from abhomotopy.freemodule import Element, add_term
-from abhomotopy.instances import BUILTINS, builtin_instance
+from abhomotopy.instances import BUILTINS, Instance, builtin_instance
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
-from abhomotopy.suites import perturb_algebra, probe_generators, probe_words
+from abhomotopy.suites import RunContext, SuiteConfig, perturb_algebra, probe_generators, probe_words
 from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle
 
 
@@ -282,14 +280,17 @@ def test_ell2_kills_shuffle_images(bracket_algebra):
 
 
 def test_shifted_variants_are_scalings(bracket_algebra):
+    """The table's two bracket forms are ell2 times their signs."""
     A = bracket_algebra
+    maps = RunContext(Instance(A, {}), SuiteConfig(algebra=A.name)).maps
     P, Q, R1 = A.gen("P"), A.gen("Q"), A.gen("R1")
     x, y = (P, Q), (R1,)
     base = ell2(A, x, y)
+    assert not base.is_zero()
     sp = -1 if ((A.a - A.b - 1) * A.deg_l(x)) % 2 else 1
-    assert ell2_prime(A, x, y) == base.scale(sp)
+    assert maps["ell2'"].fn((x, y)) == base.scale(sp)
     spp = -1 if A.deg_s(x) % 2 else 1
-    assert ell2_doubleprime(A, x, y) == ell2_prime(A, x, y).scale(spp)
+    assert maps["ell2''"].fn((x, y)) == base.scale(sp * spp)
 
 
 def test_axiom_checker_passes_valid_instances(bracket_algebra):

@@ -12,8 +12,12 @@ The word zero test must normalize every slot it is told of.
 Every row but the two shuffle rows, which test the tensor coalgebra's
 own product, must reach its maps through the table: with every entry
 replaced by a stub that raises, each such row raises; with the kernels
-guarded so that only a table entry may call them, and with the context's
-``D`` attribute raising, the rows give the records they give untouched.
+guarded so that only a table entry may call them, the rows give the
+records they give untouched.
+
+The composite entries reach their parts through the table too: with the
+``D`` entry or the ``ell2`` entry negated, every map built on it changes
+as the composition predicts, on arguments whose images are nonzero.
 """
 
 import pytest
@@ -23,8 +27,6 @@ from abhomotopy.ab_core import TruncationOverflow
 from abhomotopy.freemodule import Element
 from abhomotopy.suites import (
     CHECKS,
-    CORE,
-    ENVELOPE,
     RunContext,
     SuiteConfig,
     build_instance,
@@ -43,8 +45,12 @@ SHUFFLE_ROWS = ("shuffle-commutativity", "shuffle-associativity")
 TABLE_ROWS = [name for name in CHECKS if name not in SHUFFLE_ROWS]
 
 # the kernels behind the table's entries, as this module binds them
-KERNELS = ("cobracket", "ell2", "ell2_prime", "ell2_doubleprime", "coproduct_delta",
-           "cobracket_doubleprime", "q_codifferential", "extend_m", "extend_ell")
+KERNELS = ("cobracket", "ell2", "coproduct_delta", "cobracket_doubleprime", "q_codifferential",
+           "extend")
+
+# the maps built on each base entry that negating it negates; Q = m + ell''
+NEGATES = {"D": ("m",), "ell2": ("ell2'", "ell2''", "ell''")}
+COMPOSITES = ("ell2'", "ell2''", "m", "ell''", "Q")
 
 
 def forced_context(builtin):
@@ -142,14 +148,38 @@ def test_no_row_calls_a_kernel_beside_the_table(monkeypatch):
     assert [r.as_dict() for r in found] == [r.as_dict() for r in expected]
 
 
+def composite_images(ctx):
+    """{(name, argument): image} of every composite on its probe
+    arguments that stay inside the truncation."""
+    out = {}
+    for name in COMPOSITES:
+        for arg in arguments(ctx, name):
+            try:
+                out[name, arg] = ctx.maps[name].fn(arg)
+            except TruncationOverflow:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("base", sorted(NEGATES))
 @pytest.mark.parametrize("builtin", sorted(FORCED))
-def test_no_row_reads_the_context_codifferential(builtin):
-    """``RunContext.D`` is for callers outside the rows; the rows read D
-    from the table, which holds it from construction."""
-    names = CORE + ENVELOPE
-    expected = [check_identity(name, forced_context(builtin)) for name in names]
+def test_a_swapped_entry_reaches_the_maps_built_on_it(builtin, base):
+    """Negating D negates m, and Q becomes -m + ell''; negating ell2
+    negates ell2', ell2'' and ell'', and Q becomes m - ell''.  The Taylor
+    row, which assembles Q from the same entries, still passes."""
     ctx = forced_context(builtin)
-    ctx.D = raising
-    found = [check_identity(name, ctx) for name in names]
-    assert [r.as_dict() for r in found] == [r.as_dict() for r in expected]
-    assert any(r.evaluated for r in found)
+    before = composite_images(ctx)
+    for name in NEGATES[base]:
+        assert any(not v.is_zero() for (n, _), v in before.items() if n == name), name
+    entry = ctx.maps[base]
+    ctx.maps[base] = entry._replace(fn=lambda arg: entry.fn(arg).scale(-1))
+    want = {}
+    for (name, arg), image in before.items():
+        if name == "Q":
+            m, ell = before["m", arg], before["ell''", arg]
+            want[name, arg] = m.scale(-1) + ell if base == "D" else m - ell
+        else:
+            want[name, arg] = image.scale(-1) if name in NEGATES[base] else image
+    assert composite_images(ctx) == want
+    record = check_identity("codifferential-q-taylor", ctx)
+    assert record.status == "pass" and record.evaluated > 0

@@ -174,6 +174,28 @@ def test_cli_bad_suites_is_usage_error(capsys):
     assert code == 2
 
 
+def test_cli_repeated_suite_is_usage_error(capsys):
+    # the report would echo the suite twice and run it once
+    code = main(["verify-envelope", "--algebra", "poisson-super", "--suites", "core,core"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--suites" in captured.err and "'core'" in captured.err
+
+
+@pytest.mark.parametrize("names", [("cor",), ("core", "core"), ()], ids=["unknown", "repeated", "none"])
+def test_config_refuses_suites_it_cannot_run(names):
+    with pytest.raises(ValueError, match="--suites"):
+        SuiteConfig(suites=names)
+
+
+def test_cli_param_given_twice_is_usage_error(capsys):
+    argv = ["check-algebra", "--algebra", "poisson-polynomial",
+            "--param", "max_degree=2", "--param", "max_degree=3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--param max_degree given twice" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhomotopy.ab_core import TruncationOverflow, coderivation_D, ell2_doubleprime
+from abhomotopy.ab_core import TruncationOverflow, coderivation_D
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
 from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps, sign
@@ -14,8 +14,7 @@ from abhomotopy.sym_coalgebra import (
     block_splits,
     cobracket_doubleprime,
     coproduct_delta,
-    extend_ell,
-    extend_m,
+    extend,
     insert_factor,
     kappa,
     normalize,
@@ -28,6 +27,7 @@ from abhomotopy.sym_coalgebra import (
     sym_tensor_is_zero,
 )
 from abhomotopy.tensor_coalgebra import Generator, shuffle, swap_adjacent_slots
+from test_slot_memo import sym_bracket
 
 
 def test_normalize_signs(nilpotent_algebra):
@@ -128,8 +128,8 @@ def test_extensions_on_one_and_two_factors(toy_instance):
     g = A.gen("x1")
     h = A.gen("dx1")
     one_factor = ((g, h),)
-    assert extend_ell(A, one_factor).is_zero()
-    got = extend_m(A, one_factor, D)
+    assert extend(A, one_factor, 2, sym_bracket(A)).is_zero()
+    got = extend(A, one_factor, 1, D)
     want = Element.zero()
     for w, c in D((g, h)).items():
         want = want + sym_of(A, (w,), c)
@@ -148,7 +148,7 @@ def test_extend_m_two_factor_sign_oracle(toy_instance):
                 continue
             sym = next(iter(e.items()))[0]
             try:
-                got = extend_m(A, sym, D)
+                got = extend(A, sym, 1, D)
             except TruncationOverflow:
                 continue
             degs = [A.deg_s(w) for w in sym]
@@ -165,13 +165,13 @@ def test_q_on_single_letter_is_differential(nilpotent_algebra):
     A = nilpotent_algebra
     D = coderivation_D(A)
     u, v = A.gen("u"), A.gen("v")
-    assert q_codifferential(A, ((u,),), D) == Element.of((((v,),)))
-    assert q_codifferential(A, ((v,),), D).is_zero()
+    assert q_codifferential(A, ((u,),), D, sym_bracket(A)) == Element.of((((v,),)))
+    assert q_codifferential(A, ((v,),), D, sym_bracket(A)).is_zero()
 
 
 def test_m_squared_and_ell_squared_vanish(toy_instance):
     A = toy_instance.algebra
-    D = coderivation_D(A)
+    D, bracket = coderivation_D(A), sym_bracket(A)
     gens = sorted(A.generators, key=lambda t: (abs(A.unshifted[t.gid]), t.gid))[:3]
     words = [(g,) for g in gens] + [(g1, g2) for g1 in gens for g2 in gens]
     checked = 0
@@ -181,8 +181,8 @@ def test_m_squared_and_ell_squared_vanish(toy_instance):
             continue
         sym = next(iter(e.items()))[0]
         try:
-            mm = extend_m(A, sym, D).map_basis(lambda s: extend_m(A, s, D))
-            ll = extend_ell(A, sym).map_basis(lambda s: extend_ell(A, s))
+            mm = extend(A, sym, 1, D).map_basis(lambda s: extend(A, s, 1, D))
+            ll = extend(A, sym, 2, bracket).map_basis(lambda s: extend(A, s, 2, bracket))
         except TruncationOverflow:
             continue
         checked += 1
@@ -193,7 +193,7 @@ def test_m_squared_and_ell_squared_vanish(toy_instance):
 
 def test_q_matches_taylor_presentation(toy_instance):
     A = toy_instance.algebra
-    D = coderivation_D(A)
+    D, bracket = coderivation_D(A), sym_bracket(A)
     g1, g2 = A.gen("x1"), A.gen("dx1")
     for factors in (((g1,),), ((g1,), (g2,)), ((g1, g2), (g2,)), ((g1,), (g2,), (g1,))):
         e = sym_of(A, factors)
@@ -201,7 +201,7 @@ def test_q_matches_taylor_presentation(toy_instance):
             continue
         sym = next(iter(e.items()))[0]
         try:
-            assert q_codifferential(A, sym, D) == q_by_taylor(A, sym, D)
+            assert q_codifferential(A, sym, D, bracket) == q_by_taylor(A, sym, D, bracket)
         except TruncationOverflow:
             continue
 
@@ -324,7 +324,7 @@ def ref_extend_m(A, sym, D):
     return acc
 
 
-def ref_extend_ell(A, sym):
+def ref_extend_ell(A, sym, bracket):
     degs = [A.deg_s(w) for w in sym]
     acc = Element.zero()
     n = len(sym)
@@ -332,7 +332,7 @@ def ref_extend_ell(A, sym):
         for j in range(i + 1, n):
             front = sign(degs[i] * sum(degs[:i]) + degs[j] * (sum(degs[:j]) - degs[i]))
             rest = tuple(sym[k] for k in range(n) if k not in (i, j))
-            for w, c in ell2_doubleprime(A, sym[i], sym[j]).items():
+            for w, c in bracket((sym[i], sym[j])).items():
                 acc = _ref_add(acc, A, (w,) + rest, c * front)
     return acc
 
@@ -382,7 +382,7 @@ def test_kernels_match_resorting_references(builtin, sizes):
     at the FAST sizes and at the command-line defaults; the context's
     memoized deg_s agrees with ``sym_degree`` on a first and a repeated call."""
     ctx = RunContext(builtin_instance(builtin), SuiteConfig(algebra=builtin, **sizes))
-    A, D = ctx.algebra, ctx.D
+    A, D, bracket = ctx.algebra, ctx.maps["D"].fn, ctx.maps["ell2''"].fn
     syms = dict.fromkeys(ctx.syms_letters + ctx.syms_factors + ctx.syms_small)
     assert len(syms) > 10
     evaluated = 0
@@ -390,8 +390,8 @@ def test_kernels_match_resorting_references(builtin, sizes):
         assert ctx.sdeg(sym) == ctx.sdeg(sym) == sym_degree(A, sym)
         for got_fn, want_fn in (
             (lambda: cobracket_doubleprime(A, sym), lambda: ref_cobracket_doubleprime(A, sym)),
-            (lambda: extend_m(A, sym, D), lambda: ref_extend_m(A, sym, D)),
-            (lambda: extend_ell(A, sym), lambda: ref_extend_ell(A, sym)),
+            (lambda: extend(A, sym, 1, D), lambda: ref_extend_m(A, sym, D)),
+            (lambda: extend(A, sym, 2, bracket), lambda: ref_extend_ell(A, sym, bracket)),
         ):
             evaluated += not _same_or_both_overflow(got_fn, want_fn)
     assert evaluated > 0
