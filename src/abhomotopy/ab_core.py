@@ -325,7 +325,7 @@ def _render_gen_elem(v: Element) -> str:
 def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
     """Evaluate the defining identities exactly on all generator tuples.
 
-    Seven laws: graded commutativity, associativity, graded
+    Eight laws: graded commutativity, associativity, graded
     antisymmetry, graded Jacobi, Leibniz, and the differential's
     square/product/bracket laws.  Any tuple whose evaluation escapes
     the truncated basis is reported as a skip for that law, never as a
@@ -356,7 +356,9 @@ def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
                     )
                 )
                 return
-        if skips == len(samples):
+        if not samples:
+            checks.append(AxiomCheck(axiom, "skip", "no generator tuple to evaluate"))
+        elif skips == len(samples):
             checks.append(AxiomCheck(axiom, "skip", "every sample escaped the truncation"))
         elif skips:
             checks.append(AxiomCheck(axiom, "pass", f"{skips} sample(s) skipped at the truncation boundary"))
@@ -437,6 +439,12 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):  # a name is echoed into every record
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _parse_coeff(c, entry) -> Fraction:
     if type(c) in (int, str):
         try:
@@ -475,7 +483,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     """
     a = _integer(_field(data, "a", "the algebra document"), "a")
     b = _integer(_field(data, "b", "the algebra document"), "b")
-    name = data.get("name", "unnamed")
+    name = _text(data.get("name", "unnamed"), "name")
     generators = _field(data, "generators", "the algebra document")
     if not isinstance(generators, list):
         raise ValueError(f"generators must be a list, got {generators!r}")
@@ -539,7 +547,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
         product_fn=lookup(prod, a),
         bracket_fn=lookup(brk, b),
         diff_fn=lookup(diff, 1),
-        description=data.get("description", ""),
+        description=_text(data.get("description", ""), "description"),
     )
 
 

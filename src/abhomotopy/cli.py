@@ -27,7 +27,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .instances import BUILTINS
@@ -53,11 +52,7 @@ def _parse_param(text: str):
         return key, json.loads(value)
     try:
         return key, int(value)
-    except ValueError:
-        pass
-    try:
-        return key, Fraction(value)
-    except (ValueError, ZeroDivisionError):  # "1/0" stays a string, refused by its reader
+    except ValueError:  # anything else stays the string typed, refused by its reader
         return key, value
 
 

@@ -21,11 +21,12 @@ arity), of ``delta``, ``D``, the bracket extension ``ell2`` and its forms
 ``ell2'`` and ``ell2''``, ``Delta``, ``delta''``, ``Q``, ``m`` and
 ``ell''``, and every row reaches every envelope map through it; an
 oracle row compares one entry with an independent evaluator of its own.
-The table composes the envelope from the ``D`` and ``ell2`` entries:
-``ell2'`` and ``ell2''`` are ``ell2`` times their signs, ``m`` and
-``ell''`` extend ``D`` and ``ell2''`` as coderivations, and ``Q`` takes
-both as its Taylor coefficients.  A composite looks its parts up in the
-table when called, so replacing one entry reaches every map built on it.
+The table composes the envelope from the ``delta``, ``D`` and ``ell2``
+entries: ``ell2'`` and ``ell2''`` are ``ell2`` times their signs, ``m``
+and ``ell''`` extend ``D`` and ``ell2''`` as coderivations, ``Q`` takes
+both as its Taylor coefficients, and ``delta''`` applies ``delta`` to one
+factor.  A composite looks its parts up in the table when called, so
+replacing one entry reaches every map built on it.
 The two shuffle rows alone call a kernel directly: they test the tensor
 coalgebra's own product, which is no map of the envelope.
 Identities that differ only in the maps they name share one law factory,
@@ -361,7 +362,7 @@ class RunContext:
         self.row_memo: dict = {}
         sdeg, amb1 = self.sdeg, A.a - A.b - 1
         sym_zero = lambda v, n: sym_is_zero(A, v) if n == 1 else sym_tensor_is_zero(A, v, n)
-        # ell2', ell2'', Q, m and ell'' look their parts up here when called
+        # ell2', ell2'', delta'', Q, m and ell'' look their parts up here when called
         maps: dict[str, StructureMap] = {
             "delta": StructureMap(lambda w: cobracket(w), 0, word_degree, _word_zero, 2),
             "D": StructureMap(coderivation_D(A), 1, word_degree, _word_zero, 1),
@@ -376,8 +377,8 @@ class RunContext:
                 1, A.deg_s, _word_zero, 1),
             "Delta": StructureMap(lambda s: coproduct_delta(A, s), 0, sdeg, sym_zero, 2),
             "delta''": StructureMap(  # cutting a factor in two lowers deg_s by a - b
-                lambda s: cobracket_doubleprime(A, s), A.b - A.a, sdeg, sym_zero, 2
-            ),
+                lambda s: cobracket_doubleprime(A, s, delta=maps["delta"].fn),
+                A.b - A.a, sdeg, sym_zero, 2),
             "Q": StructureMap(lambda s: q_codifferential(A, s, maps["D"].fn, maps["ell2''"].fn),
                               1, sdeg, sym_zero, 1),
             "m": StructureMap(lambda s: extend(A, s, 1, maps["D"].fn), 1, sdeg, sym_zero, 1),

@@ -10,22 +10,24 @@ odd factor is zero.  On this space live:
 - the coderivation extension ``extend`` of a map on one or two factors,
   and the codifferential ``q_codifferential``, Q = m + ell'' with
   Q^2 = 0 modulo shuffles, built from the two Taylor coefficients it is
-  given (D and ell2''; this module builds no map on words),
-- the degree-(b-a) cobracket ``cobracket_doubleprime`` that cuts one
-  factor at every deconcatenation point.
+  given (D and ell2''),
+- the degree-(b-a) cobracket ``cobracket_doubleprime``, the word
+  cobracket it is given (delta) on one factor, the others split around it.
 
-All four enumerate factor splits through one enumerator,
-:func:`block_splits`, the one production place that works out the Koszul
-sign of moving factors past each other: the two blocks of Delta, the
-blocks around the cut factor of delta'', and the one or two factors that
-m and ell'' bring to the front (one body, ``extend``, over the block
-size).
+This module builds no map on words.  All four enumerate factor splits
+through one enumerator, :func:`block_splits`, the one production place
+that works out the Koszul sign of moving factors past each other: the
+two blocks of Delta, the blocks around the cut factor of delta'', and
+the one or two factors that m and ell'' bring to the front (one body,
+``extend``, over the block size).
 
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
 of the Gerstenhaber-shaped (a-b = 1) and Poisson-shaped (a-b = 0)
 specializations; they exist as independent oracles for
 ``cobracket_doubleprime`` and intentionally repeat its combinatorics
-with their own degree bookkeeping.  They and ``q_by_taylor`` enumerate
+with their own degree bookkeeping: they cut each factor and sign the
+flip themselves, never through a word cobracket, so they check delta
+as well as its extension to syms.  They and ``q_by_taylor`` enumerate
 their factor splits through one enumerator of their own,
 ``_oracle_splits``, never through the production ``block_splits``.
 The two sign their splits differently: ``_oracle_splits`` builds each
@@ -279,52 +281,44 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable
 # -- cobrackets ------------------------------------------------------------
 
 
-def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord) -> Element:
-    """Degree-(b-a) cobracket: cut one factor, split the rest two ways.
+def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) -> Element:
+    """Degree-(b-a) cobracket: the word cobracket ``delta`` on one factor,
+    the other factors split two ways around it.
 
-    For every factor X_s, every deconcatenation X_s = U (x) V and every
+    For every factor X_s, every term c P (x) R of delta(X_s) and every
     ordered split (I, J) of the remaining factors this contributes
 
-        eps * (-1)^((a-b)(deg_s X_I + deg_s U))
-            * ( X_I.U (x) V.X_J  +  (-1)^(deg_s U deg_s V + a - b + 1) X_I.V (x) U.X_J )
+        c * eps * (-1)^((a-b)(deg_s X_I + deg_s P)) * X_I.P (x) R.X_J
 
     with eps the block Koszul sign arranging the factors into (I, s, J).
-    The degree is in deg_s summed over the two tensor factors: cutting one
-    factor in two subtracts one more a - b.
+    delta's flip sign -(-1)^(dg U dg V) on V (x) U, times the left words'
+    (-1)^((a-b)(deg_s V - deg_s U)), is the symmetric flip sign
+    -(-1)^(deg_s U deg_s V + a - b), as deg_s = dg - (a-b); so a - b
+    enters only as a parity, in deg_s and in the exponent (a-b)(...).
+    Cutting one factor in two lowers deg_s by one more a - b.
     """
     amb = algebra.a - algebra.b
     degs, odds = _sym_degrees(algebra, sym)
     acc: dict = {}
     for s, xs in enumerate(sym):
-        if len(xs) < 2:
+        terms = []  # (P, its deg_s parity, R, its parity, c (-1)^((a-b) deg_s P))
+        for (p, r), c in delta(xs).items():
+            dp = word_degree(p) - amb
+            terms.append((p, dp % 2, r, (word_degree(r) - amb) % 2, c * sign(amb * dp)))
+        if not terms:
             continue
-        # deg_s of both sides of every cut, from letter-degree prefix sums
-        prefix = list(itertools.accumulate(g.deg for g in xs))
-        cuts = []
-        for cut in range(1, len(xs)):
-            du, dv = prefix[cut - 1] - amb, prefix[-1] - prefix[cut - 1] - amb
-            cuts.append((xs[:cut], xs[cut:], du, du % 2, dv % 2, sign(du * dv + amb + 1)))
         for left, right, eps in block_splits(degs, pinned=s):
-            deg_left = sum(degs[i] for i in left)
+            eps *= sign(amb * sum(degs[i] for i in left))
             fac_left, odd_left = tuple(sym[i] for i in left), [odds[i] for i in left]
             fac_right, odd_right = tuple(sym[j] for j in right), [odds[j] for j in right]
-            for u, v, du, u_odd, v_odd, flip in cuts:
-                c0 = eps * sign(amb * (deg_left + du))
-                _add_pair(acc, fac_left, odd_left, u, u_odd, v, v_odd, fac_right, odd_right, c0)
-                _add_pair(acc, fac_left, odd_left, v, v_odd, u, u_odd, fac_right, odd_right, c0 * flip)
+            for p, p_odd, r, r_odd, c in terms:
+                sl, wl = insert_factor(fac_left, odd_left, p, p_odd, False)
+                if wl is None:
+                    continue
+                sr, wr = insert_factor(fac_right, odd_right, r, r_odd, True)
+                if wr is not None:
+                    add_term(acc, (wl, wr), c * eps * sl * sr)
     return Element(acc)
-
-
-def _add_pair(acc: dict, left, left_odds, x, x_odd, y, y_odd, right, right_odds, coeff) -> None:
-    """Accumulate ``coeff`` times the canonical ``left.x (x) y.right``;
-    ``left`` and ``right`` are canonical."""
-    sl, wl = insert_factor(left, left_odds, x, x_odd, False)
-    if wl is None:
-        return
-    sr, wr = insert_factor(right, right_odds, y, y_odd, True)
-    if wr is None:
-        return
-    add_term(acc, (wl, wr), coeff * sl * sr)
 
 
 def _oracle_splits(degs: list[int], sizes, pinned: int | None = None):

@@ -393,6 +393,14 @@ def test_duplicate_table_entry_is_rejected():
         algebra_from_dict(doc)
 
 
+def test_axiom_sweep_without_generators_says_nothing_was_evaluated():
+    # with no generator there is no tuple to evaluate: nothing escaped the truncation
+    checks = check_ab_axioms(algebra_from_dict({"a": 0, "b": 0, "generators": []}))
+    assert len(checks) == 8
+    for c in checks:
+        assert (c.status, c.witness) == ("skip", "no generator tuple to evaluate"), c.axiom
+
+
 def test_axiom_checker_takes_no_sample_override():
     # the checker always runs every generator tuple
     A = builtin_instance("poisson-super").algebra

@@ -24,6 +24,13 @@ pin the ladder's order, which the verify-envelope files cannot.
     abhomotopy verify-envelope --suites coalgebra --format json
 
 at the default sizes: the generic-letter rows, which no other golden runs.
+``default-<builtin>.json`` is the stdout of
+
+    abhomotopy verify-envelope --algebra <builtin> --suites core,envelope \
+        --format json
+
+at the default sizes, so the instance rows of the default report are
+pinned at the sizes a user runs, not only at the ``FAST`` ones.
 
 A kernel change that alters any verdict, count or witness text changes
 these bytes; the determinism test in ``test_suites_cli.py`` only
@@ -78,6 +85,15 @@ def test_coalgebra_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "coalgebra.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_default_report_matches_golden(builtin, capsys):
+    code = main(["verify-envelope", "--algebra", builtin, "--suites", "core,envelope",
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"default-{builtin}.json").read_text(encoding="utf-8")
 
 
 def test_fractional_constants_report_matches_golden(capsys, monkeypatch):

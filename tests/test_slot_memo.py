@@ -166,6 +166,11 @@ def _jacobi(form):
     return law
 
 
+def sym_cobracket(A, s):
+    """delta'' over the word cobracket itself, not the table's entry."""
+    return cobracket_doubleprime(A, s, delta=cobracket)
+
+
 def _word_cojacobi(_, x):
     dd = splice_in_slot(cobracket(x), 0, cobracket, 0, word_degree)
     t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, word_degree), 0, word_degree)
@@ -175,7 +180,7 @@ def _word_cojacobi(_, x):
 
 def _cojacobi(ctx, x):
     A = ctx.algebra
-    delta = lambda s: cobracket_doubleprime(A, s)
+    delta = lambda s: sym_cobracket(A, s)
     dd = splice_in_slot(delta(x), 0, delta, A.a - A.b, ctx.sdeg)
     t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, ctx.sdeg), 0, ctx.sdeg)
     t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, ctx.sdeg), 1, ctx.sdeg)
@@ -186,8 +191,8 @@ def _coleibniz(ctx, sym):
     A = ctx.algebra
     amb = A.a - A.b
     delta_fn = lambda s: coproduct_delta(A, s)
-    dpp_fn = lambda s: cobracket_doubleprime(A, s)
-    lhs = splice_in_slot(cobracket_doubleprime(A, sym), 1, delta_fn, 0, ctx.sdeg)
+    dpp_fn = lambda s: sym_cobracket(A, s)
+    lhs = splice_in_slot(sym_cobracket(A, sym), 1, delta_fn, 0, ctx.sdeg)
     d = coproduct_delta(A, sym)
     r1 = splice_in_slot(d, 0, dpp_fn, amb, ctx.sdeg)
     r2 = swap_adjacent_slots(splice_in_slot(d, 1, dpp_fn, amb, ctx.sdeg), 0, ctx.sdeg)
@@ -233,11 +238,11 @@ REFERENCE_LAWS = {
     "sym-cobracket-cojacobi": _cojacobi,
     "sym-cobracket-coleibniz": _coleibniz,
     "sym-cobracket-m-twist": _coderivation(
-        cobracket_doubleprime, m_op, True,
+        sym_cobracket, m_op, True,
         "twisted coderivation law fails",
     ),
     "sym-cobracket-ell-twist": _coderivation(
-        cobracket_doubleprime, ell_op, True,
+        sym_cobracket, ell_op, True,
         "twisted coderivation law fails",
     ),
 }
@@ -317,7 +322,7 @@ def differential_mutant(parent):
 # name it is kept under; a bracket form's argument is a pair of words
 MAPS = {
     "delta": (lambda ctx, w: cobracket(w), 2),
-    "delta''": (lambda ctx, s: cobracket_doubleprime(ctx.algebra, s), 2),
+    "delta''": (lambda ctx, s: sym_cobracket(ctx.algebra, s), 2),
     "Delta": (lambda ctx, s: coproduct_delta(ctx.algebra, s), 2),
     "m": (m_op, 1),
     "ell''": (ell_op, 1),

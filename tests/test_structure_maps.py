@@ -16,8 +16,10 @@ guarded so that only a table entry may call them, the rows give the
 records they give untouched.
 
 The composite entries reach their parts through the table too: with the
-``D`` entry or the ``ell2`` entry negated, every map built on it changes
-as the composition predicts, on arguments whose images are nonzero.
+``delta``, ``D`` or ``ell2`` entry negated, every map built on it changes
+as the composition predicts, on arguments whose images are nonzero.  A
+zeroed or negated ``delta`` entry reaches delta'' and so fails the
+specialization row, whose oracle cuts the factors itself.
 """
 
 import pytest
@@ -49,8 +51,12 @@ KERNELS = ("cobracket", "ell2", "coproduct_delta", "cobracket_doubleprime", "q_c
            "extend")
 
 # the maps built on each base entry that negating it negates; Q = m + ell''
-NEGATES = {"D": ("m",), "ell2": ("ell2'", "ell2''", "ell''")}
-COMPOSITES = ("ell2'", "ell2''", "m", "ell''", "Q")
+NEGATES = {"D": ("m",), "ell2": ("ell2'", "ell2''", "ell''"), "delta": ("delta''",)}
+COMPOSITES = ("ell2'", "ell2''", "m", "ell''", "Q", "delta''")
+
+# the specialization row of each builtin whose a - b it covers
+SPECIALIZATION = {"gerstenhaber-toy": "specialization-gerstenhaber",
+                  "poisson-polynomial": "specialization-poisson"}
 
 
 def forced_context(builtin):
@@ -139,9 +145,9 @@ def test_no_row_calls_a_kernel_beside_the_table(monkeypatch):
         ctx.maps[name] = entry._replace(fn=inside)
     for kernel in KERNELS:
 
-        def guarded(*args, fn=getattr(suites, kernel), kernel=kernel):
+        def guarded(*args, fn=getattr(suites, kernel), kernel=kernel, **kwargs):
             assert depth[0], f"{kernel} called beside the table"
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(suites, kernel, guarded)
     found = [check_identity(name, ctx) for name in TABLE_ROWS]
@@ -165,21 +171,33 @@ def composite_images(ctx):
 @pytest.mark.parametrize("builtin", sorted(FORCED))
 def test_a_swapped_entry_reaches_the_maps_built_on_it(builtin, base):
     """Negating D negates m, and Q becomes -m + ell''; negating ell2
-    negates ell2', ell2'' and ell'', and Q becomes m - ell''.  The Taylor
-    row, which assembles Q from the same entries, still passes."""
+    negates ell2', ell2'' and ell'', and Q becomes m - ell''; negating
+    delta negates delta'' and leaves Q.  The Taylor row, which assembles
+    Q from the same entries, still passes."""
     ctx = forced_context(builtin)
     before = composite_images(ctx)
     for name in NEGATES[base]:
         assert any(not v.is_zero() for (n, _), v in before.items() if n == name), name
     entry = ctx.maps[base]
     ctx.maps[base] = entry._replace(fn=lambda arg: entry.fn(arg).scale(-1))
+    negated = lambda name, arg: before[name, arg].scale(-1 if name in NEGATES[base] else 1)
     want = {}
-    for (name, arg), image in before.items():
-        if name == "Q":
-            m, ell = before["m", arg], before["ell''", arg]
-            want[name, arg] = m.scale(-1) + ell if base == "D" else m - ell
-        else:
-            want[name, arg] = image.scale(-1) if name in NEGATES[base] else image
+    for name, arg in before:
+        want[name, arg] = negated("m", arg) + negated("ell''", arg) if name == "Q" else negated(name, arg)
     assert composite_images(ctx) == want
     record = check_identity("codifferential-q-taylor", ctx)
     assert record.status == "pass" and record.evaluated > 0
+
+
+@pytest.mark.parametrize("swap", ["zero", "negate"])
+@pytest.mark.parametrize("builtin", sorted(SPECIALIZATION))
+def test_a_swapped_cobracket_fails_the_specialization_row(builtin, swap):
+    """delta'' reads the word cobracket from the table, so the oracle row
+    that pins delta'' at a - b in {0, 1} pins delta through it."""
+    row = SPECIALIZATION[builtin]
+    ctx = forced_context(builtin)
+    assert check_identity(row, ctx).status == "pass"
+    entry = ctx.maps["delta"]
+    swapped = (lambda w: Element.zero()) if swap == "zero" else (lambda w: entry.fn(w).scale(-1))
+    ctx.maps["delta"] = entry._replace(fn=swapped)
+    assert check_identity(row, ctx).status == "fail"

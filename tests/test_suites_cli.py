@@ -314,13 +314,18 @@ def test_loader_takes_only_exact_numbers(tmp_path, capsys, doc, named):
         ({k: v for k, v in _loader_doc().items() if k != "b"}, "the algebra document has no 'b' field"),
         (_loader_doc(generators=["u"]), "a generator must be a JSON object, got 'u'"),
         (_loader_doc(bracket={"u": 1}), "bracket must be a list of table entries"),
+        (_loader_doc(name=5), "name must be a string, got 5"),
+        (_loader_doc(description=["x"]), "description must be a string, got ['x']"),
     ],
-    ids=["int-table-value", "top-level-array", "no-degree", "no-b", "string-generator", "object-table"],
+    ids=["int-table-value", "top-level-array", "no-degree", "no-b", "string-generator", "object-table",
+         "number-name", "list-description"],
 )
 def test_loader_names_the_malformed_field(tmp_path, capsys, doc, named):
     """A table value that is not a list of pairs and a top-level array used
-    to crash with a traceback (exit 1), and a generator without a degree
-    said only 'degree': each is now a usage error naming the cause."""
+    to crash with a traceback (exit 1), a generator without a degree said
+    only 'degree', a numeric name ran and stood as the number 5 in every
+    record, and a list description was kept silently: each is now a usage
+    error naming the cause."""
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check-algebra", "--algebra", str(path)]) == 2
@@ -403,12 +408,15 @@ def test_python_dash_m_runs_the_command_line():
 def test_non_integer_builtin_parameter_is_a_named_usage_error(algebra, param, capsys):
     """An integer parameter given a fraction, a decimal, a word or a list is
     refused before any check, naming the parameter and the instance: never
-    truncated (7/2 is not 3)."""
+    truncated (7/2 is not 3).  The error quotes what was typed ('7/2')."""
     code = main(["verify-envelope", "--algebra", algebra, "--param", param, "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    key = param.partition("=")[0]
+    key, _, value = param.partition("=")
     assert f"parameter {key!r} of instance {algebra!r} must be an integer" in captured.err
+    # a JSON value is parsed before it is refused; any other is quoted as typed
+    typed = value if value.startswith("[") else repr(value)
+    assert f"must be an integer, got {typed}" in captured.err
 
 
 def refused_before_any_check(monkeypatch, capsys, argv: list[str]) -> str:

@@ -26,7 +26,7 @@ from abhomotopy.sym_coalgebra import (
     sym_of,
     sym_tensor_is_zero,
 )
-from abhomotopy.tensor_coalgebra import Generator, shuffle, swap_adjacent_slots
+from abhomotopy.tensor_coalgebra import Generator, cobracket, shuffle, swap_adjacent_slots
 from test_slot_memo import sym_bracket
 
 
@@ -211,9 +211,9 @@ def test_cobracket_doubleprime_single_factor(toy_instance, poisson_poly_instance
         A = inst.algebra
         amb = A.a - A.b
         g1, g2 = A.generators[0], A.generators[1]
-        assert cobracket_doubleprime(A, ((g1,),)).is_zero()
+        assert cobracket_doubleprime(A, ((g1,),), delta=cobracket).is_zero()
         sym = ((g1, g2),)
-        got = cobracket_doubleprime(A, sym)
+        got = cobracket_doubleprime(A, sym, delta=cobracket)
         du, dv = A.deg_s((g1,)), A.deg_s((g2,))
         c0 = -1 if (amb * du) % 2 else 1
         c1 = c0 * (-1 if (du * dv + amb + 1) % 2 else 1)
@@ -232,7 +232,7 @@ def test_specialization_matches(toy_instance, poisson_poly_instance):
         if e.is_zero():
             continue
         sym = next(iter(e.items()))[0]
-        assert cobracket_doubleprime(A, sym) == kappa(A, sym)
+        assert cobracket_doubleprime(A, sym, delta=cobracket) == kappa(A, sym)
     P = poisson_poly_instance.algebra
     assert P.a - P.b == 0
     h1, h2 = P.gen("x1"), P.gen("x2")
@@ -241,7 +241,7 @@ def test_specialization_matches(toy_instance, poisson_poly_instance):
         if e.is_zero():
             continue
         sym = next(iter(e.items()))[0]
-        assert cobracket_doubleprime(P, sym) == poisson_cobracket(P, sym)
+        assert cobracket_doubleprime(P, sym, delta=cobracket) == poisson_cobracket(P, sym)
 
 
 def test_kappa_is_cosymmetric(toy_instance):
@@ -389,7 +389,8 @@ def test_kernels_match_resorting_references(builtin, sizes):
     for sym in syms:
         assert ctx.sdeg(sym) == ctx.sdeg(sym) == sym_degree(A, sym)
         for got_fn, want_fn in (
-            (lambda: cobracket_doubleprime(A, sym), lambda: ref_cobracket_doubleprime(A, sym)),
+            (lambda: cobracket_doubleprime(A, sym, delta=cobracket),
+             lambda: ref_cobracket_doubleprime(A, sym)),
             (lambda: extend(A, sym, 1, D), lambda: ref_extend_m(A, sym, D)),
             (lambda: extend(A, sym, 2, bracket), lambda: ref_extend_ell(A, sym, bracket)),
         ):
