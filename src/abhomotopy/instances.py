@@ -672,7 +672,7 @@ def _build_poisson_polynomial(params: dict) -> Instance:
         text = "x1*x2" if m == 2 else ("1" if m == 0 else f"x1^{m}")
         w = parse_poly(text, d, 0)
         omega = {("x1", "x2"): w, ("x2", "x1"): w.scale(-1)}
-    return build_poisson_instance(
+    instance = build_poisson_instance(
         p=d,
         q=0,
         bracket_degree=2 * m - 4,
@@ -680,6 +680,8 @@ def _build_poisson_polynomial(params: dict) -> Instance:
         max_degree=params["max_degree"],
         name="poisson-polynomial",
     )
+    instance.params["m"] = m  # the label echoes the m given, not the bracket degree 2m - 4
+    return instance
 
 
 def _build_schouten_super(params: dict) -> Instance:

@@ -12,7 +12,7 @@ requested suite has only skips is a skip whatever the other suites did.
 The rows of :data:`COALGEBRA` run on generic letters and read no
 instance, so their records name ``generic-letters`` as their instance.
 The suites (:data:`COALGEBRA`, :data:`CORE`, :data:`ENVELOPE` plus one of
-:data:`SPECIALIZATIONS` by a - b) and the mutation ladder
+:data:`SPECIALIZATIONS` by the parity of a - b) and the mutation ladder
 (:data:`MUTATION_ORDER`) are tuples of row names.
 
 Rows name their maps: each context holds one table, :attr:`RunContext.maps`,
@@ -892,7 +892,8 @@ ENVELOPE = (
     "sym-cobracket-m-twist",
     "sym-cobracket-ell-twist",
 )
-# appended to the envelope suite when a - b has the key's value
+# appended to the envelope suite by the parity of a - b, (a - b) % 2: delta''
+# reads a - b only through its parity
 SPECIALIZATIONS = {1: "specialization-gerstenhaber", 0: "specialization-poisson"}
 # cheap, sensitive checks first; a mutant stops at the first failure.  Left
 # out: sym-cobracket-coantisymmetry, codifferential-q-coderivation and
@@ -1015,17 +1016,13 @@ def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -
     if instance is None:
         instance = build_instance(config)
     ctx = RunContext(instance, config)
-    by_suite: dict[str, list[CheckRecord]] = {}
-    if "coalgebra" in config.suites:
-        by_suite["coalgebra"] = [check_identity(name, ctx) for name in COALGEBRA]
-    if "axioms" in config.suites:
-        by_suite["axioms"] = axiom_records(instance)
-    if "core" in config.suites:
-        by_suite["core"] = [check_identity(name, ctx) for name in CORE]
-    if "envelope" in config.suites:
-        amb = ctx.algebra.a - ctx.algebra.b
-        names = ENVELOPE + ((SPECIALIZATIONS[amb],) if amb in SPECIALIZATIONS else ())
-        by_suite["envelope"] = [check_identity(name, ctx) for name in names]
+    amb = ctx.algebra.a - ctx.algebra.b
+    rows = {"coalgebra": COALGEBRA, "core": CORE, "envelope": ENVELOPE + (SPECIALIZATIONS[amb % 2],)}
+    by_suite = {
+        suite: axiom_records(instance) if suite == "axioms"
+        else [check_identity(name, ctx) for name in rows[suite]]
+        for suite in SUITES if suite in config.suites
+    }
     records = [r for suite in by_suite.values() for r in suite]
     records += degree_records(config, [instance.algebra])
     # passes in one suite never cover a suite that checked nothing

@@ -22,14 +22,16 @@ the one or two factors that m and ell'' bring to the front (one body,
 ``extend``, over the block size).
 
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
-of the Gerstenhaber-shaped (a-b = 1) and Poisson-shaped (a-b = 0)
-specializations; they exist as independent oracles for
-``cobracket_doubleprime`` and intentionally repeat its combinatorics
-with their own degree bookkeeping: they cut each factor and sign the
-flip themselves, never through a word cobracket, so they check delta
-as well as its extension to syms.  They and ``q_by_taylor`` enumerate
-their factor splits through one enumerator of their own,
-``_oracle_splits``, never through the production ``block_splits``.
+of the Gerstenhaber (odd a - b) and Poisson (even a - b)
+specializations: one body, ``_direct_cobracket``, at the two parities
+of a - b, the only thing about a - b that delta'' reads.  They exist as
+independent oracles for ``cobracket_doubleprime`` and intentionally
+repeat its combinatorics with their own degree bookkeeping: they cut
+each factor and sign the flip themselves, never through a word
+cobracket, so they check delta as well as its extension to syms.  They
+and ``q_by_taylor`` enumerate their factor splits through one
+enumerator of their own, ``_oracle_splits``, never through the
+production ``block_splits``.
 The two sign their splits differently: ``_oracle_splits`` builds each
 permutation and calls ``koszul_sign``, ``block_splits`` counts odd
 crossings from degree parities.
@@ -58,7 +60,6 @@ tensor-word factor to its shuffle-quotient normal form
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable
 
 from .ab_core import AbAlgebra
@@ -348,60 +349,58 @@ def _oracle_splits(degs: list[int], sizes, pinned: int | None = None):
             yield left, right, koszul_sign(degs, sigma)
 
 
-def kappa(algebra: AbAlgebra, sym: SymWord) -> Element:
-    """Directly coded cosymmetric cobracket of the Gerstenhaber shape.
+def _direct_cobracket(sym: SymWord, t: int) -> Element:
+    """The directly coded cobracket of a sym in the grading d = dg - t,
+    t the parity of a - b.
 
-    Uses the grading dg - 1 throughout.  When a - b = 1 this must agree
-    with :func:`cobracket_doubleprime` term by term; the verifier tests
-    that rather than assuming it.
+    For each factor X_s, each cut X_s = u v into nonempty words and each
+    ordered split (I, J) of the other factors, eps the Koszul sign in d
+    of the arrangement I, s, J, it adds
+
+        c0 X_I.u (x) v.X_J + c0 (-1)^(du dv + 1 - t) X_I.v (x) u.X_J,
+        c0 = eps (-1)^(t (d X_I + du)).
+
+    Only the parity of a - b matters: deg_s = dg - (a - b) has the
+    parity of d, so every Koszul sign is the same in both gradings, and
+    every other exponent of delta'' is (a - b)(...).  The flipped sign is
+    the word cobracket's -(-1)^(dg u dg v) times the left word's
+    (-1)^(t (dv - du)), which is (-1)^(du dv + 1 - t) as dg = d + t:
+    -(-1)^(du dv) for Poisson (t = 0), (-1)^(du dv) for Gerstenhaber
+    (t = 1).  Cuts and signs are its own, through :func:`_oracle_splits`
+    and :func:`_normalize_with`, never a word cobracket or
+    :func:`block_splits`.
     """
-    dprime = lambda w: word_degree(w) - 1
-    n = len(sym)
-    degs = [dprime(w) for w in sym]
+    deg = lambda w: word_degree(w) - t
+    degs = [deg(w) for w in sym]
     acc = Element.zero()
-    for s in range(n):
-        xs = sym[s]
-        if len(xs) < 2:
+    for s, xs in enumerate(sym):
+        if len(xs) < 2:  # no cut: spare the split enumeration
             continue
-        for left, right, eps in _oracle_splits(degs, range(n), pinned=s):
-            deg_left = sum(degs[i] for i in left)
+        for left, right, eps in _oracle_splits(degs, range(len(sym)), pinned=s):
             fac_left = tuple(sym[i] for i in left)
             fac_right = tuple(sym[j] for j in right)
+            eps *= sign(t * sum(degs[i] for i in left))
             for cut in range(1, len(xs)):
                 u, v = xs[:cut], xs[cut:]
-                du, dv = dprime(u), dprime(v)
-                c0 = eps * sign(deg_left + du)
-                acc = acc + _pair_with(dprime, fac_left + (u,), (v,) + fac_right, c0)
+                du, dv = deg(u), deg(v)
+                c0 = eps * sign(t * du)
+                acc = acc + _pair_with(deg, fac_left + (u,), (v,) + fac_right, c0)
                 acc = acc + _pair_with(
-                    dprime, fac_left + (v,), (u,) + fac_right, c0 * sign(dv * du)
+                    deg, fac_left + (v,), (u,) + fac_right, c0 * sign(du * dv + 1 - t)
                 )
     return acc
+
+
+def kappa(algebra: AbAlgebra, sym: SymWord) -> Element:
+    """The direct cobracket of the Gerstenhaber specialization (odd a - b),
+    in the grading dg - 1: an oracle for :func:`cobracket_doubleprime`."""
+    return _direct_cobracket(sym, 1)
 
 
 def poisson_cobracket(algebra: AbAlgebra, sym: SymWord) -> Element:
-    """Directly coded coantisymmetric cobracket of the Poisson shape.
-
-    Uses the plain dg grading.  When a - b = 0 this must agree with
-    :func:`cobracket_doubleprime`.
-    """
-    n = len(sym)
-    degs = [word_degree(w) for w in sym]
-    acc = Element.zero()
-    for s in range(n):
-        xs = sym[s]
-        if len(xs) < 2:
-            continue
-        for left, right, eps in _oracle_splits(degs, range(n), pinned=s):
-            fac_left = tuple(sym[i] for i in left)
-            fac_right = tuple(sym[j] for j in right)
-            for cut in range(1, len(xs)):
-                u, v = xs[:cut], xs[cut:]
-                du, dv = word_degree(u), word_degree(v)
-                acc = acc + _pair_with(word_degree, fac_left + (u,), (v,) + fac_right, eps)
-                acc = acc + _pair_with(
-                    word_degree, fac_left + (v,), (u,) + fac_right, -eps * sign(du * dv)
-                )
-    return acc
+    """The direct cobracket of the Poisson specialization (even a - b), in
+    the plain dg grading: an oracle for :func:`cobracket_doubleprime`."""
+    return _direct_cobracket(sym, 0)
 
 
 def _pair_with(deg_of, left, right, coeff) -> Element:
@@ -411,7 +410,7 @@ def _pair_with(deg_of, left, right, coeff) -> Element:
     sr, wr = _normalize_with(deg_of, right)
     if wr is None:
         return Element.zero()
-    return Element.of((wl, wr), Fraction(coeff) * sl * sr)
+    return Element.of((wl, wr), coeff * sl * sr)
 
 
 # -- equality modulo shuffles ----------------------------------------------

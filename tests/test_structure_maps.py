@@ -19,7 +19,9 @@ The composite entries reach their parts through the table too: with the
 ``delta``, ``D`` or ``ell2`` entry negated, every map built on it changes
 as the composition predicts, on arguments whose images are nonzero.  A
 zeroed or negated ``delta`` entry reaches delta'' and so fails the
-specialization row, whose oracle cuts the factors itself.
+specialization row, whose oracle cuts the factors itself; every builtin
+runs one, chosen by the parity of a - b, so a swapped word cobracket
+kernel fails the envelope suite on every builtin, at that row alone.
 """
 
 import pytest
@@ -30,10 +32,12 @@ from abhomotopy.freemodule import Element
 from abhomotopy.suites import (
     CHECKS,
     RunContext,
+    SPECIALIZATIONS,
     SuiteConfig,
     build_instance,
     check_identity,
     generic_letters,
+    run_verify_envelope,
 )
 from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle
 from test_slot_memo import FORCED
@@ -54,9 +58,10 @@ KERNELS = ("cobracket", "ell2", "coproduct_delta", "cobracket_doubleprime", "q_c
 NEGATES = {"D": ("m",), "ell2": ("ell2'", "ell2''", "ell''"), "delta": ("delta''",)}
 COMPOSITES = ("ell2'", "ell2''", "m", "ell''", "Q", "delta''")
 
-# the specialization row of each builtin whose a - b it covers
-SPECIALIZATION = {"gerstenhaber-toy": "specialization-gerstenhaber",
-                  "poisson-polynomial": "specialization-poisson"}
+
+def specialization(algebra):
+    """The specialization row the envelope suite runs on ``algebra``."""
+    return SPECIALIZATIONS[(algebra.a - algebra.b) % 2]
 
 
 def forced_context(builtin):
@@ -190,14 +195,30 @@ def test_a_swapped_entry_reaches_the_maps_built_on_it(builtin, base):
 
 
 @pytest.mark.parametrize("swap", ["zero", "negate"])
-@pytest.mark.parametrize("builtin", sorted(SPECIALIZATION))
+@pytest.mark.parametrize("builtin", sorted(FORCED))
 def test_a_swapped_cobracket_fails_the_specialization_row(builtin, swap):
     """delta'' reads the word cobracket from the table, so the oracle row
-    that pins delta'' at a - b in {0, 1} pins delta through it."""
-    row = SPECIALIZATION[builtin]
+    that pins delta'' at the parity of a - b pins delta through it."""
     ctx = forced_context(builtin)
+    row = specialization(ctx.algebra)
     assert check_identity(row, ctx).status == "pass"
     entry = ctx.maps["delta"]
     swapped = (lambda w: Element.zero()) if swap == "zero" else (lambda w: entry.fn(w).scale(-1))
     ctx.maps["delta"] = entry._replace(fn=swapped)
     assert check_identity(row, ctx).status == "fail"
+
+
+@pytest.mark.parametrize("swap", ["zero", "negate"])
+@pytest.mark.parametrize("builtin", sorted(FORCED))
+def test_a_swapped_cobracket_kernel_fails_the_envelope_suite(builtin, swap, monkeypatch):
+    """Every builtin runs a specialization row, so a zeroed or negated
+    word cobracket kernel fails its envelope suite, at that row."""
+    kernel = suites.cobracket
+    swapped = (lambda w: Element.zero()) if swap == "zero" else (lambda w: kernel(w).scale(-1))
+    monkeypatch.setattr(suites, "cobracket", swapped)
+    config = SuiteConfig(algebra=builtin, suites=("envelope",), **FAST)
+    instance = build_instance(config)
+    report = run_verify_envelope(config, instance)
+    assert report.status == "fail"
+    failed = [r.check for r in report.records if r.status == "fail"]
+    assert failed == [specialization(instance.algebra)]

@@ -511,6 +511,15 @@ def test_cli_param_overrides(capsys):
     assert doc["config"]["params"]["differential"] == "zero"
 
 
+def test_record_label_echoes_the_m_given(capsys):
+    """poisson-polynomial's bracket degree is 2m - 4; its records name the m given."""
+    argv = ["verify-envelope", "--algebra", "poisson-polynomial", "--param", "m=0",
+            "--suites", "core", "--max-word-len", "2", "--probe-gens", "1", "--format", "json"]
+    main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert {r["instance"] for r in doc["records"]} == {"poisson-polynomial(m=0, max_degree=8, p=2, q=0)"}
+
+
 def test_cli_file_algebra_and_failure_exit(tmp_path, capsys):
     good = {
         "name": "file-toy",

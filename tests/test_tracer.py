@@ -48,10 +48,14 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "groups": 
 # a slot, where every input used to apply the map afresh (889, 255, 215
 # and 140 calls before); the slot maps and structure_fn do not move.
 # coproduct moved again when coassociativity began to keep the Delta it
-# splices into a slot (176 before)
+# splices into a slot (176 before).  cobracket and oracles moved when
+# every builtin began to run the specialization row of its parity of
+# a - b, which at these sizes calls delta'' and the direct cobracket 24
+# times each on poisson-super (a - b = 4), where none ran (156 and 26
+# calls before)
 KERNEL_CALLS = {
     "ab_core.ell2": 849,
-    "sym_coalgebra.cobracket": 156,
+    "sym_coalgebra.cobracket": 180,
     "sym_coalgebra.coproduct": 134,
     "sym_coalgebra.q": 98,
     "instances.structure_fn": 1253,
@@ -60,7 +64,7 @@ KERNEL_CALLS = {
     # generic-letter cobracket rows' zero test then began to skip the
     # slotwise normal form of a raw zero, as the instance rows' always did
     "tensor_coalgebra.slot_calculus": 1482,
-    "sym_coalgebra.oracles": 26,
+    "sym_coalgebra.oracles": 50,
 }
 
 # the same for gerstenhaber-toy, which goes through the polyvector builder
