@@ -24,14 +24,16 @@ from .ab_core import (
 from .freemodule import Element, ReducedBasis
 from .instances import (
     BUILTINS,
+    GRADINGS,
+    SUPER,
     Instance,
     PoissonTensor,
     builtin_instance,
+    canonical_tensor,
     check_poisson_tensor,
     parse_poly,
     poisson_bracket,
-    pv_schouten,
-    pv_wedge,
+    variables,
 )
 from .signs import enumerate_shuffles, koszul_sign, koszul_sign_by_swaps
 from .suites import (

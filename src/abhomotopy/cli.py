@@ -57,14 +57,15 @@ def _parse_param(text: str):
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--algebra", default="poisson-super",
+    sub.add_argument("--algebra", default=SuiteConfig.algebra,
                      help=f"builtin name ({', '.join(sorted(BUILTINS))}) or a JSON structure file")
     sub.add_argument("--param", action="append", default=[], metavar="K=V",
                      help="builtin instance parameter override; repeatable (JSON allowed for values)")
-    sub.add_argument("--max-word-len", type=int, default=3, metavar="L")
-    sub.add_argument("--max-sym-factors", type=int, default=3, metavar="N")
-    sub.add_argument("--max-total-letters", type=int, default=4, metavar="T")
-    sub.add_argument("--probe-gens", type=int, default=3, metavar="K",
+    sub.add_argument("--max-word-len", type=int, default=SuiteConfig.max_word_len, metavar="L")
+    sub.add_argument("--max-sym-factors", type=int, default=SuiteConfig.max_sym_factors, metavar="N")
+    sub.add_argument("--max-total-letters", type=int, default=SuiteConfig.max_total_letters,
+                     metavar="T")
+    sub.add_argument("--probe-gens", type=int, default=SuiteConfig.probe_gens, metavar="K",
                      help="number of low-degree generators the word families are built from")
     sub.add_argument("--report", default=None, metavar="PATH",
                      help="write the JSON report here (UTF-8, newline-terminated)")
@@ -97,7 +98,7 @@ def _config_from(args: argparse.Namespace, suites: tuple[str, ...]) -> SuiteConf
         max_sym_factors=args.max_sym_factors,
         max_total_letters=args.max_total_letters,
         probe_gens=args.probe_gens,
-        seed=getattr(args, "seed", 0),
+        seed=getattr(args, "seed", SuiteConfig.seed),
         suites=suites,
     )
 
@@ -117,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         if name == "mutation":
             sub.add_argument("--rounds", type=int, default=1,
                              help="number of seeded single-constant perturbations")
-            sub.add_argument("--seed", type=int, default=0, metavar="S",
+            sub.add_argument("--seed", type=int, default=SuiteConfig.seed, metavar="S",
                              help="seed of the perturbation draw")
 
     args = parser.parse_args(argv)

@@ -1,61 +1,91 @@
-"""Builtin truncated instances: super polynomials and polyvector fields.
+"""Builtin truncated instances: super polynomials, among them polyvector
+fields as functions on T*[1]R^{p|q}.
 
 An instance supplies what an (a,b)-algebra needs: a product, a bracket
-and a differential on basis monomials.  Both families go through one
-assembly, ``_monomial_algebra``, which makes the monomials within the
-truncation the generators and raises ``TruncationOverflow`` for a result
-outside them.  Maps on Elements are ``bilinear``/``map_basis`` extensions
-of the monomial maps.
+and a differential on basis monomials.  Every builtin is one kind of
+algebra: super polynomials on graded coordinates, with their graded
+product, the Poisson bracket of a tensor omega and the differential
+{h, .} of an element h (zero but on gerstenhaber-toy).  One assembly,
+``_assemble``, makes the monomials within the truncation the generators
+and raises ``TruncationOverflow`` for a result outside them.  Maps on
+Elements are ``bilinear``/``map_basis`` extensions of the monomial maps.
 
-Super polynomial functions on R^{p|q} have basis monomials
-x_1^{e_1}..x_p^{e_p} xi_{j_1}..xi_{j_r} with j_1 < ... < j_r; the xi's
-square to zero.  Degrees: |x_i| = 2, |xi_j| = 1, so |m| = 2*sum(e) + r.
-The partial derivative d/dxi_j moves xi_j to the front (one sign flip
-per odd letter crossed) and drops it; that makes it a graded derivation
-of degree -1.  d/dx_i is the usual one, degree -2.
+Coordinates.  A :class:`Variables` table lists the coordinates in order,
+each with its degree; it is the one place a coordinate's degree, parity
+and position are read.  A monomial (:class:`SMono`) holds the exponents
+of the even coordinates and the increasing positions of the odd ones it
+contains; odd coordinates square to zero.  The partial derivative d/dv
+moves an odd v to the front (one sign flip per odd coordinate crossed)
+and drops it; it is a graded derivation of degree |d_v| = -|v|.
 
-Polyvector monomials are (coefficient monomial) * dx_I ^ dxi_J with
-I strictly increasing (dx is odd, squares vanish) and J weakly
-increasing (dxi is even, repeats allowed).  The natural grading is
-
-    |x| = 2,  |xi| = 1,  |dx| = -3,  |dxi| = -2,
-
-so the wedge has degree 0 and the Schouten bracket degree +1.  The same
-monomials support two more gradings used by other instances: the
-"double" grading 2*(coefficient degree) + (number of dx), under which
-the Schouten bracket has degree -3, and the bare rank grading (number
-of dx), the classical multivector grading with bracket degree -1.  All
-three give every monomial the same parity when q = 0, so one signed
-wedge/Schouten implementation serves all of them.
-
-The Schouten bracket is computed from the one-sided contraction
-
-    contract(v1, v2) = sum over derivative slots s of v1 of
-        (-1)^{|v1|+1 + |d_s|(|d_1|+...+|d_{s-1}|) + (|f_2|+1)(|D_1| - |d_s|)}
-        f_1 * d_s(f_2) * (remaining block of v1) ^ (block of v2)
-
-as [v1, v2] = (-1)^{|v1|+1} contract(v1, v2)
-              - (-1)^{|v1|(|v2|+1)} contract(v2, v1);
-
-``vf_bracket_oracle`` is the independent composition formula for plain
-vector fields that pins down the overall sign convention.
-
-A degree-m Poisson bracket on super polynomials is given by a tensor
-omega^{ij} over the derivative symbols (here named "x1".."xp",
-"xi1".."xiq", with |d/dx| = -2 and |d/dxi| = -1):
+Poisson bracket.  A degree-m bracket is given by a tensor omega^{ij}
+over the coordinates:
 
     {f, g} = (-1)^{m|f|} sum_{i,j} (-1)^{|d_j|(|f|+|d_i|)}
              omega^{ij} d_i(f) d_j(g),
 
 subject to the homogeneity / graded symmetry / cyclic closure
-conditions checked by :func:`check_poisson_tensor`.
+conditions checked by :func:`check_poisson_tensor`.  It is a derivation
+of the product in its second slot, {f, gh} = {f, g} h +
+(-1)^{(|f|+m)|g|} g {f, h}, and graded antisymmetric, {f, g} =
+-(-1)^{(|f|+m)(|g|+m)} {g, f}.
+
+Super polynomials on R^{p|q} have the coordinates x1..xp of degree 2
+and xi1..xiq of degree 1 (``SUPER``).
+
+Polyvector fields on R^{p|q} are the functions on T*[1]R^{p|q}: the
+coordinates x1..xp, xi1..xiq and then their fibers dx1..dxp,
+dxi1..dxiq, the fiber dv standing for d/dv and of the parity opposite
+to v's.  So the even coordinates are x1..xp, dxi1..dxiq and the odd
+ones xi1..xiq, dx1..dxp, in that order.  The wedge is the product, and
+the Schouten bracket is the Poisson bracket of the canonical constant
+tensor (:func:`canonical_tensor`)
+
+    omega^{x_i,dx_i} = omega^{dx_i,x_i} = -1,
+    omega^{xi_j,dxi_j} = omega^{dxi_j,xi_j} = +1,
+
+every other entry zero.  A monomial prints its base factors joined by
+``*`` and then each fiber factor once per power, joined by ``^``, as in
+``x1*xi1^dx1^dxi1^dxi1``.  Three gradings (``GRADINGS``), each with its
+(a, b):
+
+    tpoly   |x| = 2, |xi| = 1, |dx| = -3, |dxi| = -2           (0, 1)
+    double  |x| = 2, |dx| = 1 (q = 0): 2 * coefficient degree
+            + rank                                             (0, -3)
+    rank    |x| = 0, |dx| = 1 (q = 0): the classical multivector
+            grading                                            (0, -1)
+
+Each has b = -|v| - |dv| for every base coordinate v, so the constant
+entries are homogeneous.
+
+The signs of omega.  The Schouten bracket is fixed by [dv, v] = 1, the
+vector field d/dv applied to the coordinate v, and by vanishing on every
+other pair of coordinates: functions commute, constant vector fields
+commute, and [dv, w] = 0 for a coordinate w other than v.  In the
+formula, {dv, v} has the one term i = dv, j = v, with d_{dv}(dv) =
+d_v(v) = 1 and the sign (-1)^{m|dv|} (-1)^{|d_v|(|dv| + |d_{dv}|)} =
+(-1)^{m|dv|}, since |dv| + |d_{dv}| = 0.  At m = 1 that sign is -1 for
+the odd dx and +1 for the even dxi, so omega^{dx,x} = -1 and
+omega^{dxi,xi} = +1 give {dv, v} = 1.  Graded symmetry, omega^{ij} =
+(-1)^{|d_i||d_j| + m + 1} omega^{ji}, then gives omega^{v,dv} =
+omega^{dv,v}, since one of |v|, |dv| is even and m + 1 is even.  Every
+other entry is zero, so the bracket vanishes on the other pairs.  Both
+brackets are biderivations of the wedge with the same Leibniz rule and
+the same antisymmetry, so, agreeing on pairs of coordinates, they agree
+everywhere.  The double and rank gradings (q = 0) give every coordinate,
+and b, the parity tpoly gives it.  Every sign exponent above, and every
+sign of the product and of the derivatives, reads only parities, so the
+one rule omega^{dv,v} = omega^{v,dv} = (-1)^{b|dv|} serves all three.
+
+``vf_bracket_oracle`` is the independent composition formula for plain
+vector fields that pins down the overall sign convention.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -65,34 +95,79 @@ from .signs import sign
 from .tensor_coalgebra import Generator
 
 
-# -- super polynomial monomials -------------------------------------------
+# -- coordinates and monomials ------------------------------------------------
+
+
+class Variables:
+    """Graded coordinates, in the order monomials print them.
+
+    ``degrees`` maps each name to its degree; its parity makes the
+    coordinate even or odd.  ``slot`` maps each name to (parity,
+    position), the position 1-based among the coordinates of that
+    parity, in order.
+    """
+
+    def __init__(self, degrees: dict[str, int]):
+        self.degrees = degrees
+        self.even = [v for v, d in degrees.items() if d % 2 == 0]
+        self.odd = [v for v, d in degrees.items() if d % 2]
+        self.slot = {v: (0, k) for k, v in enumerate(self.even, start=1)}
+        self.slot.update({v: (1, k) for k, v in enumerate(self.odd, start=1)})
+
+
+def variables(p: int, q: int, kinds: dict[str, int]) -> Variables:
+    """The coordinates of each kind ``kinds`` names, in its order and of
+    its degree: x1..xp, xi1..xiq, dx1..dxp or dxi1..dxiq."""
+    count = {"x": p, "xi": q, "dx": p, "dxi": q}
+    return Variables(
+        {f"{kind}{k}": d for kind, d in kinds.items() for k in range(1, count[kind] + 1)}
+    )
+
+
+SUPER = {"x": 2, "xi": 1}  # super polynomials on R^{p|q}
+
+# polyvectors on R^{p|q}: coordinate degrees, a, b; double and rank take q = 0
+GRADINGS = {
+    "tpoly": ({"x": 2, "xi": 1, "dx": -3, "dxi": -2}, 0, 1),
+    "double": ({"x": 2, "dx": 1}, 0, -3),
+    "rank": ({"x": 0, "dx": 1}, 0, -1),
+}
 
 
 class SMono(NamedTuple):
-    even: tuple[int, ...]  # exponents of x_1..x_p
-    odd: tuple[int, ...]  # strictly increasing xi indices, 1-based
-
-    def __repr__(self) -> str:
-        return smono_str(self)
+    even: tuple[int, ...]  # exponents of the even coordinates
+    odd: tuple[int, ...]  # strictly increasing positions of odd coordinates, 1-based
 
 
-def smono_one(p: int) -> SMono:
-    return SMono((0,) * p, ())
+def smono_one(n_even: int) -> SMono:
+    return SMono((0,) * n_even, ())
 
 
-def smono_degree(m: SMono) -> int:
-    return 2 * sum(m.even) + len(m.odd)
+def smono_degree(V: Variables, m: SMono) -> int:
+    return sum(e * V.degrees[v] for e, v in zip(m.even, V.even)) + sum(
+        V.degrees[V.odd[k - 1]] for k in m.odd
+    )
 
 
-def smono_str(m: SMono) -> str:
-    parts = []
-    for i, e in enumerate(m.even, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    parts.extend(f"xi{j}" for j in m.odd)
-    return "*".join(parts) if parts else "1"
+def _factors(V: Variables, m: SMono):
+    """(name, exponent) of each coordinate in ``m``, in the order of ``V``."""
+    for v in V.degrees:
+        odd, k = V.slot[v]
+        e = int(k in m.odd) if odd else m.even[k - 1]
+        if e:
+            yield v, e
+
+
+def smono_str(V: Variables, m: SMono) -> str:
+    """``x1^2*xi1``; fiber factors follow the base factors, each once per
+    power and joined by ``^``, as in ``x1*xi1^dx1^dxi1^dxi1``."""
+    base, fiber = [], []
+    for v, e in _factors(V, m):
+        if v.startswith("d"):
+            fiber += [v] * e
+        else:
+            base.append(v if e == 1 else f"{v}^{e}")
+    return "^".join((["*".join(base)] if base else []) + fiber) or "1"
 
 
 def _merge_strict(t1: tuple[int, ...], t2: tuple[int, ...]):
@@ -116,22 +191,23 @@ def smono_mul(m1: SMono, m2: SMono):
     return s, SMono(even, odd)
 
 
-def sderiv(var: tuple[str, int], m: SMono):
+def sderiv(slot: tuple[int, int], m: SMono):
     """Partial derivative of a monomial: (coefficient, monomial) or (0, None).
 
-    ``var`` is ('x', i) or ('xi', j), 1-based.
+    ``slot`` is the coordinate's (parity, position), as ``Variables.slot``
+    gives it.
     """
-    kind, idx = var
-    if kind == "x":
-        e = m.even[idx - 1]
+    odd, k = slot
+    if not odd:
+        e = m.even[k - 1]
         if e == 0:
             return 0, None
-        even = m.even[: idx - 1] + (e - 1,) + m.even[idx:]
+        even = m.even[: k - 1] + (e - 1,) + m.even[k:]
         return e, SMono(even, m.odd)
-    if idx not in m.odd:
+    if k not in m.odd:
         return 0, None
-    crossed = sum(1 for t in m.odd if t < idx)
-    return sign(crossed), SMono(m.even, tuple(t for t in m.odd if t != idx))
+    crossed = sum(1 for t in m.odd if t < k)
+    return sign(crossed), SMono(m.even, tuple(t for t in m.odd if t != k))
 
 
 def _term(pair) -> Element:
@@ -145,18 +221,26 @@ def poly_mul(e1: Element, e2: Element) -> Element:
     return bilinear(lambda m1, m2: _term(smono_mul(m1, m2)), e1, e2)
 
 
-def poly_deriv(var: tuple[str, int], e: Element) -> Element:
-    return e.map_basis(lambda m: _term(sderiv(var, m)))
+def poly_deriv(slot: tuple[int, int], e: Element) -> Element:
+    return e.map_basis(lambda m: _term(sderiv(slot, m)))
 
 
-_FACTOR_RE = re.compile(r"^(xi|x)(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^([a-z]+\d+)(?:\^(\d+))?$")
 
 
-def parse_poly(text: str, p: int, q: int) -> Element:
-    """Parse expressions like ``'x1*x2 - 2*xi1'`` into super polynomials.
+def _coordinate(V: Variables, name: str, power: int) -> SMono:
+    """The monomial name^power; an odd coordinate's power is 0 or 1."""
+    odd, k = V.slot[name]
+    if odd:
+        return SMono((0,) * len(V.even), (k,) * power)
+    return SMono(tuple(power if i == k else 0 for i in range(1, len(V.even) + 1)), ())
 
-    Factors are rationals or (powers of) variables ``x<i>`` / ``xi<j>``;
-    written order of xi factors matters and is normalized with signs.
+
+def parse_poly(text: str, V: Variables) -> Element:
+    """Parse expressions like ``'x1*x2 - 2*xi1'`` into polynomials on ``V``.
+
+    Factors are rationals or (powers of) coordinates of ``V``; written
+    order of odd factors matters and is normalized with signs.
     """
     s = text.replace(" ", "")
     if not s:
@@ -170,204 +254,95 @@ def parse_poly(text: str, p: int, q: int) -> Element:
         elif term.startswith("+"):
             term = term[1:]
         coeff = sign
-        mono = Element.of(smono_one(p))
+        mono = Element.of(smono_one(len(V.even)))
         for factor in term.split("*"):
             m = _FACTOR_RE.match(factor)
             if m:
-                kind, idx, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-                bound = q if kind == "xi" else p
-                if not 1 <= idx <= bound:
-                    raise ValueError(f"variable {factor!r} out of range for R^({p}|{q})")
-                if kind == "x":
-                    even = tuple(power if i == idx else 0 for i in range(1, p + 1))
-                    step = SMono(even, ())
-                else:
-                    if power > 1:
-                        raise ValueError(f"odd variable squared in {factor!r}")
-                    step = SMono((0,) * p, (idx,))
-                mono = poly_mul(mono, Element.of(step))
+                name, power = m.group(1), int(m.group(2) or 1)
+                if name not in V.slot:
+                    raise ValueError(
+                        f"variable {factor!r} out of range: have {', '.join(V.degrees)}"
+                    )
+                if V.slot[name][0] and power > 1:
+                    raise ValueError(f"odd variable squared in {factor!r}")
+                mono = poly_mul(mono, Element.of(_coordinate(V, name, power)))
             else:
                 coeff *= Fraction(factor)
         acc = acc + mono.scale(coeff)
     return acc
 
 
-# -- polyvector monomials ---------------------------------------------------
+def vf_bracket_oracle(V: Variables, v1: SMono, v2: SMono) -> Element:
+    """Composition-formula bracket of two plain vector fields on T*[1]R^{p|q}:
 
+        [f1 dv1, f2 dv2] = f1 d_{v1}(f2) dv2
+                           - (-1)^{(|v1|+1)(|v2|+1)} f2 d_{v2}(f1) dv1,
 
-class PVMono(NamedTuple):
-    coef: SMono
-    dx: tuple[int, ...]  # strictly increasing, odd letters of degree -3
-    dxi: tuple[int, ...]  # weakly increasing, even letters of degree -2
-
-    def __repr__(self) -> str:
-        return pv_str(self)
-
-
-def pv_str(v: PVMono) -> str:
-    parts = [] if v.coef == smono_one(len(v.coef.even)) else [smono_str(v.coef)]
-    parts.extend(f"dx{i}" for i in v.dx)
-    parts.extend(f"dxi{j}" for j in v.dxi)
-    return "^".join(parts) if parts else "1"
-
-
-def pv_degree(v: PVMono) -> int:
-    """T_poly grading: 2#S + #T - 3#I - 2#J."""
-    return smono_degree(v.coef) - 3 * len(v.dx) - 2 * len(v.dxi)
-
-
-def pv_degree_double(v: PVMono) -> int:
-    """Doubled grading 2m + k (coefficient degree m, rank k); q = 0 only."""
-    return 2 * sum(v.coef.even) + len(v.dx)
-
-
-def pv_degree_rank(v: PVMono) -> int:
-    """Classical multivector grading: the number of dx factors."""
-    return len(v.dx)
-
-
-def pv_wedge(v1: PVMono, v2: PVMono):
-    """Graded-commutative wedge of monomials: (sign, monomial) or (0, None)."""
-    s0, coef = smono_mul(v1.coef, v2.coef)
-    if coef is None:
-        return 0, None
-    # v2's xi letters cross v1's dx letters (both odd)
-    s0 *= sign(len(v2.coef.odd) * len(v1.dx))
-    s1, dx = _merge_strict(v1.dx, v2.dx)
-    if dx is None:
-        return 0, None
-    dxi = tuple(sorted(v1.dxi + v2.dxi))
-    return s0 * s1, PVMono(coef, dx, dxi)
-
-
-def pv_wedge_elem(e1: Element, e2: Element) -> Element:
-    return bilinear(lambda v1, v2: _term(pv_wedge(v1, v2)), e1, e2)
-
-
-def _deriv_slots(v: PVMono) -> list[tuple[str, int]]:
-    return [("x", i) for i in v.dx] + [("xi", j) for j in v.dxi]
-
-
-_TDEG = {"x": -3, "xi": -2}
-
-
-def pv_contract(v1: PVMono, v2: PVMono) -> Element:
-    """One-sided Schouten contraction: each derivative of v1 hits v2's coefficient."""
-    d1 = pv_degree(v1)
-    f2deg = smono_degree(v2.coef)
-    slots = _deriv_slots(v1)
-    block_deg = sum(_TDEG[k] for k, _ in slots)
-    acc: dict = {}
-    prefix = 0
-    for kind, idx in slots:
-        td = _TDEG[kind]
-        exponent = (d1 + 1) + td * prefix + (f2deg + 1) * (block_deg - td)
-        prefix += td
-        c, dmono = sderiv((kind, idx), v2.coef)
-        if dmono is None:
-            continue
-        sf, coef = smono_mul(v1.coef, dmono)
-        if coef is None:
-            continue
-        dx1 = tuple(i for i in v1.dx if not (kind == "x" and i == idx))
-        dxi1 = list(v1.dxi)
-        if kind == "xi":
-            dxi1.remove(idx)
-        sb, dx = _merge_strict(dx1, v2.dx)
-        if dx is None:
-            continue
-        dxi = tuple(sorted(tuple(dxi1) + v2.dxi))
-        add_term(acc, PVMono(coef, dx, dxi), c * sf * sb * sign(exponent))
-    return Element(acc)
-
-
-def pv_schouten(v1: PVMono, v2: PVMono) -> Element:
-    """Schouten bracket of monomials, degree +1 in the T_poly grading."""
-    d1, d2 = pv_degree(v1), pv_degree(v2)
-    return pv_contract(v1, v2).scale(sign(d1 + 1)) - pv_contract(v2, v1).scale(
-        sign(d1 * (d2 + 1))
-    )
-
-
-def pv_schouten_elem(e1: Element, e2: Element) -> Element:
-    return bilinear(pv_schouten, e1, e2)
-
-
-def vf_bracket_oracle(v1: PVMono, v2: PVMono) -> Element:
-    """Composition-formula bracket for two single-derivative monomials.
-
-    Independent of :func:`pv_contract`; arbitrates the Schouten sign
+    with |.| the degree of the whole field.  Independent of
+    :func:`poisson_bracket_mono`; arbitrates the Schouten sign
     convention on vector fields.
     """
-    s1, s2 = _deriv_slots(v1), _deriv_slots(v2)
-    if len(s1) != 1 or len(s2) != 1:
+    (f1, dv1), (f2, dv2) = _vector_field(V, v1), _vector_field(V, v2)
+    cross = (smono_degree(V, v1) + 1) * (smono_degree(V, v2) + 1)
+    return _apply_field(V, f1, dv1, f2, dv2) - _apply_field(V, f2, dv2, f1, dv1).scale(sign(cross))
+
+
+def _vector_field(V: Variables, v: SMono) -> tuple[SMono, str]:
+    """(f, dv) with v = f dv, dv its one fiber factor.  Every fiber comes
+    after every base coordinate of its parity, so writing dv last costs
+    no sign, and f is v's monomial with dv dropped."""
+    fiber = [(u, e) for u, e in _factors(V, v) if u.startswith("d")]
+    if len(fiber) != 1 or fiber[0][1] != 1:
         raise ValueError("oracle only covers plain vector fields")
-    out = Element.zero()
-    c, dmono = sderiv(s1[0], v2.coef)
-    if dmono is not None:
-        sf, coef = smono_mul(v1.coef, dmono)
-        if coef is not None:
-            out = out + Element.of(_pv_from_slot(coef, s2[0]), Fraction(c) * sf)
-    cross = (pv_degree(v1) + 1) * (pv_degree(v2) + 1)
-    c, dmono = sderiv(s2[0], v1.coef)
-    if dmono is not None:
-        sf, coef = smono_mul(v2.coef, dmono)
-        if coef is not None:
-            out = out - Element.of(_pv_from_slot(coef, s1[0]), Fraction(c) * sf * sign(cross))
-    return out
+    dv = fiber[0][0]
+    return sderiv(V.slot[dv], v)[1], dv
 
 
-def _pv_from_slot(coef: SMono, slot: tuple[str, int]) -> PVMono:
-    kind, idx = slot
-    if kind == "x":
-        return PVMono(coef, (idx,), ())
-    return PVMono(coef, (), (idx,))
+def _apply_field(V: Variables, f1: SMono, dv1: str, f2: SMono, dv2: str) -> Element:
+    """f1 d_{v1}(f2) dv2, with dv2 written last."""
+    df2 = poly_deriv(V.slot[dv1[1:]], Element.of(f2))
+    return poly_mul(poly_mul(Element.of(f1), df2), Element.of(_coordinate(V, dv2, 1)))
 
 
 # -- Poisson tensors ---------------------------------------------------------
 
 
-def _dvar(name: str) -> tuple[str, int]:
-    m = _FACTOR_RE.match(name)
-    if not m or m.group(3):
-        raise ValueError(f"bad derivative symbol {name!r}")
-    return m.group(1), int(m.group(2))
-
-
-def _ddeg(name: str) -> int:
-    kind, _ = _dvar(name)
-    return -2 if kind == "x" else -1
-
-
 @dataclass
 class PoissonTensor:
-    p: int
-    q: int
+    variables: Variables
     m: int  # bracket degree
-    omega: dict[tuple[str, str], Element] = field(default_factory=dict)
-
-    def names(self) -> list[str]:
-        return [f"x{i}" for i in range(1, self.p + 1)] + [
-            f"xi{j}" for j in range(1, self.q + 1)
-        ]
+    omega: dict[tuple[str, str], Element]
 
     def entry(self, i: str, j: str) -> Element:
         return self.omega.get((i, j), Element.zero())
 
 
+def canonical_tensor(V: Variables, b: int) -> PoissonTensor:
+    """The degree-b tensor whose bracket is the Schouten bracket:
+    omega^{dv,v} = omega^{v,dv} = (-1)^{b|dv|} for each coordinate v with
+    a fiber dv (the module docstring derives the sign)."""
+    pairs = [(f"d{v}", v) for v in V.degrees if f"d{v}" in V.degrees]
+    one = smono_one(len(V.even))
+    omega = {(dv, v): Element.of(one, sign(b * V.degrees[dv])) for dv, v in pairs}
+    omega.update({(v, dv): omega[dv, v] for dv, v in pairs})
+    return PoissonTensor(V, b, omega)
+
+
 def poisson_bracket_mono(T: PoissonTensor, m1: SMono, m2: SMono) -> Element:
-    fdeg = smono_degree(m1)
+    V = T.variables
+    fdeg = smono_degree(V, m1)
     acc: dict = {}
     for (i, j), w in T.omega.items():
         if w.is_zero():
             continue
-        c1, d1 = sderiv(_dvar(i), m1)
+        c1, d1 = sderiv(V.slot[i], m1)
         if d1 is None:
             continue
-        c2, d2 = sderiv(_dvar(j), m2)
+        c2, d2 = sderiv(V.slot[j], m2)
         if d2 is None:
             continue
-        sgn = sign(T.m * fdeg + _ddeg(j) * (fdeg + _ddeg(i)))
+        # |d_j| (|f| + |d_i|), with |d_v| = -|v|
+        sgn = sign(T.m * fdeg + V.degrees[j] * (fdeg - V.degrees[i]))
         for m, c in poly_mul(poly_mul(w, Element.of(d1, c1)), Element.of(d2, c2)).items():
             add_term(acc, m, c * sgn)
     return Element(acc)
@@ -382,14 +357,18 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
     """Evaluate the tensor conditions exactly: homogeneity of every entry,
     graded symmetry, and the cyclic closure identity for all index triples."""
     checks: list[AxiomCheck] = []
-    names = T.names()
+    V = T.variables
+    names = list(V.degrees)
+    ddeg = {v: -d for v, d in V.degrees.items()}  # |d/dv| = -|v|
+    render = lambda m: smono_str(V, m)
 
     bad = []
     for (i, j), w in T.omega.items():
-        want = T.m - _ddeg(i) - _ddeg(j)
+        want = T.m - ddeg[i] - ddeg[j]
         for mono, _ in w.items():
-            if smono_degree(mono) != want:
-                bad.append(f"omega[{i},{j}] term {smono_str(mono)} has degree {smono_degree(mono)}, expected {want}")
+            d = smono_degree(V, mono)
+            if d != want:
+                bad.append(f"omega[{i},{j}] term {render(mono)} has degree {d}, expected {want}")
     checks.append(
         AxiomCheck("tensor-homogeneity", "fail" if bad else "pass", "; ".join(bad))
     )
@@ -398,7 +377,7 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
     for i in names:
         for j in names:
             lhs = T.entry(i, j)
-            rhs = T.entry(j, i).scale(sign(_ddeg(i) * _ddeg(j) + T.m + 1))
+            rhs = T.entry(j, i).scale(sign(ddeg[i] * ddeg[j] + T.m + 1))
             if lhs != rhs:
                 bad.append(f"omega[{i},{j}] vs omega[{j},{i}]")
     checks.append(
@@ -406,24 +385,18 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
     )
 
     witness = ""
-    for i in names:
-        for j in names:
-            for l in names:
-                total = Element.zero()
-                for u, v, w in ((l, j, i), (j, i, l), (i, l, j)):
-                    s = sign(_ddeg(u) * (T.m + _ddeg(w)))
-                    for k in names:
-                        term = poly_mul(T.entry(u, k), poly_deriv(_dvar(k), T.entry(v, w)))
-                        total = total + term.scale(Fraction(s))
-                if not total.is_zero():
-                    witness = (
-                        f"cyclic closure fails at indices ({i},{j},{l}): "
-                        f"{format_element(total, render=smono_str)}"
-                    )
-                    break
-            if witness:
-                break
-        if witness:
+    for i, j, l in itertools.product(names, repeat=3):
+        total = Element.zero()
+        for u, v, w in ((l, j, i), (j, i, l), (i, l, j)):
+            s = sign(ddeg[u] * (T.m + ddeg[w]))
+            for k in names:
+                term = poly_mul(T.entry(u, k), poly_deriv(V.slot[k], T.entry(v, w)))
+                total = total + term.scale(s)
+        if not total.is_zero():
+            witness = (
+                f"cyclic closure fails at indices ({i},{j},{l}): "
+                f"{format_element(total, render=render, key=render)}"
+            )
             break
     checks.append(AxiomCheck("tensor-cyclic-closure", "fail" if witness else "pass", witness))
     return checks
@@ -457,6 +430,8 @@ class Instance:
 
 
 def _mono_basis(p: int, q: int, max_degree: int) -> list[SMono]:
+    """The monomials of R^{p|q} of degree at most ``max_degree``, with
+    |x| = 2 and |xi| = 1."""
     monos = []
     for odd_count in range(q + 1):
         for odd in itertools.combinations(range(1, q + 1), odd_count):
@@ -465,7 +440,6 @@ def _mono_basis(p: int, q: int, max_degree: int) -> list[SMono]:
                 continue
             for even in _even_exponents(p, budget // 2):
                 monos.append(SMono(even, odd))
-    monos.sort(key=lambda m: (smono_degree(m), smono_str(m)))
     return monos
 
 
@@ -478,125 +452,95 @@ def _even_exponents(p: int, max_total: int):
             yield (head,) + tail
 
 
-def _monomial_algebra(
-    name: str, a: int, b: int, basis: list, degree: Callable, render: Callable,
-    product: Callable, bracket: Callable, differential: Callable, description: str,
+def _assemble(
+    name: str, a: int, T: PoissonTensor, basis: list[SMono], hamiltonian: Element, description: str
 ) -> AbAlgebra:
-    """The algebra on a sorted monomial basis, from monomial-level maps.
+    """The algebra on the monomials of ``basis``: their graded product,
+    the Poisson bracket of ``T`` (so b = T.m) and the differential
+    {hamiltonian, .}.
 
-    ``product``/``bracket`` take two monomials and ``differential`` one,
-    each returning an Element over monomials.  Generator ids are the
-    rendered monomials; ``degree`` is the unshifted grading.  A result
-    leaving the basis raises :class:`TruncationOverflow`, which the
-    identity checks count as a skip.
+    Generator ids are the rendered monomials, ordered by degree and then
+    by id.  A result leaving the basis raises
+    :class:`TruncationOverflow`, which the identity checks count as a skip.
     """
-    by_id = {render(m): m for m in basis}
-    unshifted = {gid: degree(m) for gid, m in by_id.items()}
-    gens = tuple(Generator(gid, d + a - 1) for gid, d in unshifted.items())
-    gen = {g.gid: g for g in gens}
+    V = T.variables
+    basis = sorted(basis, key=lambda m: (smono_degree(V, m), smono_str(V, m)))
+    gen = {m: Generator(smono_str(V, m), smono_degree(V, m) + a - 1) for m in basis}
+    by_id = {g.gid: m for m, g in gen.items()}
 
     def embed(e: Element, op: str, *gids: str) -> Element:
         out = []
         for m, c in e.items():
-            gid = render(m)
-            if gid not in gen:
-                raise TruncationOverflow(f"{op}({','.join(gids)}) of {name} leaves the basis: {gid}")
-            out.append((gen[gid], c))
+            g = gen.get(m)
+            if g is None:
+                raise TruncationOverflow(
+                    f"{op}({','.join(gids)}) of {name} leaves the basis: {smono_str(V, m)}"
+                )
+            out.append((g, c))
         return Element.from_terms(out)
 
     return AbAlgebra(
         name=name,
         a=a,
-        b=b,
-        generators=gens,
-        unshifted=unshifted,
-        product_fn=lambda g1, g2: embed(product(by_id[g1], by_id[g2]), "product", g1, g2),
-        bracket_fn=lambda g1, g2: embed(bracket(by_id[g1], by_id[g2]), "bracket", g1, g2),
-        diff_fn=lambda g: embed(differential(by_id[g]), "d", g),
+        b=T.m,
+        generators=tuple(gen.values()),
+        unshifted={g.gid: g.deg - a + 1 for g in gen.values()},
+        product_fn=lambda g1, g2: embed(_term(smono_mul(by_id[g1], by_id[g2])), "product", g1, g2),
+        bracket_fn=lambda g1, g2: embed(
+            poisson_bracket_mono(T, by_id[g1], by_id[g2]), "bracket", g1, g2
+        ),
+        diff_fn=lambda g: embed(poisson_bracket(T, hamiltonian, Element.of(by_id[g])), "d", g),
         description=description,
     )
 
 
-def build_poisson_instance(
-    p: int,
-    q: int,
-    bracket_degree: int,
-    omega: dict[tuple[str, str], Element],
-    max_degree: int,
-    name: str = "poisson-super",
+def _super_polynomials(
+    name: str, p: int, q: int, m: int, omega: dict, max_degree: int
 ) -> Instance:
-    """Super polynomials on R^{p|q} with an omega-defined bracket; a = 0, b = bracket degree."""
-    T = PoissonTensor(p, q, bracket_degree, omega)
-    algebra = _monomial_algebra(
-        name, 0, bracket_degree, _mono_basis(p, q, max_degree), smono_degree, smono_str,
-        product=lambda m1, m2: _term(smono_mul(m1, m2)),
-        bracket=lambda m1, m2: poisson_bracket_mono(T, m1, m2),
-        differential=lambda _: Element.zero(),
-        description=f"super polynomials on R^({p}|{q}), bracket degree {bracket_degree}, degrees <= {max_degree}",
+    """Super polynomials on R^{p|q} with the bracket of the degree-m tensor
+    ``omega``, given as config input (see ``_omega_from_param``); (a, b) = (0, m)."""
+    V = variables(p, q, SUPER)
+    T = PoissonTensor(V, m, _omega_from_param(omega, V, name))
+    algebra = _assemble(
+        name, 0, T, _mono_basis(p, q, max_degree), Element.zero(),
+        f"super polynomials on R^({p}|{q}), bracket degree {m}, degrees <= {max_degree}",
     )
-    params = {"p": p, "q": q, "m": bracket_degree, "max_degree": max_degree}
+    params = {"p": p, "q": q, "m": m, "max_degree": max_degree}
     return Instance(algebra, params, extra_checks=lambda: check_poisson_tensor(T))
 
 
-_GRADINGS = {
-    "tpoly": (pv_degree, 0, 1),
-    "double": (pv_degree_double, 0, -3),
-    "rank": (pv_degree_rank, 0, -1),
-}
-
-
-def build_schouten_instance(
-    p: int,
-    q: int,
-    max_coef_degree: int,
-    max_rank: int,
-    grading: str = "tpoly",
-    differential: str = "zero",
-    name: str = "schouten-super",
+def _polyvectors(
+    name: str, p: int, q: int, max_coef_degree: int, max_rank: int, grading: str, differential: str
 ) -> Instance:
-    """Polyvector fields on R^{p|q} with wedge and the Schouten bracket.
+    """Polyvector fields on R^{p|q}, with the wedge and the Schouten
+    bracket, in one of ``GRADINGS``.
 
-    grading "tpoly" gives the (0, 1) algebra; "double" the (0, -3) even
-    polyvector algebra; "rank" the classical (0, -1) Gerstenhaber case.
-    ``differential="poisson"`` installs d = [dx1^dx2, .] (rank grading
-    only, needs p >= 2); the constant bivector is its own cocycle so
-    d^2 = 0.
+    Coefficients are the monomials of R^{p|q} of degree at most
+    ``max_coef_degree``, and fiber factors number at most ``max_rank``.
+    ``differential="poisson"`` installs d = [dx1^dx2, .] (gerstenhaber-toy:
+    the rank grading, p >= 2); the constant bivector is its own cocycle,
+    so d^2 = 0.
     """
-    degree_fn, a, b = _GRADINGS[grading]
-    if grading in ("double", "rank") and q != 0:
-        raise ValueError(f"grading {grading!r} is defined for q = 0 only")
-    basis = []
-    for coef in _mono_basis(p, q, max_coef_degree):
-        for r_dx in range(min(p, max_rank) + 1):
-            for dx in itertools.combinations(range(1, p + 1), r_dx):
-                for r_dxi in range(max_rank - r_dx + 1):
-                    for dxi in itertools.combinations_with_replacement(
-                        range(1, q + 1), r_dxi
-                    ):
-                        if r_dxi and q == 0:
-                            continue
-                        basis.append(PVMono(coef, dx, dxi))
-    basis.sort(key=lambda v: (degree_fn(v), pv_str(v)))
-
+    degrees, a, b = GRADINGS[grading]
+    V = variables(p, q, degrees)
     if differential == "zero":
-        diff = lambda _: Element.zero()
+        hamiltonian = Element.zero()
     elif differential == "poisson":
-        if grading != "rank" or p < 2:
-            raise ValueError("the bivector differential needs the rank grading and p >= 2")
-        pi = PVMono(smono_one(p), (1, 2), ())
-        diff = lambda v: pv_schouten(pi, v)
+        hamiltonian = parse_poly("dx1*dx2", V)
     else:
         raise ValueError(f"unknown differential {differential!r}")
-
-    algebra = _monomial_algebra(
-        name, a, b, basis, degree_fn, pv_str,
-        product=lambda v1, v2: _term(pv_wedge(v1, v2)),
-        bracket=pv_schouten,
-        differential=diff,
-        description=(
-            f"polyvectors on R^({p}|{q}), grading {grading!r}, coefficient degree <= "
-            f"{max_coef_degree}, rank <= {max_rank}, differential {differential!r}"
-        ),
+    # in V's order the fibers dxi_j follow x1..xp and the fibers dx_i follow xi1..xiq
+    basis = [
+        SMono(coef.even + dxi, coef.odd + tuple(q + i for i in dx))
+        for coef in _mono_basis(p, q, max_coef_degree)
+        for rank in range(max_rank + 1)
+        for dx in itertools.combinations(range(1, p + 1), rank)
+        for dxi in _even_exponents(q, max_rank - rank)
+    ]
+    algebra = _assemble(
+        name, a, canonical_tensor(V, b), basis, hamiltonian,
+        f"polyvectors on R^({p}|{q}), grading {grading!r}, coefficient degree <= "
+        f"{max_coef_degree}, rank <= {max_rank}, differential {differential!r}",
     )
     params = {
         "p": p,
@@ -621,25 +565,25 @@ def _at_least(params: dict, key: str, low: int, instance: str, why: str = "") ->
         )
 
 
-def _omega_from_param(value, p: int, q: int, instance: str) -> dict[tuple[str, str], Element]:
+def _omega_from_param(value, V: Variables, instance: str) -> dict[tuple[str, str], Element]:
     """Accept {"x1,x2": "x1*x2", "x2,x1": -1, ...} from config input: each key
-    names two derivative symbols of R^(p|q), each value is a polynomial
-    string or an integer.  Anything else is a ``ValueError`` naming the
-    parameter and the instance."""
+    names two coordinates of ``V``, each value is a polynomial string or an
+    integer.  Anything else is a ``ValueError`` naming the parameter and the
+    instance."""
     what = f"parameter 'omega' of instance {instance!r}"
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object mapping 'i,j' to a polynomial, got {value!r}")
-    symbols = PoissonTensor(p, q, 0).names()
+    symbols = list(V.degrees)
     out = {}
     for key, entry in value.items():
         pair = tuple(s.strip() for s in key.split(","))
         if len(pair) != 2 or not set(pair) <= set(symbols):
             raise ValueError(f"{what}: key {key!r} is not 'i,j' with i, j among {symbols}")
         if type(entry) is int:  # a float or a bool is not an exact coefficient
-            out[pair] = Element.of(smono_one(p), entry)
+            out[pair] = Element.of(smono_one(len(V.even)), entry)
         elif isinstance(entry, str):
             try:
-                out[pair] = parse_poly(entry, p, q)
+                out[pair] = parse_poly(entry, V)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{what}: entry {key!r}: {exc}") from None
         else:
@@ -650,66 +594,43 @@ def _omega_from_param(value, p: int, q: int, instance: str) -> dict[tuple[str, s
 
 
 def _build_polyvector_even(params: dict) -> Instance:
-    return build_schouten_instance(
-        p=params["d"],
-        q=0,
-        max_coef_degree=params["max_coef_degree"],
-        max_rank=params["max_rank"],
-        grading="double",
-        name="polyvector-even",
+    return _polyvectors(
+        "polyvector-even", params["d"], 0, params["max_coef_degree"], params["max_rank"],
+        "double", "zero",
     )
 
 
 def _build_poisson_polynomial(params: dict) -> Instance:
     d = params["d"]
     m = params["m"]
-    if params.get("omega") is not None:
-        omega = _omega_from_param(params["omega"], d, 0, "poisson-polynomial")
-    else:
+    omega = params.get("omega")
+    if omega is None:
         # default: omega^{12} = x1*x2 when m = 2, else a power of x1 of the right degree
         _at_least(params, "d", 2, "poisson-polynomial", " for the default tensor")
         _at_least(params, "m", 0, "poisson-polynomial", " for the default tensor")
         text = "x1*x2" if m == 2 else ("1" if m == 0 else f"x1^{m}")
-        w = parse_poly(text, d, 0)
-        omega = {("x1", "x2"): w, ("x2", "x1"): w.scale(-1)}
-    instance = build_poisson_instance(
-        p=d,
-        q=0,
-        bracket_degree=2 * m - 4,
-        omega=omega,
-        max_degree=params["max_degree"],
-        name="poisson-polynomial",
+        omega = {"x1,x2": text, "x2,x1": f"-{text}"}
+    instance = _super_polynomials(
+        "poisson-polynomial", d, 0, 2 * m - 4, omega, params["max_degree"]
     )
     instance.params["m"] = m  # the label echoes the m given, not the bracket degree 2m - 4
     return instance
 
 
 def _build_schouten_super(params: dict) -> Instance:
-    return build_schouten_instance(
-        p=params["p"],
-        q=params["q"],
-        max_coef_degree=params["max_coef_degree"],
-        max_rank=params["max_rank"],
-        grading="tpoly",
-        name="schouten-super",
+    return _polyvectors(
+        "schouten-super", params["p"], params["q"], params["max_coef_degree"],
+        params["max_rank"], "tpoly", "zero",
     )
 
 
 def _build_poisson_super(params: dict) -> Instance:
-    p, q = params["p"], params["q"]
-    if params.get("omega") is not None:
-        omega = _omega_from_param(params["omega"], p, q, "poisson-super")
-    else:
+    omega = params.get("omega")
+    if omega is None:
         _at_least(params, "p", 2, "poisson-super", " for the default tensor")
-        one = Element.of(smono_one(p) if q == 0 else SMono((0,) * p, ()))
-        omega = {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)}
-    return build_poisson_instance(
-        p=p,
-        q=q,
-        bracket_degree=params["m"],
-        omega=omega,
-        max_degree=params["max_degree"],
-        name="poisson-super",
+        omega = {"x1,x2": 1, "x2,x1": -1}
+    return _super_polynomials(
+        "poisson-super", params["p"], params["q"], params["m"], omega, params["max_degree"]
     )
 
 
@@ -717,14 +638,9 @@ def _build_gerstenhaber_toy(params: dict) -> Instance:
     differential = params.get("differential", "poisson")
     if differential == "poisson":
         _at_least(params, "d", 2, "gerstenhaber-toy", " for the bivector differential")
-    return build_schouten_instance(
-        p=params["d"],
-        q=0,
-        max_coef_degree=params["max_coef_degree"],
-        max_rank=params["max_rank"],
-        grading="rank",
-        differential=differential,
-        name="gerstenhaber-toy",
+    return _polyvectors(
+        "gerstenhaber-toy", params["d"], 0, params["max_coef_degree"], params["max_rank"],
+        "rank", differential,
     )
 
 

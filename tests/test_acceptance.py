@@ -15,16 +15,19 @@ import pytest
 
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import (
-    PVMono,
+    GRADINGS,
+    SUPER,
     PoissonTensor,
     SMono,
     builtin_instance,
+    canonical_tensor,
     check_poisson_tensor,
     parse_poly,
-    pv_degree,
-    pv_schouten_elem,
-    pv_wedge_elem,
+    poisson_bracket,
+    poly_mul,
+    smono_degree,
     smono_one,
+    variables,
 )
 from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps
 from abhomotopy.suites import RunContext, SuiteConfig, check_identity, run_mutation
@@ -137,17 +140,18 @@ def test_criterion_09_specializations():
 def test_criterion_10_tensor_conditions():
     with budget("10 tensor-conditions", 60):
         one = Element.of(smono_one(2))
-        valid = PoissonTensor(2, 0, -4, {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)})
+        V2 = variables(2, 0, SUPER)
+        valid = PoissonTensor(V2, -4, {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)})
         assert all(c.status == "pass" for c in check_poisson_tensor(valid))
 
-        symmetric = PoissonTensor(2, 0, -4, {("x1", "x2"): one, ("x2", "x1"): one})
+        symmetric = PoissonTensor(V2, -4, {("x1", "x2"): one, ("x2", "x1"): one})
         by_name = {c.axiom: c for c in check_poisson_tensor(symmetric)}
         assert by_name["tensor-graded-symmetry"].status == "fail"
 
-        w12, w13 = parse_poly("x1", 3, 0), parse_poly("x2", 3, 0)
+        V3 = variables(3, 0, SUPER)
+        w12, w13 = parse_poly("x1", V3), parse_poly("x2", V3)
         crooked = PoissonTensor(
-            3,
-            0,
+            V3,
             -2,
             {
                 ("x1", "x2"): w12,
@@ -162,22 +166,34 @@ def test_criterion_10_tensor_conditions():
         assert "(x1,x2,x3)" in record.witness  # concrete index-triple witness
 
 
+# polyvectors on R^{2|1} as functions on T*[1]R^{2|1}: the even coordinates
+# are x1, x2, dxi1 and the odd ones xi1, dx1, dx2
+SCHOUTEN = canonical_tensor(variables(2, 1, GRADINGS["tpoly"][0]), GRADINGS["tpoly"][2])
+
+
 def _schouten_pool():
     pool = []
     for e1 in range(3):
         for e2 in range(3 - e1):
             for odd in ((), (1,)):
-                coef = SMono((e1, e2), odd)
                 for dx in ((), (1,), (2,), (1, 2)):
                     for dxi in ((), (1,), (1, 1)):
                         if len(dx) + len(dxi) <= 2:
-                            pool.append(PVMono(coef, dx, dxi))
+                            pool.append(SMono((e1, e2, len(dxi)), odd + tuple(1 + i for i in dx)))
     return pool
 
 
+def _tpoly_degree(v):
+    return smono_degree(SCHOUTEN.variables, v)
+
+
+def _schouten(x, y):
+    return poisson_bracket(SCHOUTEN, x, y)
+
+
 def _random_homogeneous(rng, pool):
-    degree = rng.choice(sorted({pv_degree(v) for v in pool}))
-    bucket = [v for v in pool if pv_degree(v) == degree]
+    degree = rng.choice(sorted({_tpoly_degree(v) for v in pool}))
+    bucket = [v for v in pool if _tpoly_degree(v) == degree]
     out = Element.zero()
     for _ in range(rng.randint(1, 3)):
         out = out + Element.of(rng.choice(bucket), rng.choice([-2, -1, 1, 2]))
@@ -193,7 +209,7 @@ def test_criterion_11_schouten_properties():
             y, dy = _random_homogeneous(rng, pool)
             z, dz = _random_homogeneous(rng, pool)
             sign = -1 if ((dx + 1) * (dy + 1)) % 2 else 1
-            assert (pv_schouten_elem(x, y) + pv_schouten_elem(y, x).scale(sign)).is_zero()
+            assert (_schouten(x, y) + _schouten(y, x).scale(sign)).is_zero()
             total = Element.zero()
             for (u, du), (v, dv), (w, dw) in (
                 ((x, dx), (y, dy), (z, dz)),
@@ -201,11 +217,11 @@ def test_criterion_11_schouten_properties():
                 ((z, dz), (x, dx), (y, dy)),
             ):
                 jac_sign = -1 if ((du + 1) * (dw + 1)) % 2 else 1
-                total = total + pv_schouten_elem(pv_schouten_elem(u, v), w).scale(jac_sign)
+                total = total + _schouten(_schouten(u, v), w).scale(jac_sign)
             assert total.is_zero()
-            lhs = pv_schouten_elem(x, pv_wedge_elem(y, z))
-            rhs = pv_wedge_elem(pv_schouten_elem(x, y), z) + pv_wedge_elem(
-                y, pv_schouten_elem(x, z)
+            lhs = _schouten(x, poly_mul(y, z))
+            rhs = poly_mul(_schouten(x, y), z) + poly_mul(
+                y, _schouten(x, z)
             ).scale(-1 if (dy * (dx + 1)) % 2 else 1)
             assert lhs == rhs
 

@@ -8,25 +8,23 @@ from abhomotopy.ab_core import TruncationOverflow
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import (
     BUILTINS,
+    GRADINGS,
+    SUPER,
     PoissonTensor,
-    PVMono,
     SMono,
     builtin_instance,
+    canonical_tensor,
     check_poisson_tensor,
     parse_poly,
     poisson_bracket,
+    poisson_bracket_mono,
     poly_mul,
-    pv_degree,
-    pv_schouten,
-    pv_schouten_elem,
-    pv_str,
-    pv_wedge,
-    pv_wedge_elem,
     sderiv,
     smono_degree,
     smono_mul,
     smono_one,
     smono_str,
+    variables,
     vf_bracket_oracle,
 )
 
@@ -39,10 +37,11 @@ def m(p, q, even=(), odd=()):
 
 
 def test_monomial_basics():
+    V = variables(2, 1, SUPER)
     f = m(2, 1, even=[(1, 2)], odd=[1])
-    assert smono_degree(f) == 5
-    assert smono_str(f) == "x1^2*xi1"
-    assert smono_str(smono_one(2)) == "1"
+    assert smono_degree(V, f) == 5
+    assert smono_str(V, f) == "x1^2*xi1"
+    assert smono_str(V, smono_one(2)) == "1"
 
 
 def test_monomial_product_signs():
@@ -56,74 +55,94 @@ def test_monomial_product_signs():
 
 
 def test_odd_derivative_moves_to_front():
+    slot = variables(0, 3, SUPER).slot
     f = m(0, 3, odd=[1, 3])
-    c, df = sderiv(("xi", 3), f)
+    c, df = sderiv(slot["xi3"], f)
     assert (c, df.odd) == (-1, (1,))
-    c, df = sderiv(("xi", 1), f)
+    c, df = sderiv(slot["xi1"], f)
     assert (c, df.odd) == (1, (3,))
-    assert sderiv(("xi", 2), f) == (0, None)
+    assert sderiv(slot["xi2"], f) == (0, None)
 
 
 @pytest.mark.parametrize("var", [("x", 1), ("xi", 1), ("xi", 2)])
 def test_derivative_graded_leibniz(var):
     # d(fg) = d(f) g + (-1)^(|d| |f|) f d(g), exhaustive over small monomials
     p, q = 1, 2
-    ddeg = -2 if var[0] == "x" else -1
+    V = variables(p, q, SUPER)
+    name = f"{var[0]}{var[1]}"
+    slot, ddeg = V.slot[name], -V.degrees[name]
     monos = []
     for e in range(3):
         for odd in ([], [1], [2], [1, 2]):
             cand = m(p, q, even=[(1, e)], odd=odd)
-            if smono_degree(cand) <= 6:
+            if smono_degree(V, cand) <= 6:
                 monos.append(cand)
     for f in monos:
         for g in monos:
             fg = poly_mul(Element.of(f), Element.of(g))
             lhs = Element.zero()
             for mono, c in fg.items():
-                k, dm = sderiv(var, mono)
+                k, dm = sderiv(slot, mono)
                 if dm is not None:
                     lhs = lhs + Element.of(dm, c * k)
             rhs = Element.zero()
-            k, dm = sderiv(var, f)
+            k, dm = sderiv(slot, f)
             if dm is not None:
                 rhs = rhs + poly_mul(Element.of(dm, k), Element.of(g))
-            k, dm = sderiv(var, g)
+            k, dm = sderiv(slot, g)
             if dm is not None:
-                sign = -1 if (ddeg * smono_degree(f)) % 2 else 1
+                sign = -1 if (ddeg * smono_degree(V, f)) % 2 else 1
                 rhs = rhs + poly_mul(Element.of(f), Element.of(dm, k)).scale(sign)
-            assert lhs == rhs, (f, g, var)
+            assert lhs == rhs, (f, g, name)
 
 
 def test_parse_poly():
-    p = parse_poly("x1*x2 - 2*xi1", 2, 1)
+    p = parse_poly("x1*x2 - 2*xi1", variables(2, 1, SUPER))
     assert p.coefficient(m(2, 1, even=[(1, 1), (2, 1)])) == 1
     assert p.coefficient(m(2, 1, odd=[1])) == -2
-    assert parse_poly("xi2*xi1", 1, 2) == Element.of(m(1, 2, odd=[1, 2]), -1)
-    assert parse_poly("3/2", 1, 0) == Element.of(smono_one(1), Fraction(3, 2))
+    assert parse_poly("xi2*xi1", variables(1, 2, SUPER)) == Element.of(m(1, 2, odd=[1, 2]), -1)
+    assert parse_poly("3/2", variables(1, 0, SUPER)) == Element.of(smono_one(1), Fraction(3, 2))
+    # an odd variable to the power 0 is 1, not the variable
+    V = variables(1, 1, SUPER)
+    assert parse_poly("xi1^0*x1", V) == parse_poly("x1", V)
     with pytest.raises(ValueError):
-        parse_poly("x9", 2, 1)
+        parse_poly("x9", variables(2, 1, SUPER))
+
+
+# polyvectors are functions on T*[1]R^{p|q}: the even coordinates are
+# x1..xp, dxi1..dxiq and the odd ones xi1..xiq, dx1..dxp
 
 
 def pv(p, q, coef=None, dx=(), dxi=()):
-    return PVMono(coef if coef is not None else smono_one(p), tuple(dx), tuple(dxi))
+    """The polyvector coef ^ dx_I ^ dxi_J on R^{p|q}."""
+    coef = coef if coef is not None else smono_one(p)
+    dxi_exponents = tuple(list(dxi).count(j) for j in range(1, q + 1))
+    return SMono(coef.even + dxi_exponents, coef.odd + tuple(q + i for i in dx))
+
+
+def tpoly(p, q):
+    """The canonical tensor on T*[1]R^{p|q} in the T_poly grading."""
+    degrees, _, b = GRADINGS["tpoly"]
+    return canonical_tensor(variables(p, q, degrees), b)
 
 
 def test_wedge_examples():
     dx1 = pv(2, 0, dx=[1])
-    assert pv_wedge(dx1, dx1) == (0, None)
+    assert smono_mul(dx1, dx1) == (0, None)
     x1 = pv(2, 0, coef=m(2, 0, even=[(1, 1)]))
     x2 = pv(2, 0, coef=m(2, 0, even=[(2, 1)]))
-    s1, v1 = pv_wedge(x1, x2)
-    s2, v2 = pv_wedge(x2, x1)
+    s1, v1 = smono_mul(x1, x2)
+    s2, v2 = smono_mul(x2, x1)
     assert (s1, v1) == (s2, v2) == (1, pv(2, 0, coef=m(2, 0, even=[(1, 1), (2, 1)])))
     xi1 = pv(0, 2, coef=m(0, 2, odd=[1]))
     xi2 = pv(0, 2, coef=m(0, 2, odd=[2]))
-    sa, va = pv_wedge(xi1, xi2)
-    sb, vb = pv_wedge(xi2, xi1)
+    sa, va = smono_mul(xi1, xi2)
+    sb, vb = smono_mul(xi2, xi1)
     assert va == vb and sa == -sb
 
 
 def test_wedge_is_graded_commutative_and_associative():
+    V = tpoly(1, 1).variables
     monos = [
         pv(1, 1),
         pv(1, 1, coef=m(1, 1, even=[(1, 1)])),
@@ -134,26 +153,32 @@ def test_wedge_is_graded_commutative_and_associative():
     ]
     for v1 in monos:
         for v2 in monos:
-            lhs = pv_wedge_elem(Element.of(v1), Element.of(v2))
-            sign = -1 if (pv_degree(v1) * pv_degree(v2)) % 2 else 1
-            rhs = pv_wedge_elem(Element.of(v2), Element.of(v1)).scale(sign)
+            lhs = poly_mul(Element.of(v1), Element.of(v2))
+            sign = -1 if (smono_degree(V, v1) * smono_degree(V, v2)) % 2 else 1
+            rhs = poly_mul(Element.of(v2), Element.of(v1)).scale(sign)
             assert lhs == rhs, (v1, v2)
             for v3 in monos:
-                a = pv_wedge_elem(lhs, Element.of(v3))
-                b = pv_wedge_elem(Element.of(v1), pv_wedge_elem(Element.of(v2), Element.of(v3)))
+                a = poly_mul(lhs, Element.of(v3))
+                b = poly_mul(Element.of(v1), poly_mul(Element.of(v2), Element.of(v3)))
                 assert a == b
 
 
 def test_schouten_examples():
+    T = tpoly(2, 0)
     # constant-coefficient fields commute; functions bracket to zero
-    assert pv_schouten(pv(2, 0, dx=[1]), pv(2, 0, dx=[2])).is_zero()
+    assert poisson_bracket_mono(T, pv(2, 0, dx=[1]), pv(2, 0, dx=[2])).is_zero()
     f1 = pv(2, 0, coef=m(2, 0, even=[(1, 1)]))
     f2 = pv(2, 0, coef=m(2, 0, even=[(2, 1)]))
-    assert pv_schouten(f1, f2).is_zero()
+    assert poisson_bracket_mono(T, f1, f2).is_zero()
     # [dx1, x1^2 dx2] = 2 x1 dx2 with this sign convention
-    got = pv_schouten(pv(2, 0, dx=[1]), pv(2, 0, coef=m(2, 0, even=[(1, 2)]), dx=[2]))
+    got = poisson_bracket_mono(T, pv(2, 0, dx=[1]), pv(2, 0, coef=m(2, 0, even=[(1, 2)]), dx=[2]))
     want = Element.of(pv(2, 0, coef=m(2, 0, even=[(1, 1)]), dx=[2]), 2)
     assert got == want
+    # [dxi1, xi1 dxi2] = dxi2: the even fiber dxi1 acts as d/dxi1 too, which
+    # pins omega^{xi,dxi} = +1 where omega^{x,dx} = -1
+    xi1_dxi2 = pv(0, 2, coef=m(0, 2, odd=[1]), dxi=[2])
+    got = poisson_bracket_mono(tpoly(0, 2), pv(0, 2, dxi=[1]), xi1_dxi2)
+    assert got == Element.of(pv(0, 2, dxi=[2]))
 
 
 def vector_fields(p, q, max_coef_degree):
@@ -165,19 +190,21 @@ def vector_fields(p, q, max_coef_degree):
                 if sum(cand.even) <= max_coef_degree:
                     coefs.append(cand)
     slots = [((i,), ()) for i in range(1, p + 1)] + [((), (j,)) for j in range(1, q + 1)]
-    return [PVMono(c, dx, dxi) for c in coefs for dx, dxi in slots]
+    return [pv(p, q, coef=c, dx=dx, dxi=dxi) for c in coefs for dx, dxi in slots]
 
 
 def test_schouten_matches_vector_field_oracle():
+    T = tpoly(2, 1)
     fields = vector_fields(2, 1, 2)
     for v1 in fields:
         for v2 in fields:
-            assert pv_schouten(v1, v2) == vf_bracket_oracle(v1, v2), (v1, v2)
+            want = vf_bracket_oracle(T.variables, v1, v2)
+            assert poisson_bracket_mono(T, v1, v2) == want, (v1, v2)
 
 
-def random_homogeneous_polyvector(rng, pool):
-    degree = rng.choice(sorted({pv_degree(v) for v in pool}))
-    bucket = [v for v in pool if pv_degree(v) == degree]
+def random_homogeneous_polyvector(rng, pool, T):
+    degree = rng.choice(sorted({smono_degree(T.variables, v) for v in pool}))
+    bucket = [v for v in pool if smono_degree(T.variables, v) == degree]
     terms = rng.randint(1, 3)
     out = Element.zero()
     for _ in range(terms):
@@ -194,20 +221,21 @@ def polyvector_pool(p, q, max_coef_degree, max_rank):
                 for dx in itertools.combinations(range(1, p + 1), r_dx):
                     for r_dxi in range(max_rank - r_dx + 1):
                         for dxi in itertools.combinations_with_replacement(range(1, q + 1), r_dxi):
-                            pool.append(PVMono(coef, dx, dxi))
+                            pool.append(pv(p, q, coef=coef, dx=dx, dxi=dxi))
     return pool
 
 
 def test_schouten_graded_properties_random():
     rng = random.Random(11)
+    T = tpoly(2, 1)
     pool = polyvector_pool(2, 1, 2, 2)
     for _ in range(60):
-        x, dx_ = random_homogeneous_polyvector(rng, pool)
-        y, dy = random_homogeneous_polyvector(rng, pool)
-        z, dz = random_homogeneous_polyvector(rng, pool)
+        x, dx_ = random_homogeneous_polyvector(rng, pool, T)
+        y, dy = random_homogeneous_polyvector(rng, pool, T)
+        z, dz = random_homogeneous_polyvector(rng, pool, T)
         # antisymmetry on the degree-(+1) bracket: [x,y] = -(-1)^((dx+1)(dy+1)) [y,x]
         sign = -1 if ((dx_ + 1) * (dy + 1)) % 2 else 1
-        assert (pv_schouten_elem(x, y) + pv_schouten_elem(y, x).scale(sign)).is_zero()
+        assert (poisson_bracket(T, x, y) + poisson_bracket(T, y, x).scale(sign)).is_zero()
         # graded Jacobi
         total = Element.zero()
         for (u, du), (v, dv), (w, dw) in (
@@ -216,19 +244,20 @@ def test_schouten_graded_properties_random():
             ((z, dz), (x, dx_), (y, dy)),
         ):
             sign = -1 if ((du + 1) * (dw + 1)) % 2 else 1
-            total = total + pv_schouten_elem(pv_schouten_elem(u, v), w).scale(sign)
+            total = total + poisson_bracket(T, poisson_bracket(T, u, v), w).scale(sign)
         assert total.is_zero()
         # Leibniz with the wedge
-        lhs = pv_schouten_elem(x, pv_wedge_elem(y, z))
-        rhs = pv_wedge_elem(pv_schouten_elem(x, y), z) + pv_wedge_elem(
-            y, pv_schouten_elem(x, z)
+        lhs = poisson_bracket(T, x, poly_mul(y, z))
+        rhs = poly_mul(poisson_bracket(T, x, y), z) + poly_mul(
+            y, poisson_bracket(T, x, z)
         ).scale(-1 if (dy * (dx_ + 1)) % 2 else 1)
         assert lhs == rhs
 
 
 def constant_tensor(p, m_deg=-4):
     one = Element.of(smono_one(p))
-    return PoissonTensor(p, 0, m_deg, {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)})
+    omega = {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)}
+    return PoissonTensor(variables(p, 0, SUPER), m_deg, omega)
 
 
 def test_poisson_bracket_examples():
@@ -246,8 +275,8 @@ def test_poisson_bracket_antisymmetry_random():
     for _ in range(50):
         f = Element.of(rng.choice(monos), rng.choice([-2, -1, 1, 2]))
         g = Element.of(rng.choice(monos), rng.choice([-2, -1, 1, 2]))
-        df = smono_degree(next(iter(f.items()))[0])
-        dg = smono_degree(next(iter(g.items()))[0])
+        df = smono_degree(T.variables, next(iter(f.items()))[0])
+        dg = smono_degree(T.variables, next(iter(g.items()))[0])
         sign = -1 if ((df + T.m) * (dg + T.m)) % 2 else 1
         assert (poisson_bracket(T, f, g) + poisson_bracket(T, g, f).scale(sign)).is_zero()
 
@@ -255,10 +284,29 @@ def test_poisson_bracket_antisymmetry_random():
 def test_tensor_condition_checks():
     assert all(c.status == "pass" for c in check_poisson_tensor(constant_tensor(2)))
     one = Element.of(smono_one(2))
-    symmetric = PoissonTensor(2, 0, -4, {("x1", "x2"): one, ("x2", "x1"): one})
+    V = variables(2, 0, SUPER)
+    symmetric = PoissonTensor(V, -4, {("x1", "x2"): one, ("x2", "x1"): one})
     bad = {c.axiom: c.status for c in check_poisson_tensor(symmetric)}
     assert bad["tensor-graded-symmetry"] == "fail"
-    assert all(c.status == "pass" for c in check_poisson_tensor(PoissonTensor(2, 0, -4, {})))
+    assert all(c.status == "pass" for c in check_poisson_tensor(PoissonTensor(V, -4, {})))
+
+
+@pytest.mark.parametrize("name", ["polyvector-even", "schouten-super", "gerstenhaber-toy"])
+def test_canonical_tensor_passes_the_tensor_checks(name):
+    """The Schouten bracket is the Poisson bracket of the canonical tensor,
+    which is a Poisson tensor at each polyvector builtin's own grading;
+    negating one entry of a pair breaks its graded symmetry."""
+    inst = builtin_instance(name)
+    p, q, grading = inst.params["p"], inst.params["q"], inst.params["grading"]
+    degrees, a, b = GRADINGS[grading]
+    assert (a, b) == (inst.algebra.a, inst.algebra.b)
+    T = canonical_tensor(variables(p, q, degrees), b)
+    assert [c.status for c in check_poisson_tensor(T)] == ["pass"] * 3
+    flipped = dict(T.omega)
+    flipped["x1", "dx1"] = flipped["x1", "dx1"].scale(-1)
+    by_name = {c.axiom: c for c in check_poisson_tensor(PoissonTensor(T.variables, b, flipped))}
+    assert by_name["tensor-graded-symmetry"].status == "fail"
+    assert "omega[x1,dx1] vs omega[dx1,x1]" in by_name["tensor-graded-symmetry"].witness
 
 
 def test_builtin_degree_bookkeeping():

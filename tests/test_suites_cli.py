@@ -494,6 +494,14 @@ def test_exact_omega_is_taken(omega, capsys):
     assert main(["check-algebra", "--algebra", "poisson-super", "--param", f"omega={omega}"]) == 0
 
 
+def test_cli_defaults_are_the_config_defaults(capsys):
+    """``SuiteConfig`` owns the defaults: a run given no size flags echoes
+    the default config."""
+    assert main(["verify-envelope", "--suites", "coalgebra", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == SuiteConfig(suites=("coalgebra",)).as_dict()
+
+
 def test_cli_param_overrides(capsys):
     code = main(
         [
