@@ -490,7 +490,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     unshifted: dict[str, int] = {}
     gens = []
     for g in generators:
-        gid = str(_field(g, "id", "a generator"))
+        gid = _text(_field(g, "id", "a generator"), f"id of generator {g!r}")
         if gid in unshifted:
             raise ValueError(f"duplicate generator id {gid!r}")
         degree = _field(g, "degree", f"generator {gid!r}")
@@ -505,19 +505,19 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
         if not isinstance(entries, list):
             raise ValueError(f"{op} must be a list of table entries, got {entries!r}")
         for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == arity + 1
-                    and all(isinstance(gid, str) for gid in entry[:-1])):
+            if not (isinstance(entry, list) and len(entry) == arity + 1):
                 raise ValueError(f"bad table entry {entry!r}")
             *key, value = entry
+            key = [_text(gid, f"an input id of {op} entry {entry!r}") for gid in key]
             if not (isinstance(value, list) and all(isinstance(t, list) and len(t) == 2 for t in value)):
                 raise ValueError(f"{op} entry {entry!r} must end in a list of [id, coeff] pairs")
-            for gid in key + [str(gid) for gid, _ in value]:
+            for gid in key + [_text(gid, f"an output id of {op} entry {entry!r}") for gid, _ in value]:
                 if gid not in by_id:
                     raise ValueError(f"unknown generator {gid!r} in table entry {entry!r}")
             if tuple(key) in out:
                 raise ValueError(f"duplicate {op} entry for {tuple(key)} in {entry!r}")
             out[tuple(key)] = Element.from_terms(
-                (by_id[str(gid)], _parse_coeff(c, entry)) for gid, c in value
+                (by_id[gid], _parse_coeff(c, entry)) for gid, c in value
             )
         return out
 

@@ -444,12 +444,8 @@ def _mono_basis(p: int, q: int, max_degree: int) -> list[SMono]:
 
 
 def _even_exponents(p: int, max_total: int):
-    if p == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for tail in _even_exponents(p - 1, max_total - head):
-            yield (head,) + tail
+    """The exponent tuples of ``p`` variables with sum at most ``max_total``."""
+    return (e for e in itertools.product(range(max_total + 1), repeat=p) if sum(e) <= max_total)
 
 
 def _assemble(
@@ -568,17 +564,22 @@ def _at_least(params: dict, key: str, low: int, instance: str, why: str = "") ->
 def _omega_from_param(value, V: Variables, instance: str) -> dict[tuple[str, str], Element]:
     """Accept {"x1,x2": "x1*x2", "x2,x1": -1, ...} from config input: each key
     names two coordinates of ``V``, each value is a polynomial string or an
-    integer.  Anything else is a ``ValueError`` naming the parameter and the
+    integer.  Anything else, and two keys naming one entry (``"x1,x2"`` and
+    ``"x1, x2"``), is a ``ValueError`` naming the parameter and the
     instance."""
     what = f"parameter 'omega' of instance {instance!r}"
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object mapping 'i,j' to a polynomial, got {value!r}")
     symbols = list(V.degrees)
     out = {}
+    key_of = {}
     for key, entry in value.items():
         pair = tuple(s.strip() for s in key.split(","))
         if len(pair) != 2 or not set(pair) <= set(symbols):
             raise ValueError(f"{what}: key {key!r} is not 'i,j' with i, j among {symbols}")
+        if pair in key_of:
+            raise ValueError(f"{what}: keys {key_of[pair]!r} and {key!r} both name omega[{','.join(pair)}]")
+        key_of[pair] = key
         if type(entry) is int:  # a float or a bool is not an exact coefficient
             out[pair] = Element.of(smono_one(len(V.even)), entry)
         elif isinstance(entry, str):

@@ -19,7 +19,9 @@ through one enumerator, :func:`block_splits`, the one production place
 that works out the Koszul sign of moving factors past each other: the
 two blocks of Delta, the blocks around the cut factor of delta'', and
 the one or two factors that m and ell'' bring to the front (one body,
-``extend``, over the block size).
+``extend``, over the block size).  It reads its tables off the split
+enumerator of the tensor layer, ``two_blocks`` and ``crossing_sign``,
+the same two functions the shuffle tables are built from.
 
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
 of the Gerstenhaber (odd a - b) and Poisson (even a - b)
@@ -33,8 +35,8 @@ and ``q_by_taylor`` enumerate their factor splits through one
 enumerator of their own, ``_oracle_splits``, never through the
 production ``block_splits``.
 The two sign their splits differently: ``_oracle_splits`` builds each
-permutation and calls ``koszul_sign``, ``block_splits`` counts odd
-crossings from degree parities.
+permutation and calls ``koszul_sign``, ``block_splits`` reads
+``crossing_sign`` of its blocks' parities, once per parity pattern.
 
 Canonical insertion.  ``coproduct_delta``, ``extend`` and
 ``cobracket_doubleprime`` take a canonical SymWord.  Every factor
@@ -69,7 +71,9 @@ from .tensor_coalgebra import (
     QUOTIENT,
     Word,
     apply_in_slot,
+    crossing_sign,
     render_word,
+    two_blocks,
     word_degree,
     word_key,
 )
@@ -175,50 +179,52 @@ def sym_key(sym: SymWord):
 # -- coproduct -----------------------------------------------------------
 
 
-def block_splits(degs: list[int], pinned: int | None = None, size: int | None = None):
+#: ordered two-block splits per (parity pattern, pinned, size)
+_SPLITS: dict = {}
+
+
+def block_splits(degs: list[int], pinned: int | None = None, size: int | None = None) -> tuple:
     """Ordered two-block splits of factor positions, with their Koszul sign.
 
-    Yields ``(left, right, eps)``: increasing position tuples and the
-    Koszul sign, in the degrees ``degs``, of arranging the factors as
+    Returns ``(left, right, eps)`` triples: increasing position tuples and
+    the Koszul sign, in the degrees ``degs``, of arranging the factors as
     left, then the ``pinned`` factor if one is given, then right.
     With ``size``, only the left blocks of that size occur (none when it
     exceeds the positions to choose from); without it, and without a
     pinned factor, only proper splits (both blocks nonempty) occur, and
     with a pinned factor every split of the other positions does.  Blocks
     ``left`` come in :func:`itertools.combinations` order, smallest
-    size first.  Complementing reverses the lexicographic order of
-    equal-size subsets, so the matching ``right`` blocks are the
-    combinations of the complementary size, read backwards.
+    size first.
 
-    The sign is read off the degree parities, with no permutation
-    built: each odd factor of ``left``, and an odd pinned factor,
-    crosses the odd factors placed after ``left`` that precede it.  One
-    bit mask of those factors and a popcount per crossing factor give
-    it in O(n).
+    The splits are :func:`~abhomotopy.tensor_coalgebra.two_blocks` of the
+    positions other than ``pinned``, and the sign is
+    :func:`~abhomotopy.tensor_coalgebra.crossing_sign` of left and the
+    pinned factor ahead of right, times that of left ahead of the pinned
+    factor.  They depend only on the degree parities, so the triples are
+    built once per parity pattern (which fixes the number of factors),
+    ``pinned`` and ``size``, and every algebra and mutant shares them.
     """
-    n = len(degs)
-    odd = sum(1 << i for i, d in enumerate(degs) if d % 2)
-    others = [i for i in range(n) if i != pinned]
-    pinned_bit = 0 if pinned is None else odd & (1 << pinned)
-    if size is not None:
-        sizes = range(size, min(size, len(others)) + 1)
-    else:
-        sizes = range(1, n) if pinned is None else range(n)
-    for r in sizes:
-        rights = list(itertools.combinations(others, len(others) - r))
-        rights.reverse()
-        for left, right in zip(itertools.combinations(others, r), rights):
-            left_bits = 0
-            for i in left:
-                left_bits |= 1 << i
-            after = odd & ~left_bits  # odd factors placed after the left block
-            moving = (odd & left_bits) | pinned_bit
-            crossed = 0
-            while moving:
-                low = moving & -moving
-                crossed += (after & (low - 1)).bit_count()
-                moving ^= low
-            yield left, right, -1 if crossed % 2 else 1
+    odd = tuple([d & 1 for d in degs])
+    key = (odd, pinned, size)
+    splits = _SPLITS.get(key)
+    if splits is None:
+        n = len(odd)
+        others = [i for i in range(n) if i != pinned]
+        middle = () if pinned is None else (pinned,)
+        if size is not None:
+            sizes = (size,) if size <= len(others) else ()
+        else:
+            sizes = range(1, n) if pinned is None else range(n)
+        splits = []
+        for r in sizes:
+            for block, rest in two_blocks(len(others), r):
+                left = tuple([others[i] for i in block])
+                right = tuple([others[j] for j in rest])
+                odd_left, odd_middle = [odd[i] for i in left], [odd[i] for i in middle]
+                eps = crossing_sign(left + middle, right, odd_left + odd_middle, [odd[j] for j in right])
+                splits.append((left, right, eps * crossing_sign(left, middle, odd_left, odd_middle)))
+        splits = _SPLITS[key] = tuple(splits)
+    return splits
 
 
 def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:

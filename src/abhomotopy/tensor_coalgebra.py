@@ -18,14 +18,21 @@ table of a letter multiset (a block) is built once, and each word's
 coordinates are memoized by the word; both depend only on letters and
 their degrees, so every algebra and mutant shares them safely.
 
-Every signed sum over the interleavings of two words (the shuffle
-product here, the bracket extension ``ell2`` in :mod:`ab_core`) reads
-shape tables: where the letters go depends only on the two lengths, and
-the Koszul signs only on which letters are odd.  Each shape (p, q) has
-one ``operator.itemgetter`` per interleaving, picking it out of
-``x + y``, and each shape and parity pattern its tuple of signs.  Both
-are built on first use and keyed by these combinatorics alone, never by
-letters, so every algebra and mutant shares them safely.
+One split enumerator serves both coalgebras.  :func:`two_blocks` lists
+the splits of n positions into an increasing block of r and the
+increasing rest, and :func:`crossing_sign` gives the Koszul sign of
+placing one block ahead of the other: the parity of the odd pairs whose
+order flips.  A shuffle interleaves two blocks and an unshuffle splits
+one in two, and both carry that sign.  Every signed sum over the
+interleavings of two words (the shuffle product here, the bracket
+extension ``ell2`` in :mod:`ab_core`) reads shape tables built from the
+two: each shape (p, q) has one ``operator.itemgetter`` per
+interleaving, picking it out of ``x + y``, and each shape and parity
+pattern its tuple of signs.  The symmetric layer's
+:func:`~abhomotopy.sym_coalgebra.block_splits` builds its split tables
+from the same two functions.  All are built on first use and keyed by
+shape and parities alone, never by letters, so every algebra and mutant
+shares them safely.
 
 Tensor products of words (pairs, triples) are plain tuples of words.
 The graded slot calculus on them has one kernel, ``_slot_map``: it
@@ -40,6 +47,8 @@ flip, is a permutation and has its own loop.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from typing import Callable, NamedTuple
 
@@ -95,7 +104,47 @@ def render_tuple(t: tuple[Word, ...]) -> str:
     return " (x) ".join(render_word(w) for w in t)
 
 
-#: interleaving getters per shape (p, q), in the order of the walk
+@functools.cache
+def two_blocks(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every split of the positions 0..n-1 into an increasing block of
+    ``r`` and the increasing rest, as ``(block, rest)`` pairs.
+
+    Blocks come in :func:`itertools.combinations` order.  A shuffle of
+    two words reads the block as the output positions of its first word,
+    an unshuffle of factors as the factors it takes out.  Cached per
+    (n, r): a split is shape alone, so every algebra and mutant shares it.
+
+    >>> two_blocks(3, 1)
+    (((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1)))
+    """
+    everything = range(n)
+    return tuple(
+        (block, tuple(i for i in everything if i not in block))
+        for block in itertools.combinations(everything, r)
+    )
+
+
+def crossing_sign(first, rest, odd_first, odd_rest) -> int:
+    """The Koszul sign of placing the items at positions ``first`` ahead
+    of those at positions ``rest``: (-1) to the number of odd pairs in
+    which a ``rest`` item precedes a ``first`` item.
+
+    ``odd_first`` and ``odd_rest`` hold the parities of the items, in the
+    order of ``first`` and ``rest``.  A shuffle and its inverse unshuffle
+    carry the same sign: a shuffle places its first word's letters at
+    positions ``first`` of the output, and an unshuffle brings the
+    factors at positions ``first`` to the front.
+
+    >>> crossing_sign((1,), (0,), (1,), (1,)), crossing_sign((1,), (0,), (1,), (0,))
+    (-1, 1)
+    """
+    crossed = sum(
+        1 for i, a in zip(first, odd_first) if a for j, b in zip(rest, odd_rest) if b and j < i
+    )
+    return -1 if crossed % 2 else 1
+
+
+#: interleaving getters per shape (p, q), in the order of :func:`two_blocks`
 _GETTERS: dict = {}
 #: interleaving signs per (p, q, odd_mask), matching ``_GETTERS[(p, q)]``
 _SIGNS: dict = {}
@@ -104,11 +153,12 @@ _SIGNS: dict = {}
 def _tables(p: int, q: int, xy: Word) -> tuple[tuple, tuple]:
     """The getters of shape (p, q) and the signs for the parities of ``xy``.
 
-    A missing entry is built by the first-letter shuffle recursion over
-    positions in ``xy``: placing y letter j ahead of the x letters
-    ``x[i:]`` still to come multiplies the sign by (-1)^(|y_j| |x[i:]|),
-    and placing an x letter costs nothing.  Interleavings come in
-    lexicographic order of the positions of ``x``.
+    An interleaving is a block of :func:`two_blocks` (p + q, p): the
+    output positions of the letters of ``x``, the rest taking ``y``.  Its
+    getter picks each output letter out of ``xy``, and its sign is the
+    :func:`crossing_sign` of the x letters placed at the block ahead of
+    the y letters.  Interleavings come in lexicographic order of the
+    positions of ``x``.  Missing entries are built on first use.
     """
     odd_mask = 0
     bit = 1
@@ -119,27 +169,14 @@ def _tables(p: int, q: int, xy: Word) -> tuple[tuple, tuple]:
     key = (p, q, odd_mask)
     signs = _SIGNS.get(key)
     if signs is None:
-        odd = [(odd_mask >> i) & 1 for i in range(p + q)]
-        # odd_rest[i]: parity of the degree of x[i:]
-        odd_rest = [0] * (p + 1)
-        for i in range(p - 1, -1, -1):
-            odd_rest[i] = odd_rest[i + 1] ^ odd[i]
-        walk = []
-        stack = [((), 0, 0, 1)]
-        while stack:
-            pos, i, j, sign = stack.pop()
-            if i == p:
-                walk.append((pos + tuple(range(p + j, p + q)), sign))
-            elif j == q:
-                walk.append((pos + tuple(range(i, p)), sign))
-            else:
-                # pushed second, popped first: x-first branches come out first
-                y_sign = -sign if odd[p + j] and odd_rest[i] else sign
-                stack.append((pos + (p + j,), i, j + 1, y_sign))
-                stack.append((pos + (i,), i + 1, j, sign))
-        signs = _SIGNS[key] = tuple(s for _, s in walk)
+        odd = [g.deg & 1 for g in xy]
+        splits = two_blocks(p + q, p)
+        signs = _SIGNS[key] = tuple(crossing_sign(xs, ys, odd[:p], odd[p:]) for xs, ys in splits)
         if (p, q) not in _GETTERS:
-            _GETTERS[p, q] = tuple(operator.itemgetter(*pos) for pos, _ in walk)
+            # xy[i] goes to output position (xs + ys)[i], so the output reads xy in that order
+            _GETTERS[p, q] = tuple(
+                operator.itemgetter(*sorted(range(p + q), key=(xs + ys).__getitem__)) for xs, ys in splits
+            )
     return _GETTERS[p, q], signs
 
 
@@ -232,33 +269,12 @@ def _lyndon_words(block: tuple[Generator, ...]) -> list[Word]:
     """The Lyndon words whose letters are the sorted multiset ``block``.
 
     A Lyndon word is strictly smaller than each of its proper suffixes,
-    so it starts with the least letter of its block; words are grown
-    from the remaining multiplicities after that letter and kept when
-    they pass the suffix test.  They come in lexicographic order.
+    so it starts with the least letter of its block: these are the
+    distinct words ``block[:1] + p``, p a permutation of the other
+    letters, that pass the suffix test.  They come in lexicographic order.
     """
-    letters = sorted(set(block))
-    left = {g: block.count(g) for g in letters}
-    left[block[0]] -= 1
-    n = len(block)
-    out: list[Word] = []
-    word = [block[0]]
-
-    def grow() -> None:
-        if len(word) == n:
-            w = tuple(word)
-            if all(w < w[i:] for i in range(1, n)):
-                out.append(w)
-            return
-        for g in letters:
-            if left[g]:
-                left[g] -= 1
-                word.append(g)
-                grow()
-                word.pop()
-                left[g] += 1
-
-    grow()
-    return out
+    words = {block[:1] + p for p in itertools.permutations(block[1:])}
+    return sorted(w for w in words if all(w < w[i:] for i in range(1, len(w))))
 
 
 def _bracket(pu: dict, pv: dict, both_odd: bool) -> dict:

@@ -316,15 +316,35 @@ def test_loader_takes_only_exact_numbers(tmp_path, capsys, doc, named):
         (_loader_doc(bracket={"u": 1}), "bracket must be a list of table entries"),
         (_loader_doc(name=5), "name must be a string, got 5"),
         (_loader_doc(description=["x"]), "description must be a string, got ['x']"),
+        (
+            _loader_doc(generators=[{"id": 5, "degree": 0}, {"id": "v", "degree": 1}], differential=[]),
+            "id of generator {'id': 5, 'degree': 0} must be a string, got 5",
+        ),
+        (
+            _loader_doc(generators=[{"id": True, "degree": 0}, {"id": "v", "degree": 1}], differential=[]),
+            "id of generator {'id': True, 'degree': 0} must be a string, got True",
+        ),
+        (
+            _loader_doc(product=[[5, 5, [["u", 1]]]]),
+            "an input id of product entry [5, 5, [['u', 1]]] must be a string, got 5",
+        ),
+        (
+            _loader_doc(
+                generators=[{"id": "u", "degree": 0}, {"id": "1", "degree": 1}], differential=[["u", [[1, 1]]]]
+            ),
+            "an output id of differential entry ['u', [[1, 1]]] must be a string, got 1",
+        ),
     ],
     ids=["int-table-value", "top-level-array", "no-degree", "no-b", "string-generator", "object-table",
-         "number-name", "list-description"],
+         "number-name", "list-description", "number-id", "bool-id", "number-input-id", "number-output-id"],
 )
 def test_loader_names_the_malformed_field(tmp_path, capsys, doc, named):
     """A table value that is not a list of pairs and a top-level array used
     to crash with a traceback (exit 1), a generator without a degree said
     only 'degree', a numeric name ran and stood as the number 5 in every
-    record, and a list description was kept silently: each is now a usage
+    record, and a list description was kept silently.  A numeric or boolean
+    generator id or output id loaded as its ``str()`` ("5", "True"), while
+    a numeric input id said only 'bad table entry'.  Each is now a usage
     error naming the cause."""
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -479,11 +499,18 @@ def test_builtin_parameter_out_of_range_is_a_named_usage_error(
         ("poisson-super", '{"x1,x2": true}', "entry 'x1,x2'"),
         ("poisson-super", '{"x1,x2": "1/0"}', "entry 'x1,x2'"),
         ("poisson-super", '{"x1,x2": "x9"}', "variable 'x9' out of range"),
+        (
+            "poisson-super",
+            '{"x1,x2": 1, "x2,x1": -1, "x1, x2": 5}',
+            "keys 'x1,x2' and 'x1, x2' both name omega[x1,x2]",
+        ),
     ],
 )
 def test_malformed_omega_is_a_named_usage_error(algebra, omega, named, monkeypatch, capsys):
     """Each used to crash (an AttributeError, IndexError or TypeError, some
-    inside the checks) or to say only 'not enough values to unpack'."""
+    inside the checks) or to say only 'not enough values to unpack'.  Keys
+    are stripped, so two keys could name one entry: the later one silently
+    won, and the tensor then failed its graded symmetry."""
     argv = ["check-algebra", "--algebra", algebra, "--param", f"omega={omega}"]
     err = refused_before_any_check(monkeypatch, capsys, argv)
     assert f"parameter 'omega' of instance {algebra!r}" in err and named in err

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhomotopy.ab_core import TruncationOverflow, coderivation_D
+from abhomotopy import sym_coalgebra, tensor_coalgebra
+from abhomotopy.ab_core import TruncationOverflow, coderivation_D, ell2_oracle
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
 from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps, sign
 from abhomotopy.suites import RunContext, SuiteConfig
 from abhomotopy.sym_coalgebra import (
     _normalize_with,
+    _oracle_splits,
     block_splits,
     cobracket_doubleprime,
     coproduct_delta,
@@ -120,6 +122,61 @@ def test_block_splits_signs_and_order_against_koszul_sign():
     assert [s[0] for s in block_splits([1, 0, 1], size=3)] == [(0, 1, 2)]
     assert list(block_splits([1, 0, 1], size=4)) == []
     assert list(block_splits([1, 0, 1], pinned=1, size=3)) == []
+
+
+class Guarded(AssertionError):
+    """Raised by a split enumerator that an oracle must not read."""
+
+
+def guarded(*args):
+    raise Guarded("an oracle read the production split enumerator")
+
+
+@pytest.mark.parametrize("builtin", ["gerstenhaber-toy", "poisson-polynomial"])
+def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
+    """The oracles enumerate and sign their splits themselves: with
+    ``two_blocks`` and ``crossing_sign`` raising, and the tables built
+    from them emptied, every oracle still runs on every probe sym, while
+    the production kernels built on them raise."""
+    sizes = dict(max_word_len=2, max_sym_factors=3, max_total_letters=4, probe_gens=2)
+    config = SuiteConfig(algebra=builtin, **sizes)
+    ctx = RunContext(builtin_instance(builtin), config, forced_gens=FORCED[builtin])
+    A, D = ctx.algebra, coderivation_D(ctx.algebra)
+    syms = list(dict.fromkeys(ctx.syms_letters + ctx.syms_factors))
+    assert max(map(len, syms)) >= 3
+    for module in (tensor_coalgebra, sym_coalgebra):
+        monkeypatch.setattr(module, "two_blocks", guarded)
+        monkeypatch.setattr(module, "crossing_sign", guarded)
+    monkeypatch.setattr(tensor_coalgebra, "_GETTERS", {})
+    monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
+    monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
+    with pytest.raises(Guarded):
+        shuffle(ctx.pair_words[0], ctx.pair_words[0])
+    with pytest.raises(Guarded):
+        coproduct_delta(A, next(sym for sym in syms if len(sym) > 1))
+    bracket = lambda xy: ell2_oracle(A, *xy)
+    evaluated = 0
+    for sym in syms:
+        degs = [A.deg_s(w) for w in sym]
+        for left, right, eps in _oracle_splits(degs, range(len(sym) + 1)):
+            sigma = [0] * len(sym)
+            for rank, i in enumerate(left + right):
+                sigma[i] = rank
+            assert koszul_sign(degs, sigma) == koszul_sign_by_swaps(degs, tuple(sigma)) == eps
+        for oracle in (kappa, poisson_cobracket, lambda A, sym: q_by_taylor(A, sym, D, bracket)):
+            try:
+                oracle(A, sym)
+                evaluated += 1
+            except TruncationOverflow:
+                pass
+    for x in ctx.pair_words:
+        for y in ctx.pair_words:
+            try:
+                ell2_oracle(A, x, y)
+                evaluated += 1
+            except TruncationOverflow:
+                pass
+    assert evaluated > len(syms)
 
 
 def test_extensions_on_one_and_two_factors(toy_instance):
