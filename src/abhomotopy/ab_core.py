@@ -7,8 +7,13 @@ differential.  (a, b) = (0, -1) is the Gerstenhaber case, (0, 0) the
 graded Poisson case.
 
 Structure maps are total on generator pairs inside the retained basis;
-anything escaping the basis raises :class:`TruncationOverflow`, which
-identity drivers report as an explicit skip, never as a silent pass.
+anything escaping the basis raises :class:`TruncationOverflow`.  One
+loop, :func:`sweep`, holds the rule for it: an input that overflows is
+counted as a skip, never as a pass, and the first failing input ends
+the sweep.  The identity rows of ``suites`` and the structure axioms
+both run on it; :func:`check_ab_axioms` is a table of (axiom, arity,
+law), with one ``symmetry`` factory for commutativity and antisymmetry
+and one ``derivation`` factory for d over the product and the bracket.
 
 On the shifted grading dg = |.| + a - 1 the product and differential
 both have degree 1 and the bracket has degree b - a + 1:
@@ -35,10 +40,11 @@ per generator pair, not once per use.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
@@ -322,69 +328,80 @@ def _render_gen_elem(v: Element) -> str:
     return format_element(v, render=lambda g: g.gid, key=lambda g: g.gid)
 
 
+def sweep(inputs: Iterable, law: Callable[[Any], tuple[bool, Any]]) -> tuple[int, int, tuple | None]:
+    """Evaluate ``law(input) -> (ok, detail)`` on each input in turn.
+
+    Returns ``(evaluated, skipped, failure)``.  An input on which a map
+    raises :class:`TruncationOverflow` is skipped, not evaluated, so a
+    skip never counts as a pass.  The first input whose law does not hold
+    ends the sweep with ``failure = (input, detail)``; later inputs are
+    not drawn.  ``failure`` is None when every evaluated input held.
+
+    Every identity check runs through here: the rows of
+    ``suites.CHECKS`` and the structure axioms of :func:`check_ab_axioms`.
+    Two checks stay outside it.  ``instances.check_poisson_tensor``
+    checks polynomial identities, which cannot overflow, and its
+    homogeneity and symmetry sweeps list every bad entry by design.
+    ``suites.run_mutation`` stops at its first failing row and has
+    no skips.
+    """
+    evaluated = skipped = 0
+    for inp in inputs:
+        try:
+            ok, detail = law(inp)
+        except TruncationOverflow:
+            skipped += 1
+            continue
+        evaluated += 1
+        if not ok:
+            return evaluated, skipped, (inp, detail)
+    return evaluated, skipped, None
+
+
+def _sides(law: Callable[..., tuple[Element, Element]]) -> Callable[[tuple], tuple[bool, tuple]]:
+    """A law on a generator tuple returning (lhs, rhs), as a :func:`sweep` law
+    whose detail is both sides, rendered only for a failing tuple."""
+
+    def holds(t: tuple) -> tuple[bool, tuple]:
+        lhs, rhs = law(*t)
+        return lhs == rhs, (lhs, rhs)
+
+    return holds
+
+
 def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
     """Evaluate the defining identities exactly on all generator tuples.
 
-    Eight laws: graded commutativity, associativity, graded
-    antisymmetry, graded Jacobi, Leibniz, and the differential's
-    square/product/bracket laws.  Any tuple whose evaluation escapes
-    the truncated basis is reported as a skip for that law, never as a
-    pass; the first failing tuple is reported with both sides.
+    Eight laws, one table of (axiom, arity, law): graded commutativity,
+    associativity, graded antisymmetry, graded Jacobi, Leibniz, and the
+    differential's square/product/bracket laws.  A law maps a generator
+    tuple to (lhs, rhs).  Laws that differ only in the operation share a
+    factory: ``symmetry(op, shift, s)`` for commutativity (s = 1) and
+    antisymmetry (s = -1), ``derivation(op, shift)`` for d over the
+    product and over the bracket.  Each law is swept by :func:`sweep`
+    over ``itertools.product(generators, repeat=arity)``, so a tuple
+    whose evaluation escapes the truncated basis is a skip for that law,
+    never a pass, and the first failing tuple is reported with both sides.
     """
     A = algebra
-    gens = A.generators
-    pairs = [(g1, g2) for g1 in gens for g2 in gens]
-    triples = [(g1, g2, g3) for g1 in gens for g2 in gens for g3 in gens]
     ud = A.udeg
-    checks: list[AxiomCheck] = []
-
-    def run(axiom: str, samples, law) -> None:
-        skips = 0
-        for t in samples:
-            try:
-                lhs, rhs = law(*t)
-            except TruncationOverflow:
-                skips += 1
-                continue
-            if lhs != rhs:
-                ids = ",".join(g.gid for g in t)
-                checks.append(
-                    AxiomCheck(
-                        axiom,
-                        "fail",
-                        f"at ({ids}): lhs = {_render_gen_elem(lhs)}; rhs = {_render_gen_elem(rhs)}",
-                    )
-                )
-                return
-        if not samples:
-            checks.append(AxiomCheck(axiom, "skip", "no generator tuple to evaluate"))
-        elif skips == len(samples):
-            checks.append(AxiomCheck(axiom, "skip", "every sample escaped the truncation"))
-        elif skips:
-            checks.append(AxiomCheck(axiom, "pass", f"{skips} sample(s) skipped at the truncation boundary"))
-        else:
-            checks.append(AxiomCheck(axiom, "pass"))
-
+    d = A.differential
     a, b = A.a, A.b
 
-    run(
-        "product-commutativity",
-        pairs,
-        lambda g1, g2: (A.product(g1, g2), A.product(g2, g1).scale(sign((ud(g1) + a) * (ud(g2) + a)))),
-    )
-    run(
-        "product-associativity",
-        triples,
-        lambda g1, g2, g3: (
+    def symmetry(op: Callable, shift: int, s: int):
+        return lambda g1, g2: (op(g1, g2), op(g2, g1).scale(s * sign((ud(g1) + shift) * (ud(g2) + shift))))
+
+    def derivation(op: Callable, shift: int):
+        return lambda g1, g2: (
+            op(g1, g2).map_basis(d),
+            bilinear(op, d(g1), Element.of(g2)) + bilinear(op, Element.of(g1), d(g2)).scale(sign(ud(g1) + shift)),
+        )
+
+    def associativity(g1, g2, g3):
+        return (
             bilinear(A.product, A.product(g1, g2), Element.of(g3)),
             bilinear(A.product, Element.of(g1), A.product(g2, g3)),
-        ),
-    )
-    run(
-        "bracket-antisymmetry",
-        pairs,
-        lambda g1, g2: (A.bracket(g1, g2), A.bracket(g2, g1).scale(-sign((ud(g1) + b) * (ud(g2) + b)))),
-    )
+        )
 
     def jacobi(g1, g2, g3):
         total = Element.zero()
@@ -393,8 +410,6 @@ def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
             total = total + term.scale(sign((ud(x) + b) * (ud(z) + b)))
         return total, Element.zero()
 
-    run("bracket-jacobi", triples, jacobi)
-
     def leibniz(g1, g2, g3):
         lhs = bilinear(A.bracket, Element.of(g1), A.product(g2, g3))
         rhs = bilinear(A.product, A.bracket(g1, g2), Element.of(g3)) + bilinear(
@@ -402,31 +417,31 @@ def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
         ).scale(sign((ud(g2) + a) * (ud(g1) + b)))
         return lhs, rhs
 
-    run("leibniz", triples, leibniz)
-
-    run(
-        "differential-squared",
-        [(g,) for g in gens],
-        lambda g: (A.differential(g).map_basis(A.differential), Element.zero()),
+    laws = (
+        ("product-commutativity", 2, symmetry(A.product, a, 1)),
+        ("product-associativity", 3, associativity),
+        ("bracket-antisymmetry", 2, symmetry(A.bracket, b, -1)),
+        ("bracket-jacobi", 3, jacobi),
+        ("leibniz", 3, leibniz),
+        ("differential-squared", 1, lambda g: (d(g).map_basis(d), Element.zero())),
+        ("differential-product", 2, derivation(A.product, a)),
+        ("differential-bracket", 2, derivation(A.bracket, b)),
     )
-    run(
-        "differential-product",
-        pairs,
-        lambda g1, g2: (
-            A.product(g1, g2).map_basis(A.differential),
-            bilinear(A.product, A.differential(g1), Element.of(g2))
-            + bilinear(A.product, Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + a)),
-        ),
-    )
-    run(
-        "differential-bracket",
-        pairs,
-        lambda g1, g2: (
-            A.bracket(g1, g2).map_basis(A.differential),
-            bilinear(A.bracket, A.differential(g1), Element.of(g2))
-            + bilinear(A.bracket, Element.of(g1), A.differential(g2)).scale(sign(ud(g1) + b)),
-        ),
-    )
+    checks: list[AxiomCheck] = []
+    for axiom, arity, law in laws:
+        evaluated, skipped, failure = sweep(itertools.product(A.generators, repeat=arity), _sides(law))
+        if failure is not None:
+            t, (lhs, rhs) = failure
+            ids = ",".join(g.gid for g in t)
+            witness = f"at ({ids}): lhs = {_render_gen_elem(lhs)}; rhs = {_render_gen_elem(rhs)}"
+            checks.append(AxiomCheck(axiom, "fail", witness))
+        elif not evaluated:
+            checks.append(AxiomCheck(axiom, "skip", "every sample escaped the truncation" if skipped
+                                     else "no generator tuple to evaluate"))
+        elif skipped:
+            checks.append(AxiomCheck(axiom, "pass", f"{skipped} sample(s) skipped at the truncation boundary"))
+        else:
+            checks.append(AxiomCheck(axiom, "pass"))
     return checks
 
 
@@ -463,6 +478,20 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
+_DOCUMENT_FIELDS = (
+    "name", "description", "a", "b", "generators", "product", "bracket", "differential", "max_degree",
+)
+_GENERATOR_FIELDS = ("id", "degree")
+
+
+def _known_fields(obj: dict, allowed: tuple[str, ...], what: str) -> None:
+    """A ``ValueError`` naming the first field of ``obj`` outside ``allowed``:
+    a misspelled field would otherwise be dropped without a word."""
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"{what} has an unknown field {key!r}; allowed fields: {', '.join(allowed)}")
+
+
 def algebra_from_dict(data: dict) -> AbAlgebra:
     """Build an algebra from a structure-constant document.
 
@@ -477,12 +506,16 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
 
     Missing pair entries mean zero; an entry given twice, or one naming
     an undeclared generator, is an error, and so is a document of another
-    shape (a ``ValueError`` naming the field).  With ``max_degree`` set, a
-    missing product/bracket entry whose degree-homogeneous output would
-    exceed the bound is treated as a truncation overflow instead of zero.
+    shape (a ``ValueError`` naming the field).  So is a field outside those
+    shown, at the top level or in a generator: a misspelled table or bound
+    would otherwise load as a zero map or as no truncation.  With
+    ``max_degree`` set, a missing product/bracket entry whose
+    degree-homogeneous output would exceed the bound is treated as a
+    truncation overflow instead of zero.
     """
     a = _integer(_field(data, "a", "the algebra document"), "a")
     b = _integer(_field(data, "b", "the algebra document"), "b")
+    _known_fields(data, _DOCUMENT_FIELDS, "the algebra document")
     name = _text(data.get("name", "unnamed"), "name")
     generators = _field(data, "generators", "the algebra document")
     if not isinstance(generators, list):
@@ -491,6 +524,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     gens = []
     for g in generators:
         gid = _text(_field(g, "id", "a generator"), f"id of generator {g!r}")
+        _known_fields(g, _GENERATOR_FIELDS, f"generator {gid!r}")
         if gid in unshifted:
             raise ValueError(f"duplicate generator id {gid!r}")
         degree = _field(g, "degree", f"generator {gid!r}")

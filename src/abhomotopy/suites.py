@@ -5,10 +5,12 @@ Every identity is one row of :data:`CHECKS`, keyed by its check name:
 an :class:`Identity` holding the statement, the probe family
 ``inputs(ctx)``, the law ``law(ctx, input) -> (ok, detail)`` and a
 renderer naming a failing input.  One runner, :func:`check_identity`,
-turns a row into one record over one :class:`RunContext`: ``pass``,
-``fail`` (with the first witness) or ``skip`` when every input escaped
-the truncation; skips never count as passes, and a report in which one
-requested suite has only skips is a skip whatever the other suites did.
+turns a row into one record over one :class:`RunContext`, making it
+through :func:`~.ab_core.sweep`, the loop the structure axioms run on
+too: ``pass``, ``fail`` (with the first witness) or ``skip`` when every
+input escaped the truncation; skips never count as passes, and a report
+in which one requested suite has only skips is a skip whatever the other
+suites did.
 The rows of :data:`COALGEBRA` run on generic letters and read no
 instance, so their records name ``generic-letters`` as their instance.
 The suites (:data:`COALGEBRA`, :data:`CORE`, :data:`ENVELOPE` plus one of
@@ -84,11 +86,11 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from .ab_core import (
     AbAlgebra,
-    TruncationOverflow,
     coderivation_D,
     ell2,
     ell2_oracle,
     load_algebra,
+    sweep,
 )
 from .freemodule import Element, bilinear, format_element
 from .instances import BUILTINS, Instance, builtin_instance
@@ -930,20 +932,14 @@ def check_identity(name: str, ctx: RunContext) -> CheckRecord:
     row = CHECKS[name]
     instance = "generic-letters" if name in COALGEBRA else ctx.label
     ctx.clear_row_memo()
-    evaluated = skipped = 0
     try:
-        for inp in row.inputs(ctx):
-            try:
-                ok, detail = row.law(ctx, inp)
-            except TruncationOverflow:
-                skipped += 1
-                continue
-            evaluated += 1
-            if not ok:
-                witness = f"at {row.render(inp)}: {detail}"
-                return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
+        evaluated, skipped, failure = sweep(row.inputs(ctx), lambda inp: row.law(ctx, inp))
     finally:
         ctx.clear_row_memo()
+    if failure is not None:
+        inp, detail = failure
+        witness = f"at {row.render(inp)}: {detail}"
+        return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
     if evaluated == 0:
         witness = ("every input escaped the truncation" if skipped
                    else "empty probe family: no input at these probe sizes")

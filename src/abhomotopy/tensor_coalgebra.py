@@ -269,12 +269,31 @@ def _lyndon_words(block: tuple[Generator, ...]) -> list[Word]:
     """The Lyndon words whose letters are the sorted multiset ``block``.
 
     A Lyndon word is strictly smaller than each of its proper suffixes,
-    so it starts with the least letter of its block: these are the
-    distinct words ``block[:1] + p``, p a permutation of the other
-    letters, that pass the suffix test.  They come in lexicographic order.
+    so it starts with the least letter of its block: these are the words
+    ``block[:1] + p``, p an ordering of the other letters, that pass the
+    suffix test.  The orderings come from the lexicographic
+    next-permutation step over the sorted tail, which yields each
+    distinct ordering once, already in order, so a block with repeated
+    letters costs its distinct orderings, not all (n-1)! of them, and the
+    words come in lexicographic order.
     """
-    words = {block[:1] + p for p in itertools.permutations(block[1:])}
-    return sorted(w for w in words if all(w < w[i:] for i in range(1, len(w))))
+    head, tail = block[:1], list(block[1:])
+    words = []
+    while True:
+        w = head + tuple(tail)
+        if all(w < w[i:] for i in range(1, len(w))):
+            words.append(w)
+        # next permutation: the longest non-increasing suffix starts past i
+        i = len(tail) - 2
+        while i >= 0 and tail[i] >= tail[i + 1]:
+            i -= 1
+        if i < 0:
+            return words
+        j = len(tail) - 1
+        while tail[j] <= tail[i]:
+            j -= 1
+        tail[i], tail[j] = tail[j], tail[i]
+        tail[i + 1 :] = tail[:i:-1]
 
 
 def _bracket(pu: dict, pv: dict, both_odd: bool) -> dict:

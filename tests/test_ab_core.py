@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from abhomotopy import ab_core, suites
 from abhomotopy.ab_core import (
     TruncationOverflow,
     algebra_from_dict,
@@ -13,11 +14,20 @@ from abhomotopy.ab_core import (
     ell2,
     ell2_oracle,
     load_algebra,
+    sweep,
 )
 from abhomotopy.freemodule import Element, add_term
 from abhomotopy.instances import BUILTINS, Instance, builtin_instance
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
-from abhomotopy.suites import RunContext, SuiteConfig, perturb_algebra, probe_generators, probe_words
+from abhomotopy.suites import (
+    RunContext,
+    SuiteConfig,
+    build_instance,
+    check_identity,
+    perturb_algebra,
+    probe_generators,
+    probe_words,
+)
 from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle
 
 
@@ -323,6 +333,45 @@ def test_truncation_reports_skip_not_pass():
     checks = {c.axiom: c.status for c in check_ab_axioms(A)}
     assert checks["product-commutativity"] == "skip"
     assert checks["bracket-jacobi"] == "skip"
+
+
+def test_sweep_skips_overflows_and_stops_at_the_first_failure():
+    drawn, evaluated = [], []
+
+    def inputs(n):
+        for i in range(n):
+            drawn.append(i)
+            yield i
+
+    def law(i):
+        if i == 1:
+            raise TruncationOverflow("left the truncation")
+        evaluated.append(i)
+        return i != 3, f"detail {i}"
+
+    assert sweep(inputs(6), law) == (3, 1, (3, "detail 3"))
+    assert drawn == [0, 1, 2, 3]  # no input is drawn past the first failure
+    assert evaluated == [0, 2, 3]  # the overflowing input counts as skipped only
+    assert sweep(inputs(3), law) == (2, 1, None)
+    assert sweep([], law) == (0, 0, None)
+
+
+def test_identity_rows_and_structure_axioms_run_through_sweep(monkeypatch):
+    """Both runners hold the skip rule through the one loop: with it
+    replaced by a raising stub, neither can evaluate a law on its own."""
+
+    def stub(inputs, law):
+        raise RuntimeError("stub sweep")
+
+    monkeypatch.setattr(ab_core, "sweep", stub)
+    monkeypatch.setattr(suites, "sweep", stub)
+    config = SuiteConfig(algebra="gerstenhaber-toy", max_word_len=2, max_sym_factors=2, max_total_letters=3,
+                         probe_gens=2)
+    ctx = RunContext(build_instance(config), config)
+    with pytest.raises(RuntimeError, match="stub sweep"):
+        check_identity("codifferential-squared", ctx)
+    with pytest.raises(RuntimeError, match="stub sweep"):
+        check_ab_axioms(builtin_instance("gerstenhaber-toy").algebra)
 
 
 def test_mutant_ell2_differs_from_parent():

@@ -334,9 +334,20 @@ def test_loader_takes_only_exact_numbers(tmp_path, capsys, doc, named):
             ),
             "an output id of differential entry ['u', [[1, 1]]] must be a string, got 1",
         ),
+        (
+            _loader_doc(prodcut=[["u", "u", [["u", 1]]]]),
+            "the algebra document has an unknown field 'prodcut'; allowed fields: name, description, a, b, "
+            "generators, product, bracket, differential, max_degree",
+        ),
+        (_loader_doc(max_degre=1), "the algebra document has an unknown field 'max_degre'; allowed fields: "),
+        (
+            _loader_doc(generators=[{"id": "u", "degree": 0}, {"id": "v", "degree": 1, "degre": 2}]),
+            "generator 'v' has an unknown field 'degre'; allowed fields: id, degree",
+        ),
     ],
     ids=["int-table-value", "top-level-array", "no-degree", "no-b", "string-generator", "object-table",
-         "number-name", "list-description", "number-id", "bool-id", "number-input-id", "number-output-id"],
+         "number-name", "list-description", "number-id", "bool-id", "number-input-id", "number-output-id",
+         "misspelled-table", "misspelled-bound", "unknown-generator-field"],
 )
 def test_loader_names_the_malformed_field(tmp_path, capsys, doc, named):
     """A table value that is not a list of pairs and a top-level array used
@@ -344,8 +355,11 @@ def test_loader_names_the_malformed_field(tmp_path, capsys, doc, named):
     only 'degree', a numeric name ran and stood as the number 5 in every
     record, and a list description was kept silently.  A numeric or boolean
     generator id or output id loaded as its ``str()`` ("5", "True"), while
-    a numeric input id said only 'bad table entry'.  Each is now a usage
-    error naming the cause."""
+    a numeric input id said only 'bad table entry'.  An unknown field was
+    dropped: a misspelled table loaded as a zero map (the algebra then
+    passed every axiom), a misspelled ``max_degree`` turned truncation off,
+    and a misspelled generator field was lost.  Each is now a usage error
+    naming the cause."""
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check-algebra", "--algebra", str(path)]) == 2

@@ -12,6 +12,7 @@ from abhomotopy.tensor_coalgebra import (
     QUOTIENT,
     Generator,
     ShuffleQuotient,
+    _lyndon_words,
     apply_in_slot,
     cobracket,
     contract_adjacent_slots,
@@ -341,6 +342,33 @@ def test_quotient_dimension_matches_super_witt_formula():
         mult = [m for m, _ in pattern]
         rank, labels = quotient_dimension(q, ordered_block(pattern))
         assert rank == labels == witt_multidegree(mult, [p for _, p in pattern]), pattern
+
+
+def _lyndon_by_permutations(block):
+    """The Lyndon words of a sorted block by their definition, over every
+    ordering of the letters after the first."""
+    words = {block[:1] + p for p in itertools.permutations(block[1:])}
+    return sorted(w for w in words if all(w < w[i:] for i in range(1, len(w))))
+
+
+@pytest.mark.parametrize(
+    "mult, count", [((3, 3), 3), ((4, 4), 8), ((4, 5), 14), ((5, 5), 25), ((2, 2, 1, 1), 30)]
+)
+def test_lyndon_words_count_on_repeated_letters(mult, count):
+    """One word per distinct Lyndon word: as many as Witt's formula says."""
+    letters = (Generator("e", 0), Generator("o", 1), Generator("p", 2), Generator("q", 3))
+    block = tuple(g for g, m in zip(letters, mult) for _ in range(m))
+    words = _lyndon_words(block)
+    assert len(words) == len(set(words)) == count == witt_multidegree(mult)
+    assert words == sorted(words)
+
+
+def test_lyndon_words_match_the_definition_up_to_six_letters():
+    letters = (Generator("e1", 0), Generator("e2", 2), Generator("o1", 1), Generator("o2", 3))
+    blocks = [b for k in range(1, 7) for b in itertools.combinations_with_replacement(letters, k)]
+    assert len(blocks) == 209
+    for block in blocks:
+        assert _lyndon_words(block) == _lyndon_by_permutations(block), block
 
 
 def test_quotient_dimension_multilinear_even():
