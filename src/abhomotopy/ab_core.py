@@ -70,9 +70,13 @@ class AbAlgebra:
     are filled by one method, which runs the degree check; a shifted
     constant is filled from :meth:`product`/:meth:`bracket`, so the
     instance's map is called exactly once per pair either way.  A
-    mutant (:func:`~abhomotopy.suites.perturb_algebra`) is a new
-    instance with an empty cache, so it never sees its parent's values.
-    Cached Elements are shared: callers must not mutate them.
+    mutant (:func:`~abhomotopy.suites.perturb_algebra`) is a
+    :func:`dataclasses.replace` copy with one structure map replaced.
+    The cache and ``degree_violations`` are made by ``__init__``, never
+    passed in, so every instance, a copy too, starts both empty and owns
+    them: a mutant never sees its parent's values, and its parent never
+    sees its violations.  Cached Elements are shared: callers must not
+    mutate them.
     """
 
     name: str
@@ -83,8 +87,7 @@ class AbAlgebra:
     product_fn: Callable[[str, str], Element]
     bracket_fn: Callable[[str, str], Element]
     diff_fn: Callable[[str], Element]
-    description: str = ""
-    degree_violations: list[str] = field(default_factory=list)
+    degree_violations: list[str] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         self._by_id = {g.gid: g for g in self.generators}
@@ -504,11 +507,13 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
          "differential": [["u", [["v", 1]]], ...],
          "max_degree":   4}          # optional
 
-    Missing pair entries mean zero; an entry given twice, or one naming
-    an undeclared generator, is an error, and so is a document of another
-    shape (a ``ValueError`` naming the field).  So is a field outside those
-    shown, at the top level or in a generator: a misspelled table or bound
-    would otherwise load as a zero map or as no truncation.  With
+    An optional ``description`` is checked, not kept: it must be a
+    string, and the algebra does not store it.  Missing pair entries mean
+    zero; an entry given twice, or one naming an undeclared generator, is
+    an error, and so is a document of another shape (a ``ValueError``
+    naming the field).  So is a field outside those shown, at the top
+    level or in a generator: a misspelled table or bound would otherwise
+    load as a zero map or as no truncation.  With
     ``max_degree`` set, a missing product/bracket entry whose
     degree-homogeneous output would exceed the bound is treated as a
     truncation overflow instead of zero.
@@ -572,6 +577,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
 
         return fn
 
+    _text(data.get("description", ""), "description")  # checked, not kept
     return AbAlgebra(
         name=name,
         a=a,
@@ -581,7 +587,6 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
         product_fn=lookup(prod, a),
         bracket_fn=lookup(brk, b),
         diff_fn=lookup(diff, 1),
-        description=_text(data.get("description", ""), "description"),
     )
 
 

@@ -240,12 +240,17 @@ def parse_poly(text: str, V: Variables) -> Element:
     """Parse expressions like ``'x1*x2 - 2*xi1'`` into polynomials on ``V``.
 
     Factors are rationals or (powers of) coordinates of ``V``; written
-    order of odd factors matters and is normalized with signs.
+    order of odd factors matters and is normalized with signs.  Every
+    sign must start a term, so ``'x1 - -x2'``, ``'x1+'`` and ``'-'`` are
+    refused, not read as ``x1 - x2``, ``x1`` and 0; so is a zero
+    denominator.  Each refusal is a ``ValueError`` naming the text.
     """
     s = text.replace(" ", "")
     if not s:
         return Element.zero()
     terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ValueError(f"a sign starts no term in {text!r}")
     acc = Element.zero()
     for term in terms:
         sign = Fraction(1)
@@ -267,7 +272,10 @@ def parse_poly(text: str, V: Variables) -> Element:
                     raise ValueError(f"odd variable squared in {factor!r}")
                 mono = poly_mul(mono, Element.of(_coordinate(V, name, power)))
             else:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
         acc = acc + mono.scale(coeff)
     return acc
 
@@ -448,9 +456,7 @@ def _even_exponents(p: int, max_total: int):
     return (e for e in itertools.product(range(max_total + 1), repeat=p) if sum(e) <= max_total)
 
 
-def _assemble(
-    name: str, a: int, T: PoissonTensor, basis: list[SMono], hamiltonian: Element, description: str
-) -> AbAlgebra:
+def _assemble(name: str, a: int, T: PoissonTensor, basis: list[SMono], hamiltonian: Element) -> AbAlgebra:
     """The algebra on the monomials of ``basis``: their graded product,
     the Poisson bracket of ``T`` (so b = T.m) and the differential
     {hamiltonian, .}.
@@ -486,7 +492,6 @@ def _assemble(
             poisson_bracket_mono(T, by_id[g1], by_id[g2]), "bracket", g1, g2
         ),
         diff_fn=lambda g: embed(poisson_bracket(T, hamiltonian, Element.of(by_id[g])), "d", g),
-        description=description,
     )
 
 
@@ -497,10 +502,7 @@ def _super_polynomials(
     ``omega``, given as config input (see ``_omega_from_param``); (a, b) = (0, m)."""
     V = variables(p, q, SUPER)
     T = PoissonTensor(V, m, _omega_from_param(omega, V, name))
-    algebra = _assemble(
-        name, 0, T, _mono_basis(p, q, max_degree), Element.zero(),
-        f"super polynomials on R^({p}|{q}), bracket degree {m}, degrees <= {max_degree}",
-    )
+    algebra = _assemble(name, 0, T, _mono_basis(p, q, max_degree), Element.zero())
     params = {"p": p, "q": q, "m": m, "max_degree": max_degree}
     return Instance(algebra, params, extra_checks=lambda: check_poisson_tensor(T))
 
@@ -533,11 +535,7 @@ def _polyvectors(
         for dx in itertools.combinations(range(1, p + 1), rank)
         for dxi in _even_exponents(q, max_rank - rank)
     ]
-    algebra = _assemble(
-        name, a, canonical_tensor(V, b), basis, hamiltonian,
-        f"polyvectors on R^({p}|{q}), grading {grading!r}, coefficient degree <= "
-        f"{max_coef_degree}, rank <= {max_rank}, differential {differential!r}",
-    )
+    algebra = _assemble(name, a, canonical_tensor(V, b), basis, hamiltonian)
     params = {
         "p": p,
         "q": q,
@@ -585,7 +583,7 @@ def _omega_from_param(value, V: Variables, instance: str) -> dict[tuple[str, str
         elif isinstance(entry, str):
             try:
                 out[pair] = parse_poly(entry, V)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{what}: entry {key!r}: {exc}") from None
         else:
             raise ValueError(

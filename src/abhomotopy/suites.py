@@ -16,6 +16,11 @@ instance, so their records name ``generic-letters`` as their instance.
 The suites (:data:`COALGEBRA`, :data:`CORE`, :data:`ENVELOPE` plus one of
 :data:`SPECIALIZATIONS` by the parity of a - b) and the mutation ladder
 (:data:`MUTATION_ORDER`) are tuples of row names.
+The ladder runs on mutants, each its parent with one structure map
+replaced (:func:`perturb_algebra`), and stops at the first failing row.
+It leaves out the rows that cannot be a mutant's first failure, a row
+that is an earlier row times a sign or that every degree-homogeneous map
+passes by construction; the comment at the tuple gives each reason.
 
 Rows name their maps: each context holds one table, :attr:`RunContext.maps`,
 name -> :class:`StructureMap` (map, degree, slot grading, zero test, image
@@ -80,7 +85,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -101,6 +106,7 @@ from .sym_coalgebra import (
     coproduct_delta,
     extend,
     kappa,
+    normalize,
     poisson_cobracket,
     q_by_taylor,
     q_codifferential,
@@ -109,7 +115,6 @@ from .sym_coalgebra import (
     sym_degree,
     sym_is_zero,
     sym_key,
-    sym_of,
     sym_tensor_is_zero,
 )
 from .tensor_coalgebra import (
@@ -277,9 +282,9 @@ def probe_syms(
                 if n <= max_letters:
                     grown.append((factors + (words[i],), i, n))
         for factors, _, _ in grown:
-            e = sym_of(algebra, factors)
-            if not e.is_zero():
-                seen.setdefault(next(iter(e.items()))[0])
+            _, sym = normalize(algebra, factors)
+            if sym is not None:
+                seen.setdefault(sym)
         frontier = grown
     return sorted(seen, key=sym_key)
 
@@ -897,22 +902,30 @@ ENVELOPE = (
 # appended to the envelope suite by the parity of a - b, (a - b) % 2: delta''
 # reads a - b only through its parity
 SPECIALIZATIONS = {1: "specialization-gerstenhaber", 0: "specialization-poisson"}
-# cheap, sensitive checks first; a mutant stops at the first failure.  Left
-# out: sym-cobracket-coantisymmetry, codifferential-q-coderivation and
-# sym-cobracket-m-twist, which no degree-homogeneous product or bracket
-# mutant can fail: delta'' and the factorwise zero test read only a - b and
-# letter degrees, and m and Q = m + ell'' are coderivation extensions by
-# construction
+# cheap, sensitive checks first; a mutant stops at the first failure, so a
+# row that can never fail first only costs time.  Left out, since no
+# degree-homogeneous mutant can make them fail first:
+# - sym-cobracket-coantisymmetry, codifferential-q-coderivation and
+#   sym-cobracket-m-twist: delta'' and the factorwise zero test read only
+#   a - b and letter degrees, and m and Q = m + ell'' are coderivation
+#   extensions by construction;
+# - sym-bracket-symmetry, -jacobi and -differential: the table builds ell2''
+#   as ell2' times (-1)^deg_s(x), so input for input each is its Lie twin
+#   times a sign (on any algebra for symmetry, on homogeneous maps for
+#   Jacobi and Leibniz; the zero test is linear), and a mutant changes
+#   constants, never signs: each fails exactly where its twin, run
+#   earlier, fails;
+# - bracket-extension-compatibility: delta.ell2 equals the four
+#   contractions for every homogeneous bilinear ell, since ell2 is built so.
+# codifferential-coderivation stays, though no homogeneous mutant fails it:
+# it is the first failure of a mutant whose parent has an off-degree
+# product entry
 MUTATION_ORDER = (
     "lie-bracket-antisymmetry",
-    "sym-bracket-symmetry",
     "codifferential-squared",
     "codifferential-coderivation",
     "lie-bracket-differential",
     "lie-bracket-jacobi",
-    "sym-bracket-jacobi",
-    "sym-bracket-differential",
-    "bracket-extension-compatibility",
     "codifferential-q-squared",
     "sym-cobracket-ell-twist",
 )
@@ -1041,30 +1054,28 @@ def perturbation_candidates(algebra: AbAlgebra) -> list[tuple[str, str, str, str
     return out
 
 
-def perturb_algebra(algebra: AbAlgebra, choice: tuple[str, str, str, str]) -> AbAlgebra:
-    kind, i1, i2, tgt = choice
-    bump = Element.of(algebra.gen(tgt))
+# the AbAlgebra field holding each kind of structure map a mutant perturbs
+_MAP_FIELDS = {"product": "product_fn", "bracket": "bracket_fn", "differential": "diff_fn"}
 
-    def wrap(fn):
-        def wrapped(g1: str, g2: str) -> Element:
-            out = fn(g1, g2)
-            if (g1, g2) == (i1, i2):
-                out = out + bump
-            return out
 
-        return wrapped
+def perturb_algebra(algebra: AbAlgebra, choice: tuple[str, ...]) -> AbAlgebra:
+    """The mutant ``kind(*input_ids) += target`` of ``algebra``, for a
+    ``choice`` of (kind, *input_ids, target): a :func:`dataclasses.replace`
+    copy whose map of that kind (product, bracket or differential, by
+    :data:`_MAP_FIELDS`) adds the generator ``target`` to its value on
+    ``input_ids`` and agrees with the parent's everywhere else.  The copy
+    starts an empty structure-constant cache and ``degree_violations``
+    list of its own, so it never reads its parent's values.
+    """
+    kind, *inputs, tgt = choice
+    key, bump = tuple(inputs), Element.of(algebra.gen(tgt))
+    fn = getattr(algebra, _MAP_FIELDS[kind])
 
-    return AbAlgebra(
-        name=algebra.name + "-mutant",
-        a=algebra.a,
-        b=algebra.b,
-        generators=algebra.generators,
-        unshifted=algebra.unshifted,
-        product_fn=wrap(algebra.product_fn) if kind == "product" else algebra.product_fn,
-        bracket_fn=wrap(algebra.bracket_fn) if kind == "bracket" else algebra.bracket_fn,
-        diff_fn=algebra.diff_fn,
-        description=f"{algebra.description}; {kind}({i1},{i2}) += {tgt}",
-    )
+    def perturbed(*gids: str) -> Element:
+        out = fn(*gids)
+        return out + bump if gids == key else out
+
+    return replace(algebra, name=algebra.name + "-mutant", **{_MAP_FIELDS[kind]: perturbed})
 
 
 def run_mutation(config: SuiteConfig, rounds: int = 1, instance: Instance | None = None) -> Report:
@@ -1079,24 +1090,23 @@ def run_mutation(config: SuiteConfig, rounds: int = 1, instance: Instance | None
     mutants: list[AbAlgebra] = []
     for k in range(rounds):
         choice = candidates[rng.randrange(len(candidates))]
+        kind, *inputs, tgt = choice
         mutant = perturb_algebra(instance.algebra, choice)
         mutants.append(mutant)
         mutant_instance = Instance(mutant, dict(instance.params))
         # the probe family must exercise the perturbed entry
-        forced = tuple(dict.fromkeys(choice[1:3]))
-        ctx = RunContext(mutant_instance, config, forced_gens=forced)
+        ctx = RunContext(mutant_instance, config, forced_gens=tuple(dict.fromkeys(inputs)))
         found = ""
         for name in MUTATION_ORDER:
             record = check_identity(name, ctx)
             if record.status == "fail":
                 found = f"{record.check}: {record.witness}"
                 break
-        kind, g1, g2, tgt = choice
         records.append(
             CheckRecord(
                 f"mutation-{k}",
                 "a perturbed structure constant must break at least one identity",
-                f"{kind}({g1},{g2}) += {tgt}",
+                f"{kind}({','.join(inputs)}) += {tgt}",
                 "pass" if found else "fail",
                 evaluated=1,
                 witness=f"detected by {found}" if found else "no identity failed on the mutant",

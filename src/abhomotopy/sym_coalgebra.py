@@ -146,13 +146,6 @@ def sym_of(algebra: AbAlgebra, factors, coeff=1) -> Element:
     return Element.of(sym, coeff * sign)
 
 
-def _add_sym(acc: dict, algebra: AbAlgebra, factors, coeff) -> None:
-    """Accumulate ``coeff`` times the canonical form of a factor sequence."""
-    sign, sym = normalize(algebra, factors)
-    if sym is not None:
-        add_term(acc, sym, coeff * sign)
-
-
 def sym_degree(algebra: AbAlgebra, sym: SymWord) -> int:
     return sum(map(word_degree, sym)) - len(sym) * (algebra.a - algebra.b)
 
@@ -438,7 +431,9 @@ def _nf_sym_word(algebra: AbAlgebra, sym: SymWord) -> Element:
         parts = new
     acc: dict = {}
     for factors, c in parts.items():
-        _add_sym(acc, algebra, factors, c)
+        s, out = normalize(algebra, factors)
+        if out is not None:
+            add_term(acc, out, c * s)
     return Element(acc)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import pytest
@@ -419,6 +421,55 @@ def test_mutant_ell2_differs_from_parent():
     assert mutant.mu(g1, g2) != before_mu
     assert mutant.ell(g1, g2) == parent.ell(g1, g2)
     assert parent.mu(g1, g2) == before_mu
+
+
+def _value(method, gens):
+    """A structure map's value on generators, or the overflow it raises."""
+    try:
+        return method(*gens)
+    except TruncationOverflow:
+        return TruncationOverflow
+
+
+def test_perturb_algebra_changes_one_entry_of_one_map():
+    """A mutant of each kind of structure map adds its target to exactly
+    the chosen entry: every other tuple of generators, and every other map,
+    is the parent's.  gerstenhaber-toy has a nonzero differential, so the
+    differential mutant perturbs a map that is not zero to begin with."""
+    parent = builtin_instance("gerstenhaber-toy").algebra
+    u = parent.unshifted
+    candidates = suites.perturbation_candidates(parent)
+    choices = [
+        next(c for c in candidates if c[0] == "product"),
+        next(c for c in candidates if c[0] == "bracket"),
+        next(("differential", g, t) for g in u for t in u if u[t] == u[g] + 1),
+    ]
+    methods = {"product": 2, "bracket": 2, "differential": 1}
+    for choice in choices:
+        kind, *inputs, tgt = choice
+        mutant = perturb_algebra(parent, choice)
+        assert mutant.name == parent.name + "-mutant"
+        for other, arity in methods.items():
+            for gens in itertools.product(parent.generators, repeat=arity):
+                want = _value(getattr(parent, other), gens)
+                if other == kind and [g.gid for g in gens] == inputs:
+                    assert want is not TruncationOverflow
+                    want = want + Element.of(parent.gen(tgt))
+                assert _value(getattr(mutant, other), gens) == want, (kind, other, gens)
+        assert mutant.degree_violations == [] and parent.degree_violations == []
+
+
+def test_a_replace_copy_owns_its_degree_violations():
+    """``degree_violations`` is made by ``__init__``, never passed in, so a
+    ``dataclasses.replace`` copy (every mutant is one) starts an empty list
+    of its own: an off-degree value the copy meets is not its parent's."""
+    parent = builtin_instance("poisson-super").algebra
+    x1 = parent.gen("x1")
+    copy = dataclasses.replace(parent, product_fn=lambda g1, g2: Element.of(x1))
+    assert copy.degree_violations == [] and copy.degree_violations is not parent.degree_violations
+    copy.product(x1, x1)  # x1 has degree 2, so x1.x1 has degree 4, not 2
+    assert copy.degree_violations == ["product('x1', 'x1') -> x1 has degree 2, expected 4"]
+    assert parent.degree_violations == []
 
 
 def _table_doc(product):

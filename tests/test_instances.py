@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,14 @@ def test_parse_poly():
     assert parse_poly("xi1^0*x1", V) == parse_poly("x1", V)
     with pytest.raises(ValueError):
         parse_poly("x9", variables(2, 1, SUPER))
+    # every sign starts a term: a stray one is refused, not read as another polynomial
+    V2 = variables(2, 0, SUPER)
+    assert parse_poly("+x1 - x2", V2) == parse_poly("x1", V2) - parse_poly("x2", V2)
+    for text in ("x1 - -x2", "x1-+x2", "x1+", "-"):
+        with pytest.raises(ValueError, match=f"a sign starts no term in '{re.escape(text)}'"):
+            parse_poly(text, V2)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_poly("x1*1/0", V2)
 
 
 # polyvectors are functions on T*[1]R^{p|q}: the even coordinates are

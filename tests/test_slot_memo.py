@@ -298,22 +298,13 @@ def bracket_mutant(parent):
 # A differential perturbation of the right degree breaks none of these
 # rows, since m extends any degree-1 D as a coderivation of both Delta
 # and delta''; this one breaks the Q coderivation and the m twist.
-DIFFERENTIAL = ("xi1", "xi1")
+DIFFERENTIAL = ("differential", "xi1", "xi1")
 
 
 def differential_mutant(parent):
-    A = parent.algebra
-    gid, target = DIFFERENTIAL
-    bump = Element.of(A.gen(target))
-
-    def diff_fn(g):
-        out = A.diff_fn(g)
-        return out + bump if g == gid else out
-
-    mutant = dataclasses.replace(A, name=A.name + "-mutant", diff_fn=diff_fn, degree_violations=[],
-                                 description=f"{A.description}; differential({gid}) += {target}")
+    mutant = perturb_algebra(parent.algebra, DIFFERENTIAL)
     return RunContext(Instance(mutant, dict(parent.instance.params)), parent.config,
-                      forced_gens=(gid,))
+                      forced_gens=DIFFERENTIAL[1:-1])
 
 
 # -- reading the table ------------------------------------------------------------

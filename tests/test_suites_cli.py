@@ -43,14 +43,10 @@ def test_check_table_integrity():
     assert set(MUTATION_ORDER) <= set(CHECKS)
     assert MUTATION_ORDER == (
         "lie-bracket-antisymmetry",
-        "sym-bracket-symmetry",
         "codifferential-squared",
         "codifferential-coderivation",
         "lie-bracket-differential",
         "lie-bracket-jacobi",
-        "sym-bracket-jacobi",
-        "sym-bracket-differential",
-        "bracket-extension-compatibility",
         "codifferential-q-squared",
         "sym-cobracket-ell-twist",
     )
@@ -512,6 +508,11 @@ def test_builtin_parameter_out_of_range_is_a_named_usage_error(
         ("poisson-super", '{"x1,x2": 0.5}', "entry 'x1,x2'"),
         ("poisson-super", '{"x1,x2": true}', "entry 'x1,x2'"),
         ("poisson-super", '{"x1,x2": "1/0"}', "entry 'x1,x2'"),
+        ("poisson-super", '{"x1,x2": "1/0"}', "entry 'x1,x2': zero denominator in '1/0'"),
+        ("poisson-super", '{"x1,x2": "x1 - -x2"}', "a sign starts no term in 'x1 - -x2'"),
+        ("poisson-super", '{"x1,x2": "x1-+x2"}', "a sign starts no term in 'x1-+x2'"),
+        ("poisson-super", '{"x1,x2": "x1+"}', "a sign starts no term in 'x1+'"),
+        ("poisson-super", '{"x1,x2": "-"}', "a sign starts no term in '-'"),
         ("poisson-super", '{"x1,x2": "x9"}', "variable 'x9' out of range"),
         (
             "poisson-super",
@@ -524,7 +525,9 @@ def test_malformed_omega_is_a_named_usage_error(algebra, omega, named, monkeypat
     """Each used to crash (an AttributeError, IndexError or TypeError, some
     inside the checks) or to say only 'not enough values to unpack'.  Keys
     are stripped, so two keys could name one entry: the later one silently
-    won, and the tensor then failed its graded symmetry."""
+    won, and the tensor then failed its graded symmetry.  A stray sign
+    was read as another tensor (``x1 - -x2`` as x1 - x2, ``-`` as 0), and
+    a zero denominator said only 'Fraction(1, 0)'."""
     argv = ["check-algebra", "--algebra", algebra, "--param", f"omega={omega}"]
     err = refused_before_any_check(monkeypatch, capsys, argv)
     assert f"parameter 'omega' of instance {algebra!r}" in err and named in err
