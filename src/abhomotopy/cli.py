@@ -49,7 +49,10 @@ def _parse_param(text: str):
         raise ValueError(f"--param wants key=value, got {text!r}")
     value = value.strip()
     if value and value[0] in "{[":
-        return key, json.loads(value)
+        try:
+            return key, json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--param {key}: not JSON: {exc}") from None
     try:
         return key, int(value)
     except ValueError:  # anything else stays the string typed, refused by its reader

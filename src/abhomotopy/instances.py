@@ -240,14 +240,20 @@ def parse_poly(text: str, V: Variables) -> Element:
     """Parse expressions like ``'x1*x2 - 2*xi1'`` into polynomials on ``V``.
 
     Factors are rationals or (powers of) coordinates of ``V``; written
-    order of odd factors matters and is normalized with signs.  Every
-    sign must start a term, so ``'x1 - -x2'``, ``'x1+'`` and ``'-'`` are
-    refused, not read as ``x1 - x2``, ``x1`` and 0; so is a zero
-    denominator.  Each refusal is a ``ValueError`` naming the text.
+    order of odd factors matters and is normalized with signs.  Whitespace
+    may stand only around ``+``, ``-`` and ``*`` and at the ends, so
+    ``'1 2'`` and ``'x 1'`` are refused, not read as ``12`` and ``x1``.
+    Every sign must start a term, so ``'x1 - -x2'``, ``'x1+'`` and ``'-'``
+    are refused, not read as ``x1 - x2``, ``x1`` and 0; so are an empty
+    factor (``'x1*-x2'``, ``'x1**x2'``), a factor that is neither a
+    coordinate power nor a rational (``'x1^'``) and a zero denominator.
+    Each refusal is a ``ValueError`` naming the text.
     """
-    s = text.replace(" ", "")
+    s = re.sub(r"\s*([-+*])\s*", r"\1", text.strip())
     if not s:
         return Element.zero()
+    if re.search(r"\s", s):
+        raise ValueError(f"whitespace inside a factor in {text!r}")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise ValueError(f"a sign starts no term in {text!r}")
@@ -261,6 +267,8 @@ def parse_poly(text: str, V: Variables) -> Element:
         coeff = sign
         mono = Element.of(smono_one(len(V.even)))
         for factor in term.split("*"):
+            if not factor:
+                raise ValueError(f"empty factor in {text!r}")
             m = _FACTOR_RE.match(factor)
             if m:
                 name, power = m.group(1), int(m.group(2) or 1)
@@ -276,6 +284,10 @@ def parse_poly(text: str, V: Variables) -> Element:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {factor!r}") from None
+                except ValueError:
+                    raise ValueError(
+                        f"factor {factor!r} is neither a coordinate power nor a rational in {text!r}"
+                    ) from None
         acc = acc + mono.scale(coeff)
     return acc
 

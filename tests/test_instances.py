@@ -116,6 +116,20 @@ def test_parse_poly():
             parse_poly(text, V2)
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         parse_poly("x1*1/0", V2)
+    # whitespace stands only around +, - and * and at the ends: inside a
+    # factor it used to vanish ('1 2' read as 12, 'x 1' as x1)
+    assert parse_poly(" x1 *x2\t+ 1 ", V2) == parse_poly("x1*x2+1", V2)
+    for text in ("1 2", "x 1", "x1*x 2", "1 / 2"):
+        with pytest.raises(ValueError, match=f"whitespace inside a factor in '{re.escape(text)}'"):
+            parse_poly(text, V2)
+    # an empty or unreadable factor names itself and the text
+    for text in ("x1*-x2", "*x1", "x1**x2", "x1*"):
+        with pytest.raises(ValueError, match=f"empty factor in '{re.escape(text)}'"):
+            parse_poly(text, V2)
+    for text, factor in (("x1^", "x1^"), ("x1*1e-1", "1e"), ("3*x", "x")):
+        named = f"factor '{re.escape(factor)}' is neither a coordinate power nor a rational in"
+        with pytest.raises(ValueError, match=f"{named} '{re.escape(text)}'"):
+            parse_poly(text, V2)
 
 
 # polyvectors are functions on T*[1]R^{p|q}: the even coordinates are

@@ -255,7 +255,7 @@ def reference_record(name, ctx):
     row = CHECKS[name]
     instance = "generic-letters" if name in COALGEBRA else ctx.label
     evaluated = skipped = 0
-    for inp in row.inputs(ctx):
+    for inp in row.family.inputs(ctx):
         try:
             ok, detail = REFERENCE_LAWS[name](ctx, inp)
         except TruncationOverflow:
@@ -263,7 +263,7 @@ def reference_record(name, ctx):
             continue
         evaluated += 1
         if not ok:
-            witness = f"at {row.render(inp)}: {detail}"
+            witness = f"at {row.family.render(inp)}: {detail}"
             return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
     if evaluated == 0:
         return CheckRecord(name, row.statement, instance, "skip", 0, skipped,
@@ -524,7 +524,7 @@ def test_each_context_has_a_table_of_its_own():
     mutant, reference = bracket_mutant(parent), bracket_mutant(parent)
     assert parent.row_memo is not mutant.row_memo
     for name in ("sym-cobracket-ell-twist", "sym-bracket-jacobi"):
-        inputs = CHECKS[name].inputs(mutant)
+        inputs = CHECKS[name].family.inputs(mutant)
 
         def verdicts(law, ctx):
             out = []

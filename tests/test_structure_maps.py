@@ -61,7 +61,8 @@ COMPOSITES = ("ell2'", "ell2''", "m", "ell''", "Q", "delta''")
 
 def specialization(algebra):
     """The specialization row the envelope suite runs on ``algebra``."""
-    return SPECIALIZATIONS[(algebra.a - algebra.b) % 2]
+    (name,) = SPECIALIZATIONS[(algebra.a - algebra.b) % 2]
+    return name
 
 
 def forced_context(builtin):

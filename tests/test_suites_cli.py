@@ -23,6 +23,8 @@ from abhomotopy.suites import (
     run_verify_envelope,
 )
 
+from test_slot_memo import FORCED
+
 FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2)
 
 
@@ -36,9 +38,9 @@ def test_coalgebra_suite_passes():
 
 
 def test_check_table_integrity():
-    in_suites = COALGEBRA + CORE + ENVELOPE + tuple(SPECIALIZATIONS.values())
-    # every suite name is a row, and every row belongs to exactly one suite
-    assert sorted(in_suites) == sorted(CHECKS)
+    # the lookup is the suites' tables in report order; a name in two tables
+    # would collapse in the union, which the count catches
+    assert list(CHECKS) == [*COALGEBRA, *CORE, *ENVELOPE, *SPECIALIZATIONS[1], *SPECIALIZATIONS[0]]
     assert len(CHECKS) == 27
     assert set(MUTATION_ORDER) <= set(CHECKS)
     assert MUTATION_ORDER == (
@@ -57,6 +59,25 @@ def test_check_table_integrity():
         if name.startswith("check_") and callable(fn) and fn.__module__ == suites.__name__
     ]
     assert runners == ["check_identity"]
+
+
+def test_every_family_names_each_of_its_inputs():
+    """A renderer runs only on a failing input, so one that does not fit
+    its family would turn a fail into an exception.  Every row renders
+    every input of its family, on every builtin with a bracketing pair
+    forced into the probes; the coalgebra rows read no instance, so the
+    first builtin covers them."""
+    rows = CHECKS
+    for builtin in sorted(FORCED):
+        config = SuiteConfig(algebra=builtin, **FAST)
+        ctx = suites.RunContext(suites.build_instance(config), config, forced_gens=FORCED[builtin])
+        for name, row in rows.items():
+            inputs = row.family.inputs(ctx)
+            assert inputs, (builtin, name)
+            for inp in inputs:
+                text = row.family.render(inp)
+                assert isinstance(text, str) and text, (builtin, name, inp)
+        rows = {name: row for name, row in CHECKS.items() if name not in COALGEBRA}
 
 
 def test_check_algebra_report():
@@ -514,6 +535,12 @@ def test_builtin_parameter_out_of_range_is_a_named_usage_error(
         ("poisson-super", '{"x1,x2": "x1+"}', "a sign starts no term in 'x1+'"),
         ("poisson-super", '{"x1,x2": "-"}', "a sign starts no term in '-'"),
         ("poisson-super", '{"x1,x2": "x9"}', "variable 'x9' out of range"),
+        ("poisson-super", '{"x1,x2": "1 2"}', "entry 'x1,x2': whitespace inside a factor in '1 2'"),
+        ("poisson-super", '{"x1,x2": "x1*x 2"}', "whitespace inside a factor in 'x1*x 2'"),
+        ("poisson-super", '{"x1,x2": "x1*-x2"}', "entry 'x1,x2': empty factor in 'x1*-x2'"),
+        ("poisson-super", '{"x1,x2": "x1**x2"}', "empty factor in 'x1**x2'"),
+        ("poisson-super", '{"x1,x2": "x1^"}', "factor 'x1^' is neither a coordinate power"),
+        ("poisson-super", '{"x1,x2": "x1*1e-1"}', "factor '1e' is neither a coordinate power"),
         (
             "poisson-super",
             '{"x1,x2": 1, "x2,x1": -1, "x1, x2": 5}',
@@ -531,6 +558,14 @@ def test_malformed_omega_is_a_named_usage_error(algebra, omega, named, monkeypat
     argv = ["check-algebra", "--algebra", algebra, "--param", f"omega={omega}"]
     err = refused_before_any_check(monkeypatch, capsys, argv)
     assert f"parameter 'omega' of instance {algebra!r}" in err and named in err
+
+
+def test_malformed_json_param_names_the_parameter(monkeypatch, capsys):
+    """A value that starts like JSON but is not used to exit 2 with the
+    decoder's message alone, which names no parameter."""
+    argv = ["check-algebra", "--param", "omega={'x1,x2': 1}"]
+    err = refused_before_any_check(monkeypatch, capsys, argv)
+    assert "--param omega: not JSON: Expecting property name enclosed in double quotes" in err
 
 
 @pytest.mark.parametrize("omega", ['{"x1,x2": 1, "x2,x1": -1}', '{"x1,x2": "1/2", "x2,x1": "-1/2"}'])
