@@ -256,7 +256,7 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
                 continue
             x_after_r = x_pre[p] ^ x_pre[r + 1]  # parity of |x[r+1:]|
             odd = (x[r].deg % 2 & y_pre[s]) ^ (x_after_r & y_pre[s + 1]) ^ (bma1_odd & (x_pre[r] ^ y_pre[s]))
-            posts = list(signed_interleavings(x[r + 1 :], y[s + 1 :]))
+            posts = signed_interleavings(x[r + 1 :], y[s + 1 :])
             for pre, e_pre in signed_interleavings(x[:r], y[:s]):
                 if odd:
                     e_pre = -e_pre

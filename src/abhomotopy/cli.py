@@ -63,7 +63,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--algebra", default=SuiteConfig.algebra,
                      help=f"builtin name ({', '.join(sorted(BUILTINS))}) or a JSON structure file")
     sub.add_argument("--param", action="append", default=[], metavar="K=V",
-                     help="builtin instance parameter override; repeatable (JSON allowed for values)")
+                     help="builtin instance parameter override; repeatable (JSON allowed for values). "
+                          "omega is a JSON object {\"i,j\": polynomial}, e.g. \"x1*x2 - 3/2*x1\": "
+                          "each coefficient is an integer or integer/integer")
     sub.add_argument("--max-word-len", type=int, default=SuiteConfig.max_word_len, metavar="L")
     sub.add_argument("--max-sym-factors", type=int, default=SuiteConfig.max_sym_factors, metavar="N")
     sub.add_argument("--max-total-letters", type=int, default=SuiteConfig.max_total_letters,

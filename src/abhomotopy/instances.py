@@ -226,6 +226,8 @@ def poly_deriv(slot: tuple[int, int], e: Element) -> Element:
 
 
 _FACTOR_RE = re.compile(r"^([a-z]+\d+)(?:\^(\d+))?$")
+#: a coefficient factor: an integer or integer/integer, nothing else
+_RATIONAL_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def _coordinate(V: Variables, name: str, power: int) -> SMono:
@@ -240,7 +242,10 @@ def parse_poly(text: str, V: Variables) -> Element:
     """Parse expressions like ``'x1*x2 - 2*xi1'`` into polynomials on ``V``.
 
     Factors are rationals or (powers of) coordinates of ``V``; written
-    order of odd factors matters and is normalized with signs.  Whitespace
+    order of odd factors matters and is normalized with signs.  A
+    rational is an integer or ``integer/integer`` in ASCII digits
+    (``'3'``, ``'3/2'``); decimals (``'0.5'``, ``'.5'``), exponents
+    (``'1e5'``) and digit separators (``'1_000'``) are refused.  Whitespace
     may stand only around ``+``, ``-`` and ``*`` and at the ends, so
     ``'1 2'`` and ``'x 1'`` are refused, not read as ``12`` and ``x1``.
     Every sign must start a term, so ``'x1 - -x2'``, ``'x1+'`` and ``'-'``
@@ -279,15 +284,15 @@ def parse_poly(text: str, V: Variables) -> Element:
                 if V.slot[name][0] and power > 1:
                     raise ValueError(f"odd variable squared in {factor!r}")
                 mono = poly_mul(mono, Element.of(_coordinate(V, name, power)))
-            else:
+            elif _RATIONAL_RE.fullmatch(factor):
                 try:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {factor!r}") from None
-                except ValueError:
-                    raise ValueError(
-                        f"factor {factor!r} is neither a coordinate power nor a rational in {text!r}"
-                    ) from None
+            else:
+                raise ValueError(
+                    f"factor {factor!r} is neither a coordinate power nor a rational in {text!r}"
+                )
         acc = acc + mono.scale(coeff)
     return acc
 
@@ -574,9 +579,10 @@ def _at_least(params: dict, key: str, low: int, instance: str, why: str = "") ->
 def _omega_from_param(value, V: Variables, instance: str) -> dict[tuple[str, str], Element]:
     """Accept {"x1,x2": "x1*x2", "x2,x1": -1, ...} from config input: each key
     names two coordinates of ``V``, each value is a polynomial string or an
-    integer.  Anything else, and two keys naming one entry (``"x1,x2"`` and
-    ``"x1, x2"``), is a ``ValueError`` naming the parameter and the
-    instance."""
+    integer.  A polynomial's coefficients are integers or
+    ``integer/integer``, as :func:`parse_poly` reads them.  Anything
+    else, and two keys naming one entry (``"x1,x2"`` and ``"x1, x2"``),
+    is a ``ValueError`` naming the parameter and the instance."""
     what = f"parameter 'omega' of instance {instance!r}"
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object mapping 'i,j' to a polynomial, got {value!r}")

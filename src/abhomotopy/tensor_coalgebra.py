@@ -26,9 +26,11 @@ order flips.  A shuffle interleaves two blocks and an unshuffle splits
 one in two, and both carry that sign.  Every signed sum over the
 interleavings of two words (the shuffle product here, the bracket
 extension ``ell2`` in :mod:`ab_core`) reads shape tables built from the
-two: each shape (p, q) has one ``operator.itemgetter`` per
-interleaving, picking it out of ``x + y``, and each shape and parity
-pattern its tuple of signs.  The symmetric layer's
+two: each shape (p, q) has one flat ``operator.itemgetter`` that
+reads every interleaving out of ``x + y`` in one call, back to back,
+and each shape and parity pattern its tuple of signs.  A product
+builds its dict once and adds up terms only when two interleavings
+coincide.  The symmetric layer's
 :func:`~abhomotopy.sym_coalgebra.block_splits` builds its split tables
 from the same two functions.  All are built on first use and keyed by
 shape and parities alone, never by letters, so every algebra and mutant
@@ -50,9 +52,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .freemodule import Element, add_term
+from .freemodule import Element, _coeff, add_term
 
 
 class Generator(NamedTuple):
@@ -144,21 +146,25 @@ def crossing_sign(first, rest, odd_first, odd_rest) -> int:
     return -1 if crossed % 2 else 1
 
 
-#: interleaving getters per shape (p, q), in the order of :func:`two_blocks`
-_GETTERS: dict = {}
-#: interleaving signs per (p, q, odd_mask), matching ``_GETTERS[(p, q)]``
+#: one flat interleaving getter per shape (p, q): every interleaving of
+#: :func:`two_blocks` (p + q, p), in that order, its letters back to back
+_FLAT_GETTERS: dict = {}
+#: interleaving signs per (p, q, odd_mask), matching ``_FLAT_GETTERS[(p, q)]``
 _SIGNS: dict = {}
 
 
-def _tables(p: int, q: int, xy: Word) -> tuple[tuple, tuple]:
-    """The getters of shape (p, q) and the signs for the parities of ``xy``.
+def _tables(p: int, q: int, xy: Word) -> tuple[Callable, tuple]:
+    """The flat getter of shape (p, q) and the signs for the parities of ``xy``.
 
     An interleaving is a block of :func:`two_blocks` (p + q, p): the
-    output positions of the letters of ``x``, the rest taking ``y``.  Its
-    getter picks each output letter out of ``xy``, and its sign is the
-    :func:`crossing_sign` of the x letters placed at the block ahead of
-    the y letters.  Interleavings come in lexicographic order of the
-    positions of ``x``.  Missing entries are built on first use.
+    output positions of the letters of ``x``, the rest taking ``y``.  The
+    flat getter lists, interleaving after interleaving, the index into
+    ``xy`` of each output letter, so one C call builds every interleaved
+    letter and :func:`_interleavings` cuts the result into words.  The
+    sign of an interleaving is the :func:`crossing_sign` of the x letters
+    placed at the block ahead of the y letters.  Interleavings come in
+    lexicographic order of the positions of ``x``.  Missing entries are
+    built on first use.
     """
     odd_mask = 0
     bit = 1
@@ -172,23 +178,33 @@ def _tables(p: int, q: int, xy: Word) -> tuple[tuple, tuple]:
         odd = [g.deg & 1 for g in xy]
         splits = two_blocks(p + q, p)
         signs = _SIGNS[key] = tuple(crossing_sign(xs, ys, odd[:p], odd[p:]) for xs, ys in splits)
-        if (p, q) not in _GETTERS:
+        if (p, q) not in _FLAT_GETTERS:
             # xy[i] goes to output position (xs + ys)[i], so the output reads xy in that order
-            _GETTERS[p, q] = tuple(
-                operator.itemgetter(*sorted(range(p + q), key=(xs + ys).__getitem__)) for xs, ys in splits
+            _FLAT_GETTERS[p, q] = operator.itemgetter(
+                *(i for xs, ys in splits for i in sorted(range(p + q), key=(xs + ys).__getitem__))
             )
-    return _GETTERS[p, q], signs
+    return _FLAT_GETTERS[p, q], signs
+
+
+def _interleavings(x: Word, y: Word) -> tuple[Iterator[Word], tuple]:
+    """The interleavings of two nonempty words, as an iterator, and their signs."""
+    if not x or not y:
+        raise ValueError("shuffle needs two nonempty words")
+    xy = x + y
+    get, signs = _tables(len(x), len(y), xy)
+    return zip(*[iter(get(xy))] * len(xy)), signs
 
 
 def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
     """Every interleaving of ``x`` and ``y`` with its Koszul sign.
 
     Returns a list of ``(word, sign)``.  Both words keep their internal
-    order, and either may be empty.  Each getter of shape
-    (len(x), len(y)) is applied to ``x + y`` and paired with the sign
-    stored for the parities of those letters (see :func:`_tables`).
-    Interleavings come in lexicographic order of the positions of ``x``,
-    the order of :func:`~abhomotopy.signs.enumerate_shuffles`.
+    order, and either may be empty.  The flat getter of shape
+    (len(x), len(y)) reads every interleaving out of ``x + y`` at once,
+    and each is paired with the sign stored for the parities of those
+    letters (see :func:`_tables`).  Interleavings come in lexicographic
+    order of the positions of ``x``, the order of
+    :func:`~abhomotopy.signs.enumerate_shuffles`.
 
     >>> a = Generator("a", 1); b = Generator("b", 1)
     >>> [(render_word(w), s) for w, s in signed_interleavings((a,), (b,))]
@@ -196,59 +212,68 @@ def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
     """
     if not x or not y:
         return [(x + y, 1)]
-    xy = x + y
-    getters, signs = _tables(len(x), len(y), xy)
-    return [(get(xy), s) for get, s in zip(getters, signs)]
+    return list(zip(*_interleavings(x, y)))
 
 
-def _shuffle_into(acc: dict, x: Word, y: Word, k) -> None:
-    """Add ``k`` times the shuffle of ``x`` and ``y`` into ``acc``, zeros kept."""
-    if not x or not y:
-        raise ValueError("shuffle needs two nonempty words")
-    xy = x + y
-    getters, signs = _tables(len(x), len(y), xy)
-    neg = -k
-    get = acc.get
-    for getter, s in zip(getters, signs):
-        w = getter(xy)
-        acc[w] = get(w, 0) + (k if s > 0 else neg)
+def _sum_terms(words: list, coefs) -> Element:
+    """The Element sum of ``coefs[i] * words[i]``, words in order of first appearance.
 
-
-def _nonzero(acc: dict) -> Element:
-    """Element of the nonzero sums in ``acc``, integral ones as ``int``."""
-    return Element(
-        {w: c if type(c) is int or c.denominator != 1 else c.numerator for w, c in acc.items() if c}
-    )
+    Every coefficient must be a nonzero ``int`` or a non-integral
+    ``Fraction``, as an Element stores it.  The words and coefficients
+    are zipped into one dict.  If it is as long as ``words``, no two
+    words coincide: no coefficient is a sum, none is zero, and insertion
+    order is first-appearance order, so the dict is the sum exactly.
+    Otherwise one accumulating pass adds equal words up, drops zero sums
+    and stores integral sums as ``int``.
+    """
+    d = dict(zip(words, coefs))
+    if len(d) == len(words):
+        return Element(d)
+    acc: dict = {}
+    for w, c in zip(words, coefs):
+        acc[w] = acc.get(w, 0) + c
+    return Element({w: _coeff(c) for w, c in acc.items() if c})
 
 
 def shuffle(x: Word, y: Word) -> Element:
     """Signed sum of all shuffles of two words, with integer coefficients.
 
     Both blocks keep their internal order; each interleaving carries the
-    Koszul sign of the rearrangement, read off the shape tables.  Equal
-    interleavings (from repeated letters) add up or cancel.
+    Koszul sign of the rearrangement, read off the shape tables.  Terms
+    come in the order of :func:`signed_interleavings`.  The signed
+    interleavings go into one dict; when their words are distinct, as
+    they are whenever no letter repeats, that dict is the product.  Only
+    when a letter repeats can two interleavings coincide, and then one
+    accumulating pass adds them up or cancels them (:func:`_sum_terms`).
 
     >>> a = Generator("a", 1); b = Generator("b", 1)
     >>> sorted((render_word(w), c) for w, c in shuffle((a,), (b,)).items())
     [('(a|b)', 1), ('(b|a)', -1)]
     """
-    acc: dict = {}
-    _shuffle_into(acc, x, y, 1)
-    return _nonzero(acc)
+    words, signs = _interleavings(x, y)
+    return _sum_terms(list(words), signs)
 
 
 def shuffle_elements(ex: Element, ey: Element) -> Element:
     """Bilinear extension of :func:`shuffle` to Elements of words.
 
-    Every pair of terms adds its coefficient product times each signed
-    interleaving into one dict; zero sums are dropped once at the end.
-    Raises ``ValueError`` when a word of either Element is empty.
+    Every pair of terms, in ``ex`` x ``ey`` order, contributes its signed
+    interleavings times its coefficient product k, stored as an ``int``
+    when integral, so every coefficient is in stored form and nonzero.
+    All of them go into one dict, which is the product when no word
+    comes twice.  A word comes twice when a pair's letters repeat or two
+    pairs share an interleaving; only then does one accumulating pass
+    add equal words up and drop zero sums (:func:`_sum_terms`).  Raises
+    ``ValueError`` when a word of either Element is empty.
     """
-    acc: dict = {}
+    words, coefs = [], []
     for x, cx in ex.terms.items():
         for y, cy in ey.terms.items():
-            _shuffle_into(acc, x, y, cx * cy)
-    return _nonzero(acc)
+            k = _coeff(cx * cy)
+            ws, signs = _interleavings(x, y)
+            words += ws
+            coefs += signs if k == 1 else map(k.__mul__, signs)
+    return _sum_terms(words, coefs)
 
 
 def cobracket(w: Word) -> Element:

@@ -126,7 +126,14 @@ def test_parse_poly():
     for text in ("x1*-x2", "*x1", "x1**x2", "x1*"):
         with pytest.raises(ValueError, match=f"empty factor in '{re.escape(text)}'"):
             parse_poly(text, V2)
-    for text, factor in (("x1^", "x1^"), ("x1*1e-1", "1e"), ("3*x", "x")):
+    # a coefficient is an integer or integer/integer: decimals, exponents and
+    # digit separators, which Fraction would read, are refused too
+    assert parse_poly("x1*007/2*2", V2) == parse_poly("7*x1", V2)
+    for text, factor in (
+        ("x1^", "x1^"), ("x1*1e-1", "1e"), ("3*x", "x"),
+        ("x1*0.5", "0.5"), ("x1*.5", ".5"), ("x1*1e5", "1e5"), ("x1*1E2", "1E2"),
+        ("x1*1_000", "1_000"), ("x1*1e-5", "1e"), ("x1*1/2/3", "1/2/3"), ("x1*\u0663", "\u0663"),
+    ):
         named = f"factor '{re.escape(factor)}' is neither a coordinate power nor a rational in"
         with pytest.raises(ValueError, match=f"{named} '{re.escape(text)}'"):
             parse_poly(text, V2)

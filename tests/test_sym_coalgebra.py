@@ -147,7 +147,7 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     for module in (tensor_coalgebra, sym_coalgebra):
         monkeypatch.setattr(module, "two_blocks", guarded)
         monkeypatch.setattr(module, "crossing_sign", guarded)
-    monkeypatch.setattr(tensor_coalgebra, "_GETTERS", {})
+    monkeypatch.setattr(tensor_coalgebra, "_FLAT_GETTERS", {})
     monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
     monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
     with pytest.raises(Guarded):

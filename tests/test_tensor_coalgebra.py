@@ -155,6 +155,75 @@ def test_signed_interleavings_flags_and_order():
     assert list(signed_interleavings((), ())) == [((), 1)]
 
 
+
+def walked_interleavings(x, y):
+    """(word, sign) for each shuffle of ``enumerate_shuffles``, signed by swaps."""
+    letters = x + y
+    degs = [g.deg for g in letters]
+    return [
+        (tuple(letters[i] for i in inverse(sigma)), koszul_sign_by_swaps(degs, sigma))
+        for sigma in enumerate_shuffles(len(x), len(y))
+    ]
+
+
+def walked_product(ex, ey):
+    """The shuffle product as a list of (word, coefficient, type): term pairs
+    in ``ex`` x ``ey`` order, words in order of first appearance, zero sums
+    dropped and integral sums stored as ``int``."""
+    acc = {}
+    for x, cx in ex.items():
+        for y, cy in ey.items():
+            for w, sign in walked_interleavings(x, y):
+                acc[w] = acc.get(w, 0) + Fraction(cx * cy * sign)
+    out = [(w, c.numerator if c.denominator == 1 else c) for w, c in acc.items() if c]
+    return [(w, c, type(c)) for w, c in out]
+
+
+def typed(element):
+    return [(w, c, type(c)) for w, c in element.items()]
+
+
+def test_product_term_order_is_pinned():
+    """Report bytes follow the order of a product's terms, so the terms,
+    their order and their coefficient types are compared as lists: the
+    reference walks ``enumerate_shuffles``.  Distinct letters give distinct
+    interleavings; repeated ones make interleavings coincide, add up or
+    cancel."""
+    a, b, c, d = Generator("a", 1), Generator("b", 2), Generator("c", 1), Generator("d", 2)
+    o, e = Generator("o", 1), Generator("e", 0)
+    pairs = [
+        ((a, b), (c,)),  # distinct letters
+        ((a,), (b, c, e)),
+        ((a, b), (c, e)),
+        ((o,), (o,)),  # o|o - o|o: cancels to zero
+        ((e,), (e,)),  # e|e + e|e: adds up to 2
+        ((o, e), (o,)),  # repeated letters, partly cancelling
+        ((e, o, e), (e, o)),
+    ]
+    for x, y in pairs:
+        assert signed_interleavings(x, y) == walked_interleavings(x, y)
+        assert typed(shuffle(x, y)) == walked_product(Element.of(x), Element.of(y))
+    assert shuffle((o,), (o,)).is_zero()
+    # Fraction(3, 2) * Fraction(2, 3) is stored as the int 1, and
+    # Fraction(3, 2) * Fraction(4, 3) as the int 2
+    ex = Element({(a,): Fraction(3, 2), (b, e): 1})
+    ey = Element({(c,): Fraction(2, 3), (o,): -1, (d, c): Fraction(4, 3)})
+    got = typed(shuffle_elements(ex, ey))
+    assert got == walked_product(ex, ey)
+    assert got[0] == ((a, c), 1, int) and ((a, d, c), 2, int) in got
+    assert len({w for w, _, _ in got}) == sum(len(signed_interleavings(x, y)) for x in ex.terms for y in ey.terms)
+    # colliding term pairs: o|o cancels, e|e sums 1/2 + 1/2 to the int 1,
+    # and a word first reached by a later term pair keeps its first place
+    for ex, ey in (
+        (Element.of((o,)), Element({(o,): 1, (e,): 1})),
+        (Element.of((e,), Fraction(1, 2)), Element({(e,): 1, (o,): Fraction(1, 3)})),
+        (Element({(a, e): 1, (e, a): Fraction(5, 2)}), Element({(e,): Fraction(2, 5), (a,): 1})),
+        (shuffle((a,), (o,)), Element.of((o,))),
+    ):
+        assert typed(shuffle_elements(ex, ey)) == walked_product(ex, ey)
+    assert typed(shuffle_elements(Element.of((e,), Fraction(1, 2)), Element.of((e,)))) == [((e, e), 1, int)]
+    assert shuffle_elements(Element.of((o,)), Element.of((o,))).is_zero()
+
 # -- the shuffle quotient against a row-reduction oracle ------------------------
 #
 # The oracle is the construction the Lie coordinates replaced: every
