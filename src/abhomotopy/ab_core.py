@@ -187,7 +187,7 @@ class Coderivation:
             for j in range(n - r + 1):
                 sgn = -1 if odd and prefix_odd else 1
                 val = fn(w[j : j + r])
-                for g, c in val.items():
+                for g, c in val.terms.items():
                     add_term(acc, w[:j] + (g,) + w[j + r :], c * sgn)
                 prefix_odd ^= w[j].deg % 2
         return Element(acc)
@@ -262,7 +262,7 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
                     e_pre = -e_pre
                 for post, e_post in posts:
                     sgn = e_pre * e_post
-                    for g, c in val.items():
+                    for g, c in val.terms.items():
                         add_term(acc, pre + (g,) + post, c * sgn)
     return Element(acc)
 

@@ -17,7 +17,9 @@ Two independent sign algorithms are provided: :func:`koszul_sign`
 (restricted signature, used by the symmetric coalgebra's oracles --
 the directly coded cobrackets and ``q_by_taylor`` -- and by the tests as
 the reference for ``block_splits``, whose signs come from the production
-split enumerator's ``crossing_sign`` of degree parities) and
+split enumerator's ``crossing_sign`` of degree parities; the slot
+permutations of ``permute_slots`` read it once per permutation and
+parity pattern) and
 :func:`koszul_sign_by_swaps` (explicit adjacent-transposition product,
 kept as an oracle because sign bugs are the dominant failure mode here;
 ``ell2_oracle`` uses it with :func:`enumerate_shuffles`).  :func:`sign`

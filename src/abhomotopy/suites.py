@@ -129,6 +129,7 @@ from .tensor_coalgebra import (
     apply_in_slot,
     cobracket,
     contract_adjacent_slots,
+    permute_slots,
     render_tuple,
     render_word,
     shuffle,
@@ -428,9 +429,9 @@ class RunContext:
             v = memo.get(key)
             if v is None:
                 if arity == 1:
-                    terms = {intern(t): c for t, c in f(arg).items()}
+                    terms = {intern(t): c for t, c in f(arg).terms.items()}
                 else:
-                    terms = {tuple([intern(s) for s in t]): c for t, c in f(arg).items()}
+                    terms = {tuple([intern(s) for s in t]): c for t, c in f(arg).terms.items()}
                 v = memo[key] = Element(terms)
             return v
 
@@ -473,28 +474,34 @@ def _shuffle_associativity(_, split):
 
 
 def _flip(co: str, twist: int, detail: str):
-    """tau.c = -(-1)^(twist + deg c) c: twist 0 for a cobracket, 1 for the coproduct."""
+    """tau.c = -(-1)^(twist + deg c) c: twist 0 for a cobracket, 1 for the
+    coproduct.  tau.c + (-1)^(twist + deg c) c is one graded-permutation
+    pass over c (:func:`permute_slots`)."""
 
     def law(ctx, x):
         c = ctx.maps[co]
-        d = c.fn(x)
-        flipped = swap_adjacent_slots(d, 0, c.grading) + d.scale(sign(twist + c.degree))
+        flipped = permute_slots(c.fn(x), (((1, 0), 1), ((0, 1), sign(twist + c.degree))), c.grading)
         return c.zero(flipped, 2), detail
 
     return law
 
 
+#: id + t12 t23 + t23 t12 on three slots, in word notation: t12 t23 takes
+#: (x, y, z) to (z, x, y), and t23 t12 takes it to (y, z, x)
+_CYCLIC_SUM = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1))
+
+
 def _cojacobi(co: str, detail: str):
     """(id + t12 t23 + t23 t12)(delta x id) delta = 0, for the cobracket
-    ``co``; the delta in slot 0 is the row's kept map."""
+    ``co``; the delta in slot 0 is the row's kept map, and the three
+    cyclic terms are summed in one graded-permutation pass over the
+    3-tensor (:func:`permute_slots`)."""
 
     def law(ctx, x):
         delta = ctx.maps[co]
         deg = delta.grading
         dd = splice_in_slot(delta.fn(x), 0, ctx.kept(co), delta.degree, deg)
-        t1 = swap_adjacent_slots(swap_adjacent_slots(dd, 1, deg), 0, deg)
-        t2 = swap_adjacent_slots(swap_adjacent_slots(dd, 0, deg), 1, deg)
-        return delta.zero(dd + t1 + t2, 3), detail
+        return delta.zero(permute_slots(dd, _CYCLIC_SUM, deg), 3), detail
 
     return law
 

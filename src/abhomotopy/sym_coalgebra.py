@@ -12,7 +12,11 @@ odd factor is zero.  On this space live:
   Q^2 = 0 modulo shuffles, built from the two Taylor coefficients it is
   given (D and ell2''),
 - the degree-(b-a) cobracket ``cobracket_doubleprime``, the word
-  cobracket it is given (delta) on one factor, the others split around it.
+  cobracket it is given (delta) on one factor, the others split around
+  it.  It reads its splits from a cut plan (:func:`cut_plan`), built
+  from ``block_splits`` once per parity pattern, cut factor and parity
+  of a - b, whose signs already carry the (-1)^((a-b) deg_s X_I) of the
+  left block, next to the parities of both blocks.
 
 This module builds no map on words.  All four enumerate factor splits
 through one enumerator, :func:`block_splits`, the one production place
@@ -112,21 +116,29 @@ def insert_factor(
     same sequence: ``w`` passes the factors that sort strictly before it
     (from the front) or strictly after it (from the end), the sign is
     (-1)^(w_odd * odd factors passed), and an odd ``w`` next to an equal
-    factor gives (0, None).
+    factor gives (0, None).  Factors compare as their :func:`word_key`
+    does, by length and then as words, with no key tuple built.
     """
-    kw = (len(w), w)
-    n = len(factors)
+    lw, n = len(w), len(factors)
     crossed = 0
     if front:
         p = 0
-        while p < n and (len(factors[p]), factors[p]) < kw:
+        while p < n:
+            f = factors[p]
+            lf = len(f)
+            if lf > lw or lf == lw and f >= w:
+                break
             crossed += odds[p]
             p += 1
         if w_odd and p < n and factors[p] == w:
             return 0, None
     else:
         p = n
-        while p and kw < (len(factors[p - 1]), factors[p - 1]):
+        while p:
+            f = factors[p - 1]
+            lf = len(f)
+            if lf < lw or lf == lw and f <= w:
+                break
             p -= 1
             crossed += odds[p]
         if w_odd and p and factors[p - 1] == w:
@@ -150,11 +162,9 @@ def sym_degree(algebra: AbAlgebra, sym: SymWord) -> int:
     return sum(map(word_degree, sym)) - len(sym) * (algebra.a - algebra.b)
 
 
-def _sym_degrees(algebra: AbAlgebra, sym: SymWord) -> tuple[list[int], list[int]]:
-    """deg_s of every factor of ``sym``, and their parities."""
-    amb = algebra.a - algebra.b
-    degs = [word_degree(w) - amb for w in sym]
-    return degs, [d % 2 for d in degs]
+def _parities(amb: int, sym: SymWord) -> tuple[int, ...]:
+    """The deg_s parities of the factors of ``sym``, for a - b = ``amb``."""
+    return tuple([(word_degree(w) - amb) & 1 for w in sym])
 
 
 def render_sym(sym: SymWord) -> str:
@@ -244,12 +254,12 @@ def extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
     reaches ``f`` as its word, a pair as (x, y): m extends D at size 1,
     ell'' the symmetric bracket at size 2."""
     amb = algebra.a - algebra.b
-    degs, odds = _sym_degrees(algebra, sym)
+    odds = _parities(amb, sym)
     acc: dict = {}
-    for block, others, front in block_splits(degs, size=size):
+    for block, others, front in block_splits(odds, size=size):
         rest, rest_odds = tuple([sym[i] for i in others]), [odds[i] for i in others]
         arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
-        for w, c in f(arg).items():
+        for w, c in f(arg).terms.items():
             s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
             if s:
                 add_term(acc, out, c * front * s)
@@ -281,6 +291,34 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable
 # -- cobrackets ------------------------------------------------------------
 
 
+#: delta'' cut plans per (parity pattern, pinned factor, (a - b) mod 2)
+_CUT_PLANS: dict = {}
+
+
+def cut_plan(odd: tuple, pinned: int, t: int) -> tuple:
+    """The splits of the factors around the ``pinned`` one that
+    :func:`cobracket_doubleprime` reads, for deg_s parities ``odd`` and
+    a - b of parity ``t``.
+
+    Returns ``(left, right, eps, odd_left, odd_right)`` entries, one per
+    :func:`block_splits` triple in its order: the blocks, the block
+    Koszul sign times (-1)^((a-b) deg_s X_I), and the parities of the
+    factors of each block.  Built once per key from the one split
+    enumerator, and shared by every algebra and mutant.
+    """
+    key = (odd, pinned, t)
+    plan = _CUT_PLANS.get(key)
+    if plan is None:
+        plan = []
+        for left, right, eps in block_splits(odd, pinned=pinned):
+            odd_left = tuple([odd[i] for i in left])
+            if t and sum(odd_left) % 2:
+                eps = -eps
+            plan.append((left, right, eps, odd_left, tuple([odd[j] for j in right])))
+        plan = _CUT_PLANS[key] = tuple(plan)
+    return plan
+
+
 def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) -> Element:
     """Degree-(b-a) cobracket: the word cobracket ``delta`` on one factor,
     the other factors split two ways around it.
@@ -296,21 +334,26 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) 
     -(-1)^(deg_s U deg_s V + a - b), as deg_s = dg - (a-b); so a - b
     enters only as a parity, in deg_s and in the exponent (a-b)(...).
     Cutting one factor in two lowers deg_s by one more a - b.
+
+    Every split reads the :func:`cut_plan` of the sym's parity pattern,
+    the cut factor and the parity of a - b, which carries eps with its
+    (-1)^((a-b) deg_s X_I) and the parities of both blocks; the sign
+    (-1)^((a-b) deg_s P) goes on each term of delta(X_s) once per call.
     """
     amb = algebra.a - algebra.b
-    degs, odds = _sym_degrees(algebra, sym)
+    t = amb & 1
+    odds = _parities(amb, sym)
     acc: dict = {}
     for s, xs in enumerate(sym):
         terms = []  # (P, its deg_s parity, R, its parity, c (-1)^((a-b) deg_s P))
-        for (p, r), c in delta(xs).items():
-            dp = word_degree(p) - amb
-            terms.append((p, dp % 2, r, (word_degree(r) - amb) % 2, c * sign(amb * dp)))
+        for (p, r), c in delta(xs).terms.items():
+            p_odd = (word_degree(p) - amb) & 1
+            terms.append((p, p_odd, r, (word_degree(r) - amb) & 1, -c if t & p_odd else c))
         if not terms:
             continue
-        for left, right, eps in block_splits(degs, pinned=s):
-            eps *= sign(amb * sum(degs[i] for i in left))
-            fac_left, odd_left = tuple(sym[i] for i in left), [odds[i] for i in left]
-            fac_right, odd_right = tuple(sym[j] for j in right), [odds[j] for j in right]
+        for left, right, eps, odd_left, odd_right in cut_plan(odds, s, t):
+            fac_left = tuple([sym[i] for i in left])
+            fac_right = tuple([sym[j] for j in right])
             for p, p_odd, r, r_odd, c in terms:
                 sl, wl = insert_factor(fac_left, odd_left, p, p_odd, False)
                 if wl is None:
@@ -426,7 +469,7 @@ def _nf_sym_word(algebra: AbAlgebra, sym: SymWord) -> Element:
         nfw = QUOTIENT.normal_form_word(w)
         new: dict = {}
         for prefix, c in parts.items():
-            for w2, c2 in nfw.items():
+            for w2, c2 in nfw.terms.items():
                 add_term(new, prefix + (w2,), c * c2)
         parts = new
     acc: dict = {}

@@ -37,14 +37,19 @@ shape and parities alone, never by letters, so every algebra and mutant
 shares them safely.
 
 Tensor products of words (pairs, triples) are plain tuples of words.
-The graded slot calculus on them has one kernel, ``_slot_map``: it
+The graded slot calculus on them has two kernels.  ``_slot_map``
 feeds one or two adjacent slots to a graded map with the Koszul prefix
 sign and puts the value back as one entry or spliced in.
 :func:`apply_in_slot`, :func:`splice_in_slot` and
 :func:`contract_adjacent_slots` are its entry points, and every caller
 goes through them, so a wrapper installed on those names (a profiler,
-a tracer) sees every call.  :func:`swap_adjacent_slots`, the graded
-flip, is a permutation and has its own loop.
+a tracer) sees every call.  :func:`permute_slots` is the one loop that
+permutes slots: it sums graded permutations of the slots, each at its
+Koszul sign, in one pass, reading getters and signs planned per
+permutation list and parity pattern.  The flip and coJacobi laws call it
+directly, so a wrapper on the slot-map names does not see those calls;
+:func:`swap_adjacent_slots`, the graded flip, is its one-permutation
+entry point.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import operator
 from typing import Callable, Iterator, NamedTuple
 
 from .freemodule import Element, _coeff, add_term
+from .signs import inverse, koszul_sign
 
 
 class Generator(NamedTuple):
@@ -477,11 +483,11 @@ def _slot_map(
     """
     acc: dict = {}
     odd = f_degree % 2
-    for t, c in v.items():
+    for t, c in v.terms.items():
         head, tail = t[:slot], t[slot + width :]
         if odd and sum(map(deg_of, head)) % 2:
             c = -c
-        for r, c2 in f(*t[slot : slot + width]).items():
+        for r, c2 in f(*t[slot : slot + width]).terms.items():
             add_term(acc, head + (r if splice else (r,)) + tail, c * c2)
     return Element(acc)
 
@@ -504,14 +510,57 @@ def contract_adjacent_slots(
     return _slot_map(v, slot, 2, f2, f_degree, deg_of, False)
 
 
-def swap_adjacent_slots(v: Element, slot: int, deg_of: Callable) -> Element:
-    """Graded flip of slots (slot, slot+1) on an Element of tuples."""
+#: per ``perms`` of :func:`permute_slots`, per parity pattern of a tuple:
+#: its (getter, signed factor) pairs, the getter None for the identity
+_PERM_PLANS: dict = {}
+
+
+def _perm_plan(perms: tuple, odd: tuple) -> tuple:
+    """The getter and the factor times Koszul sign of each permutation of
+    ``perms`` on tuples of parities ``odd``; a zero factor is dropped."""
+    plan = []
+    for sigma, k in perms:
+        k = _coeff(k * koszul_sign(odd, sigma))
+        if k:
+            getter = None if sigma == tuple(range(len(sigma))) else operator.itemgetter(*inverse(sigma))
+            plan.append((getter, k))
+    return tuple(plan)
+
+
+def permute_slots(v: Element, perms: tuple, deg_of: Callable) -> Element:
+    """The sum of k * sigma(v) over the ``(sigma, k)`` pairs of ``perms``.
+
+    ``v`` is an Element of tuples of one arity, and each sigma a graded
+    permutation of their slots in word notation (``sigma[i]`` is the
+    output slot of slot i, as in :mod:`~abhomotopy.signs`), carrying the
+    Koszul sign of the odd entries it reorders.  One pass over ``v``
+    reads each entry's parity once per term, takes every sigma's getter
+    and signed factor from a plan kept per ``perms`` and parity pattern,
+    and adds each image into one dict through :func:`add_term`.
+    ``perms`` must be hashable (a tuple of pairs).
+
+    >>> a, b = Generator("a", 1), Generator("b", 1)
+    >>> permute_slots(Element.of(((a,), (b,))), (((1, 0), 1), ((0, 1), 1)), word_degree).terms
+    {((b,), (a,)): -1, ((a,), (b,)): 1}
+    """
+    plans = _PERM_PLANS.setdefault(perms, {})
     acc: dict = {}
-    for t, c in v.items():
-        if (deg_of(t[slot]) * deg_of(t[slot + 1])) % 2:
-            c = -c
-        add_term(acc, t[:slot] + (t[slot + 1], t[slot]) + t[slot + 2 :], c)
+    for t, c in v.terms.items():
+        odd = tuple([deg_of(e) & 1 for e in t])
+        plan = plans.get(odd)
+        if plan is None:
+            plan = plans[odd] = _perm_plan(perms, odd)
+        for pick, k in plan:
+            add_term(acc, pick(t) if pick else t, c * k)
     return Element(acc)
+
+
+def swap_adjacent_slots(v: Element, slot: int, deg_of: Callable) -> Element:
+    """Graded flip of slots (slot, slot+1) on an Element of tuples of one arity."""
+    if not v.terms:
+        return Element()
+    n = len(next(iter(v.terms)))
+    return permute_slots(v, (((*range(slot), slot + 1, slot, *range(slot + 2, n)), 1),), deg_of)
 
 
 #: process-wide quotient: Lie-coordinate tables per block, normal forms per word

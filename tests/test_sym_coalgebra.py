@@ -15,6 +15,7 @@ from abhomotopy.sym_coalgebra import (
     _oracle_splits,
     block_splits,
     cobracket_doubleprime,
+    cut_plan,
     coproduct_delta,
     extend,
     insert_factor,
@@ -136,8 +137,11 @@ def guarded(*args):
 def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     """The oracles enumerate and sign their splits themselves: with
     ``two_blocks`` and ``crossing_sign`` raising, and the tables built
-    from them emptied, every oracle still runs on every probe sym, while
-    the production kernels built on them raise."""
+    from them emptied (the shuffle tables, the split tables and the
+    delta'' cut plans), every oracle still runs on every probe sym, while
+    the production kernels built on them raise.  Neither do they permute
+    slots: with the slot-permutation plans emptied and their sign raising,
+    :func:`swap_adjacent_slots` raises and the oracles still run."""
     sizes = dict(max_word_len=2, max_sym_factors=3, max_total_letters=4, probe_gens=2)
     config = SuiteConfig(algebra=builtin, **sizes)
     ctx = RunContext(builtin_instance(builtin), config, forced_gens=FORCED[builtin])
@@ -150,10 +154,18 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     monkeypatch.setattr(tensor_coalgebra, "_FLAT_GETTERS", {})
     monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
     monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
+    monkeypatch.setattr(sym_coalgebra, "_CUT_PLANS", {})
+    monkeypatch.setattr(tensor_coalgebra, "koszul_sign", guarded)
+    monkeypatch.setattr(tensor_coalgebra, "_PERM_PLANS", {})
     with pytest.raises(Guarded):
         shuffle(ctx.pair_words[0], ctx.pair_words[0])
     with pytest.raises(Guarded):
         coproduct_delta(A, next(sym for sym in syms if len(sym) > 1))
+    cut = next(sym for sym in syms if len(sym) > 1 and max(map(len, sym)) > 1)
+    with pytest.raises(Guarded):
+        cobracket_doubleprime(A, cut, delta=cobracket)
+    with pytest.raises(Guarded):
+        swap_adjacent_slots(Element.of(tuple(ctx.pair_words[:2])), 0, A.deg_s)
     bracket = lambda xy: ell2_oracle(A, *xy)
     evaluated = 0
     for sym in syms:
@@ -293,6 +305,43 @@ def test_specialization_matches():
                 continue
             sym = next(iter(e.items()))[0]
             assert cobracket_doubleprime(A, sym, delta=cobracket) == oracle(A, sym), (name, sym)
+
+
+def test_cut_plan_is_block_splits_with_the_left_twist():
+    """Every cut-plan entry is the block_splits triple of its place, its
+    sign times (-1)^((a-b) deg_s X_I), with the parities of both blocks,
+    for every parity pattern of at most 5 factors, every cut factor and
+    both parities of a - b; the sign also agrees with the oracles' own
+    split enumerator."""
+    for n in range(1, 6):
+        for odd in itertools.product((0, 1), repeat=n):
+            for pinned in range(n):
+                splits = block_splits(list(odd), pinned=pinned)
+                oracle = {left: eps for left, _, eps in _oracle_splits(list(odd), range(n), pinned)}
+                assert len(splits) == len(oracle) == 2 ** (n - 1)
+                for t in (0, 1):
+                    plan = cut_plan(odd, pinned, t)
+                    assert [entry[:2] for entry in plan] == [split[:2] for split in splits]
+                    for (left, right, eps, odd_left, odd_right), (_, _, block_eps) in zip(plan, splits):
+                        twist = sign(t * sum(odd[i] for i in left))
+                        assert eps == block_eps * twist == oracle[left] * twist
+                        assert odd_left == tuple(odd[i] for i in left)
+                        assert odd_right == tuple(odd[j] for j in right)
+
+
+@pytest.mark.parametrize(
+    "builtin, oracle", [("gerstenhaber-toy", kappa), ("poisson-super", poisson_cobracket)]
+)
+def test_cobracket_doubleprime_equals_its_oracle_at_four_probe_generators(builtin, oracle):
+    """delta'' equals the direct cobracket of its parity of a - b on every
+    sym of the cobracket rows' family at ``--probe-gens 4``."""
+    config = SuiteConfig(algebra=builtin, probe_gens=4)
+    ctx = RunContext(builtin_instance(builtin), config)
+    A = ctx.algebra
+    assert (A.a - A.b) % 2 == (oracle is kappa)
+    assert max(map(len, ctx.syms_factors)) == config.max_sym_factors
+    for sym in ctx.syms_factors:
+        assert cobracket_doubleprime(A, sym, delta=cobracket) == oracle(A, sym), sym
 
 
 def test_kappa_is_cosymmetric(toy_instance):

@@ -5,9 +5,12 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abhomotopy.freemodule import Element, ReducedBasis, bilinear
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
+from abhomotopy.suites import _CYCLIC_SUM
 from abhomotopy.tensor_coalgebra import (
     QUOTIENT,
     Generator,
@@ -16,6 +19,7 @@ from abhomotopy.tensor_coalgebra import (
     apply_in_slot,
     cobracket,
     contract_adjacent_slots,
+    permute_slots,
     shuffle,
     shuffle_elements,
     signed_interleavings,
@@ -567,6 +571,83 @@ def test_slot_entry_points_match_the_written_out_rule(slot, f_degree):
         assert contract_adjacent_slots(v, slot, binary, f_degree, word_degree) == _slot_map_by_hand(
             v, slot, 2, binary, f_degree, False
         )
+
+
+# -- one pass for a sum of graded slot permutations -------------------------------
+
+_FLIP_PLUS = lambda k: (((1, 0), 1), ((0, 1), k))
+
+
+def _swap_by_hand(v, slot):
+    """The graded flip written out: entries slot and slot+1 of each tuple
+    change places at the sign (-1)^(product of their degrees)."""
+    out = Element.zero()
+    for t, c in v.items():
+        sgn = -1 if (word_degree(t[slot]) * word_degree(t[slot + 1])) % 2 else 1
+        out = out + Element.of(t[:slot] + (t[slot + 1], t[slot]) + t[slot + 2 :], sgn * c)
+    return out
+
+
+def _stored(v):
+    """Every coefficient nonzero, and an ``int`` exactly when integral."""
+    return all(c and (type(c) is int) == (Fraction(c).denominator == 1) for c in v.terms.values())
+
+
+# few short words of both parities: (e) and (o|p) even, (o), (p) and (e|o)
+# odd, so entries repeat across terms and the images of two terms collide
+_SLOT_WORDS = [(_E,), (_O,), (_P,), (_E, _O), (_O, _P)]
+_slot_coefs = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
+
+
+def _tensors(arity):
+    entry = st.sampled_from(_SLOT_WORDS)
+    term = st.tuples(st.tuples(*[entry] * arity), _slot_coefs)
+    return st.lists(term, max_size=8).map(Element.from_terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tensors(2), st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+def test_permute_slots_is_the_flip_plus_a_multiple(v, k):
+    got = permute_slots(v, _FLIP_PLUS(k), word_degree)
+    assert got == _swap_by_hand(v, 0) + v.scale(k)
+    assert got == swap_adjacent_slots(v, 0, word_degree) + v.scale(k)
+    assert _stored(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tensors(3))
+def test_permute_slots_is_the_cojacobi_cyclic_sum(v):
+    t12_t23 = _swap_by_hand(_swap_by_hand(v, 1), 0)
+    t23_t12 = _swap_by_hand(_swap_by_hand(v, 0), 1)
+    got = permute_slots(v, _CYCLIC_SUM, word_degree)
+    assert got == v + t12_t23 + t23_t12
+    swap = lambda u, slot: swap_adjacent_slots(u, slot, word_degree)
+    assert got == v + swap(swap(v, 1), 0) + swap(swap(v, 0), 1)
+    assert _stored(got)
+    # each cyclic term alone, as the cyclic sum does not tell them apart
+    assert permute_slots(v, (_CYCLIC_SUM[1],), word_degree) == t12_t23
+    assert permute_slots(v, (_CYCLIC_SUM[2],), word_degree) == t23_t12
+
+
+def test_permute_slots_cancels_and_stores_integral_sums_as_int():
+    # the flip fixes (o) (x) (o) at the sign -1, so flip plus identity cancels it
+    assert permute_slots(Element.of(((_O,), (_O,)), 3), _FLIP_PLUS(1), word_degree).is_zero()
+    half = Fraction(1, 2)
+    v = Element.from_terms([(((_E,), (_O,)), half), (((_O,), (_E,)), half)])
+    got = permute_slots(v, _FLIP_PLUS(1), word_degree)
+    assert got.terms == {((_O,), (_E,)): 1, ((_E,), (_O,)): 1}
+    assert all(type(c) is int for c in got.terms.values())
+    # a 3-cycle of odd entries is an even permutation: the cyclic sum of
+    # (o) (x) (o) (x) (o) at 1/3 is that tensor at the int 1
+    got = permute_slots(Element.of(((_O,), (_O,), (_O,)), Fraction(1, 3)), _CYCLIC_SUM, word_degree)
+    assert got.terms == {((_O,), (_O,), (_O,)): 1} and type(got.terms[(_O,), (_O,), (_O,)]) is int
+    # the cyclic sum kills x - t12 t23 x
+    x = Element.of(((_E, _O), (_O,), (_O, _P)), Fraction(2, 3))
+    assert permute_slots(x - _swap_by_hand(_swap_by_hand(x, 1), 0), _CYCLIC_SUM, word_degree).is_zero()
+    with pytest.raises(ValueError):
+        permute_slots(Element.of(((_O,), (_E,))), _CYCLIC_SUM, word_degree)
 
 
 def test_word_key_is_the_letter_id_order():

@@ -52,6 +52,9 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "groups": 
 # every builtin began to run the specialization row of its parity of
 # a - b, which at these sizes calls delta'' and the direct cobracket 24
 # times each on poisson-super (a - b = 4), where none ran (156 and 26
+# calls before).  slot_calculus moved when the flip and coJacobi laws
+# began to sum their graded permutations in one pass (permute_slots,
+# which is not traced) instead of through swap_adjacent_slots (1482
 # calls before)
 KERNEL_CALLS = {
     "ab_core.ell2": 849,
@@ -63,7 +66,7 @@ KERNEL_CALLS = {
     # enumeration were each folded into one body (2082 calls); the
     # generic-letter cobracket rows' zero test then began to skip the
     # slotwise normal form of a raw zero, as the instance rows' always did
-    "tensor_coalgebra.slot_calculus": 1482,
+    "tensor_coalgebra.slot_calculus": 736,
     "sym_coalgebra.oracles": 50,
 }
 
@@ -75,13 +78,13 @@ KERNEL_CALLS = {
 # and 19467 calls before); structure_fn, the first touches, does not move.
 # The word coderivation row keeping D's image of each sub-word for the row
 # moved coderivation and the cached lookups again (416 and 19229 before).
-# slot_calculus moved as above (2082 before)
+# slot_calculus moved as above (2082, then 1482 before)
 SCHOUTEN_KERNEL_CALLS = {
     "instances.structure_fn": 1528,
     "ab_core.structure_maps": 19221,
     "ab_core.coderivation": 408,
     "ab_core.ell2": 848,
-    "tensor_coalgebra.slot_calculus": 1482,
+    "tensor_coalgebra.slot_calculus": 736,
     "sym_coalgebra.oracles": 50,
 }
 
