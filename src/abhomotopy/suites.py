@@ -40,6 +40,12 @@ The two shuffle rows alone call a kernel directly: they test the tensor
 coalgebra's own product, which is no map of the envelope.
 Identities that differ only in the maps they name share one law factory,
 which reads every sign off the named maps' degrees.
+Every entry's zero test is one rule, :func:`_zero_test`, over the normal
+form of its image's layer: a raw zero is zero, and anything else is zero
+when its normal form is, slot by slot modulo shuffles.  Words and their
+tuples take the :data:`~.tensor_coalgebra.QUOTIENT` normal forms, syms
+and their tuples :func:`~.sym_coalgebra.sym_normal_form` and
+:func:`~.sym_coalgebra.sym_tensor_normal_form`.
 
 To add an identity, write its law (or call a law factory) and add its row
 to one suite's table; a new suite is one more table.  Laws reach the
@@ -118,9 +124,9 @@ from .sym_coalgebra import (
     render_sym,
     render_sym_tuple,
     sym_degree,
-    sym_is_zero,
     sym_key,
-    sym_tensor_is_zero,
+    sym_normal_form,
+    sym_tensor_normal_form,
 )
 from .tensor_coalgebra import (
     QUOTIENT,
@@ -246,11 +252,12 @@ class Report:
 
 
 def probe_generators(algebra: AbAlgebra, count: int) -> list[Generator]:
-    """Deterministic low-degree generator selection with mixed parities."""
-    gens = sorted(
-        algebra.generators,
-        key=lambda g: (abs(algebra.unshifted[g.gid]), algebra.unshifted[g.gid], g.gid),
-    )
+    """Deterministic low-degree generator selection with mixed parities.
+
+    Generators are ranked by |x| + a = dg + 1, which a regrading
+    (a + s, b + s, |x| - s) keeps, so the choice depends on the envelope
+    alone; on every builtin a = 0 and this is the unshifted degree."""
+    gens = sorted(algebra.generators, key=lambda g: (abs(g.deg + 1), g.deg, g.gid))
     chosen: list[Generator] = []
     for parity in (1, 0):
         for g in gens:
@@ -322,14 +329,19 @@ class StructureMap(NamedTuple):
     fn: Callable[[Any], Element]  # a bracket's argument is the pair (x, y)
     degree: int  # in ``grading``, summed over the factors of a tensor
     grading: Callable[[Any], int]  # of a word or a sym: an argument or a slot entry
-    zero: Callable[[Element, int], bool]  # zero(v, arity), slot by slot modulo shuffles
+    zero: Callable[[Element, int], bool]  # zero(v, arity), by the layer's normal form
     arity: int  # of the image's basis keys: 1 for a word or a sym, 2 for a pair
 
 
-def _word_zero(v: Element, arity: int) -> bool:
-    """``v``, over words (``arity`` 1) or ``arity``-tuples of words, is zero
-    in the shuffle quotient, slot by slot; a raw zero needs no normal form."""
-    return v.is_zero() or (QUOTIENT.is_zero(v) if arity == 1 else QUOTIENT.tensor_is_zero(v, arity))
+def _zero_test(one: Callable[[Element], Element], tensor: Callable[[Element], Element]):
+    """The zero test of a layer: ``v``, over words or syms (``arity`` 1) or
+    ``arity``-tuples of them, is zero modulo shuffles slot by slot when its
+    normal form, ``one(v)`` or ``tensor(v)``, is; a raw zero needs none."""
+    return lambda v, arity: v.is_zero() or (one(v) if arity == 1 else tensor(v)).is_zero()
+
+
+# the normal forms are looked up when called, so a wrapper on them sees every zero test
+_word_zero = _zero_test(lambda v: QUOTIENT.normal_form(v), lambda v: QUOTIENT.normal_form_tensor(v))
 
 
 # -- per-instance context ------------------------------------------------------
@@ -374,7 +386,7 @@ class RunContext:
         # word to itself, and the Jacobi law's orbit verdict
         self.row_memo: dict = {}
         sdeg, amb1 = self.sdeg, A.a - A.b - 1
-        sym_zero = lambda v, n: sym_is_zero(A, v) if n == 1 else sym_tensor_is_zero(A, v, n)
+        sym_zero = _zero_test(lambda v: sym_normal_form(A, v), lambda v: sym_tensor_normal_form(A, v))
         # ell2', ell2'', delta'', Q, m and ell'' look their parts up here when called
         maps: dict[str, StructureMap] = {
             "delta": StructureMap(lambda w: cobracket(w), 0, word_degree, _word_zero, 2),

@@ -13,19 +13,21 @@ odd factor is zero.  On this space live:
   given (D and ell2''),
 - the degree-(b-a) cobracket ``cobracket_doubleprime``, the word
   cobracket it is given (delta) on one factor, the others split around
-  it.  It reads its splits from a cut plan (:func:`cut_plan`), built
-  from ``block_splits`` once per parity pattern, cut factor and parity
-  of a - b, whose signs already carry the (-1)^((a-b) deg_s X_I) of the
-  left block, next to the parities of both blocks.
+  it.  It reads the splits of the other factors from ``block_splits``
+  with the cut factor pinned, and puts the (-1)^((a-b) deg_s X_I) of
+  the left block on each split's sign from the block parities the split
+  carries.
 
-This module builds no map on words.  All four enumerate factor splits
-through one enumerator, :func:`block_splits`, the one production place
-that works out the Koszul sign of moving factors past each other: the
-two blocks of Delta, the blocks around the cut factor of delta'', and
-the one or two factors that m and ell'' bring to the front (one body,
-``extend``, over the block size).  It reads its tables off the split
-enumerator of the tensor layer, ``two_blocks`` and ``crossing_sign``,
-the same two functions the shuffle tables are built from.
+This module builds no map on words.  Delta, m, ell'' and delta''
+enumerate factor splits through one table, :func:`block_splits`, the one
+production place that works out the Koszul sign of moving factors past
+each other and the parities of the blocks it makes: the two blocks of
+Delta, the blocks around the cut factor of delta'', and the one or two
+factors that m and ell'' bring to the front (one body, ``extend``, over
+the block size).  Their three kernels read the factors' deg_s parities
+through ``_parities``.  The table is built off the split enumerator of the
+tensor layer, ``two_blocks`` and ``crossing_sign``, the same two
+functions the shuffle tables are built from.
 
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
 of the Gerstenhaber (odd a - b) and Poisson (even a - b)
@@ -60,7 +62,11 @@ production kernels' insertion.
 
 Equality of the propositions' two sides is decided by rewriting every
 tensor-word factor to its shuffle-quotient normal form
-(:func:`sym_normal_form`) and comparing canonical Elements.
+(:func:`sym_normal_form`, and :func:`sym_tensor_normal_form` slot by
+slot on tuples of syms) and comparing canonical Elements.  Both are the
+tensor layer's :func:`~abhomotopy.tensor_coalgebra.tensor_power` of a
+degree-0 map: of the word normal form over a sym's factors, re-sorted
+by :func:`normalize`, and of that sym normal form over a tuple's slots.
 """
 
 from __future__ import annotations
@@ -74,9 +80,9 @@ from .signs import koszul_sign, sign
 from .tensor_coalgebra import (
     QUOTIENT,
     Word,
-    apply_in_slot,
     crossing_sign,
     render_word,
+    tensor_power,
     two_blocks,
     word_degree,
     word_key,
@@ -186,12 +192,15 @@ def sym_key(sym: SymWord):
 _SPLITS: dict = {}
 
 
-def block_splits(degs: list[int], pinned: int | None = None, size: int | None = None) -> tuple:
+def block_splits(odd: tuple[int, ...], pinned: int | None = None, size: int | None = None) -> tuple:
     """Ordered two-block splits of factor positions, with their Koszul sign.
 
-    Returns ``(left, right, eps)`` triples: increasing position tuples and
-    the Koszul sign, in the degrees ``degs``, of arranging the factors as
-    left, then the ``pinned`` factor if one is given, then right.
+    ``odd`` holds the degree parities (0 or 1) of the factors, as
+    :func:`_parities` gives them.  Returns ``(left, right, eps, odd_left,
+    odd_right)`` entries: increasing position tuples, the Koszul sign of
+    arranging the factors as left, then the ``pinned`` factor if one is
+    given, then right, and the parities of the factors of each block, in
+    block order.
     With ``size``, only the left blocks of that size occur (none when it
     exceeds the positions to choose from); without it, and without a
     pinned factor, only proper splits (both blocks nonempty) occur, and
@@ -203,11 +212,10 @@ def block_splits(degs: list[int], pinned: int | None = None, size: int | None = 
     positions other than ``pinned``, and the sign is
     :func:`~abhomotopy.tensor_coalgebra.crossing_sign` of left and the
     pinned factor ahead of right, times that of left ahead of the pinned
-    factor.  They depend only on the degree parities, so the triples are
-    built once per parity pattern (which fixes the number of factors),
+    factor.  They depend only on the parities, so the entries are built
+    once per parity pattern (which fixes the number of factors),
     ``pinned`` and ``size``, and every algebra and mutant shares them.
     """
-    odd = tuple([d & 1 for d in degs])
     key = (odd, pinned, size)
     splits = _SPLITS.get(key)
     if splits is None:
@@ -223,9 +231,11 @@ def block_splits(degs: list[int], pinned: int | None = None, size: int | None = 
             for block, rest in two_blocks(len(others), r):
                 left = tuple([others[i] for i in block])
                 right = tuple([others[j] for j in rest])
-                odd_left, odd_middle = [odd[i] for i in left], [odd[i] for i in middle]
-                eps = crossing_sign(left + middle, right, odd_left + odd_middle, [odd[j] for j in right])
-                splits.append((left, right, eps * crossing_sign(left, middle, odd_left, odd_middle)))
+                odd_left, odd_right = tuple([odd[i] for i in left]), tuple([odd[j] for j in right])
+                odd_middle = tuple([odd[i] for i in middle])
+                eps = crossing_sign(left + middle, right, odd_left + odd_middle, odd_right)
+                eps *= crossing_sign(left, middle, odd_left, odd_middle)
+                splits.append((left, right, eps, odd_left, odd_right))
         splits = _SPLITS[key] = tuple(splits)
     return splits
 
@@ -236,9 +246,8 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
     Each split carries the block Koszul sign in deg_s; a single factor
     has no proper split, so its coproduct is zero.
     """
-    degs = [algebra.deg_s(w) for w in sym]
     acc: dict = {}
-    for left, right, eps in block_splits(degs):
+    for left, right, eps, _, _ in block_splits(_parities(algebra.a - algebra.b, sym)):
         add_term(acc, (tuple(sym[i] for i in left), tuple(sym[j] for j in right)), eps)
     return Element(acc)
 
@@ -256,8 +265,8 @@ def extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
     amb = algebra.a - algebra.b
     odds = _parities(amb, sym)
     acc: dict = {}
-    for block, others, front in block_splits(odds, size=size):
-        rest, rest_odds = tuple([sym[i] for i in others]), [odds[i] for i in others]
+    for block, others, front, _, rest_odds in block_splits(odds, size=size):
+        rest = tuple([sym[i] for i in others])
         arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
         for w, c in f(arg).terms.items():
             s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
@@ -291,34 +300,6 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable
 # -- cobrackets ------------------------------------------------------------
 
 
-#: delta'' cut plans per (parity pattern, pinned factor, (a - b) mod 2)
-_CUT_PLANS: dict = {}
-
-
-def cut_plan(odd: tuple, pinned: int, t: int) -> tuple:
-    """The splits of the factors around the ``pinned`` one that
-    :func:`cobracket_doubleprime` reads, for deg_s parities ``odd`` and
-    a - b of parity ``t``.
-
-    Returns ``(left, right, eps, odd_left, odd_right)`` entries, one per
-    :func:`block_splits` triple in its order: the blocks, the block
-    Koszul sign times (-1)^((a-b) deg_s X_I), and the parities of the
-    factors of each block.  Built once per key from the one split
-    enumerator, and shared by every algebra and mutant.
-    """
-    key = (odd, pinned, t)
-    plan = _CUT_PLANS.get(key)
-    if plan is None:
-        plan = []
-        for left, right, eps in block_splits(odd, pinned=pinned):
-            odd_left = tuple([odd[i] for i in left])
-            if t and sum(odd_left) % 2:
-                eps = -eps
-            plan.append((left, right, eps, odd_left, tuple([odd[j] for j in right])))
-        plan = _CUT_PLANS[key] = tuple(plan)
-    return plan
-
-
 def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) -> Element:
     """Degree-(b-a) cobracket: the word cobracket ``delta`` on one factor,
     the other factors split two ways around it.
@@ -335,10 +316,10 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) 
     enters only as a parity, in deg_s and in the exponent (a-b)(...).
     Cutting one factor in two lowers deg_s by one more a - b.
 
-    Every split reads the :func:`cut_plan` of the sym's parity pattern,
-    the cut factor and the parity of a - b, which carries eps with its
-    (-1)^((a-b) deg_s X_I) and the parities of both blocks; the sign
-    (-1)^((a-b) deg_s P) goes on each term of delta(X_s) once per call.
+    The splits are the :func:`block_splits` entries of the sym's parity
+    pattern with X_s pinned, which carry eps and the parities of both
+    blocks; (-1)^((a-b) deg_s X_I) goes on eps once per split, and
+    (-1)^((a-b) deg_s P) on each term of delta(X_s) once per call.
     """
     amb = algebra.a - algebra.b
     t = amb & 1
@@ -351,7 +332,9 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) 
             terms.append((p, p_odd, r, (word_degree(r) - amb) & 1, -c if t & p_odd else c))
         if not terms:
             continue
-        for left, right, eps, odd_left, odd_right in cut_plan(odds, s, t):
+        for left, right, eps, odd_left, odd_right in block_splits(odds, pinned=s):
+            if t and sum(odd_left) & 1:
+                eps = -eps
             fac_left = tuple([sym[i] for i in left])
             fac_right = tuple([sym[j] for j in right])
             for p, p_odd, r, r_odd, c in terms:
@@ -464,32 +447,15 @@ def sym_normal_form(algebra: AbAlgebra, v: Element) -> Element:
 
 
 def _nf_sym_word(algebra: AbAlgebra, sym: SymWord) -> Element:
-    parts: dict = {(): 1}
-    for w in sym:
-        nfw = QUOTIENT.normal_form_word(w)
-        new: dict = {}
-        for prefix, c in parts.items():
-            for w2, c2 in nfw.terms.items():
-                add_term(new, prefix + (w2,), c * c2)
-        parts = new
+    """The factors' normal forms, their tensor product re-sorted into syms."""
     acc: dict = {}
-    for factors, c in parts.items():
+    for factors, c in tensor_power(Element.of(sym), QUOTIENT.normal_form_word).terms.items():
         s, out = normalize(algebra, factors)
         if out is not None:
             add_term(acc, out, c * s)
     return Element(acc)
 
 
-def sym_is_zero(algebra: AbAlgebra, v: Element) -> bool:
-    return v.is_zero() or sym_normal_form(algebra, v).is_zero()
-
-
-def sym_tensor_normal_form(algebra: AbAlgebra, v: Element, arity: int) -> Element:
-    deg = lambda sym: sym_degree(algebra, sym)
-    for slot in range(arity):
-        v = apply_in_slot(v, slot, lambda s: _nf_sym_word(algebra, s), 0, deg)
-    return v
-
-
-def sym_tensor_is_zero(algebra: AbAlgebra, v: Element, arity: int) -> bool:
-    return v.is_zero() or sym_tensor_normal_form(algebra, v, arity).is_zero()
+def sym_tensor_normal_form(algebra: AbAlgebra, v: Element) -> Element:
+    """Every sym of every tuple of ``v`` rewritten by :func:`sym_normal_form`."""
+    return tensor_power(v, lambda sym: _nf_sym_word(algebra, sym))

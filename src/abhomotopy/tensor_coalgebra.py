@@ -50,12 +50,19 @@ permutation list and parity pattern.  The flip and coJacobi laws call it
 directly, so a wrapper on the slot-map names does not see those calls;
 :func:`swap_adjacent_slots`, the graded flip, is its one-permutation
 entry point.
+
+Normal forms are not slot maps.  A slotwise normal form is the tensor
+power f x ... x f of a degree-0 map, which crosses no slot at a sign and
+reads no grading, so :func:`tensor_power` applies it to every slot of a
+tuple in one pass.  :meth:`ShuffleQuotient.normal_form_tensor` and the
+symmetric layer's normal forms are this kernel over their own map.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Callable, Iterator, NamedTuple
 
@@ -458,14 +465,29 @@ class ShuffleQuotient:
         """True iff the Element of words is zero in the shuffle quotient."""
         return self.normal_form(v).is_zero()
 
-    def normal_form_tensor(self, v: Element, arity: int) -> Element:
+    def normal_form_tensor(self, v: Element) -> Element:
         """Slotwise Lie coordinates on an Element of word tuples."""
-        for slot in range(arity):
-            v = apply_in_slot(v, slot, self.normal_form_word, 0, word_degree)
-        return v
+        return tensor_power(v, self.normal_form_word)
 
-    def tensor_is_zero(self, v: Element, arity: int) -> bool:
-        return self.normal_form_tensor(v, arity).is_zero()
+    def tensor_is_zero(self, v: Element) -> bool:
+        """True iff the Element of word tuples is zero in the quotient, slot by slot."""
+        return self.normal_form_tensor(v).is_zero()
+
+
+def tensor_power(v: Element, f: Callable) -> Element:
+    """(f x ... x f)(v): the degree-0 map ``f`` (entry -> Element of
+    entries) in every slot of every tuple of ``v``, in one pass.
+
+    Each tuple's image is the product of its entries' images, first slot
+    outermost, times the tuple's coefficient; a degree-0 map moves past
+    no slot at a sign, so no degree is read.
+    """
+    acc: dict = {}
+    for t, c in v.terms.items():
+        for combo in itertools.product(*[f(e).terms.items() for e in t]):
+            entries, coefs = zip(*combo)
+            add_term(acc, entries, c * math.prod(coefs))
+    return Element(acc)
 
 
 def _slot_map(

@@ -31,6 +31,13 @@ at the default sizes: the generic-letter rows, which no other golden runs.
 
 at the default sizes, so the instance rows of the default report are
 pinned at the sizes a user runs, not only at the ``FAST`` ones.
+``four-factors-<builtin>.json`` is the stdout of
+
+    abhomotopy verify-envelope --algebra <builtin> --suites envelope \
+        --max-sym-factors 4 --probe-gens 2 --format json
+
+the one golden that runs delta'' and the symmetric-coalgebra rows on
+syms of four factors (66 of them on gerstenhaber-toy).
 
 A kernel change that alters any verdict, count or witness text changes
 these bytes; the determinism test in ``test_suites_cli.py`` only
@@ -94,6 +101,15 @@ def test_default_report_matches_golden(builtin, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"default-{builtin}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_four_factor_report_matches_golden(builtin, capsys):
+    code = main(["verify-envelope", "--algebra", builtin, "--suites", "envelope",
+                 "--max-sym-factors", "4", "--probe-gens", "2", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"four-factors-{builtin}.json").read_text(encoding="utf-8")
 
 
 def test_fractional_constants_report_matches_golden(capsys, monkeypatch):

@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abhomotopy import sym_coalgebra, tensor_coalgebra
-from abhomotopy.ab_core import TruncationOverflow, coderivation_D, ell2_oracle
+from abhomotopy.ab_core import AbAlgebra, TruncationOverflow, coderivation_D, ell2_oracle
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
 from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps, sign
-from abhomotopy.suites import RunContext, SuiteConfig
+from abhomotopy.suites import RunContext, SuiteConfig, generic_letters
 from abhomotopy.sym_coalgebra import (
+    _direct_cobracket,
     _normalize_with,
     _oracle_splits,
     block_splits,
     cobracket_doubleprime,
-    cut_plan,
     coproduct_delta,
     extend,
     insert_factor,
@@ -25,9 +25,9 @@ from abhomotopy.sym_coalgebra import (
     q_by_taylor,
     q_codifferential,
     sym_degree,
-    sym_is_zero,
+    sym_normal_form,
     sym_of,
-    sym_tensor_is_zero,
+    sym_tensor_normal_form,
 )
 from abhomotopy.tensor_coalgebra import Generator, cobracket, shuffle, swap_adjacent_slots
 from test_slot_memo import FORCED, sym_bracket
@@ -85,14 +85,16 @@ def test_coproduct_three_factors_against_block_sign_oracle(poisson_poly_instance
 
 def test_block_splits_signs_and_order_against_koszul_sign():
     """The parity block sign equals ``koszul_sign`` of the arrangement
-    (left, pinned, right), and the splits come in ``itertools.combinations``
-    order, for up to six factors of degree 0-3, every pinned position and
-    every block size: none given, 0 up to a full left block, and one more
-    than there are positions to choose from, which yields nothing.
+    (left, pinned, right), each block carries the degree parities of its
+    factors, and the splits come in ``itertools.combinations`` order, for
+    up to six factors of degree 0-3, every pinned position and every block
+    size: none given, 0 up to a full left block, and one more than there
+    are positions to choose from, which yields nothing.
 
-    ``koszul_sign`` depends on degree parities only, so the expected
-    splits are built once per parity pattern and every degree vector of
-    that pattern is held to them."""
+    ``block_splits`` reads the parities of the degrees and ``koszul_sign``
+    the degrees themselves, which it depends on through their parities
+    only, so the expected splits are built once per parity pattern and
+    every degree vector of that pattern is held to them."""
     expected: dict = {}
     checked = 0
     for n in range(1, 7):
@@ -114,15 +116,17 @@ def test_block_splits_signs_and_order_against_koszul_sign():
                                 sigma = [0] * n
                                 for rank, i in enumerate(left + middle + right):
                                     sigma[i] = rank
-                                want.append((left, right, koszul_sign(degs, sigma)))
+                                odd_left = tuple(degs[i] % 2 for i in left)
+                                odd_right = tuple(degs[j] % 2 for j in right)
+                                want.append((left, right, koszul_sign(degs, sigma), odd_left, odd_right))
                         expected[key] = want
-                    got = list(block_splits(list(degs), pinned, size))
+                    got = list(block_splits(tuple(d % 2 for d in degs), pinned, size))
                     assert got == expected[key], (degs, pinned, size)
                     checked += len(got)
     assert checked == 2343024
-    assert [s[0] for s in block_splits([1, 0, 1], size=3)] == [(0, 1, 2)]
-    assert list(block_splits([1, 0, 1], size=4)) == []
-    assert list(block_splits([1, 0, 1], pinned=1, size=3)) == []
+    assert [s[0] for s in block_splits((1, 0, 1), size=3)] == [(0, 1, 2)]
+    assert list(block_splits((1, 0, 1), size=4)) == []
+    assert list(block_splits((1, 0, 1), pinned=1, size=3)) == []
 
 
 class Guarded(AssertionError):
@@ -137,9 +141,9 @@ def guarded(*args):
 def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     """The oracles enumerate and sign their splits themselves: with
     ``two_blocks`` and ``crossing_sign`` raising, and the tables built
-    from them emptied (the shuffle tables, the split tables and the
-    delta'' cut plans), every oracle still runs on every probe sym, while
-    the production kernels built on them raise.  Neither do they permute
+    from them emptied (the shuffle tables and the split tables), every
+    oracle still runs on every probe sym, while the production kernels
+    built on them raise.  Neither do they permute
     slots: with the slot-permutation plans emptied and their sign raising,
     :func:`swap_adjacent_slots` raises and the oracles still run."""
     sizes = dict(max_word_len=2, max_sym_factors=3, max_total_letters=4, probe_gens=2)
@@ -154,7 +158,6 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     monkeypatch.setattr(tensor_coalgebra, "_FLAT_GETTERS", {})
     monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
     monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
-    monkeypatch.setattr(sym_coalgebra, "_CUT_PLANS", {})
     monkeypatch.setattr(tensor_coalgebra, "koszul_sign", guarded)
     monkeypatch.setattr(tensor_coalgebra, "_PERM_PLANS", {})
     with pytest.raises(Guarded):
@@ -255,8 +258,8 @@ def test_m_squared_and_ell_squared_vanish(toy_instance):
         except TruncationOverflow:
             continue
         checked += 1
-        assert sym_is_zero(A, mm), sym
-        assert sym_is_zero(A, ll), sym
+        assert sym_normal_form(A, mm).is_zero(), sym
+        assert sym_normal_form(A, ll).is_zero(), sym
     assert checked > 10
 
 
@@ -307,26 +310,33 @@ def test_specialization_matches():
             assert cobracket_doubleprime(A, sym, delta=cobracket) == oracle(A, sym), (name, sym)
 
 
-def test_cut_plan_is_block_splits_with_the_left_twist():
-    """Every cut-plan entry is the block_splits triple of its place, its
-    sign times (-1)^((a-b) deg_s X_I), with the parities of both blocks,
-    for every parity pattern of at most 5 factors, every cut factor and
-    both parities of a - b; the sign also agrees with the oracles' own
-    split enumerator."""
-    for n in range(1, 6):
-        for odd in itertools.product((0, 1), repeat=n):
-            for pinned in range(n):
-                splits = block_splits(list(odd), pinned=pinned)
-                oracle = {left: eps for left, _, eps in _oracle_splits(list(odd), range(n), pinned)}
-                assert len(splits) == len(oracle) == 2 ** (n - 1)
-                for t in (0, 1):
-                    plan = cut_plan(odd, pinned, t)
-                    assert [entry[:2] for entry in plan] == [split[:2] for split in splits]
-                    for (left, right, eps, odd_left, odd_right), (_, _, block_eps) in zip(plan, splits):
-                        twist = sign(t * sum(odd[i] for i in left))
-                        assert eps == block_eps * twist == oracle[left] * twist
-                        assert odd_left == tuple(odd[i] for i in left)
-                        assert odd_right == tuple(odd[j] for j in right)
+def test_cobracket_doubleprime_equals_the_direct_cobracket_up_to_five_factors():
+    """delta'' equals the direct cobracket of its parity of a - b on syms of
+    two-letter words over distinct generic letters: every deg_s parity
+    pattern of 1 to 5 factors, at both parities of a - b, with the first
+    letter of each factor odd at alternate factors and then at the others,
+    so that every factor is cut, at every split of the others, into a
+    first piece of either parity.  delta'' reads the algebra's a - b
+    alone, and the direct cobracket only its parity."""
+    checked = 0
+    for t in (0, 1):
+        for n in range(1, 6):
+            for pattern in itertools.product((0, 1), repeat=n):
+                for shift in (0, 1):
+                    firsts = [(i + shift) % 2 for i in range(n)]
+                    # deg_s = dg - t, so a factor of deg_s parity p has dg parity p + t
+                    gens = generic_letters(
+                        d for p, f in zip(pattern, firsts) for d in (f, (p + t - f) % 2 + 2)
+                    )
+                    A = AbAlgebra("generic", t, 0, tuple(gens), {g.gid: g.deg + 1 - t for g in gens},
+                                  None, None, None)
+                    _, sym = normalize(A, [tuple(gens[2 * i : 2 * i + 2]) for i in range(n)])
+                    assert sorted(A.deg_s(w) % 2 for w in sym) == sorted(pattern)
+                    got = cobracket_doubleprime(A, sym, delta=cobracket)
+                    assert got == _direct_cobracket(sym, t), (t, sym)
+                    assert len(got) > 0
+                    checked += 1
+    assert checked == 2 * 2 * (2 + 4 + 8 + 16 + 32)
 
 
 @pytest.mark.parametrize(
@@ -354,7 +364,7 @@ def test_kappa_is_cosymmetric(toy_instance):
             continue
         sym = next(iter(e.items()))[0]
         k = kappa(A, sym)
-        assert sym_tensor_is_zero(A, swap_adjacent_slots(k, 0, sdeg) - k, 2)
+        assert sym_tensor_normal_form(A, swap_adjacent_slots(k, 0, sdeg) - k).is_zero()
 
 
 def test_sym_with_shuffle_image_factor_is_zero(poisson_poly_instance):
@@ -366,7 +376,7 @@ def test_sym_with_shuffle_image_factor_is_zero(poisson_poly_instance):
     for w, c in image.items():
         acc = acc + sym_of(A, (w, other), c)
     assert not acc.is_zero()
-    assert sym_is_zero(A, acc)
+    assert sym_normal_form(A, acc).is_zero()
 
 
 # -- canonical insertion against the full re-sort -------------------------------
@@ -442,7 +452,7 @@ def ref_cobracket_doubleprime(A, sym):
     degs = [A.deg_s(w) for w in sym]
     acc = Element.zero()
     for s, xs in enumerate(sym):
-        for left, right, eps in block_splits(degs, pinned=s):
+        for left, right, eps, _, _ in block_splits(tuple(d % 2 for d in degs), pinned=s):
             deg_left = sum(degs[i] for i in left)
             fac_left = tuple(sym[i] for i in left)
             fac_right = tuple(sym[j] for j in right)
