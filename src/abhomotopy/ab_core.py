@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterable
 
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
-from .tensor_coalgebra import Generator, Word, signed_interleavings, word_degree
+from .tensor_coalgebra import LETTER_DEGREES, Generator, Word, signed_interleavings, word_degree
 
 
 class TruncationOverflow(Exception):
@@ -513,7 +513,9 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     an error, and so is a document of another shape (a ``ValueError``
     naming the field).  So is a field outside those shown, at the top
     level or in a generator: a misspelled table or bound would otherwise
-    load as a zero map or as no truncation.  With
+    load as a zero map or as no truncation.  So is a generator no letter
+    can hold: an id with a NUL, or a degree whose shifted degree lies
+    outside :data:`~abhomotopy.tensor_coalgebra.LETTER_DEGREES`.  With
     ``max_degree`` set, a missing product/bracket entry whose
     degree-homogeneous output would exceed the bound is treated as a
     truncation overflow instead of zero.
@@ -532,9 +534,14 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
         _known_fields(g, _GENERATOR_FIELDS, f"generator {gid!r}")
         if gid in unshifted:
             raise ValueError(f"duplicate generator id {gid!r}")
-        degree = _field(g, "degree", f"generator {gid!r}")
-        unshifted[gid] = _integer(degree, f"degree of generator {gid!r}")
-        gens.append(Generator(gid, unshifted[gid] + a - 1))
+        degree = _integer(_field(g, "degree", f"generator {gid!r}"), f"degree of generator {gid!r}")
+        if degree + a - 1 not in LETTER_DEGREES:
+            lo, hi = LETTER_DEGREES.start - a + 1, LETTER_DEGREES.stop - a
+            raise ValueError(
+                f"generator {gid!r}: degree {degree} is outside {lo}..{hi}, the degrees a letter takes at a = {a}"
+            )
+        unshifted[gid] = degree
+        gens.append(Generator(gid, degree + a - 1))
     by_id = {g.gid: g for g in gens}
     max_degree = None if data.get("max_degree") is None else _integer(data["max_degree"], "max_degree")
 

@@ -302,14 +302,29 @@ def probe_syms(
     return sorted(seen, key=sym_key)
 
 
-def generic_letters(degrees: Iterable[int]) -> list[Generator]:
-    return [Generator(f"a{i}", d) for i, d in enumerate(degrees, start=1)]
+#: per degree tuple, its generic letters
+_GENERIC_LETTERS: dict = {}
+
+
+def generic_letters(degrees: Iterable[int]) -> tuple[Generator, ...]:
+    """The letters a1, a2, ... of the given dg degrees, one per degree.
+
+    Built once per degree tuple and kept process-wide: the coalgebra
+    rows ask for the same few hundred tuples over and over.
+    """
+    degrees = tuple(degrees)
+    letters = _GENERIC_LETTERS.get(degrees)
+    if letters is None:
+        letters = _GENERIC_LETTERS[degrees] = tuple(
+            Generator(f"a{i}", d) for i, d in enumerate(degrees, start=1)
+        )
+    return letters
 
 
 def _generic_words(max_len: int) -> list[Word]:
     """Words of distinct letters over every degree pattern in (0, 1, 2)."""
     return [
-        tuple(generic_letters(degs))
+        generic_letters(degs)
         for n in range(1, max_len + 1)
         for degs in itertools.product((0, 1, 2), repeat=n)
     ]
@@ -471,7 +486,7 @@ class RunContext:
 def _shuffle_commutativity(_, split):
     degrees, p = split
     letters = generic_letters(degrees)
-    x, y = tuple(letters[:p]), tuple(letters[p:])
+    x, y = letters[:p], letters[p:]
     diff = shuffle(x, y) - shuffle(y, x).scale(sign(word_degree(x) * word_degree(y)))
     return diff.is_zero(), f"difference {format_element(diff, render_word, word_key)}"
 
@@ -479,7 +494,7 @@ def _shuffle_commutativity(_, split):
 def _shuffle_associativity(_, split):
     degrees, p, q = split
     letters = generic_letters(degrees)
-    x, y, z = tuple(letters[:p]), tuple(letters[p : p + q]), tuple(letters[p + q :])
+    x, y, z = letters[:p], letters[p : p + q], letters[p + q :]
     lhs = shuffle_elements(shuffle(x, y), Element.of(z))
     rhs = shuffle_elements(Element.of(x), shuffle(y, z))
     return lhs == rhs, "sides differ"

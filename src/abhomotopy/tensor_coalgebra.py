@@ -3,7 +3,10 @@
 A :class:`Generator` is a homogeneous basis letter carrying its shifted
 degree (the ``dg`` grading in which the product and the differential
 both have degree 1).  A word is a nonempty tuple of Generators; the
-empty word is excluded everywhere.
+empty word is excluded everywhere.  Every layer keys dicts by words and
+compares them, so a letter is an interned string whose value codes the
+pair (gid, dg) in that order: its hash is computed once, equal letters
+are one object, and comparing two letters is one string comparison.
 
 Words represent classes in the quotient of the tensor powers by the
 span of all shuffle products: the cofree Lie coalgebra.  No section of
@@ -64,18 +67,68 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .freemodule import Element, _coeff, add_term
 from .signs import inverse, koszul_sign
 
 
-class Generator(NamedTuple):
-    gid: str
-    deg: int  # shifted degree dg
+#: the dg degrees a letter can carry: its degree code is one character
+LETTER_DEGREES = range(-128, 128)
+
+#: process-wide, append-only: (gid, deg) -> the one Generator of that pair
+_LETTERS: dict = {}
+
+
+class Generator(str):
+    """A letter: its id ``gid`` and its shifted degree ``deg`` (dg).
+
+    ``Generator(gid, deg)`` returns the one letter of that pair, interned
+    in a process-wide table, so equal letters are the same object.  Its
+    string value is ``gid``, a NUL, and one character coding ``deg``
+    order-preservingly, so string order is exactly (gid, deg) order: a
+    NUL sorts below every character of a NUL-free id that extends
+    another.  A letter's hash is then a string hash, computed once and
+    cached, and comparing two letters is one C string comparison.
+    ``repr``, ``str`` and ``format`` give the id alone.  An id holding a
+    NUL, or a degree outside :data:`LETTER_DEGREES`, is a ``ValueError``.
+    """
+
+    __slots__ = ("gid", "deg")
+
+    def __new__(cls, gid: str, deg: int) -> Generator:
+        g = _LETTERS.get((gid, deg))
+        if g is not None and type(deg) is int:  # 1.0 and True equal 1, yet are refused
+            return g
+        if not isinstance(gid, str):
+            raise ValueError(f"generator {gid!r}: an id must be a string")
+        if "\0" in gid:  # the NUL ends the id in the letter's string value
+            raise ValueError(f"generator {gid!r}: an id may not contain NUL")
+        if type(deg) is not int or deg not in LETTER_DEGREES:
+            raise ValueError(
+                f"generator {gid!r}: shifted degree {deg!r} is not an integer in "
+                f"{LETTER_DEGREES.start}..{LETTER_DEGREES.stop - 1}"
+            )
+        g = _LETTERS[gid, deg] = str.__new__(cls, gid + "\0" + chr(deg - LETTER_DEGREES.start))
+        object.__setattr__(g, "gid", gid)
+        object.__setattr__(g, "deg", deg)
+        return g
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("a Generator is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Generator, (self.gid, self.deg)
 
     def __repr__(self) -> str:
         return self.gid
+
+    __str__ = __repr__
+
+    def __format__(self, spec: str) -> str:
+        return format(self.gid, spec)
 
 
 Word = tuple[Generator, ...]
@@ -103,10 +156,11 @@ def word_degree(w: Word) -> int:
 def word_key(w: Word):
     """Canonical total order on words: by length, then letter ids.
 
-    A Generator is the pair (gid, deg) and compares as one, so ``w``
-    itself orders words of equal length by their letter ids whenever a
-    letter id determines its letter, as it does within every algebra
-    and every generic-letter family.  No per-word id tuple is built.
+    A Generator compares as the pair (gid, deg), in one string
+    comparison, so ``w`` itself orders words of equal length by their
+    letter ids whenever a letter id determines its letter, as it does
+    within every algebra and every generic-letter family.  No per-word
+    id tuple is built.
     """
     return (len(w), w)
 
@@ -399,8 +453,10 @@ class ShuffleQuotient:
     <w, P> is the coefficient of w in the polynomial P and the labels b
     are words of the block:
 
-    - each Lyndon word l (letters ordered as Generators), with P_l its
-      standard bracketing under the super commutator
+    - each Lyndon word l (letters ordered as Generators, by (gid, deg),
+      so the Lyndon words of a block are the same in every algebra that
+      holds its letters), with P_l its standard bracketing under the
+      super commutator
       [U, V] = UV - (-1)^{|u||v|} VU in dg parity;
     - each square ll of an odd Lyndon word l, with P = [P_l, P_l].
 

@@ -7,6 +7,14 @@ dg and a - b, and the probe choice reads |x| + a = dg + 1, so the
 ``verify-envelope`` (core and envelope suites) and ``mutation`` reports
 of a regraded builtin must be byte-identical to its own.  The regraded
 algebra keeps its name, so the reports carry the same labels.
+
+Relabeling changes no count either.  Renaming every generator so that
+the id order reverses gives an isomorphic algebra, so with the images of
+the parent's probes as its probes, every CORE and ENVELOPE row keeps its
+status and its evaluated and skipped counts.  Letters order by (id,
+degree), so the reversal reorders the canonical syms and the Koszul
+signs of their representatives: a sign that follows the id order, not
+the degrees, shows here.
 """
 
 import dataclasses
@@ -14,8 +22,20 @@ import functools
 
 import pytest
 
+from abhomotopy import suites
+from abhomotopy.ab_core import AbAlgebra
+from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
-from abhomotopy.suites import SuiteConfig, run_mutation, run_verify_envelope
+from abhomotopy.suites import (
+    CORE,
+    ENVELOPE,
+    RunContext,
+    SuiteConfig,
+    check_identity,
+    run_mutation,
+    run_verify_envelope,
+)
+from abhomotopy.tensor_coalgebra import Generator
 
 FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2)
 
@@ -44,3 +64,44 @@ def test_regrading_changes_no_report(builtin, s):
     assert [g.deg for g in A.generators] == [g.deg for g in builtin_instance(builtin).algebra.generators]
     assert all(g.deg == A.unshifted[g.gid] + A.a - 1 for g in A.generators)
     assert reports(builtin, s) == reports(builtin, 0)
+
+
+def relabeled(instance):
+    """``instance`` with its generator ids renamed so that their order
+    reverses, and the renaming old id -> new id."""
+    A = instance.algebra
+    ids = sorted(A.unshifted)
+    new = {gid: f"r{len(ids) - 1 - i:03d}" for i, gid in enumerate(ids)}
+    old = {v: k for k, v in new.items()}
+    letter = {g.gid: Generator(new[g.gid], g.deg) for g in A.generators}
+
+    def renamed(fn):
+        return lambda *gids: Element({letter[g.gid]: c for g, c in fn(*(old[x] for x in gids)).terms.items()})
+
+    algebra = AbAlgebra(
+        A.name, A.a, A.b,
+        tuple(letter[g.gid] for g in A.generators),
+        {new[gid]: d for gid, d in A.unshifted.items()},
+        renamed(A.product_fn), renamed(A.bracket_fn), renamed(A.diff_fn),
+    )
+    return dataclasses.replace(instance, algebra=algebra), new
+
+
+def row_counts(instance, probes, monkeypatch):
+    """(row, status, evaluated, skipped) of every CORE and ENVELOPE row,
+    with exactly ``probes`` (ids, in order) as the probe generators."""
+    monkeypatch.setattr(suites, "probe_generators", lambda A, count: [A.gen(gid) for gid in probes])
+    ctx = RunContext(instance, SuiteConfig(algebra=instance.algebra.name, **FAST))
+    records = [check_identity(name, ctx) for name in {**CORE, **ENVELOPE}]
+    return [(r.check, r.status, r.evaluated, r.skipped) for r in records]
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_relabeling_in_reverse_id_order_changes_no_count(builtin, monkeypatch):
+    parent = builtin_instance(builtin)
+    image, new = relabeled(parent)
+    assert sorted(new, key=new.get) == sorted(new, reverse=True)
+    probes = [g.gid for g in suites.probe_generators(parent.algebra, FAST["probe_gens"])]
+    want = row_counts(parent, probes, monkeypatch)
+    assert row_counts(image, [new[gid] for gid in probes], monkeypatch) == want
+    assert all(status == "pass" for _, status, _, _ in want)

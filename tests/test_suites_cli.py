@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from abhomotopy.ab_core import TruncationOverflow, ell2
+from abhomotopy.ab_core import TruncationOverflow, ell2, load_algebra
 from abhomotopy import cli, suites
 from abhomotopy.cli import main
 from abhomotopy.suites import (
@@ -381,6 +381,45 @@ def test_loader_names_the_malformed_field(tmp_path, capsys, doc, named):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check-algebra", "--algebra", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (
+            _loader_doc(generators=[{"id": "u\u0000", "degree": 0}, {"id": "v", "degree": 1}], differential=[]),
+            "generator 'u\\x00': an id may not contain NUL",
+        ),
+        (
+            _loader_doc(generators=[{"id": "u", "degree": 0}, {"id": "v", "degree": 129}], differential=[]),
+            "generator 'v': degree 129 is outside -127..128, the degrees a letter takes at a = 0",
+        ),
+        (
+            _loader_doc(a=2, b=1, generators=[{"id": "u", "degree": -130}], differential=[]),
+            "generator 'u': degree -130 is outside -129..126, the degrees a letter takes at a = 2",
+        ),
+    ],
+    ids=["nul-in-id", "degree-above", "degree-below-at-a-2"],
+)
+def test_a_letter_the_encoding_cannot_hold_is_a_named_usage_error(tmp_path, capsys, doc, named):
+    """A letter's string value is its id, a NUL and one character coding
+    its shifted degree.  A NUL inside an id would misorder letters without
+    a word, and a degree outside the code's range has no character, so
+    each is a usage error naming the generator."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify-envelope", "--algebra", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_the_extreme_letter_degrees_load(tmp_path):
+    """The ends of the code's range still load: at a = 0 an unshifted
+    degree d is the shifted degree d - 1."""
+    path = tmp_path / "algebra.json"
+    doc = _loader_doc(generators=[{"id": "u", "degree": -127}, {"id": "v", "degree": 128}], differential=[])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    A = load_algebra(str(path))
+    assert [(g.gid, g.deg) for g in A.generators] == [("u", -128), ("v", 127)]
 
 
 def test_bug_inside_a_check_is_not_a_usage_error():

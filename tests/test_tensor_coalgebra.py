@@ -1,5 +1,7 @@
+import copy
 import importlib.util
 import itertools
+import pickle
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -12,6 +14,7 @@ from abhomotopy.freemodule import Element, ReducedBasis, bilinear
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
 from abhomotopy.suites import _CYCLIC_SUM
 from abhomotopy.tensor_coalgebra import (
+    LETTER_DEGREES,
     QUOTIENT,
     Generator,
     ShuffleQuotient,
@@ -664,3 +667,70 @@ def test_word_degree_memo_tells_equal_ids_of_other_degrees_apart():
     assert word_degree((even, even)) == 0
     assert word_degree((odd, odd)) == 2
     assert word_degree((even, odd)) == 1
+
+
+# -- the letter type ------------------------------------------------------------
+
+# short NUL-free ids cut from one or two stems, so ids often extend one another (x, x1)
+_ID_TEXT = st.text(st.characters(blacklist_characters="\x00"), max_size=4)
+_DEGREES = st.integers(LETTER_DEGREES.start, LETTER_DEGREES.stop - 1)
+
+
+@st.composite
+def _letter_pairs(draw):
+    stems = draw(st.lists(_ID_TEXT, min_size=1, max_size=2))
+    pairs = []
+    for _ in range(draw(st.integers(2, 6))):
+        stem = draw(st.sampled_from(stems))
+        pairs.append((stem[: draw(st.integers(0, len(stem)))], draw(_DEGREES)))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_letter_pairs())
+def test_letters_order_as_their_pairs_and_are_interned(pairs):
+    letters = [Generator(gid, deg) for gid, deg in pairs]
+    for (p, g), (q, h) in itertools.product(zip(pairs, letters), repeat=2):
+        assert (g < h, g == h, g <= h) == (p < q, p == q, p <= q), (p, q)
+        assert (g is h) == (p == q)
+        assert (hash(g) == hash(h)) or g != h
+    assert [(g.gid, g.deg) for g in sorted(letters)] == sorted(pairs)
+    assert all(Generator(*p) is g and (g.gid, g.deg) == p for p, g in zip(pairs, letters))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ID_TEXT, _DEGREES)
+def test_a_letter_prints_as_its_id_and_copies_as_itself(gid, deg):
+    g = Generator(gid, deg)
+    assert repr(g) == str(g) == format(g) == f"{g}" == gid
+    assert format(g, ">6") == format(gid, ">6") and "%s" % g == gid
+    assert type(str(g)) is str
+    assert copy.copy(g) is g and copy.deepcopy(g) is g and copy.deepcopy([(g,)])[0][0] is g
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(g, protocol)) is g
+
+
+def test_a_letter_the_encoding_cannot_hold_is_a_value_error():
+    lo, hi = LETTER_DEGREES.start, LETTER_DEGREES.stop - 1
+    assert (Generator("x", lo).deg, Generator("x", hi).deg) == (lo, hi)
+    for gid, deg, named in [
+        ("x\x00y", 0, "generator 'x\\x00y': an id may not contain NUL"),
+        (5, 0, "generator 5: an id must be a string"),
+        ("x", hi + 1, f"generator 'x': shifted degree {hi + 1} is not an integer in {lo}..{hi}"),
+        ("x", lo - 1, f"generator 'x': shifted degree {lo - 1} is not an integer in {lo}..{hi}"),
+        ("y", 0.5, "generator 'y': shifted degree 0.5 is not an integer"),
+        # equal to the degree of an existing letter, yet not an integer
+        ("x", float(hi), f"generator 'x': shifted degree {float(hi)!r} is not an integer"),
+        ("x", True, "generator 'x': shifted degree True is not an integer"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Generator(gid, deg)
+        assert named in str(err.value)
+
+
+def test_a_letter_is_immutable():
+    g = Generator("x", 1)
+    for attempt in (lambda: setattr(g, "deg", 2), lambda: delattr(g, "gid"), lambda: setattr(g, "other", 0)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert (g.gid, g.deg) == ("x", 1)
