@@ -27,9 +27,13 @@ compatible bracket ``ell2`` on words (a signed sum over shuffles that
 contract one adjacent cross pair).  Two structurally different
 evaluators of ell2 are provided, the second an oracle.  Both choose the
 contracted pair first and skip a pair whose bracket is zero (on the
-builtins, most pairs), and neither promises an order for its terms;
-they differ in how they sign a term (see :func:`ell2_oracle`).  Its
-signed forms ell2' and ell2'' live in ``suites.RunContext.maps``.
+builtins, most pairs); they differ in how they build and sign a term.
+:func:`ell2` reads a plan kept per shape and parity pattern, as the
+shuffle product does: per contracted pair one flat getter builds every
+output word and a tuple holds their signs, so its terms come in the
+order of a pair-first walk.  :func:`ell2_oracle` signs each term by
+counting swaps and promises no order.  The signed forms ell2' and
+ell2'' live in ``suites.RunContext.maps``.
 
 Structure constants are cached per algebra with integral values stored
 as ``int``, so every map built from them runs in integer arithmetic
@@ -42,13 +46,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
-from .tensor_coalgebra import LETTER_DEGREES, Generator, Word, signed_interleavings, word_degree
+from .tensor_coalgebra import LETTER_DEGREES, Generator, Word, crossing_sign, two_blocks, word_degree
 
 
 class TruncationOverflow(Exception):
@@ -220,6 +225,51 @@ def coderivation_D(algebra: AbAlgebra) -> Coderivation:
 # -- the bracket extension to words -------------------------------------
 
 
+#: per (len x, len y, (b - a + 1) mod 2, parities of the letters of x + y):
+#: per contracted letter pair (r, s), in (r, s) order, its word getter and signs
+_ELL2_PLANS: dict = {}
+
+
+def _signed_rows(xi: tuple, yi: tuple, odd: tuple) -> list[tuple[tuple, int]]:
+    """Every interleaving of the index runs ``xi`` and ``yi`` (into
+    ``x + y``), each with its Koszul sign for the letter parities ``odd``,
+    in :func:`two_blocks` order; an empty run leaves one row, sign 1."""
+    if not xi or not yi:
+        return [(xi + yi, 1)]
+    rows = []
+    for xs, ys in two_blocks(len(xi) + len(yi), len(xi)):
+        row = [0] * (len(xi) + len(yi))
+        for i, k in zip(xi + yi, xs + ys):
+            row[k] = i
+        rows.append((tuple(row), crossing_sign(xs, ys, [odd[i] for i in xi], [odd[j] for j in yi])))
+    return rows
+
+
+def _contraction(p: int, q: int, r: int, s: int, bma1_odd: int, odd: tuple) -> tuple[Callable, tuple]:
+    """The word getter and the signs of contracting x_r with y_s.
+
+    The getter reads ``x + y + (g,)``, g a letter of the bracket, and
+    returns every output word pre.g.post back to back, with pre an
+    interleaving of ``x[:r]`` and ``y[:s]`` and post one of ``x[r+1:]``
+    and ``y[s+1:]``, pre outer and post inner.  A word's sign is the two
+    interleavings' signs times the block sign
+    (-1)^(|x_r| |y[:s]| + |x[r+1:]| |y[:s+1]| + (b-a+1) |pre|).
+    """
+    def odd_sum(idx) -> int:
+        return sum(odd[i] for i in idx) & 1
+
+    ys = range(p, p + s)
+    block = (odd[r] & odd_sum(ys)) ^ (odd_sum(range(r + 1, p)) & odd_sum(range(p, p + s + 1)))
+    block ^= bma1_odd & (odd_sum(range(r)) ^ odd_sum(ys))
+    pres = _signed_rows(tuple(range(r)), tuple(ys), odd)
+    posts = _signed_rows(tuple(range(r + 1, p)), tuple(range(p + s + 1, p + q)), odd)
+    flat = [i for pre, _ in pres for post, _ in posts for i in (*pre, p + q, *post)]
+    # one index (x and y single letters) would make itemgetter return a letter, not a word
+    get = operator.itemgetter(*flat) if len(flat) > 1 else operator.itemgetter(slice(flat[0], flat[0] + 1))
+    signs = tuple(-e1 * e2 if block else e1 * e2 for _, e1 in pres for _, e2 in posts)
+    return get, signs
+
+
 def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     """Compatible bracket of two words, degree b - a + 1 in dg.
 
@@ -234,36 +284,54 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     pair, and an interleaving of ``x[r+1:]`` and ``y[s+1:]``.  Their
     Koszul sign is the two interleavings' signs times the closed-form
     block sign (-1)^(|x_r| |y[:s]| + |x[r+1:]| |y[:s+1]|): the y letters
-    of the first part pass x[r:], and y_s passes x[r+1:].  A pair with
-    zero bracket costs one cached lookup and no interleaving.  The
-    result's term order is unspecified.
+    of the first part pass x[r:], and y_s passes x[r+1:].
+
+    Every bracket ``ell(x_r, y_s)`` is looked up first, in (r, s) order,
+    so a :class:`TruncationOverflow` is raised at the same pair as a
+    term-by-term walk would raise it, before any word is built.  A pair
+    with zero bracket costs that lookup alone.  The words and signs come
+    from a plan kept per shape, parity of b - a + 1 and letter parities
+    (:data:`_ELL2_PLANS`): per pair, one flat getter builds every word
+    pre.g.post of a bracket letter g in one call.  Terms come in walk
+    order: pair, then pre, then post, then the bracket's letters.  The
+    words go into one dict; only when two coincide (a repeated letter,
+    or two pairs giving one word) are all terms added up again through
+    :func:`add_term` in walk order, so the result, its term order and
+    its coefficient types are those of the walk.
     """
-    bma1_odd = (algebra.b - algebra.a + 1) % 2
     ell = algebra.ell
+    vals = [ell(g, h).terms for g in x for h in y]
+    if not any(vals):
+        return Element()
+    xy = x + y
     p, q = len(x), len(y)
-    # parities of the degrees of x[:r] and of y[:s], for every r and s
-    x_pre = [0]
-    for g in x:
-        x_pre.append((x_pre[-1] + g.deg) % 2)
-    y_pre = [0]
-    for g in y:
-        y_pre.append((y_pre[-1] + g.deg) % 2)
+    odd = tuple([g.deg & 1 for g in xy])
+    bma1_odd = (algebra.b - algebra.a + 1) & 1
+    plan = _ELL2_PLANS.get((p, q, bma1_odd, odd))
+    if plan is None:
+        plan = _ELL2_PLANS[p, q, bma1_odd, odd] = tuple(
+            _contraction(p, q, r, s, bma1_odd, odd) for r in range(p) for s in range(q)
+        )
+    n = p + q - 1
+    words: list = []
+    coefs: list = []
+    for terms, (get, signs) in zip(vals, plan):
+        if not terms:
+            continue
+        if len(terms) == 1:
+            ((g, c),) = terms.items()
+            words += zip(*[iter(get(xy + (g,)))] * n)
+            coefs += signs if c == 1 else [c * e for e in signs]
+        else:  # the bracket's letters innermost, as the walk adds them
+            per_letter = [zip(*[iter(get(xy + (g,)))] * n) for g in terms]
+            words += [w for ws in zip(*per_letter) for w in ws]
+            coefs += [c * e for e in signs for c in terms.values()]
+    d = dict(zip(words, coefs))
+    if len(d) == len(words):
+        return Element(d)
     acc: dict = {}
-    for r in range(p):
-        for s in range(q):
-            val = ell(x[r], y[s])
-            if not val.terms:
-                continue
-            x_after_r = x_pre[p] ^ x_pre[r + 1]  # parity of |x[r+1:]|
-            odd = (x[r].deg % 2 & y_pre[s]) ^ (x_after_r & y_pre[s + 1]) ^ (bma1_odd & (x_pre[r] ^ y_pre[s]))
-            posts = signed_interleavings(x[r + 1 :], y[s + 1 :])
-            for pre, e_pre in signed_interleavings(x[:r], y[:s]):
-                if odd:
-                    e_pre = -e_pre
-                for post, e_post in posts:
-                    sgn = e_pre * e_post
-                    for g, c in val.terms.items():
-                        add_term(acc, pre + (g,) + post, c * sgn)
+    for w, c in zip(words, coefs):
+        add_term(acc, w, c)
     return Element(acc)
 
 
@@ -275,9 +343,10 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     and recovers each term's sign from the full permutation via the
     adjacent-transposition sign oracle, counting swaps over the whole
     rearrangement.  Shares no code with :func:`ell2`, which enumerates
-    the same pairs but signs a term in closed form: the signs that
-    ``signed_interleavings`` carries for the parts before and after the
-    pair, times a block sign read off degree parities.
+    the same pairs but reads each term's word and sign from a plan built
+    from ``two_blocks`` and ``crossing_sign``: the signs of the parts
+    before and after the pair, times a block sign read off degree
+    parities.  This oracle reads neither, nor the plan table.
     """
     p, q = len(x), len(y)
     letters = x + y

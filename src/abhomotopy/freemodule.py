@@ -18,6 +18,11 @@ Loops that build a result term by term accumulate into one private
 dict through :func:`add_term` and wrap it once at the end, instead of
 copying a partial sum per term.
 
+An Element is never mutated after construction: no code changes the
+``terms`` of an Element it did not just build.  That is what lets
+Elements be shared: caches hand out the same Element to every caller,
+and :meth:`Element.scale` by 1 returns the Element itself.
+
 Row reduction is the plain sparse reduced-echelon algorithm over Q with
 first-nonzero pivoting; over an exact field nothing cleverer is needed.
 """
@@ -104,16 +109,20 @@ class Element:
         return Element(acc)
 
     def scale(self, coeff) -> "Element":
+        """``coeff`` times this Element; a factor of 1 returns the Element itself."""
         c = _coeff(coeff)
+        if c == 1:
+            return self
+        if c == -1:
+            return Element({b: -v for b, v in self.terms.items()})
         if not c:
             return Element()
         terms = {b: v * c for b, v in self.terms.items()}
-        if c != 1 and c != -1:
-            # a stored Fraction is never integral, so only a factor other
-            # than a sign can make a product integral
-            for b, v in terms.items():
-                if type(v) is not int and v.denominator == 1:
-                    terms[b] = v.numerator
+        # a stored Fraction is never integral, so only a factor other
+        # than a sign can make a product integral
+        for b, v in terms.items():
+            if type(v) is not int and v.denominator == 1:
+                terms[b] = v.numerator
         return Element(terms)
 
     def map_basis(self, f: Callable[[Hashable], "Element"]) -> "Element":
@@ -202,7 +211,8 @@ class ReducedBasis:
         if r.is_zero():
             return
         pivot = self._pivot_of(r)
-        new = r.scale(Fraction(1) / r.coefficient(pivot)).terms
+        # a copy: scaling by 1 returns r, which may be the caller's v, and rows change in place
+        new = dict(r.scale(Fraction(1) / r.coefficient(pivot)).terms)
         # keep reduced form: clear the new pivot from existing tails
         for row in self._rows.values():
             c = row.get(pivot)

@@ -108,7 +108,7 @@ from .ab_core import (
     load_algebra,
     sweep,
 )
-from .freemodule import Element, bilinear, format_element
+from .freemodule import Element, _coeff, bilinear, format_element
 from .instances import BUILTINS, Instance, builtin_instance
 from .signs import sign
 from .sym_coalgebra import (
@@ -634,19 +634,30 @@ def _jacobi(form: str):
     first touched (hence ``degree_violations``) does not change.  Each
     rotation is still its own input, counted in a record's ``evaluated``;
     a failing orbit ends the row at its first rotation.
+
+    An orbit is summed in one dict: for each rotation (x, y, z), each
+    term u (coefficient c) of the kept f(x, y) and each term (coefficient
+    c2) of f(u, z) add the rotation's sign times c c2.  Zero sums are
+    dropped and integral ones stored as ``int`` once, at the end; the
+    maps are called in the order a bracket-then-add sum would call them.
     """
 
     def law(ctx, triple):
         orbit = ctx.row_memo.get(_ORBIT)
         if orbit is None or triple not in orbit[0]:
             f = ctx.maps[form]
-            fn = lambda u, v: f.fn((u, v))
+            fn, grading = f.fn, f.grading
             inner = ctx.kept(form)
             rotations = (triple, triple[1:] + triple[:1], triple[2:] + triple[:2])
-            total = Element.zero()
+            acc: dict = {}
+            get = acc.get
             for x, y, z in rotations:
-                term = bilinear(fn, inner((x, y)), Element.of(z))
-                total = total + term.scale(sign(f.grading(x) * f.grading(z)))
+                sgn = sign(grading(x) * grading(z))
+                for u, c in inner((x, y)).terms.items():
+                    c *= sgn
+                    for w, c2 in fn((u, z)).terms.items():
+                        acc[w] = get(w, 0) + c * c2
+            total = Element({w: _coeff(c) for w, c in acc.items() if c})
             orbit = ctx.row_memo[_ORBIT] = (rotations, f.zero(total, 1))
         return orbit[1], "graded Jacobi fails in the quotient"
 

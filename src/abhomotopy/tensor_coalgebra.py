@@ -26,14 +26,16 @@ the splits of n positions into an increasing block of r and the
 increasing rest, and :func:`crossing_sign` gives the Koszul sign of
 placing one block ahead of the other: the parity of the odd pairs whose
 order flips.  A shuffle interleaves two blocks and an unshuffle splits
-one in two, and both carry that sign.  Every signed sum over the
-interleavings of two words (the shuffle product here, the bracket
-extension ``ell2`` in :mod:`ab_core`) reads shape tables built from the
-two: each shape (p, q) has one flat ``operator.itemgetter`` that
-reads every interleaving out of ``x + y`` in one call, back to back,
-and each shape and parity pattern its tuple of signs.  A product
-builds its dict once and adds up terms only when two interleavings
-coincide.  The symmetric layer's
+one in two, and both carry that sign.  Both signed sums over the
+interleavings of two words read flat getters built from the two: a
+flat ``operator.itemgetter`` reads every output word out of its input
+letters in one call, back to back, beside a tuple of their signs.  The
+shuffle product here has one getter per shape (p, q) and one sign tuple
+per shape and parity pattern.  The bracket extension ``ell2`` in
+:mod:`ab_core` has a plan per shape and parity pattern holding, for
+each contracted letter pair, a getter over ``x + y + (g,)`` (g a letter
+of the pair's bracket) and its signs.  Each builds its dict once and
+adds up terms only when two words coincide.  The symmetric layer's
 :func:`~abhomotopy.sym_coalgebra.block_splits` builds its split tables
 from the same two functions.  All are built on first use and keyed by
 shape and parities alone, never by letters, so every algebra and mutant
@@ -265,8 +267,11 @@ def _interleavings(x: Word, y: Word) -> tuple[Iterator[Word], tuple]:
 def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
     """Every interleaving of ``x`` and ``y`` with its Koszul sign.
 
-    Returns a list of ``(word, sign)``.  Both words keep their internal
-    order, and either may be empty.  The flat getter of shape
+    No production path calls this any more: the shuffle product reads
+    :func:`_interleavings`, and ``ab_core.ell2`` its own plans.  It stays
+    as the package's listing of signed interleavings, for callers and
+    tests.  Returns a list of ``(word, sign)``.  Both words keep their
+    internal order, and either may be empty.  The flat getter of shape
     (len(x), len(y)) reads every interleaving out of ``x + y`` at once,
     and each is paired with the sign stored for the parities of those
     letters (see :func:`_tables`).  Interleavings come in lexicographic
@@ -514,8 +519,23 @@ class ShuffleQuotient:
         return nf
 
     def normal_form(self, v: Element) -> Element:
-        """Lie coordinates of an Element of words; zero iff v is a shuffle combination."""
-        return v.map_basis(self.normal_form_word)
+        """Lie coordinates of an Element of words; zero iff v is a shuffle combination.
+
+        One running sum over the memoized normal forms of the words of
+        ``v``, then one pass that drops zero sums and stores integral sums
+        as ``int``.  Its term order is unspecified: callers read only
+        whether it is zero.
+        """
+        acc: dict = {}
+        get = acc.get
+        memo = self._nf.get
+        for w, c in v.terms.items():
+            nf = memo(w)
+            if nf is None:
+                nf = self.normal_form_word(w)
+            for b, c2 in nf.terms.items():
+                acc[b] = get(b, 0) + c * c2
+        return Element({b: _coeff(c) for b, c in acc.items() if c})
 
     def is_zero(self, v: Element) -> bool:
         """True iff the Element of words is zero in the shuffle quotient."""

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +32,8 @@ from abhomotopy.suites import (
     probe_generators,
     probe_words,
 )
-from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle
+from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle, signed_interleavings
+from test_regrading import rescaled
 
 
 def test_loader_rejects_bad_documents():
@@ -280,6 +283,139 @@ def test_ell2_matches_a_walk_over_all_shuffles(name):
             pairs = sum(not A.ell(g, h).is_zero() for g in x for h in y)
             several += pairs > 1 and len(got.terms) > 1
     assert several
+
+
+def _ell2_pair_first(A, x, y) -> Element:
+    """The pair-first bracket extension as a term-by-term walk: pair,
+    then the interleavings before and after it, then the bracket's
+    letters, each term through ``add_term``.  The ``ell`` lookups run in
+    (r, s) order, interleaved with the terms of the earlier pairs."""
+    bma1_odd = (A.b - A.a + 1) % 2
+    p, q = len(x), len(y)
+    x_pre, y_pre = [0], [0]
+    for g in x:
+        x_pre.append((x_pre[-1] + g.deg) % 2)
+    for g in y:
+        y_pre.append((y_pre[-1] + g.deg) % 2)
+    acc: dict = {}
+    for r in range(p):
+        for s in range(q):
+            val = A.ell(x[r], y[s])
+            if not val.terms:
+                continue
+            x_after_r = x_pre[p] ^ x_pre[r + 1]
+            odd = (x[r].deg % 2 & y_pre[s]) ^ (x_after_r & y_pre[s + 1]) ^ (bma1_odd & (x_pre[r] ^ y_pre[s]))
+            posts = signed_interleavings(x[r + 1 :], y[s + 1 :])
+            for pre, e_pre in signed_interleavings(x[:r], y[:s]):
+                if odd:
+                    e_pre = -e_pre
+                for post, e_post in posts:
+                    sgn = e_pre * e_post
+                    for g, c in val.terms.items():
+                        add_term(acc, pre + (g,) + post, c * sgn)
+    return Element(acc)
+
+
+def _lookups(A, bracket_extension, x, y):
+    """The result (or overflow message) of ``bracket_extension(A, x, y)``,
+    and the ``ell`` lookups it made, in order."""
+    seen = []
+    ell = A.ell
+
+    def recording(g, h):
+        seen.append((g, h))
+        return ell(g, h)
+
+    A.ell = recording
+    try:
+        return bracket_extension(A, x, y), seen
+    except TruncationOverflow as exc:
+        return str(exc), seen
+    finally:
+        del A.ell
+
+
+def _same_as_the_walk(A, words, max_letters):
+    """``ell2`` against the walk on every pair of ``words`` with at most
+    ``max_letters`` letters: the same terms in the same order with the
+    same coefficient types, or the same overflow after the same lookups.
+    Returns counts of what the pairs exercised."""
+    seen = dict(pairs=0, overflows=0, collisions=0, fractions=0, several_letters=0)
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > max_letters:
+                continue
+            got, got_lookups = _lookups(A, ell2, x, y)
+            want, want_lookups = _lookups(A, _ell2_pair_first, x, y)
+            assert got_lookups == want_lookups, (x, y)
+            if isinstance(want, str):
+                assert got == want, (x, y)
+                seen["overflows"] += 1
+                continue
+            items = [(w, c, type(c)) for w, c in got.terms.items()]
+            assert items == [(w, c, type(c)) for w, c in want.terms.items()], (x, y)
+            seen["pairs"] += 1
+            vals = [(r, s, A.ell(g, h)) for r, g in enumerate(x) for s, h in enumerate(y)]
+            # the walk's term count; a result with fewer terms had two walk terms on one word
+            walked = sum(
+                len(v.terms) * math.comb(r + s, r) * math.comb(len(x) + len(y) - r - s - 2, len(x) - r - 1)
+                for r, s, v in vals
+            )
+            seen["collisions"] += len(got.terms) < walked
+            seen["fractions"] += any(type(c) is Fraction for c in got.terms.values())
+            seen["several_letters"] += any(len(v.terms) > 1 for _, _, v in vals)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_ell2_plans_match_the_walk_on_probe_words(name):
+    """The plans give the walk's result term for term, in its order and
+    with its coefficient types, on every pair of probe words with at most
+    five letters, and overflow at the same pair with the same message."""
+    A = builtin_instance(name).algebra
+    seen = _same_as_the_walk(A, probe_words(probe_generators(A, 4), 3), 5)
+    assert seen["pairs"]
+    if name == "schouten-super":
+        assert seen["overflows"]
+
+
+@pytest.mark.parametrize("name", ["gerstenhaber-toy", "poisson-polynomial", "schouten-super"])
+def test_ell2_plans_match_the_walk_on_a_rescaled_algebra(name):
+    """The same on a rescaled builtin, whose constants are fractions, over
+    words with repeated letters, where two interleavings give one word.
+    b - a + 1 is even on gerstenhaber-toy and schouten-super, which have
+    brackets of two letters, and odd on poisson-polynomial."""
+    A = rescaled(builtin_instance(name), (2, -1, 3, -2)).algebra
+    assert (A.b - A.a + 1) % 2 == (name == "poisson-polynomial")
+    gens = _closed_letters(A, 5)
+    pairs = [(g, h) for g in gens for h in gens]
+    words = [(g,) for g in gens] + pairs + [(g, g, h) for g, h in pairs]
+    seen = _same_as_the_walk(A, words, 5)
+    assert seen["pairs"] and seen["collisions"] and seen["fractions"]
+    assert seen["several_letters"] or name == "poisson-polynomial"
+
+
+def _closed_letters(A, count: int) -> list:
+    """Up to ``count`` generators whose brackets with each other stay inside
+    the truncation, taken greedily: those with the widest brackets first,
+    then those with fractional ones."""
+    def brackets(g, among):
+        try:
+            return [A.ell(g, h) for h in among] + [A.ell(h, g) for h in among]
+        except TruncationOverflow:
+            return None
+
+    def rank(g):
+        values = [v for h in A.generators for v in brackets(g, [h]) or ()]
+        widest = max((len(v.terms) for v in values), default=0)
+        fractional = any(type(c) is Fraction for v in values for c in v.terms.values())
+        return -widest, -fractional
+
+    chosen: list = []
+    for g in sorted(A.generators, key=rank):
+        if len(chosen) < count and brackets(g, chosen + [g]) is not None:
+            chosen.append(g)
+    return chosen
 
 
 def test_ell2_kills_shuffle_images(bracket_algebra):

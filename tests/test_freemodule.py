@@ -202,3 +202,33 @@ def test_reduced_basis_rows_handed_out_are_not_mutated():
     ]
     rb.basis()[0].terms.clear()  # mutating a handed-out copy leaves the rows intact
     assert rb.dimension() == 2 and rb.contains(Element.of(W1) - Element.of(W3, Fraction(1, 3)))
+
+
+def test_reduced_basis_leaves_an_inserted_element_unchanged():
+    """An Element whose pivot coefficient is 1 becomes a row unscaled; the
+    row is a copy, so clearing a later pivot from it leaves the Element be."""
+    v = Element.of(W1) + Element.of(W2)
+    snapshot = dict(v.terms)
+    rb = ReducedBasis([v], key=str_key)
+    rb.insert(Element.of(W2, 3) + Element.of(W3))
+    assert v.terms == snapshot
+    assert rb.contains(v)
+
+
+def test_scaling_by_a_unit_sign():
+    """Scaling by 1 returns the Element itself, which is safe because no
+    Element is mutated after construction.  Scaling by -1 negates and
+    keeps stored forms: an int stays an int, a non-integral Fraction a
+    Fraction.  Other factors build a new Element as before."""
+    v = Element({W1: 2, W2: Fraction(1, 3), W3: -1})
+    assert v.scale(1) is v
+    assert v.scale(Fraction(1)) is v
+    neg = v.scale(-1)
+    assert neg is not v and v.terms == {W1: 2, W2: Fraction(1, 3), W3: -1}
+    assert list(neg.terms.items()) == [(W1, -2), (W2, Fraction(-1, 3)), (W3, 1)]
+    assert [type(c) for c in neg.terms.values()] == [int, Fraction, int]
+    assert neg.scale(Fraction(-1)) == v
+    tripled = v.scale(3)
+    assert tripled is not v and tripled.terms == {W1: 6, W2: 1, W3: -3}
+    assert [type(c) for c in tripled.terms.values()] == [int, int, int]
+    assert v.scale(0).is_zero() and Element().scale(1).is_zero()

@@ -15,15 +15,26 @@ status and its evaluated and skipped counts.  Letters order by (id,
 degree), so the reversal reorders the canonical syms and the Koszul
 signs of their representatives: a sign that follows the id order, not
 the degrees, shows here.
+
+Rescaling changes no count either.  Moving the structure along the
+linear isomorphism g -> lambda_g g, lambda_g nonzero, gives an isomorphic
+algebra whose structure constants are the parent's times lambda_k /
+(lambda_g lambda_h) (lambda_k / lambda_g for the differential), so with
+the same probes forced on both, every CORE and ENVELOPE row keeps its
+status and its evaluated and skipped counts.  A uniform factor 2 halves every
+product and bracket, so the kernels run in ``Fraction`` arithmetic
+throughout.
 """
 
 import dataclasses
 import functools
+import math
+from fractions import Fraction
 
 import pytest
 
 from abhomotopy import suites
-from abhomotopy.ab_core import AbAlgebra
+from abhomotopy.ab_core import AbAlgebra, TruncationOverflow
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
 from abhomotopy.suites import (
@@ -36,6 +47,7 @@ from abhomotopy.suites import (
     run_verify_envelope,
 )
 from abhomotopy.tensor_coalgebra import Generator
+from test_slot_memo import FORCED
 
 FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2)
 
@@ -87,6 +99,39 @@ def relabeled(instance):
     return dataclasses.replace(instance, algebra=algebra), new
 
 
+def rescaled(instance, factors):
+    """``instance`` moved along g -> lambda_g g, where generator i (in the
+    algebra's order) has lambda = ``factors[i % len(factors)]``; ids stay."""
+    A = instance.algebra
+    lam = {g.gid: Fraction(factors[i % len(factors)]) for i, g in enumerate(A.generators)}
+
+    def moved(fn):
+        def image(*gids):
+            k = math.prod(lam[gid] for gid in gids)
+            return Element.from_terms((g, c * lam[g.gid] / k) for g, c in fn(*gids).terms.items())
+
+        return image
+
+    algebra = AbAlgebra(
+        A.name, A.a, A.b, A.generators, dict(A.unshifted),
+        moved(A.product_fn), moved(A.bracket_fn), moved(A.diff_fn),
+    )
+    return dataclasses.replace(instance, algebra=algebra)
+
+
+def constants(A):
+    """Every product and bracket of two generators that stays inside the truncation."""
+    out = []
+    for op in (A.product, A.bracket):
+        for g in A.generators:
+            for h in A.generators:
+                try:
+                    out.append(op(g, h))
+                except TruncationOverflow:
+                    pass
+    return out
+
+
 def row_counts(instance, probes, monkeypatch):
     """(row, status, evaluated, skipped) of every CORE and ENVELOPE row,
     with exactly ``probes`` (ids, in order) as the probe generators."""
@@ -105,3 +150,21 @@ def test_relabeling_in_reverse_id_order_changes_no_count(builtin, monkeypatch):
     want = row_counts(parent, probes, monkeypatch)
     assert row_counts(image, [new[gid] for gid in probes], monkeypatch) == want
     assert all(status == "pass" for _, status, _, _ in want)
+
+
+@pytest.mark.parametrize(
+    "factors", [(2,), (-1,), (3,), (-2,), (2, -1, 3, -2)], ids=["2", "-1", "3", "-2", "cycle"]
+)
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_rescaling_changes_no_count(builtin, factors, monkeypatch):
+    """Every generator rescaled by 2, -1, 3 and -2 in turn, and the
+    generators by those four factors in cycle.  The probes are forced to
+    two generators whose brackets are nonzero, so fractional constants
+    reach the bracket extension and the Jacobi rows."""
+    parent = builtin_instance(builtin)
+    image = rescaled(parent, factors)
+    if factors != (-1,):
+        assert any(type(c) is Fraction for v in constants(image.algebra) for c in v.terms.values())
+    probes = FORCED[builtin]
+    want = row_counts(parent, probes, monkeypatch)
+    assert row_counts(image, probes, monkeypatch) == want

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhomotopy import sym_coalgebra, tensor_coalgebra
-from abhomotopy.ab_core import AbAlgebra, TruncationOverflow, coderivation_D, ell2_oracle
+from abhomotopy import ab_core, sym_coalgebra, tensor_coalgebra
+from abhomotopy.ab_core import AbAlgebra, TruncationOverflow, coderivation_D, ell2, ell2_oracle
 from abhomotopy.freemodule import Element
 from abhomotopy.instances import BUILTINS, builtin_instance
 from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps, sign
@@ -137,6 +137,15 @@ def guarded(*args):
     raise Guarded("an oracle read the production split enumerator")
 
 
+class GuardedTable(dict):
+    """A plan table that an oracle must not read."""
+
+    def get(self, *args):
+        raise Guarded("an oracle read a production plan table")
+
+    __getitem__ = __setitem__ = __contains__ = get
+
+
 @pytest.mark.parametrize("builtin", ["gerstenhaber-toy", "poisson-polynomial"])
 def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     """The oracles enumerate and sign their splits themselves: with
@@ -145,16 +154,19 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     oracle still runs on every probe sym, while the production kernels
     built on them raise.  Neither do they permute
     slots: with the slot-permutation plans emptied and their sign raising,
-    :func:`swap_adjacent_slots` raises and the oracles still run."""
+    :func:`swap_adjacent_slots` raises and the oracles still run.  Nor
+    does ``ell2_oracle`` read the bracket extension's plans: with the plan
+    table raising on any read, ``ell2`` raises and the oracle runs."""
     sizes = dict(max_word_len=2, max_sym_factors=3, max_total_letters=4, probe_gens=2)
     config = SuiteConfig(algebra=builtin, **sizes)
     ctx = RunContext(builtin_instance(builtin), config, forced_gens=FORCED[builtin])
     A, D = ctx.algebra, coderivation_D(ctx.algebra)
     syms = list(dict.fromkeys(ctx.syms_letters + ctx.syms_factors))
     assert max(map(len, syms)) >= 3
-    for module in (tensor_coalgebra, sym_coalgebra):
+    for module in (tensor_coalgebra, sym_coalgebra, ab_core):
         monkeypatch.setattr(module, "two_blocks", guarded)
         monkeypatch.setattr(module, "crossing_sign", guarded)
+    monkeypatch.setattr(ab_core, "_ELL2_PLANS", GuardedTable())
     monkeypatch.setattr(tensor_coalgebra, "_FLAT_GETTERS", {})
     monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
     monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
@@ -169,6 +181,9 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
         cobracket_doubleprime(A, cut, delta=cobracket)
     with pytest.raises(Guarded):
         swap_adjacent_slots(Element.of(tuple(ctx.pair_words[:2])), 0, A.deg_s)
+    g, h = next((g, h) for g in A.generators for h in A.generators if _nonzero_bracket(A, g, h))
+    with pytest.raises(Guarded):
+        ell2(A, (g,), (h,))
     bracket = lambda xy: ell2_oracle(A, *xy)
     evaluated = 0
     for sym in syms:
@@ -192,6 +207,13 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
             except TruncationOverflow:
                 pass
     assert evaluated > len(syms)
+
+
+def _nonzero_bracket(A, g, h) -> bool:
+    try:
+        return not A.ell(g, h).is_zero()
+    except TruncationOverflow:
+        return False
 
 
 def test_extensions_on_one_and_two_factors(toy_instance):
