@@ -14,9 +14,9 @@ odd factor is zero.  On this space live:
 - the degree-(b-a) cobracket ``cobracket_doubleprime``, the word
   cobracket it is given (delta) on one factor, the others split around
   it.  It reads the splits of the other factors from ``block_splits``
-  with the cut factor pinned, and puts the (-1)^((a-b) deg_s X_I) of
-  the left block on each split's sign from the block parities the split
-  carries.
+  with the cut factor pinned, through a cut plan that puts the
+  (-1)^((a-b) deg_s X_I) of the left block on each split's sign once per
+  parity pattern.
 
 This module builds no map on words.  Delta, m, ell'' and delta''
 enumerate factor splits through one table, :func:`block_splits`, the one
@@ -48,10 +48,17 @@ Canonical insertion.  ``coproduct_delta``, ``extend`` and
 ``cobracket_doubleprime`` take a canonical SymWord.  Every factor
 tuple they emit is a subsequence of it (``X_I``, ``X_J`` or the rest
 after removing factors), which is canonical already, with at most one
-new word at its front or its end.  :func:`insert_factor` puts that word
-in place by one ordered scan; the Koszul sign is the parity of the odd
-factors it crosses.  No output is re-sorted, and the deg_s parities of
-the input factors are computed once per call.
+new word at its front or its end.  Since the sym is sorted, the number
+of its factors that sort before a word, its rank (:func:`_rank`), places
+the word in every block of the sym's positions at once.  Per (parity
+pattern, block, end) an insertion table (:func:`_insertions`) holds,
+for each rank, a flat getter over ``sym + (w,)`` that returns the
+block's factors with ``w`` in place, and the parity of the odd factors
+``w`` passes, which gives the Koszul sign.  An odd word equal to a
+factor of its block gives zero.  So ``extend`` ranks each image word
+once, and delta'' ranks each cut word of a factor once for all the
+splits of the others; no output is re-sorted or scanned per split, and
+the deg_s parities of the input factors are computed once per call.
 
 Full re-sorting (:func:`normalize`, :func:`sym_of`) remains where the
 input order is arbitrary: building probe SymWords, the factorwise
@@ -72,10 +79,11 @@ by :func:`normalize`, and of that sym normal form over a tuple's slots.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable
 
 from .ab_core import AbAlgebra
-from .freemodule import Element, add_term
+from .freemodule import Element, _coeff, add_term
 from .signs import koszul_sign, sign
 from .tensor_coalgebra import (
     QUOTIENT,
@@ -112,44 +120,61 @@ def _normalize_with(deg_of: Callable[[Word], int], factors) -> tuple[int, SymWor
     return sign, tuple(arr)
 
 
-def insert_factor(
-    factors: SymWord, odds, w: Word, w_odd: int, front: bool
-) -> tuple[int, SymWord | None]:
-    """Canonical form of ``(w,) + factors`` (``front``) or ``factors + (w,)``.
+def _rank(sym: SymWord, w: Word) -> tuple[int, int]:
+    """Where ``w`` goes in the canonical ``sym``: the number of its factors
+    that sort strictly before ``w``, and the position of a factor equal to
+    ``w`` (the first, if several), or -1.
 
-    ``factors`` must be canonical and ``odds`` hold its deg_s parities;
-    ``w_odd`` is the parity of ``w``.  Equals :func:`normalize` on the
-    same sequence: ``w`` passes the factors that sort strictly before it
-    (from the front) or strictly after it (from the end), the sign is
-    (-1)^(w_odd * odd factors passed), and an odd ``w`` next to an equal
-    factor gives (0, None).  Factors compare as their :func:`word_key`
-    does, by length and then as words, with no key tuple built.
+    Factors compare as their :func:`word_key` does, by length and then as
+    words, with no key tuple built.  Every factor at a position below the
+    rank sorts before ``w`` and every other one does not, so the rank
+    places ``w`` in every block of the sym's positions at once (see
+    :func:`_insertions`).
     """
-    lw, n = len(w), len(factors)
-    crossed = 0
-    if front:
-        p = 0
-        while p < n:
-            f = factors[p]
-            lf = len(f)
-            if lf > lw or lf == lw and f >= w:
-                break
-            crossed += odds[p]
-            p += 1
-        if w_odd and p < n and factors[p] == w:
-            return 0, None
-    else:
-        p = n
-        while p:
-            f = factors[p - 1]
-            lf = len(f)
-            if lf < lw or lf == lw and f <= w:
-                break
-            p -= 1
-            crossed += odds[p]
-        if w_odd and p and factors[p - 1] == w:
-            return 0, None
-    return (-1 if w_odd and crossed % 2 else 1), factors[:p] + (w,) + factors[p:]
+    lw = len(w)
+    for i, f in enumerate(sym):
+        lf = len(f)
+        if lf > lw or lf == lw and f >= w:
+            return i, (i if f == w else -1)
+    return len(sym), -1
+
+
+#: per (parity pattern, block, front): per rank, the getter of the block with
+#: the new word in place and the parity of the odd block factors it passes
+_INSERTIONS: dict = {}
+
+
+def _insertions(odds: tuple[int, ...], block: tuple[int, ...], front: bool) -> tuple:
+    """The insertion table of ``block``, increasing positions of a
+    canonical sym whose factors have the deg_s parities ``odds``.
+
+    Entry ``rank`` (0 up to the number of factors) is for a word ``w`` of
+    that :func:`_rank` in the sym: a getter over ``sym + (w,)`` that
+    returns the block's factors with ``w`` in canonical place, and the
+    parity of the odd block factors ``w`` passes, coming from the front
+    (``front``) or from the end.  ``w`` goes after the block's factors
+    below the rank and before the others, so the getter's tuple is the
+    canonical form, and the Koszul sign of the insertion is
+    (-1)^(parity of w * that parity).  An odd ``w`` equal to a block
+    factor kills the product; the table does not see that, its caller
+    tests the equal factor's position against the block.  Built on first
+    use per (parity pattern, block, front), so every algebra and mutant
+    shares it.
+    """
+    key = (odds, block, front)
+    table = _INSERTIONS.get(key)
+    if table is None:
+        n = len(odds)
+        rows = []
+        for rank in range(n + 1):
+            before = [i for i in block if i < rank]
+            after = [i for i in block if i >= rank]
+            idx = before + [n] + after
+            # one index (an empty block) would make itemgetter return a word, not a tuple
+            get = operator.itemgetter(*idx) if len(idx) > 1 else operator.itemgetter(slice(n, n + 1))
+            rows.append((get, sum([odds[i] for i in (before if front else after)]) & 1))
+        table = _INSERTIONS[key] = tuple(rows)
+    return table
 
 
 def normalize(algebra: AbAlgebra, factors) -> tuple[int, SymWord | None]:
@@ -261,17 +286,27 @@ def extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
     factors, after bringing it to the front, and its image words take the
     block's place in front of the other factors.  A one-factor block
     reaches ``f`` as its word, a pair as (x, y): m extends D at size 1,
-    ell'' the symmetric bracket at size 2."""
+    ell'' the symmetric bracket at size 2.
+
+    Each image word is ranked once among the sym's factors
+    (:func:`_rank`), and the insertion table of the other factors
+    (:func:`_insertions`, from the front) gives its output sym and sign;
+    an odd word equal to one of the other factors gives nothing."""
     amb = algebra.a - algebra.b
     odds = _parities(amb, sym)
     acc: dict = {}
-    for block, others, front, _, rest_odds in block_splits(odds, size=size):
-        rest = tuple([sym[i] for i in others])
+    for block, others, front, _, _ in block_splits(odds, size=size):
+        inserts = _insertions(odds, others, True)
         arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
         for w, c in f(arg).terms.items():
-            s, out = insert_factor(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
-            if s:
-                add_term(acc, out, c * front * s)
+            rank, eq = _rank(sym, w)
+            get, passed = inserts[rank]
+            if (word_degree(w) - amb) & 1:
+                if eq in others:
+                    continue
+                if passed:
+                    c = -c
+            add_term(acc, get(sym + (w,)), c * front)
     return Element(acc)
 
 
@@ -300,6 +335,33 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable
 # -- cobrackets ------------------------------------------------------------
 
 
+#: per (parity pattern, cut factor, (a - b) mod 2): per block split, its
+#: twisted sign, the bitmasks of both blocks and their insertion tables
+_CUT_PLANS: dict = {}
+
+
+def _cut_plan(odds: tuple[int, ...], s: int, t: int) -> tuple:
+    """The :func:`block_splits` entries of ``odds`` with factor ``s``
+    pinned, in their order, as ``(neg, left_mask, right_mask, left_inserts,
+    right_inserts)``: ``neg`` the parity of eps (-1)^(t deg_s X_I), the
+    blocks as bitmasks of positions, and their :func:`_insertions`
+    tables, the left one from the end and the right one from the front."""
+    key = (odds, s, t)
+    plan = _CUT_PLANS.get(key)
+    if plan is None:
+        plan = _CUT_PLANS[key] = tuple(
+            (
+                (eps < 0) ^ (t & sum(odd_left)),
+                sum([1 << i for i in left]),
+                sum([1 << j for j in right]),
+                _insertions(odds, left, False),
+                _insertions(odds, right, True),
+            )
+            for left, right, eps, odd_left, _ in block_splits(odds, pinned=s)
+        )
+    return plan
+
+
 def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) -> Element:
     """Degree-(b-a) cobracket: the word cobracket ``delta`` on one factor,
     the other factors split two ways around it.
@@ -317,33 +379,62 @@ def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) 
     Cutting one factor in two lowers deg_s by one more a - b.
 
     The splits are the :func:`block_splits` entries of the sym's parity
-    pattern with X_s pinned, which carry eps and the parities of both
-    blocks; (-1)^((a-b) deg_s X_I) goes on eps once per split, and
-    (-1)^((a-b) deg_s P) on each term of delta(X_s) once per call.
+    pattern with X_s pinned, read through a cut plan per (parity pattern,
+    s, parity of a - b) (:func:`_cut_plan`) that holds eps with its
+    (-1)^((a-b) deg_s X_I), both blocks as bitmasks and their insertion
+    tables.  P and R are ranked among the sym's factors once per term of
+    delta(X_s) (:func:`_rank`), and (-1)^((a-b) deg_s P) goes on the
+    term then.  Each output pair X_I.P (x) R.X_J is two getter calls,
+    with the sign of P passing the odd factors of X_I from the end and of
+    R passing those of X_J from the front; an odd P or R equal to a
+    factor of its block gives nothing.  Loops run cut factor, then split,
+    then term, and every pair is added in place by :func:`add_term`'s
+    rule, so terms, their order and their coefficient types are those of
+    inserting P and R split by split.
     """
     amb = algebra.a - algebra.b
     t = amb & 1
     odds = _parities(amb, sym)
     acc: dict = {}
+    get = acc.get
     for s, xs in enumerate(sym):
-        terms = []  # (P, its deg_s parity, R, its parity, c (-1)^((a-b) deg_s P))
-        for (p, r), c in delta(xs).terms.items():
-            p_odd = (word_degree(p) - amb) & 1
-            terms.append((p, p_odd, r, (word_degree(r) - amb) & 1, -c if t & p_odd else c))
+        terms = delta(xs).terms
         if not terms:
             continue
-        for left, right, eps, odd_left, odd_right in block_splits(odds, pinned=s):
-            if t and sum(odd_left) & 1:
-                eps = -eps
-            fac_left = tuple([sym[i] for i in left])
-            fac_right = tuple([sym[j] for j in right])
-            for p, p_odd, r, r_odd, c in terms:
-                sl, wl = insert_factor(fac_left, odd_left, p, p_odd, False)
-                if wl is None:
+        # per term: sym + (P,), P's rank, the bit of an equal factor if P is
+        # odd, P's parity, the same for R, and c (-1)^((a-b) deg_s P)
+        ranked = []
+        for (p, r), c in terms.items():
+            p_odd = (word_degree(p) - amb) & 1
+            r_odd = (word_degree(r) - amb) & 1
+            p_rank, p_eq = _rank(sym, p)
+            r_rank, r_eq = _rank(sym, r)
+            ranked.append((
+                sym + (p,), p_rank, 1 << p_eq if p_odd and p_eq >= 0 else 0, p_odd,
+                sym + (r,), r_rank, 1 << r_eq if r_odd and r_eq >= 0 else 0, r_odd,
+                -c if t & p_odd else c,
+            ))
+        for neg, left_mask, right_mask, left_inserts, right_inserts in _cut_plan(odds, s, t):
+            for sym_p, p_rank, p_bit, p_odd, sym_r, r_rank, r_bit, r_odd, c in ranked:
+                if p_bit & left_mask or r_bit & right_mask:
                     continue
-                sr, wr = insert_factor(fac_right, odd_right, r, r_odd, True)
-                if wr is not None:
-                    add_term(acc, (wl, wr), c * eps * sl * sr)
+                get_left, passed_left = left_inserts[p_rank]
+                get_right, passed_right = right_inserts[r_rank]
+                if neg ^ (p_odd & passed_left) ^ (r_odd & passed_right):
+                    c = -c
+                pair = (get_left(sym_p), get_right(sym_r))
+                old = get(pair)
+                if old is None:  # add_term's rule, in place
+                    if type(c) is not int:
+                        c = _coeff(c)
+                    if c:
+                        acc[pair] = c
+                else:
+                    old = old + c
+                    if old:
+                        acc[pair] = old if type(old) is int else _coeff(old)
+                    else:
+                        del acc[pair]
     return Element(acc)
 
 

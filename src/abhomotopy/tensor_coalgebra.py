@@ -348,18 +348,31 @@ def shuffle_elements(ex: Element, ey: Element) -> Element:
     return _sum_terms(words, coefs)
 
 
+#: process-wide memo of word cobrackets, keyed by the word itself
+_COBRACKET: dict = {}
+
+
 def cobracket(w: Word) -> Element:
     """Deconcatenation cobracket: sum over cuts of U (x) V - (-1)^{uv} V (x) U.
 
-    Words of length 1 have no cut, so the result is zero.
+    Words of length 1 have no cut, so the result is zero.  Memoized
+    process-wide by the word, as :func:`word_degree` is: the cuts depend
+    only on the letters, and each letter carries its own degree, so equal
+    words have equal cobrackets whatever algebra they came from.  Every
+    caller of one word gets the same Element, which no caller changes.  A
+    deep envelope run meets about a hundred distinct words, each many
+    thousands of times.
     """
-    acc: dict = {}
-    for j in range(1, len(w)):
-        u, v = w[:j], w[j:]
-        sign = -1 if (word_degree(u) * word_degree(v)) % 2 else 1
-        add_term(acc, (u, v), 1)
-        add_term(acc, (v, u), -sign)
-    return Element(acc)
+    cuts = _COBRACKET.get(w)
+    if cuts is None:
+        acc: dict = {}
+        for j in range(1, len(w)):
+            u, v = w[:j], w[j:]
+            sign = -1 if (word_degree(u) * word_degree(v)) % 2 else 1
+            add_term(acc, (u, v), 1)
+            add_term(acc, (v, u), -sign)
+        cuts = _COBRACKET[w] = Element(acc)
+    return cuts
 
 
 def _lyndon_words(block: tuple[Generator, ...]) -> list[Word]:

@@ -168,3 +168,19 @@ def test_rescaling_changes_no_count(builtin, factors, monkeypatch):
     probes = FORCED[builtin]
     want = row_counts(parent, probes, monkeypatch)
     assert row_counts(image, probes, monkeypatch) == want
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_regrading_with_forced_probes_changes_no_count(builtin, s, monkeypatch):
+    """Regrading by an odd shift, with the probes forced to two generators
+    whose brackets are nonzero, keeps every CORE and ENVELOPE row's status
+    and counts.  An odd shift flips the parities of a and b but not of
+    a - b, so a kernel sign that reads a or b apart from a - b flips with
+    it; the forced probes make the bracket extension's terms reach the
+    rows on every builtin, not only where the default probes have a
+    nonzero bracket."""
+    parent = builtin_instance(builtin)
+    probes = FORCED[builtin]
+    want = row_counts(parent, probes, monkeypatch)
+    assert row_counts(regraded(parent, s), probes, monkeypatch) == want

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,19 +7,21 @@ from hypothesis import strategies as st
 
 from abhomotopy import ab_core, sym_coalgebra, tensor_coalgebra
 from abhomotopy.ab_core import AbAlgebra, TruncationOverflow, coderivation_D, ell2, ell2_oracle
-from abhomotopy.freemodule import Element
+from abhomotopy.freemodule import Element, add_term
 from abhomotopy.instances import BUILTINS, builtin_instance
 from abhomotopy.signs import koszul_sign, koszul_sign_by_swaps, sign
-from abhomotopy.suites import RunContext, SuiteConfig, generic_letters
+from abhomotopy.suites import RunContext, SuiteConfig, generic_letters, probe_syms, probe_words
 from abhomotopy.sym_coalgebra import (
     _direct_cobracket,
+    _insertions,
     _normalize_with,
     _oracle_splits,
+    _parities,
+    _rank,
     block_splits,
     cobracket_doubleprime,
     coproduct_delta,
     extend,
-    insert_factor,
     kappa,
     normalize,
     poisson_cobracket,
@@ -29,7 +32,8 @@ from abhomotopy.sym_coalgebra import (
     sym_of,
     sym_tensor_normal_form,
 )
-from abhomotopy.tensor_coalgebra import Generator, cobracket, shuffle, swap_adjacent_slots
+from abhomotopy.tensor_coalgebra import Generator, cobracket, shuffle, swap_adjacent_slots, word_degree
+from test_regrading import rescaled
 from test_slot_memo import FORCED, sym_bracket
 
 
@@ -156,7 +160,11 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     slots: with the slot-permutation plans emptied and their sign raising,
     :func:`swap_adjacent_slots` raises and the oracles still run.  Nor
     does ``ell2_oracle`` read the bracket extension's plans: with the plan
-    table raising on any read, ``ell2`` raises and the oracle runs."""
+    table raising on any read, ``ell2`` raises and the oracle runs.  Nor
+    do they place factors through the production insertion: with the
+    insertion and cut-plan tables raising on any read, delta'' and
+    ``extend`` raise, also where a cached cut plan would spare delta''
+    its ``block_splits`` read."""
     sizes = dict(max_word_len=2, max_sym_factors=3, max_total_letters=4, probe_gens=2)
     config = SuiteConfig(algebra=builtin, **sizes)
     ctx = RunContext(builtin_instance(builtin), config, forced_gens=FORCED[builtin])
@@ -170,6 +178,8 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     monkeypatch.setattr(tensor_coalgebra, "_FLAT_GETTERS", {})
     monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
     monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
+    monkeypatch.setattr(sym_coalgebra, "_INSERTIONS", GuardedTable())
+    monkeypatch.setattr(sym_coalgebra, "_CUT_PLANS", GuardedTable())
     monkeypatch.setattr(tensor_coalgebra, "koszul_sign", guarded)
     monkeypatch.setattr(tensor_coalgebra, "_PERM_PLANS", {})
     with pytest.raises(Guarded):
@@ -179,6 +189,8 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
     cut = next(sym for sym in syms if len(sym) > 1 and max(map(len, sym)) > 1)
     with pytest.raises(Guarded):
         cobracket_doubleprime(A, cut, delta=cobracket)
+    with pytest.raises(Guarded):
+        extend(A, next(sym for sym in syms if len(sym) > 1), 1, lambda w: Element.of(w))
     with pytest.raises(Guarded):
         swap_adjacent_slots(Element.of(tuple(ctx.pair_words[:2])), 0, A.deg_s)
     g, h = next((g, h) for g in A.generators for h in A.generators if _nonzero_bracket(A, g, h))
@@ -410,26 +422,53 @@ _words = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=3).map(tuple)
 _parity = lambda w: sum(g.deg for g in w) % 2
 
 
+def _insert_by_table(factors, odds, block, w, w_odd, front):
+    """``w`` placed into the ``block`` positions of the canonical
+    ``factors`` through :func:`_rank` and the insertion table, as
+    ``(sign, sym)``, (0, None) when an odd ``w`` equals a block factor."""
+    rank, eq = _rank(factors, w)
+    if w_odd and eq in block:
+        return 0, None
+    get, passed = _insertions(tuple(odds), block, front)[rank]
+    return (-1 if w_odd and passed else 1), get(factors + (w,))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_words, max_size=5), _words, st.booleans())
-def test_insert_factor_matches_full_resort(factors, w, front):
+@given(st.lists(_words, max_size=5), st.lists(st.booleans(), min_size=5, max_size=5), _words, st.booleans())
+def test_insert_factor_matches_full_resort(factors, chosen, w, front):
+    """The rank of ``w`` in a canonical sym and the insertion table of a
+    block of its positions (every position, or any subset) give the full
+    re-sort of the block's factors with ``w`` in front or at the end, and
+    the frozen scan of the block itself (:func:`_insert_factor_ref`)."""
     _, canonical = _normalize_with(_parity, factors)
     if canonical is None:  # a repeated odd factor: not a canonical input
         return
     odds = [_parity(x) for x in canonical]
-    seq = (w,) + canonical if front else canonical + (w,)
-    assert insert_factor(canonical, odds, w, _parity(w), front) == _normalize_with(_parity, seq)
+    everything = range(len(canonical))
+    for block in (tuple(everything), tuple(i for i in everything if chosen[i])):
+        sub = tuple(canonical[i] for i in block)
+        seq = (w,) + sub if front else sub + (w,)
+        got = _insert_by_table(canonical, odds, block, w, _parity(w), front)
+        assert got == _normalize_with(_parity, seq)
+        assert got == _insert_factor_ref(sub, [odds[i] for i in block], w, _parity(w), front)
 
 
 def test_insert_factor_repeated_factors():
     q, p = (Generator("q", 1),), (Generator("p", 0),)
     odds = [_parity(x) for x in (p, q)]
-    # a repeated odd factor gives zero from either end
-    assert insert_factor((p, q), odds, q, 1, True) == (0, None)
-    assert insert_factor((p, q), odds, q, 1, False) == (0, None)
-    # a repeated even factor is kept
-    assert insert_factor((p, q), odds, p, 0, True) == (1, (p, p, q))
-    assert insert_factor((p, q), odds, p, 0, False) == (1, (p, p, q))
+    both = (0, 1)
+    # a repeated odd factor gives zero from either end, and only if it is in the block
+    assert _rank((p, q), q) == (1, 1)
+    assert _insert_by_table((p, q), odds, both, q, 1, True) == (0, None)
+    assert _insert_by_table((p, q), odds, both, q, 1, False) == (0, None)
+    assert _insert_by_table((p, q), odds, (0,), q, 1, False) == (1, (p, q))
+    # a repeated even factor is kept, from the front and from the end
+    assert _rank((p, q), p) == (0, 0)
+    assert _insert_by_table((p, q), odds, both, p, 0, True) == (1, (p, p, q))
+    assert _insert_by_table((p, q), odds, both, p, 0, False) == (1, (p, p, q))
+    # an empty block gets the word alone; a word past every factor has rank n
+    assert _insert_by_table((p, q), odds, (), q, 1, True) == (1, (q,))
+    assert _rank((p, q), (Generator("r", 2), Generator("r", 2))) == (2, -1)
 
 
 # -- production kernels against re-sorting references -----------------------------
@@ -528,3 +567,139 @@ def test_kernels_match_resorting_references(builtin, sizes):
         ):
             evaluated += not _same_or_both_overflow(got_fn, want_fn)
     assert evaluated > 0
+
+
+# -- the planned kernels against the scans they replaced ---------------------------
+#
+# The bodies of ``insert_factor``, ``extend`` and ``cobracket_doubleprime``
+# as they were before ranks and insertion tables, frozen here as references:
+# each output word is placed by one ordered scan of its block, split by split.
+
+
+def _insert_factor_ref(factors, odds, w, w_odd, front):
+    lw, n = len(w), len(factors)
+    crossed = 0
+    if front:
+        p = 0
+        while p < n:
+            f = factors[p]
+            lf = len(f)
+            if lf > lw or lf == lw and f >= w:
+                break
+            crossed += odds[p]
+            p += 1
+        if w_odd and p < n and factors[p] == w:
+            return 0, None
+    else:
+        p = n
+        while p:
+            f = factors[p - 1]
+            lf = len(f)
+            if lf < lw or lf == lw and f <= w:
+                break
+            p -= 1
+            crossed += odds[p]
+        if w_odd and p and factors[p - 1] == w:
+            return 0, None
+    return (-1 if w_odd and crossed % 2 else 1), factors[:p] + (w,) + factors[p:]
+
+
+def _extend_ref(algebra, sym, size, f):
+    amb = algebra.a - algebra.b
+    odds = _parities(amb, sym)
+    acc: dict = {}
+    for block, others, front, _, rest_odds in block_splits(odds, size=size):
+        rest = tuple([sym[i] for i in others])
+        arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
+        for w, c in f(arg).terms.items():
+            s, out = _insert_factor_ref(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
+            if s:
+                add_term(acc, out, c * front * s)
+    return Element(acc)
+
+
+def _cobracket_doubleprime_ref(algebra, sym, *, delta):
+    amb = algebra.a - algebra.b
+    t = amb & 1
+    odds = _parities(amb, sym)
+    acc: dict = {}
+    for s, xs in enumerate(sym):
+        terms = []
+        for (p, r), c in delta(xs).terms.items():
+            p_odd = (word_degree(p) - amb) & 1
+            terms.append((p, p_odd, r, (word_degree(r) - amb) & 1, -c if t & p_odd else c))
+        if not terms:
+            continue
+        for left, right, eps, odd_left, odd_right in block_splits(odds, pinned=s):
+            if t and sum(odd_left) & 1:
+                eps = -eps
+            fac_left = tuple([sym[i] for i in left])
+            fac_right = tuple([sym[j] for j in right])
+            for p, p_odd, r, r_odd, c in terms:
+                sl, wl = _insert_factor_ref(fac_left, odd_left, p, p_odd, False)
+                if wl is None:
+                    continue
+                sr, wr = _insert_factor_ref(fac_right, odd_right, r, r_odd, True)
+                if wr is not None:
+                    add_term(acc, (wl, wr), c * eps * sl * sr)
+    return Element(acc)
+
+
+def _typed_items(fn):
+    """The terms of ``fn()`` in order with their coefficient types, or the
+    overflow message."""
+    try:
+        return [(b, c, type(c)) for b, c in fn().terms.items()]
+    except TruncationOverflow as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["builtin", "rescaled"])
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_planned_kernels_match_the_frozen_scans(builtin, rescale):
+    """delta'', m and ell'' give the frozen scans' terms in their order and
+    with their coefficient types (or overflow with the same message) on
+    every probe sym of up to four factors, on every builtin (both parities
+    of a - b occur) and on the builtin rescaled by (2, -1, 3, -2), where
+    the D and ell2'' images bring fractions to ``extend``.  The syms take
+    in repeated even factors, and odd cut words and odd image words equal
+    to another factor, which give nothing."""
+    instance = builtin_instance(builtin)
+    if rescale:
+        instance = rescaled(instance, (2, -1, 3, -2))
+    ctx = RunContext(instance, SuiteConfig(algebra=builtin, **FAST), forced_gens=FORCED[builtin])
+    A, D, bracket = ctx.algebra, ctx.maps["D"].fn, ctx.maps["ell2''"].fn
+    # the forced generators and the probes: syms of up to four words of
+    # at most two letters, six letters in all, and of words up to four
+    # letters long, four letters in all
+    gens = [w[0] for w in ctx.pair_words if len(w) == 1]
+    syms = probe_syms(A, probe_words(gens, 2), 4, 6) + probe_syms(A, probe_words(gens, 4), 4, 4)
+    amb = A.a - A.b
+    odd = lambda w: (word_degree(w) - amb) & 1
+    seen = dict.fromkeys(["four", "repeated_even", "odd_cut_equal", "odd_image_equal", "fractions"], 0)
+    for sym in dict.fromkeys(syms):
+        for got_fn, want_fn in (
+            (lambda: cobracket_doubleprime(A, sym, delta=cobracket),
+             lambda: _cobracket_doubleprime_ref(A, sym, delta=cobracket)),
+            (lambda: extend(A, sym, 1, D), lambda: _extend_ref(A, sym, 1, D)),
+            (lambda: extend(A, sym, 2, bracket), lambda: _extend_ref(A, sym, 2, bracket)),
+        ):
+            want = _typed_items(want_fn)
+            assert _typed_items(got_fn) == want, sym
+            if not isinstance(want, str):
+                seen["fractions"] += any(c is Fraction for _, _, c in want)
+        seen["four"] += len(sym) == 4
+        seen["repeated_even"] += any(x == y and not odd(x) for x, y in zip(sym, sym[1:]))
+        seen["odd_cut_equal"] += any(
+            odd(w) and w in sym[:s] + sym[s + 1 :]
+            for s, xs in enumerate(sym) for pr in cobracket(xs).terms for w in pr
+        )
+        for size, f in ((1, D), (2, bracket)):
+            for block, others, _, _, _ in block_splits(_parities(amb, sym), size=size):
+                try:
+                    image = f(sym[block[0]] if size == 1 else tuple(sym[i] for i in block))
+                except TruncationOverflow:
+                    continue
+                seen["odd_image_equal"] += any(odd(w) and w in [sym[i] for i in others] for w in image.terms)
+    assert all(seen[k] for k in ("four", "repeated_even", "odd_cut_equal", "odd_image_equal")), seen
+    assert bool(seen["fractions"]) == rescale, seen

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhomotopy.freemodule import Element, ReducedBasis, bilinear
+from abhomotopy.freemodule import Element, ReducedBasis, add_term, bilinear
 from abhomotopy.signs import enumerate_shuffles, inverse, koszul_sign_by_swaps
 from abhomotopy.suites import _CYCLIC_SUM
 from abhomotopy.tensor_coalgebra import (
@@ -490,6 +490,35 @@ def test_cobracket_examples():
         - Element.of(((c,), (a, b)))
     )
     assert got == want
+
+
+def _deconcatenation(w):
+    """The word cobracket cut by cut, each flip signed from letter degrees."""
+    acc: dict = {}
+    for j in range(1, len(w)):
+        u, v = w[:j], w[j:]
+        du, dv = sum(g.deg for g in u), sum(g.deg for g in v)
+        add_term(acc, (u, v), 1)
+        add_term(acc, (v, u), 1 if du * dv % 2 else -1)
+    return Element(acc)
+
+
+def test_cobracket_is_one_element_per_word():
+    """The cobracket is memoized by the word: a repeated call, or a call on
+    an equal word built apart, returns the same Element, and it is the
+    fresh deconcatenation term for term.  Letters with the same ids and
+    other degrees are other words and keep cobrackets of their own."""
+    seen = {}
+    for degs in ((1, 2, 1), (2, 2, 3), (0, 1, 1)):
+        letters = gens(*degs)
+        for n in range(1, 5):
+            for pick in itertools.product(letters, repeat=n):
+                w = tuple(pick)
+                got = cobracket(w)
+                assert cobracket(w) is got and cobracket(tuple(list(pick))) is got
+                assert list(got.terms.items()) == list(_deconcatenation(w).terms.items())
+                seen[w] = got
+    assert len({id(v) for v in seen.values()}) == len(seen)
 
 
 def test_cobracket_coantisymmetry_and_cojacobi():
