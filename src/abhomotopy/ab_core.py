@@ -57,7 +57,13 @@ from .tensor_coalgebra import LETTER_DEGREES, Generator, Word, crossing_sign, tw
 
 
 class TruncationOverflow(Exception):
-    """A structure map left the retained basis; the check is inconclusive."""
+    """A structure map left the retained basis; the check is inconclusive.
+
+    Its message names the map and the generator ids it was called on.
+    :class:`AbAlgebra` keeps the message of each overflow of its maps, and
+    a later lookup of the same key raises a new exception with that
+    message, without calling the map again.
+    """
 
 
 @dataclass
@@ -71,17 +77,20 @@ class AbAlgebra:
 
     One per-instance cache, keyed by (map name, generator ids), holds
     the structure constants (``product``, ``bracket``, ``differential``)
-    and the shifted constants (``mu``, ``ell``).  The structure constants
-    are filled by one method, which runs the degree check; a shifted
-    constant is filled from :meth:`product`/:meth:`bracket`, so the
-    instance's map is called exactly once per pair either way.  A
-    mutant (:func:`~abhomotopy.suites.perturb_algebra`) is a
+    and the shifted constants (``mu``, ``ell``).  A second table, keyed
+    the same way, holds the message of each :class:`TruncationOverflow`
+    that a structure map raised.  The structure constants are filled by
+    one method, which runs the degree check or remembers the overflow; a
+    shifted constant is filled from :meth:`product`/:meth:`bracket`, so
+    the instance's map is called exactly once per pair either way, also
+    on a pair that leaves the basis.  A mutant
+    (:func:`~abhomotopy.suites.perturb_algebra`) is a
     :func:`dataclasses.replace` copy with one structure map replaced.
-    The cache and ``degree_violations`` are made by ``__init__``, never
-    passed in, so every instance, a copy too, starts both empty and owns
-    them: a mutant never sees its parent's values, and its parent never
-    sees its violations.  Cached Elements are shared: callers must not
-    mutate them.
+    Both tables and ``degree_violations`` are made by ``__init__``, never
+    passed in, so every instance, a copy too, starts them empty and owns
+    them: a mutant never sees its parent's values or overflows, and its
+    parent never sees its violations.  Cached Elements are shared:
+    callers must not mutate them.
     """
 
     name: str
@@ -97,6 +106,7 @@ class AbAlgebra:
     def __post_init__(self):
         self._by_id = {g.gid: g for g in self.generators}
         self._cache: dict = {}  # (map name, *generator ids) -> Element
+        self._overflows: dict = {}  # (map name, *generator ids) -> TruncationOverflow message
 
     # -- basis ---------------------------------------------------------
 
@@ -136,10 +146,24 @@ class AbAlgebra:
         recording every output generator off the expected degree.
 
         The value goes through Element.from_terms, which stores integral
-        coefficients as int whatever type the instance returned.
+        coefficients as int whatever type the instance returned.  If the
+        map raises :class:`TruncationOverflow`, its message is kept in
+        ``_overflows`` and the exception goes on; a later fill of the same
+        key raises a new one with that message and calls no map.  Only
+        the message is kept: raising one exception object again and again
+        would lengthen its traceback and keep its frames alive.  An
+        overflow records no degree violation.
         """
+        msg = self._overflows.get(key)
+        if msg is not None:
+            raise TruncationOverflow(msg)
         op, *gids = key
-        out = Element.from_terms(fn(*gids).items())
+        try:
+            value = fn(*gids)
+        except TruncationOverflow as exc:
+            self._overflows[key] = str(exc)
+            raise
+        out = Element.from_terms(value.items())
         expected = sum(self.unshifted[gid] for gid in gids) + op_degree
         for g, _ in out.items():
             deg = self.unshifted.get(g.gid)
@@ -640,7 +664,7 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     brk = table("bracket", 2)
     diff = table("differential", 1)
 
-    def lookup(tbl: dict, op_degree: int):
+    def lookup(op: str, tbl: dict, op_degree: int):
         def fn(*gids: str) -> Element:
             hit = tbl.get(gids)
             if hit is not None:
@@ -648,7 +672,9 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
             if max_degree is not None:
                 out_deg = sum(unshifted[g] for g in gids) + op_degree
                 if out_deg > max_degree:
-                    raise TruncationOverflow(f"{gids} lands in degree {out_deg} > {max_degree}")
+                    raise TruncationOverflow(
+                        f"{op}({','.join(gids)}) lands in degree {out_deg} > {max_degree}"
+                    )
             return Element.zero()
 
         return fn
@@ -660,9 +686,9 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
         b=b,
         generators=tuple(gens),
         unshifted=unshifted,
-        product_fn=lookup(prod, a),
-        bracket_fn=lookup(brk, b),
-        diff_fn=lookup(diff, 1),
+        product_fn=lookup("product", prod, a),
+        bracket_fn=lookup("bracket", brk, b),
+        diff_fn=lookup("differential", diff, 1),
     )
 
 

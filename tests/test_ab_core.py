@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -33,7 +34,7 @@ from abhomotopy.suites import (
     probe_words,
 )
 from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle, signed_interleavings
-from test_regrading import rescaled
+from test_regrading import FAST, rescaled
 
 
 def test_loader_rejects_bad_documents():
@@ -81,16 +82,24 @@ def test_load_from_file(tmp_path, nilpotent_algebra):
 
 
 def test_max_degree_marks_missing_entries_as_overflow():
+    """With ``max_degree`` set, a missing entry past the bound overflows with
+    a message that names the map and its inputs, as the builtins' do; one
+    within the bound is zero."""
     A = algebra_from_dict(
         {
             "a": 0,
             "b": 0,
-            "generators": [{"id": "u", "degree": 2}],
-            "max_degree": 2,
+            "generators": [{"id": "u", "degree": 2}, {"id": "v", "degree": 3}, {"id": "w", "degree": 4}],
+            "product": [["u", "u", [["w", 1]]]],
+            "max_degree": 4,
         }
     )
-    with pytest.raises(TruncationOverflow):
-        A.product(A.gen("u"), A.gen("u"))
+    u, v, w = A.gen("u"), A.gen("v"), A.gen("w")
+    assert A.product(u, u) == Element.of(w)
+    assert str(_raised(A.product, u, v)) == "product(u,v) lands in degree 5 > 4"
+    assert str(_raised(A.bracket, v, u)) == "bracket(v,u) lands in degree 5 > 4"
+    assert str(_raised(A.differential, w)) == "differential(w) lands in degree 5 > 4"
+    assert A.differential(v) == Element.zero()
 
 
 def test_mu_sign_examples(toy_instance):
@@ -606,6 +615,82 @@ def test_a_replace_copy_owns_its_degree_violations():
     copy.product(x1, x1)  # x1 has degree 2, so x1.x1 has degree 4, not 2
     assert copy.degree_violations == ["product('x1', 'x1') -> x1 has degree 2, expected 4"]
     assert parent.degree_violations == []
+
+
+def _counted(algebra) -> tuple[collections.Counter, dict]:
+    """Wrap the three structure maps of ``algebra``, in place, with one call
+    counter per (map name, *generator ids) key; return the counter and a
+    dict of the message of each overflow the maps raised, by key."""
+    calls, overflows = collections.Counter(), {}
+    for kind, attr in suites._MAP_FIELDS.items():
+
+        def counted(*gids, kind=kind, fn=getattr(algebra, attr)):
+            calls[(kind, *gids)] += 1
+            try:
+                return fn(*gids)
+            except TruncationOverflow as exc:
+                overflows[(kind, *gids)] = str(exc)
+                raise
+
+        setattr(algebra, attr, counted)
+    return calls, overflows
+
+
+def _raised(method, *gens) -> TruncationOverflow:
+    with pytest.raises(TruncationOverflow) as info:
+        method(*gens)
+    return info.value
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_structure_constant_reaches_the_instance_map_once(name):
+    """A whole run of every suite calls the instance's map once per
+    (map, ids) key, also on a key that leaves the basis: the algebra keeps
+    the overflow's message, and a later lookup raises a new exception
+    with it, through ``mu`` and ``ell`` too."""
+    instance = builtin_instance(name)
+    A = instance.algebra
+    assert A._cache == {} and A._overflows == {}
+    calls, overflows = _counted(A)
+    config = SuiteConfig(algebra=name, suites=suites.SUITES, seed=1, **FAST)
+    suites.run_verify_envelope(config, instance)
+    assert calls and set(calls.values()) == {1}
+    assert A._overflows == overflows
+    if name != "schouten-super":
+        return
+    assert overflows
+    shifted = {"product": A.mu, "bracket": A.ell}
+    for (kind, *gids), msg in overflows.items():
+        gens = [A.gen(gid) for gid in gids]
+        first, again = _raised(getattr(A, kind), *gens), _raised(getattr(A, kind), *gens)
+        assert first is not again and str(first) == str(again) == msg
+        if kind in shifted:
+            assert str(_raised(shifted[kind], *gens)) == msg
+        assert calls[(kind, *gids)] == 1
+
+
+def test_a_mutant_starts_with_none_of_its_parents_overflows():
+    """A mutant is a ``dataclasses.replace`` copy, so its overflow table
+    starts empty: after the parent has kept an overflow, the mutant calls
+    its own map for that key once, and keeps the overflow for itself."""
+    parent = builtin_instance("schouten-super").algebra
+    calls, overflows = _counted(parent)
+    gens = next(
+        (g, h) for g, h in itertools.product(parent.generators, repeat=2)
+        if _value(parent.product, (g, h)) is TruncationOverflow
+    )
+    key = ("product", *(g.gid for g in gens))
+    msg = overflows[key]
+    assert parent._overflows == {key: msg} and calls[key] == 1
+    choice = next(c for c in suites.perturbation_candidates(parent) if c[0] == "product")
+    mutant = perturb_algebra(parent, choice)
+    assert mutant._overflows == {} and mutant._cache == {}
+    for _ in range(2):
+        # the mutant's map wraps the parent's, so the parent's counter sees it
+        assert str(_raised(mutant.product, *gens)) == msg
+        assert calls[key] == 2
+    assert mutant._overflows == {key: msg}
+    assert str(_raised(parent.product, *gens)) == msg and calls[key] == 2
 
 
 def _table_doc(product):

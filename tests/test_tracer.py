@@ -55,13 +55,15 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "groups": 
 # calls before).  slot_calculus moved when the flip and coJacobi laws
 # began to sum their graded permutations in one pass (permute_slots,
 # which is not traced) instead of through swap_adjacent_slots (1482
-# calls before)
+# calls before).  structure_fn moved when the algebra began to keep the
+# message of each overflow of its maps, so a key that leaves the basis
+# reaches the instance's map once, like any other (1253 calls before)
 KERNEL_CALLS = {
     "ab_core.ell2": 849,
     "sym_coalgebra.cobracket": 180,
     "sym_coalgebra.coproduct": 134,
     "sym_coalgebra.q": 98,
-    "instances.structure_fn": 1253,
+    "instances.structure_fn": 171,
     # recorded before the three slot maps and the oracles' split
     # enumeration were each folded into one body (2082 calls); the
     # generic-letter cobracket rows' zero test then began to skip the
@@ -78,9 +80,11 @@ KERNEL_CALLS = {
 # and 19467 calls before); structure_fn, the first touches, does not move.
 # The word coderivation row keeping D's image of each sub-word for the row
 # moved coderivation and the cached lookups again (416 and 19229 before).
-# slot_calculus moved as above (2082, then 1482 before)
+# slot_calculus moved as above (2082, then 1482 before).  structure_fn
+# moved as above when overflows began to be kept (1528 before); it now
+# counts exactly the first touches
 SCHOUTEN_KERNEL_CALLS = {
-    "instances.structure_fn": 1528,
+    "instances.structure_fn": 300,
     "ab_core.structure_maps": 19221,
     "ab_core.coderivation": 408,
     "ab_core.ell2": 848,
