@@ -28,12 +28,15 @@ contract one adjacent cross pair).  Two structurally different
 evaluators of ell2 are provided, the second an oracle.  Both choose the
 contracted pair first and skip a pair whose bracket is zero (on the
 builtins, most pairs); they differ in how they build and sign a term.
-:func:`ell2` reads a plan kept per shape and parity pattern, as the
-shuffle product does: per contracted pair one flat getter builds every
-output word and a tuple holds their signs, so its terms come in the
-order of a pair-first walk.  :func:`ell2_oracle` signs each term by
-counting swaps and promises no order.  The signed forms ell2' and
-ell2'' live in ``suites.RunContext.maps``.
+:func:`ell2` reads a plan per shape and parity pattern, built from
+the shuffle layer's interleaving rows and signs: per contracted pair
+one flat getter builds every output word and a tuple holds their signs,
+so its terms come in the order of a pair-first walk.  The plans are
+this module's one process-wide table, a builder under
+``functools.cache`` keyed by shape and parities alone, so every algebra
+and mutant shares them.  :func:`ell2_oracle` signs each term by
+counting swaps, calls no cached builder and promises no order.  The
+signed forms ell2' and ell2'' live in ``suites.RunContext.maps``.
 
 Structure constants are cached per algebra with integral values stored
 as ``int``, so every map built from them runs in integer arithmetic
@@ -44,16 +47,18 @@ per generator pair, not once per use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import enumerate_shuffles, inverse, koszul_sign_by_swaps, sign
-from .tensor_coalgebra import LETTER_DEGREES, Generator, Word, crossing_sign, two_blocks, word_degree
+from .tensor_coalgebra import LETTER_DEGREES, Generator, Word, interleaving_rows, interleaving_signs, word_degree
 
 
 class TruncationOverflow(Exception):
@@ -249,33 +254,15 @@ def coderivation_D(algebra: AbAlgebra) -> Coderivation:
 # -- the bracket extension to words -------------------------------------
 
 
-#: per (len x, len y, (b - a + 1) mod 2, parities of the letters of x + y):
-#: per contracted letter pair (r, s), in (r, s) order, its word getter and signs
-_ELL2_PLANS: dict = {}
-
-
-def _signed_rows(xi: tuple, yi: tuple, odd: tuple) -> list[tuple[tuple, int]]:
-    """Every interleaving of the index runs ``xi`` and ``yi`` (into
-    ``x + y``), each with its Koszul sign for the letter parities ``odd``,
-    in :func:`two_blocks` order; an empty run leaves one row, sign 1."""
-    if not xi or not yi:
-        return [(xi + yi, 1)]
-    rows = []
-    for xs, ys in two_blocks(len(xi) + len(yi), len(xi)):
-        row = [0] * (len(xi) + len(yi))
-        for i, k in zip(xi + yi, xs + ys):
-            row[k] = i
-        rows.append((tuple(row), crossing_sign(xs, ys, [odd[i] for i in xi], [odd[j] for j in yi])))
-    return rows
-
-
 def _contraction(p: int, q: int, r: int, s: int, bma1_odd: int, odd: tuple) -> tuple[Callable, tuple]:
     """The word getter and the signs of contracting x_r with y_s.
 
     The getter reads ``x + y + (g,)``, g a letter of the bracket, and
     returns every output word pre.g.post back to back, with pre an
     interleaving of ``x[:r]`` and ``y[:s]`` and post one of ``x[r+1:]``
-    and ``y[s+1:]``, pre outer and post inner.  A word's sign is the two
+    and ``y[s+1:]``, pre outer and post inner.  Both come from the shuffle
+    layer's interleaving rows and signs of their shape, mapped through
+    their index runs into ``x + y``.  A word's sign is the two
     interleavings' signs times the block sign
     (-1)^(|x_r| |y[:s]| + |x[r+1:]| |y[:s+1]| + (b-a+1) |pre|).
     """
@@ -285,13 +272,25 @@ def _contraction(p: int, q: int, r: int, s: int, bma1_odd: int, odd: tuple) -> t
     ys = range(p, p + s)
     block = (odd[r] & odd_sum(ys)) ^ (odd_sum(range(r + 1, p)) & odd_sum(range(p, p + s + 1)))
     block ^= bma1_odd & (odd_sum(range(r)) ^ odd_sum(ys))
-    pres = _signed_rows(tuple(range(r)), tuple(ys), odd)
-    posts = _signed_rows(tuple(range(r + 1, p)), tuple(range(p + s + 1, p + q)), odd)
-    flat = [i for pre, _ in pres for post, _ in posts for i in (*pre, p + q, *post)]
+    parts = []
+    for xi, yi in ((range(r), ys), (range(r + 1, p), range(p + s + 1, p + q))):
+        run = (*xi, *yi)
+        rows = [[run[k] for k in row] for row in interleaving_rows(len(xi), len(yi))]
+        parts.append((rows, interleaving_signs(len(xi), len(yi), tuple([odd[i] for i in run]))))
+    (pres, pre_signs), (posts, post_signs) = parts
+    flat = [i for pre in pres for post in posts for i in (*pre, p + q, *post)]
     # one index (x and y single letters) would make itemgetter return a letter, not a word
     get = operator.itemgetter(*flat) if len(flat) > 1 else operator.itemgetter(slice(flat[0], flat[0] + 1))
-    signs = tuple(-e1 * e2 if block else e1 * e2 for _, e1 in pres for _, e2 in posts)
+    signs = tuple(-e1 * e2 if block else e1 * e2 for e1 in pre_signs for e2 in post_signs)
     return get, signs
+
+
+@functools.cache
+def _ell2_plan(p: int, q: int, bma1_odd: int, odd: tuple) -> tuple:
+    """Per contracted letter pair (r, s), in (r, s) order, its word getter
+    and signs (:func:`_contraction`), for words of lengths p and q whose
+    letters have the parities ``odd`` and (b - a + 1) mod 2 = ``bma1_odd``."""
+    return tuple(_contraction(p, q, r, s, bma1_odd, odd) for r in range(p) for s in range(q))
 
 
 def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
@@ -314,8 +313,8 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     so a :class:`TruncationOverflow` is raised at the same pair as a
     term-by-term walk would raise it, before any word is built.  A pair
     with zero bracket costs that lookup alone.  The words and signs come
-    from a plan kept per shape, parity of b - a + 1 and letter parities
-    (:data:`_ELL2_PLANS`): per pair, one flat getter builds every word
+    from a plan cached per shape, parity of b - a + 1 and letter parities
+    (:func:`_ell2_plan`): per pair, one flat getter builds every word
     pre.g.post of a bracket letter g in one call.  Terms come in walk
     order: pair, then pre, then post, then the bracket's letters.  The
     words go into one dict; only when two coincide (a repeated letter,
@@ -331,15 +330,10 @@ def ell2(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     p, q = len(x), len(y)
     odd = tuple([g.deg & 1 for g in xy])
     bma1_odd = (algebra.b - algebra.a + 1) & 1
-    plan = _ELL2_PLANS.get((p, q, bma1_odd, odd))
-    if plan is None:
-        plan = _ELL2_PLANS[p, q, bma1_odd, odd] = tuple(
-            _contraction(p, q, r, s, bma1_odd, odd) for r in range(p) for s in range(q)
-        )
     n = p + q - 1
     words: list = []
     coefs: list = []
-    for terms, (get, signs) in zip(vals, plan):
+    for terms, (get, signs) in zip(vals, _ell2_plan(p, q, bma1_odd, odd)):
         if not terms:
             continue
         if len(terms) == 1:
@@ -368,9 +362,9 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     adjacent-transposition sign oracle, counting swaps over the whole
     rearrangement.  Shares no code with :func:`ell2`, which enumerates
     the same pairs but reads each term's word and sign from a plan built
-    from ``two_blocks`` and ``crossing_sign``: the signs of the parts
+    from the shuffle layer's interleaving tables: the signs of the parts
     before and after the pair, times a block sign read off degree
-    parities.  This oracle reads neither, nor the plan table.
+    parities.  This oracle calls no cached builder.
     """
     p, q = len(x), len(y)
     letters = x + y
@@ -556,11 +550,18 @@ def _text(value, what: str) -> str:
     return value
 
 
+#: a rational written as text: an optional sign, ASCII digits, and optionally
+#: a slash and ASCII digits.  ``Fraction`` reads more (decimals, exponents,
+#: spaces, digit separators, non-ASCII digits), which the loader and
+#: ``instances.parse_poly`` refuse
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_coeff(c, entry) -> Fraction:
-    if type(c) in (int, str):
+    if type(c) is int or type(c) is str and _RATIONAL_RE.fullmatch(c):
         try:
             return Fraction(c)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass
     raise ValueError(f"coefficient {c!r} in table entry {entry!r} is not an integer or a 'num/den' string")
 
@@ -591,7 +592,8 @@ def _known_fields(obj: dict, allowed: tuple[str, ...], what: str) -> None:
 def algebra_from_dict(data: dict) -> AbAlgebra:
     """Build an algebra from a structure-constant document.
 
-    Expected shape (coefficients as ints or "num/den" strings)::
+    Expected shape (coefficients as ints, or strings of an optionally
+    signed integer or "num/den" in ASCII digits)::
 
         {"name": ..., "a": 0, "b": -1,
          "generators": [{"id": "u", "degree": 0}, ...],

@@ -15,8 +15,24 @@ deterministic output and row reduction a sort key is supplied
 externally (nested tuples of strings/ints throughout this package).
 
 Loops that build a result term by term accumulate into one private
-dict through :func:`add_term` and wrap it once at the end, instead of
-copying a partial sum per term.
+dict and wrap it once at the end, instead of copying a partial sum per
+term.  They add a term by one of two rules:
+
+- :func:`add_term` drops a sum the moment it reaches zero and stores an
+  integral sum as ``int``, so the dict is a valid Element at every step;
+  a basis object that cancels and comes back moves to the end.  The
+  kernels whose term order is pinned use it: the Element arithmetic
+  here, the slot maps and ``tensor_power``, the coderivations, ``ell2``
+  when two of its words coincide, Delta and ``extend``.  The symmetric
+  cobracket ``cobracket_doubleprime`` inlines the same rule in its
+  innermost loop, sparing a call per output pair, and keeps its order.
+- A running sum adds through ``dict.get`` and, once at the end, drops
+  the zero sums and stores the integral ones as ``int``: one store per
+  term, and each basis object stays where it first appeared.  The
+  shuffle product's ``_sum_terms`` uses it, as first appearance is the
+  order it promises, and so do ``ShuffleQuotient.normal_form``, the Lie
+  polynomials' ``_bracket`` and the Jacobi orbit sum of ``suites``,
+  whose results are only zero-tested or compared as mappings.
 
 An Element is never mutated after construction: no code changes the
 ``terms`` of an Element it did not just build.  That is what lets

@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .ab_core import AbAlgebra, AxiomCheck, TruncationOverflow, _integer, check_ab_axioms
+from .ab_core import _RATIONAL_RE, AbAlgebra, AxiomCheck, TruncationOverflow, _integer, check_ab_axioms
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import sign
 from .tensor_coalgebra import Generator
@@ -226,8 +226,6 @@ def poly_deriv(slot: tuple[int, int], e: Element) -> Element:
 
 
 _FACTOR_RE = re.compile(r"^([a-z]+\d+)(?:\^(\d+))?$")
-#: a coefficient factor: an integer or integer/integer, nothing else
-_RATIONAL_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def _coordinate(V: Variables, name: str, power: int) -> SMono:
@@ -284,7 +282,7 @@ def parse_poly(text: str, V: Variables) -> Element:
                 if V.slot[name][0] and power > 1:
                     raise ValueError(f"odd variable squared in {factor!r}")
                 mono = poly_mul(mono, Element.of(_coordinate(V, name, power)))
-            elif _RATIONAL_RE.fullmatch(factor):
+            elif _RATIONAL_RE.fullmatch(factor):  # no factor holds a sign: terms split at each
                 try:
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:

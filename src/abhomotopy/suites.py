@@ -94,6 +94,7 @@ named once, and a family only one row runs over is written in its row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -302,23 +303,19 @@ def probe_syms(
     return sorted(seen, key=sym_key)
 
 
-#: per degree tuple, its generic letters
-_GENERIC_LETTERS: dict = {}
-
-
 def generic_letters(degrees: Iterable[int]) -> tuple[Generator, ...]:
     """The letters a1, a2, ... of the given dg degrees, one per degree.
 
-    Built once per degree tuple and kept process-wide: the coalgebra
-    rows ask for the same few hundred tuples over and over.
+    Any iterable of degrees will do; the letters are cached process-wide
+    by the degree tuple (:func:`_generic_letters`), never by the iterable:
+    the coalgebra rows ask for the same few hundred tuples over and over.
     """
-    degrees = tuple(degrees)
-    letters = _GENERIC_LETTERS.get(degrees)
-    if letters is None:
-        letters = _GENERIC_LETTERS[degrees] = tuple(
-            Generator(f"a{i}", d) for i, d in enumerate(degrees, start=1)
-        )
-    return letters
+    return _generic_letters(tuple(degrees))
+
+
+@functools.cache
+def _generic_letters(degrees: tuple[int, ...]) -> tuple[Generator, ...]:
+    return tuple(Generator(f"a{i}", d) for i, d in enumerate(degrees, start=1))
 
 
 def _generic_words(max_len: int) -> list[Word]:

@@ -21,13 +21,16 @@ odd factor is zero.  On this space live:
 This module builds no map on words.  Delta, m, ell'' and delta''
 enumerate factor splits through one table, :func:`block_splits`, the one
 production place that works out the Koszul sign of moving factors past
-each other and the parities of the blocks it makes: the two blocks of
-Delta, the blocks around the cut factor of delta'', and the one or two
-factors that m and ell'' bring to the front (one body, ``extend``, over
-the block size).  Their three kernels read the factors' deg_s parities
-through ``_parities``.  The table is built off the split enumerator of the
-tensor layer, ``two_blocks`` and ``crossing_sign``, the same two
-functions the shuffle tables are built from.
+each other: the two blocks of Delta, the blocks around the cut factor of
+delta'', and the one or two factors that m and ell'' bring to the front
+(one body, ``extend``, over the block size).  Their three kernels read
+the factors' deg_s parities through ``_parities``.  The table is built
+off the split enumerator of the tensor layer, ``two_blocks`` and
+``crossing_sign``, the same two functions the shuffle tables are built
+from.  Its tables, the insertion tables and the cut plans below are
+builders under ``functools.cache``, as the tensor layer's tables are,
+keyed by parity pattern and positions alone, so every algebra and mutant
+shares them; ``cache_info()`` gives each table's size.
 
 ``kappa`` and ``poisson_cobracket`` are the directly coded cobrackets
 of the Gerstenhaber (odd a - b) and Poisson (even a - b)
@@ -78,6 +81,7 @@ by :func:`normalize`, and of that sym normal form over a tuple's slots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Callable
@@ -139,11 +143,7 @@ def _rank(sym: SymWord, w: Word) -> tuple[int, int]:
     return len(sym), -1
 
 
-#: per (parity pattern, block, front): per rank, the getter of the block with
-#: the new word in place and the parity of the odd block factors it passes
-_INSERTIONS: dict = {}
-
-
+@functools.cache
 def _insertions(odds: tuple[int, ...], block: tuple[int, ...], front: bool) -> tuple:
     """The insertion table of ``block``, increasing positions of a
     canonical sym whose factors have the deg_s parities ``odds``.
@@ -157,24 +157,19 @@ def _insertions(odds: tuple[int, ...], block: tuple[int, ...], front: bool) -> t
     canonical form, and the Koszul sign of the insertion is
     (-1)^(parity of w * that parity).  An odd ``w`` equal to a block
     factor kills the product; the table does not see that, its caller
-    tests the equal factor's position against the block.  Built on first
-    use per (parity pattern, block, front), so every algebra and mutant
-    shares it.
+    tests the equal factor's position against the block.  Cached per
+    (parity pattern, block, front), so every algebra and mutant shares it.
     """
-    key = (odds, block, front)
-    table = _INSERTIONS.get(key)
-    if table is None:
-        n = len(odds)
-        rows = []
-        for rank in range(n + 1):
-            before = [i for i in block if i < rank]
-            after = [i for i in block if i >= rank]
-            idx = before + [n] + after
-            # one index (an empty block) would make itemgetter return a word, not a tuple
-            get = operator.itemgetter(*idx) if len(idx) > 1 else operator.itemgetter(slice(n, n + 1))
-            rows.append((get, sum([odds[i] for i in (before if front else after)]) & 1))
-        table = _INSERTIONS[key] = tuple(rows)
-    return table
+    n = len(odds)
+    rows = []
+    for rank in range(n + 1):
+        before = [i for i in block if i < rank]
+        after = [i for i in block if i >= rank]
+        idx = before + [n] + after
+        # one index (an empty block) would make itemgetter return a word, not a tuple
+        get = operator.itemgetter(*idx) if len(idx) > 1 else operator.itemgetter(slice(n, n + 1))
+        rows.append((get, sum([odds[i] for i in (before if front else after)]) & 1))
+    return tuple(rows)
 
 
 def normalize(algebra: AbAlgebra, factors) -> tuple[int, SymWord | None]:
@@ -213,19 +208,15 @@ def sym_key(sym: SymWord):
 # -- coproduct -----------------------------------------------------------
 
 
-#: ordered two-block splits per (parity pattern, pinned, size)
-_SPLITS: dict = {}
-
-
+@functools.cache
 def block_splits(odd: tuple[int, ...], pinned: int | None = None, size: int | None = None) -> tuple:
     """Ordered two-block splits of factor positions, with their Koszul sign.
 
     ``odd`` holds the degree parities (0 or 1) of the factors, as
-    :func:`_parities` gives them.  Returns ``(left, right, eps, odd_left,
-    odd_right)`` entries: increasing position tuples, the Koszul sign of
-    arranging the factors as left, then the ``pinned`` factor if one is
-    given, then right, and the parities of the factors of each block, in
-    block order.
+    :func:`_parities` gives them.  Returns ``(left, right, eps)``
+    entries: increasing position tuples and the Koszul sign of arranging
+    the factors as left, then the ``pinned`` factor if one is given, then
+    right.  A kernel that needs a block's parities reads them off ``odd``.
     With ``size``, only the left blocks of that size occur (none when it
     exceeds the positions to choose from); without it, and without a
     pinned factor, only proper splits (both blocks nonempty) occur, and
@@ -237,32 +228,28 @@ def block_splits(odd: tuple[int, ...], pinned: int | None = None, size: int | No
     positions other than ``pinned``, and the sign is
     :func:`~abhomotopy.tensor_coalgebra.crossing_sign` of left and the
     pinned factor ahead of right, times that of left ahead of the pinned
-    factor.  They depend only on the parities, so the entries are built
-    once per parity pattern (which fixes the number of factors),
-    ``pinned`` and ``size``, and every algebra and mutant shares them.
+    factor.  They depend only on the parities, so the entries are cached
+    per parity pattern (which fixes the number of factors), ``pinned`` and
+    ``size``, and every algebra and mutant shares them.
     """
-    key = (odd, pinned, size)
-    splits = _SPLITS.get(key)
-    if splits is None:
-        n = len(odd)
-        others = [i for i in range(n) if i != pinned]
-        middle = () if pinned is None else (pinned,)
-        if size is not None:
-            sizes = (size,) if size <= len(others) else ()
-        else:
-            sizes = range(1, n) if pinned is None else range(n)
-        splits = []
-        for r in sizes:
-            for block, rest in two_blocks(len(others), r):
-                left = tuple([others[i] for i in block])
-                right = tuple([others[j] for j in rest])
-                odd_left, odd_right = tuple([odd[i] for i in left]), tuple([odd[j] for j in right])
-                odd_middle = tuple([odd[i] for i in middle])
-                eps = crossing_sign(left + middle, right, odd_left + odd_middle, odd_right)
-                eps *= crossing_sign(left, middle, odd_left, odd_middle)
-                splits.append((left, right, eps, odd_left, odd_right))
-        splits = _SPLITS[key] = tuple(splits)
-    return splits
+    n = len(odd)
+    others = [i for i in range(n) if i != pinned]
+    middle = () if pinned is None else (pinned,)
+    if size is not None:
+        sizes = (size,) if size <= len(others) else ()
+    else:
+        sizes = range(1, n) if pinned is None else range(n)
+    splits = []
+    for r in sizes:
+        for block, rest in two_blocks(len(others), r):
+            left = tuple([others[i] for i in block])
+            right = tuple([others[j] for j in rest])
+            odd_left, odd_right = [odd[i] for i in left], [odd[j] for j in right]
+            odd_middle = [odd[i] for i in middle]
+            eps = crossing_sign(left + middle, right, odd_left + odd_middle, odd_right)
+            eps *= crossing_sign(left, middle, odd_left, odd_middle)
+            splits.append((left, right, eps))
+    return tuple(splits)
 
 
 def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
@@ -272,7 +259,7 @@ def coproduct_delta(algebra: AbAlgebra, sym: SymWord) -> Element:
     has no proper split, so its coproduct is zero.
     """
     acc: dict = {}
-    for left, right, eps, _, _ in block_splits(_parities(algebra.a - algebra.b, sym)):
+    for left, right, eps in block_splits(_parities(algebra.a - algebra.b, sym)):
         add_term(acc, (tuple(sym[i] for i in left), tuple(sym[j] for j in right)), eps)
     return Element(acc)
 
@@ -295,7 +282,7 @@ def extend(algebra: AbAlgebra, sym: SymWord, size: int, f: Callable) -> Element:
     amb = algebra.a - algebra.b
     odds = _parities(amb, sym)
     acc: dict = {}
-    for block, others, front, _, _ in block_splits(odds, size=size):
+    for block, others, front in block_splits(odds, size=size):
         inserts = _insertions(odds, others, True)
         arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
         for w, c in f(arg).terms.items():
@@ -335,31 +322,23 @@ def q_by_taylor(algebra: AbAlgebra, sym: SymWord, D: Callable, bracket: Callable
 # -- cobrackets ------------------------------------------------------------
 
 
-#: per (parity pattern, cut factor, (a - b) mod 2): per block split, its
-#: twisted sign, the bitmasks of both blocks and their insertion tables
-_CUT_PLANS: dict = {}
-
-
+@functools.cache
 def _cut_plan(odds: tuple[int, ...], s: int, t: int) -> tuple:
     """The :func:`block_splits` entries of ``odds`` with factor ``s``
     pinned, in their order, as ``(neg, left_mask, right_mask, left_inserts,
     right_inserts)``: ``neg`` the parity of eps (-1)^(t deg_s X_I), the
     blocks as bitmasks of positions, and their :func:`_insertions`
     tables, the left one from the end and the right one from the front."""
-    key = (odds, s, t)
-    plan = _CUT_PLANS.get(key)
-    if plan is None:
-        plan = _CUT_PLANS[key] = tuple(
-            (
-                (eps < 0) ^ (t & sum(odd_left)),
-                sum([1 << i for i in left]),
-                sum([1 << j for j in right]),
-                _insertions(odds, left, False),
-                _insertions(odds, right, True),
-            )
-            for left, right, eps, odd_left, _ in block_splits(odds, pinned=s)
+    return tuple(
+        (
+            (eps < 0) ^ (t & sum([odds[i] for i in left])),
+            sum([1 << i for i in left]),
+            sum([1 << j for j in right]),
+            _insertions(odds, left, False),
+            _insertions(odds, right, True),
         )
-    return plan
+        for left, right, eps in block_splits(odds, pinned=s)
+    )
 
 
 def cobracket_doubleprime(algebra: AbAlgebra, sym: SymWord, *, delta: Callable) -> Element:

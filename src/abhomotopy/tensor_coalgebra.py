@@ -26,20 +26,28 @@ the splits of n positions into an increasing block of r and the
 increasing rest, and :func:`crossing_sign` gives the Koszul sign of
 placing one block ahead of the other: the parity of the odd pairs whose
 order flips.  A shuffle interleaves two blocks and an unshuffle splits
-one in two, and both carry that sign.  Both signed sums over the
-interleavings of two words read flat getters built from the two: a
-flat ``operator.itemgetter`` reads every output word out of its input
-letters in one call, back to back, beside a tuple of their signs.  The
-shuffle product here has one getter per shape (p, q) and one sign tuple
-per shape and parity pattern.  The bracket extension ``ell2`` in
-:mod:`ab_core` has a plan per shape and parity pattern holding, for
-each contracted letter pair, a getter over ``x + y + (g,)`` (g a letter
-of the pair's bracket) and its signs.  Each builds its dict once and
-adds up terms only when two words coincide.  The symmetric layer's
-:func:`~abhomotopy.sym_coalgebra.block_splits` builds its split tables
-from the same two functions.  All are built on first use and keyed by
-shape and parities alone, never by letters, so every algebra and mutant
-shares them safely.
+one in two, and both carry that sign.  From the two come the
+interleaving tables: :func:`interleaving_rows` lists, per shape (p, q),
+each interleaving as the row of indices into the concatenation that its
+output reads, and :func:`interleaving_signs` gives their signs per shape
+and parity pattern.  The shuffle product reads them through one flat
+``operator.itemgetter`` per shape, which builds every output word out of
+``x + y`` in one call.  The bracket extension ``ell2`` in :mod:`ab_core`
+maps the same rows and signs through the index runs around each
+contracted letter pair, into a plan per shape and parity pattern.  Each
+builds its dict once and adds up terms only when two words coincide.
+The symmetric layer's :func:`~abhomotopy.sym_coalgebra.block_splits`
+builds its split tables from ``two_blocks`` and ``crossing_sign`` too.
+
+Every process-wide table here, as in :mod:`ab_core` and
+:mod:`sym_coalgebra`, is a builder under ``functools.cache``, keyed by
+shape and parities for the tables above and by the word for
+:func:`word_degree` and :func:`cobracket`.  No key holds an algebra, so
+every algebra and mutant shares the values safely, and no caller changes
+a value it is handed.  ``cache_info()`` gives a table's size and
+``__wrapped__`` its uncached builder.  The letter intern table behind
+:class:`Generator` is the one other process-wide table, and
+:data:`QUOTIENT` owns its tables per instance.
 
 Tensor products of words (pairs, triples) are plain tuples of words.
 The graded slot calculus on them has two kernels.  ``_slot_map``
@@ -99,7 +107,10 @@ class Generator(str):
     __slots__ = ("gid", "deg")
 
     def __new__(cls, gid: str, deg: int) -> Generator:
-        g = _LETTERS.get((gid, deg))
+        try:
+            g = _LETTERS.get((gid, deg))
+        except TypeError:  # an unhashable id or degree: refused below
+            g = None
         if g is not None and type(deg) is int:  # 1.0 and True equal 1, yet are refused
             return g
         if not isinstance(gid, str):
@@ -136,23 +147,17 @@ class Generator(str):
 Word = tuple[Generator, ...]
 
 
-#: process-wide memo of word degrees, keyed by the word itself
-_WORD_DEGREE: dict = {}
-
-
+@functools.cache
 def word_degree(w: Word) -> int:
     """dg degree of a word: the sum of its letter degrees.
 
-    Memoized process-wide by the word.  The memo is safe across algebras
+    Cached process-wide by the word.  The cache is safe across algebras
     and their mutants: a word is a tuple of Generators, and each
     Generator carries its own degree, so equal words have equal degrees
     whatever algebra they came from.  It holds one entry per distinct
     word seen (a few hundred on a deep envelope run).
     """
-    d = _WORD_DEGREE.get(w)
-    if d is None:
-        d = _WORD_DEGREE[w] = sum(g.deg for g in w)
-    return d
+    return sum(g.deg for g in w)
 
 
 def word_key(w: Word):
@@ -215,53 +220,53 @@ def crossing_sign(first, rest, odd_first, odd_rest) -> int:
     return -1 if crossed % 2 else 1
 
 
-#: one flat interleaving getter per shape (p, q): every interleaving of
-#: :func:`two_blocks` (p + q, p), in that order, its letters back to back
-_FLAT_GETTERS: dict = {}
-#: interleaving signs per (p, q, odd_mask), matching ``_FLAT_GETTERS[(p, q)]``
-_SIGNS: dict = {}
+@functools.cache
+def interleaving_rows(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Every interleaving of a block of ``p`` items with one of ``q``, as
+    the row of indices into the concatenation that its output reads.
 
+    An interleaving is a split of :func:`two_blocks` (p + q, p), in that
+    order: the output positions of the first block's items, the rest
+    taking the second's.  Either block may be empty, which leaves one
+    row, the identity.  A shuffle reads the rows over ``x + y``, and
+    ``ab_core.ell2`` maps them through the index runs it interleaves.
 
-def _tables(p: int, q: int, xy: Word) -> tuple[Callable, tuple]:
-    """The flat getter of shape (p, q) and the signs for the parities of ``xy``.
-
-    An interleaving is a block of :func:`two_blocks` (p + q, p): the
-    output positions of the letters of ``x``, the rest taking ``y``.  The
-    flat getter lists, interleaving after interleaving, the index into
-    ``xy`` of each output letter, so one C call builds every interleaved
-    letter and :func:`_interleavings` cuts the result into words.  The
-    sign of an interleaving is the :func:`crossing_sign` of the x letters
-    placed at the block ahead of the y letters.  Interleavings come in
-    lexicographic order of the positions of ``x``.  Missing entries are
-    built on first use.
+    >>> interleaving_rows(1, 2)
+    ((0, 1, 2), (1, 0, 2), (1, 2, 0))
     """
-    odd_mask = 0
-    bit = 1
-    for g in xy:
-        if g.deg & 1:
-            odd_mask |= bit
-        bit <<= 1
-    key = (p, q, odd_mask)
-    signs = _SIGNS.get(key)
-    if signs is None:
-        odd = [g.deg & 1 for g in xy]
-        splits = two_blocks(p + q, p)
-        signs = _SIGNS[key] = tuple(crossing_sign(xs, ys, odd[:p], odd[p:]) for xs, ys in splits)
-        if (p, q) not in _FLAT_GETTERS:
-            # xy[i] goes to output position (xs + ys)[i], so the output reads xy in that order
-            _FLAT_GETTERS[p, q] = operator.itemgetter(
-                *(i for xs, ys in splits for i in sorted(range(p + q), key=(xs + ys).__getitem__))
-            )
-    return _FLAT_GETTERS[p, q], signs
+    # item i goes to output position (xs + ys)[i], so the output reads the items in that order
+    return tuple(
+        tuple(sorted(range(p + q), key=(xs + ys).__getitem__)) for xs, ys in two_blocks(p + q, p)
+    )
+
+
+@functools.cache
+def interleaving_signs(p: int, q: int, odd: tuple[int, ...]) -> tuple[int, ...]:
+    """The Koszul sign of each interleaving of :func:`interleaving_rows`
+    (p, q), for items of the parities ``odd`` (those of the concatenation):
+    the :func:`crossing_sign` of the first block's items placed ahead of
+    the second's."""
+    return tuple(crossing_sign(xs, ys, odd[:p], odd[p:]) for xs, ys in two_blocks(p + q, p))
+
+
+@functools.cache
+def _flat_getter(p: int, q: int) -> Callable:
+    """One ``itemgetter`` that reads every interleaving of two nonempty
+    words of lengths p and q out of ``x + y``, back to back, in the order
+    of :func:`interleaving_rows`."""
+    return operator.itemgetter(*itertools.chain.from_iterable(interleaving_rows(p, q)))
 
 
 def _interleavings(x: Word, y: Word) -> tuple[Iterator[Word], tuple]:
-    """The interleavings of two nonempty words, as an iterator, and their signs."""
+    """The interleavings of two nonempty words, as an iterator, and their
+    signs: the flat getter of their shape, cut into words, and the signs
+    of the parities of their letters."""
     if not x or not y:
         raise ValueError("shuffle needs two nonempty words")
     xy = x + y
-    get, signs = _tables(len(x), len(y), xy)
-    return zip(*[iter(get(xy))] * len(xy)), signs
+    p, q = len(x), len(y)
+    signs = interleaving_signs(p, q, tuple([g.deg & 1 for g in xy]))
+    return zip(*[iter(_flat_getter(p, q)(xy))] * len(xy)), signs
 
 
 def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
@@ -273,9 +278,9 @@ def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
     tests.  Returns a list of ``(word, sign)``.  Both words keep their
     internal order, and either may be empty.  The flat getter of shape
     (len(x), len(y)) reads every interleaving out of ``x + y`` at once,
-    and each is paired with the sign stored for the parities of those
-    letters (see :func:`_tables`).  Interleavings come in lexicographic
-    order of the positions of ``x``, the order of
+    and each is paired with the sign cached for the parities of those
+    letters (see :func:`interleaving_signs`).  Interleavings come in
+    lexicographic order of the positions of ``x``, the order of
     :func:`~abhomotopy.signs.enumerate_shuffles`.
 
     >>> a = Generator("a", 1); b = Generator("b", 1)
@@ -348,14 +353,11 @@ def shuffle_elements(ex: Element, ey: Element) -> Element:
     return _sum_terms(words, coefs)
 
 
-#: process-wide memo of word cobrackets, keyed by the word itself
-_COBRACKET: dict = {}
-
-
+@functools.cache
 def cobracket(w: Word) -> Element:
     """Deconcatenation cobracket: sum over cuts of U (x) V - (-1)^{uv} V (x) U.
 
-    Words of length 1 have no cut, so the result is zero.  Memoized
+    Words of length 1 have no cut, so the result is zero.  Cached
     process-wide by the word, as :func:`word_degree` is: the cuts depend
     only on the letters, and each letter carries its own degree, so equal
     words have equal cobrackets whatever algebra they came from.  Every
@@ -363,16 +365,13 @@ def cobracket(w: Word) -> Element:
     deep envelope run meets about a hundred distinct words, each many
     thousands of times.
     """
-    cuts = _COBRACKET.get(w)
-    if cuts is None:
-        acc: dict = {}
-        for j in range(1, len(w)):
-            u, v = w[:j], w[j:]
-            sign = -1 if (word_degree(u) * word_degree(v)) % 2 else 1
-            add_term(acc, (u, v), 1)
-            add_term(acc, (v, u), -sign)
-        cuts = _COBRACKET[w] = Element(acc)
-    return cuts
+    acc: dict = {}
+    for j in range(1, len(w)):
+        u, v = w[:j], w[j:]
+        sign = -1 if (word_degree(u) * word_degree(v)) % 2 else 1
+        add_term(acc, (u, v), 1)
+        add_term(acc, (v, u), -sign)
+    return Element(acc)
 
 
 def _lyndon_words(block: tuple[Generator, ...]) -> list[Word]:
@@ -621,14 +620,11 @@ def contract_adjacent_slots(
     return _slot_map(v, slot, 2, f2, f_degree, deg_of, False)
 
 
-#: per ``perms`` of :func:`permute_slots`, per parity pattern of a tuple:
-#: its (getter, signed factor) pairs, the getter None for the identity
-_PERM_PLANS: dict = {}
-
-
+@functools.cache
 def _perm_plan(perms: tuple, odd: tuple) -> tuple:
     """The getter and the factor times Koszul sign of each permutation of
-    ``perms`` on tuples of parities ``odd``; a zero factor is dropped."""
+    ``perms`` on tuples of parities ``odd``, the getter None for the
+    identity; a zero factor is dropped."""
     plan = []
     for sigma, k in perms:
         k = _coeff(k * koszul_sign(odd, sigma))
@@ -646,16 +642,17 @@ def permute_slots(v: Element, perms: tuple, deg_of: Callable) -> Element:
     output slot of slot i, as in :mod:`~abhomotopy.signs`), carrying the
     Koszul sign of the odd entries it reorders.  One pass over ``v``
     reads each entry's parity once per term, takes every sigma's getter
-    and signed factor from a plan kept per ``perms`` and parity pattern,
-    and adds each image into one dict through :func:`add_term`.
-    ``perms`` must be hashable (a tuple of pairs).
+    and signed factor from :func:`_perm_plan`, cached per ``perms`` and
+    parity pattern and looked up once per pattern a call meets, and adds
+    each image into one dict through :func:`add_term`.  ``perms`` must be
+    hashable (a tuple of pairs).
 
     >>> a, b = Generator("a", 1), Generator("b", 1)
     >>> permute_slots(Element.of(((a,), (b,))), (((1, 0), 1), ((0, 1), 1)), word_degree).terms
     {((b,), (a,)): -1, ((a,), (b,)): 1}
     """
-    plans = _PERM_PLANS.setdefault(perms, {})
     acc: dict = {}
+    plans: dict = {}  # the plans of this call's parity patterns: hashing perms once per pattern
     for t, c in v.terms.items():
         odd = tuple([deg_of(e) & 1 for e in t])
         plan = plans.get(odd)

@@ -33,7 +33,7 @@ from abhomotopy.suites import (
     probe_generators,
     probe_words,
 )
-from abhomotopy.tensor_coalgebra import QUOTIENT, shuffle, signed_interleavings
+from abhomotopy.tensor_coalgebra import QUOTIENT, crossing_sign, shuffle, signed_interleavings, two_blocks
 from test_regrading import FAST, rescaled
 
 
@@ -323,6 +323,53 @@ def _ell2_pair_first(A, x, y) -> Element:
                     for g, c in val.terms.items():
                         add_term(acc, pre + (g,) + post, c * sgn)
     return Element(acc)
+
+
+def _frozen_signed_rows(xi: tuple, yi: tuple, odd: tuple) -> list:
+    """The contraction's interleavings as ``ell2`` once built them per
+    index run: rows of indices into ``x + y`` in ``two_blocks`` order,
+    each with its ``crossing_sign``; an empty run leaves one row, sign 1."""
+    if not xi or not yi:
+        return [(xi + yi, 1)]
+    rows = []
+    for xs, ys in two_blocks(len(xi) + len(yi), len(xi)):
+        row = [0] * (len(xi) + len(yi))
+        for i, k in zip(xi + yi, xs + ys):
+            row[k] = i
+        rows.append((tuple(row), crossing_sign(xs, ys, [odd[i] for i in xi], [odd[j] for j in yi])))
+    return rows
+
+
+def test_contractions_map_the_shuffle_layers_interleavings():
+    """Each contraction's getter and signs, built from the shuffle layer's
+    interleaving rows and signs mapped through the index runs around the
+    contracted pair, equal those of the frozen per-run enumeration: on
+    all 900 shapes and parity patterns up to 4 x 4 letters, at every pair
+    and at both parities of b - a + 1."""
+    cases = 0
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for odd in itertools.product((0, 1), repeat=p + q):
+                cases += 1
+                xy_g = tuple(range(p + q + 1))  # x + y + (g,) as their own indices
+                for r in range(p):
+                    for s in range(q):
+                        pres = _frozen_signed_rows(tuple(range(r)), tuple(range(p, p + s)), odd)
+                        posts = _frozen_signed_rows(tuple(range(r + 1, p)), tuple(range(p + s + 1, p + q)), odd)
+                        want_flat = tuple(i for pre, _ in pres for post, _ in posts for i in (*pre, p + q, *post))
+                        for bma1_odd in (0, 1):
+                            block = (odd[r] & _odd_sum(odd, p, p + s)) ^ (
+                                _odd_sum(odd, r + 1, p) & _odd_sum(odd, p, p + s + 1)
+                            )
+                            block ^= bma1_odd & (_odd_sum(odd, 0, r) ^ _odd_sum(odd, p, p + s))
+                            want_signs = tuple(-e1 * e2 if block else e1 * e2 for _, e1 in pres for _, e2 in posts)
+                            get, signs = ab_core._contraction(p, q, r, s, bma1_odd, odd)
+                            assert (get(xy_g), signs) == (want_flat, want_signs), (p, q, odd, r, s)
+    assert cases == 900
+
+
+def _odd_sum(odd: tuple, start: int, stop: int) -> int:
+    return sum(odd[start:stop]) & 1
 
 
 def _lookups(A, bracket_extension, x, y):
@@ -712,6 +759,25 @@ def test_duplicate_table_entry_is_rejected():
     doc = _table_doc([["u", "u", [["w", 1]]], ["u", "u", [["w", 2]]]])
     with pytest.raises(ValueError, match=r"duplicate product entry for \('u', 'u'\)"):
         algebra_from_dict(doc)
+
+
+@pytest.mark.parametrize("coeff", [
+    "0.5", ".5", "1e5", " 3 ", "3\n", "1_000", "\u0663", "1/-2", "1/2/3", "0x10", "", "+", "1/0",
+    0.5, True, None,
+])
+def test_a_coefficient_other_than_an_integer_or_num_den_is_refused(coeff):
+    """Only an ``int`` or a string of an optional sign, ASCII digits and
+    optionally a slash and digits loads; ``Fraction`` would read the
+    decimal, the exponent, the spaces, the separator and the Arabic-Indic
+    three."""
+    with pytest.raises(ValueError, match="is not an integer or a 'num/den' string"):
+        algebra_from_dict(_table_doc([["u", "u", [["w", coeff]]]]))
+
+
+@pytest.mark.parametrize("coeff, value", [("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("3", 3), (3, 3)])
+def test_an_integer_or_num_den_coefficient_loads(coeff, value):
+    A = algebra_from_dict(_table_doc([["u", "u", [["w", coeff]]]]))
+    assert A.product(A.gen("u"), A.gen("u")) == Element.of(A.gen("w"), value)
 
 
 def test_axiom_sweep_without_generators_says_nothing_was_evaluated():

@@ -26,7 +26,7 @@ kernel fails the envelope suite on every builtin, at that row alone.
 
 import pytest
 
-from abhomotopy import suites, tensor_coalgebra
+from abhomotopy import suites
 from abhomotopy.ab_core import TruncationOverflow
 from abhomotopy.freemodule import Element
 from abhomotopy.suites import (
@@ -39,7 +39,7 @@ from abhomotopy.suites import (
     generic_letters,
     run_verify_envelope,
 )
-from abhomotopy.tensor_coalgebra import shuffle
+from abhomotopy.tensor_coalgebra import cobracket, shuffle
 from test_slot_memo import FORCED
 
 FAST = dict(max_word_len=2, max_sym_factors=2, max_total_letters=3, probe_gens=2)
@@ -200,21 +200,24 @@ def test_a_swapped_entry_reaches_the_maps_built_on_it(builtin, base):
 def test_a_swapped_cobracket_fails_the_specialization_row(builtin, swap):
     """delta'' reads the word cobracket from the table, so the oracle row
     that pins delta'' at the parity of a - b pins delta through it.  The
-    process-wide memo of word cobrackets sits below the table entry: once
+    process-wide cache of word cobrackets sits below the table entry: once
     the row has run, every factor of every probe sym has its cobracket
-    kept, and the swapped entry still reaches delta'' past it, and leaves
-    the kept cobrackets as they were."""
+    cached (reading them all adds no cache miss), and the swapped entry
+    still reaches delta'' past it, and leaves the cached cobrackets as
+    they were."""
     ctx = forced_context(builtin)
     row = specialization(ctx.algebra)
     assert check_identity(row, ctx).status == "pass"
     words = {w for sym in ctx.syms_factors for w in sym}
-    kept = {w: tensor_coalgebra._COBRACKET.get(w) for w in words}
-    assert None not in kept.values()
+    misses = cobracket.cache_info().misses
+    kept = {w: cobracket(w) for w in words}
+    assert cobracket.cache_info().misses == misses
     entry = ctx.maps["delta"]
     swapped = (lambda w: Element.zero()) if swap == "zero" else (lambda w: entry.fn(w).scale(-1))
     ctx.maps["delta"] = entry._replace(fn=swapped)
     assert check_identity(row, ctx).status == "fail"
-    assert all(tensor_coalgebra.cobracket(w) is v for w, v in kept.items())
+    assert all(cobracket(w) is v for w, v in kept.items())
+    assert cobracket.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("swap", ["zero", "negate"])

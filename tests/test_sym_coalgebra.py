@@ -1,10 +1,13 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abhomotopy
 from abhomotopy import ab_core, sym_coalgebra, tensor_coalgebra
 from abhomotopy.ab_core import AbAlgebra, TruncationOverflow, coderivation_D, ell2, ell2_oracle
 from abhomotopy.freemodule import Element, add_term
@@ -32,9 +35,21 @@ from abhomotopy.sym_coalgebra import (
     sym_of,
     sym_tensor_normal_form,
 )
-from abhomotopy.tensor_coalgebra import Generator, cobracket, shuffle, swap_adjacent_slots, word_degree
+from abhomotopy.tensor_coalgebra import (
+    Generator,
+    cobracket,
+    crossing_sign,
+    shuffle,
+    swap_adjacent_slots,
+    word_degree,
+)
 from test_regrading import rescaled
 from test_slot_memo import FORCED, sym_bracket
+
+# every module of the package, found by walking it
+PACKAGE_MODULES = [
+    importlib.import_module(f"abhomotopy.{info.name}") for info in pkgutil.iter_modules(abhomotopy.__path__)
+]
 
 
 def test_normalize_signs(nilpotent_algebra):
@@ -89,11 +104,10 @@ def test_coproduct_three_factors_against_block_sign_oracle(poisson_poly_instance
 
 def test_block_splits_signs_and_order_against_koszul_sign():
     """The parity block sign equals ``koszul_sign`` of the arrangement
-    (left, pinned, right), each block carries the degree parities of its
-    factors, and the splits come in ``itertools.combinations`` order, for
-    up to six factors of degree 0-3, every pinned position and every block
-    size: none given, 0 up to a full left block, and one more than there
-    are positions to choose from, which yields nothing.
+    (left, pinned, right), and the splits come in ``itertools.combinations``
+    order, for up to six factors of degree 0-3, every pinned position and
+    every block size: none given, 0 up to a full left block, and one more
+    than there are positions to choose from, which yields nothing.
 
     ``block_splits`` reads the parities of the degrees and ``koszul_sign``
     the degrees themselves, which it depends on through their parities
@@ -120,9 +134,7 @@ def test_block_splits_signs_and_order_against_koszul_sign():
                                 sigma = [0] * n
                                 for rank, i in enumerate(left + middle + right):
                                     sigma[i] = rank
-                                odd_left = tuple(degs[i] % 2 for i in left)
-                                odd_right = tuple(degs[j] % 2 for j in right)
-                                want.append((left, right, koszul_sign(degs, sigma), odd_left, odd_right))
+                                want.append((left, right, koszul_sign(degs, sigma)))
                         expected[key] = want
                     got = list(block_splits(tuple(d % 2 for d in degs), pinned, size))
                     assert got == expected[key], (degs, pinned, size)
@@ -134,54 +146,58 @@ def test_block_splits_signs_and_order_against_koszul_sign():
 
 
 class Guarded(AssertionError):
-    """Raised by a split enumerator that an oracle must not read."""
+    """Raised by a production table or split enumerator that an oracle must not read."""
 
 
-def guarded(*args):
-    raise Guarded("an oracle read the production split enumerator")
+def guarded(*args, **kwargs):
+    raise Guarded("an oracle read a production table or split enumerator")
 
 
-class GuardedTable(dict):
-    """A plan table that an oracle must not read."""
+def guard_the_builders(monkeypatch) -> list[str]:
+    """Replace every cached builder of the package but ``word_degree`` (a
+    letter's degree, which the oracles read too), and ``crossing_sign``,
+    by :func:`guarded`, under every name a package module binds it to.
 
-    def get(self, *args):
-        raise Guarded("an oracle read a production plan table")
-
-    __getitem__ = __setitem__ = __contains__ = get
+    The builders are found, not listed: every module attribute with a
+    ``cache_info``, so a table added later is guarded without a word
+    here.  Returns the guarded names, module-qualified."""
+    targets = [crossing_sign] + [
+        value for module in PACKAGE_MODULES for value in vars(module).values()
+        if hasattr(value, "cache_info") and value is not word_degree
+    ]
+    names = []
+    for module in PACKAGE_MODULES:
+        for name, value in list(vars(module).items()):
+            if any(value is target for target in targets):
+                monkeypatch.setattr(module, name, guarded)
+                names.append(f"{module.__name__}.{name}")
+    return names
 
 
 @pytest.mark.parametrize("builtin", ["gerstenhaber-toy", "poisson-polynomial"])
 def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
-    """The oracles enumerate and sign their splits themselves: with
-    ``two_blocks`` and ``crossing_sign`` raising, and the tables built
-    from them emptied (the shuffle tables and the split tables), every
-    oracle still runs on every probe sym, while the production kernels
-    built on them raise.  Neither do they permute
-    slots: with the slot-permutation plans emptied and their sign raising,
-    :func:`swap_adjacent_slots` raises and the oracles still run.  Nor
-    does ``ell2_oracle`` read the bracket extension's plans: with the plan
-    table raising on any read, ``ell2`` raises and the oracle runs.  Nor
-    do they place factors through the production insertion: with the
-    insertion and cut-plan tables raising on any read, delta'' and
-    ``extend`` raise, also where a cached cut plan would spare delta''
-    its ``block_splits`` read."""
+    """The oracles enumerate and sign their splits themselves and read no
+    production table: with every cached builder of the package (the
+    shuffle and interleaving tables, ``two_blocks``, the word cobracket,
+    the slot-permutation plans, the bracket extension's plans, the split,
+    insertion and cut-plan tables, the generic letters) and
+    ``crossing_sign`` raising, every oracle (``kappa``,
+    ``poisson_cobracket``, ``q_by_taylor`` and ``ell2_oracle``) still runs
+    on every probe sym and word pair, while the production kernels built on
+    them raise.  Only ``word_degree`` stays, as the oracles read letter
+    degrees."""
     sizes = dict(max_word_len=2, max_sym_factors=3, max_total_letters=4, probe_gens=2)
     config = SuiteConfig(algebra=builtin, **sizes)
     ctx = RunContext(builtin_instance(builtin), config, forced_gens=FORCED[builtin])
     A, D = ctx.algebra, coderivation_D(ctx.algebra)
     syms = list(dict.fromkeys(ctx.syms_letters + ctx.syms_factors))
     assert max(map(len, syms)) >= 3
-    for module in (tensor_coalgebra, sym_coalgebra, ab_core):
-        monkeypatch.setattr(module, "two_blocks", guarded)
-        monkeypatch.setattr(module, "crossing_sign", guarded)
-    monkeypatch.setattr(ab_core, "_ELL2_PLANS", GuardedTable())
-    monkeypatch.setattr(tensor_coalgebra, "_FLAT_GETTERS", {})
-    monkeypatch.setattr(tensor_coalgebra, "_SIGNS", {})
-    monkeypatch.setattr(sym_coalgebra, "_SPLITS", {})
-    monkeypatch.setattr(sym_coalgebra, "_INSERTIONS", GuardedTable())
-    monkeypatch.setattr(sym_coalgebra, "_CUT_PLANS", GuardedTable())
-    monkeypatch.setattr(tensor_coalgebra, "koszul_sign", guarded)
-    monkeypatch.setattr(tensor_coalgebra, "_PERM_PLANS", {})
+    names = guard_the_builders(monkeypatch)
+    for name in ("tensor_coalgebra.two_blocks", "tensor_coalgebra.interleaving_signs",
+                 "tensor_coalgebra.cobracket", "tensor_coalgebra._perm_plan", "ab_core._ell2_plan",
+                 "sym_coalgebra.block_splits", "sym_coalgebra._insertions", "sym_coalgebra._cut_plan",
+                 "suites._generic_letters", "sym_coalgebra.crossing_sign"):
+        assert f"abhomotopy.{name}" in names
     with pytest.raises(Guarded):
         shuffle(ctx.pair_words[0], ctx.pair_words[0])
     with pytest.raises(Guarded):
@@ -513,7 +529,7 @@ def ref_cobracket_doubleprime(A, sym):
     degs = [A.deg_s(w) for w in sym]
     acc = Element.zero()
     for s, xs in enumerate(sym):
-        for left, right, eps, _, _ in block_splits(tuple(d % 2 for d in degs), pinned=s):
+        for left, right, eps in block_splits(tuple(d % 2 for d in degs), pinned=s):
             deg_left = sum(degs[i] for i in left)
             fac_left = tuple(sym[i] for i in left)
             fac_right = tuple(sym[j] for j in right)
@@ -608,8 +624,8 @@ def _extend_ref(algebra, sym, size, f):
     amb = algebra.a - algebra.b
     odds = _parities(amb, sym)
     acc: dict = {}
-    for block, others, front, _, rest_odds in block_splits(odds, size=size):
-        rest = tuple([sym[i] for i in others])
+    for block, others, front in block_splits(odds, size=size):
+        rest, rest_odds = tuple([sym[i] for i in others]), tuple([odds[i] for i in others])
         arg = sym[block[0]] if size == 1 else tuple([sym[i] for i in block])
         for w, c in f(arg).terms.items():
             s, out = _insert_factor_ref(rest, rest_odds, w, (word_degree(w) - amb) % 2, True)
@@ -630,7 +646,8 @@ def _cobracket_doubleprime_ref(algebra, sym, *, delta):
             terms.append((p, p_odd, r, (word_degree(r) - amb) & 1, -c if t & p_odd else c))
         if not terms:
             continue
-        for left, right, eps, odd_left, odd_right in block_splits(odds, pinned=s):
+        for left, right, eps in block_splits(odds, pinned=s):
+            odd_left, odd_right = tuple([odds[i] for i in left]), tuple([odds[j] for j in right])
             if t and sum(odd_left) & 1:
                 eps = -eps
             fac_left = tuple([sym[i] for i in left])
@@ -695,7 +712,7 @@ def test_planned_kernels_match_the_frozen_scans(builtin, rescale):
             for s, xs in enumerate(sym) for pr in cobracket(xs).terms for w in pr
         )
         for size, f in ((1, D), (2, bracket)):
-            for block, others, _, _, _ in block_splits(_parities(amb, sym), size=size):
+            for block, others, _ in block_splits(_parities(amb, sym), size=size):
                 try:
                     image = f(sym[block[0]] if size == 1 else tuple(sym[i] for i in block))
                 except TruncationOverflow:

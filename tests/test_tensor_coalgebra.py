@@ -757,6 +757,17 @@ def test_a_letter_the_encoding_cannot_hold_is_a_value_error():
         assert named in str(err.value)
 
 
+@pytest.mark.parametrize("gid, deg, named", [
+    (["a"], 0, "generator ['a']: an id must be a string"),
+    ("a", [1], "generator 'a': shifted degree [1] is not an integer"),
+], ids=["unhashable-id", "unhashable-degree"])
+def test_an_unhashable_id_or_degree_is_a_value_error(gid, deg, named):
+    # the intern table's lookup of an unhashable pair used to raise a TypeError first
+    with pytest.raises(ValueError) as err:
+        Generator(gid, deg)
+    assert named in str(err.value)
+
+
 def test_a_letter_is_immutable():
     g = Generator("x", 1)
     for attempt in (lambda: setattr(g, "deg", 2), lambda: delattr(g, "gid"), lambda: setattr(g, "other", 0)):
