@@ -8,12 +8,16 @@ graded Poisson case.
 
 Structure maps are total on generator pairs inside the retained basis;
 anything escaping the basis raises :class:`TruncationOverflow`.  One
-loop, :func:`sweep`, holds the rule for it: an input that overflows is
-counted as a skip, never as a pass, and the first failing input ends
-the sweep.  The identity rows of ``suites`` and the structure axioms
-both run on it; :func:`check_ab_axioms` is a table of (axiom, arity,
-law), with one ``symmetry`` factory for commutativity and antisymmetry
-and one ``derivation`` factory for d over the product and the bracket.
+loop, :func:`sweep`, holds the rule for it and turns a run of a law into
+a :class:`CheckRecord`, the one record type of every report: an input
+that overflows is counted as a skip, never as a pass, the first failing
+input ends the sweep with its witness, and the record counts the inputs
+evaluated and skipped.  The identity rows of ``suites`` and the
+structure axioms both run on it; :func:`check_ab_axioms` is a table of
+(axiom, arity, law) mapped through it, with one ``symmetry`` factory for
+commutativity and antisymmetry and one ``derivation`` factory for d over
+the product and the bracket.  :func:`degree_homogeneity` is the one
+producer of the ``degree-homogeneity`` record.
 
 On the shifted grading dg = |.| + a - 1 the product and differential
 both have degree 1 and the bracket has degree b - a + 1:
@@ -52,7 +56,7 @@ import itertools
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -230,16 +234,6 @@ class Coderivation:
         return v.map_basis(self.__call__)
 
 
-def coderivation_d(algebra: AbAlgebra) -> Coderivation:
-    """Extension of the differential alone (Taylor coefficient at arity 1)."""
-    return Coderivation(1, {1: lambda w: algebra.differential(w[0])})
-
-
-def coderivation_mu(algebra: AbAlgebra) -> Coderivation:
-    """Extension of the shifted product alone (Taylor coefficient at arity 2)."""
-    return Coderivation(1, {2: lambda w: algebra.mu(w[0], w[1])})
-
-
 def coderivation_D(algebra: AbAlgebra) -> Coderivation:
     """The full codifferential D (differential plus shifted product)."""
     return Coderivation(
@@ -404,36 +398,54 @@ def ell2_oracle(algebra: AbAlgebra, x: Word, y: Word) -> Element:
     return acc
 
 
-# -- axiom checking ------------------------------------------------------
+# -- checks and their records ------------------------------------------------
 
 
 @dataclass
-class AxiomCheck:
-    axiom: str
+class CheckRecord:
+    """One check's line in a report: its name, the statement it checks,
+    the instance it ran on, its status, how many inputs it evaluated and
+    skipped, and the witness of a fail or the reason for a skip."""
+
+    check: str
+    statement: str
+    instance: str
     status: str  # pass | fail | skip
+    evaluated: int = 0
+    skipped: int = 0
     witness: str = ""
 
+    def as_dict(self) -> dict:
+        return asdict(self)
 
-def _render_gen_elem(v: Element) -> str:
-    return format_element(v, render=lambda g: g.gid, key=lambda g: g.gid)
 
+def sweep(
+    check: str,
+    statement: str,
+    instance: str,
+    inputs: Iterable,
+    law: Callable[[Any], tuple[bool, Any]],
+    render: Callable[[Any], str],
+) -> CheckRecord:
+    """The record of check ``check`` on ``instance``: ``law(input) -> (ok,
+    detail)`` evaluated on each input in turn.
 
-def sweep(inputs: Iterable, law: Callable[[Any], tuple[bool, Any]]) -> tuple[int, int, tuple | None]:
-    """Evaluate ``law(input) -> (ok, detail)`` on each input in turn.
+    An input on which a map raises :class:`TruncationOverflow` is skipped,
+    not evaluated, so a skip never counts as a pass.  The first input
+    whose law does not hold ends the sweep with a ``fail`` whose witness
+    is ``at {render(input)}: {detail}``; later inputs are not drawn.  If
+    every evaluated input held the record is a ``pass``, and if none was
+    evaluated a ``skip`` that says why: every input escaped the
+    truncation, or there was none.  Either way the record counts the
+    inputs evaluated and skipped.
 
-    Returns ``(evaluated, skipped, failure)``.  An input on which a map
-    raises :class:`TruncationOverflow` is skipped, not evaluated, so a
-    skip never counts as a pass.  The first input whose law does not hold
-    ends the sweep with ``failure = (input, detail)``; later inputs are
-    not drawn.  ``failure`` is None when every evaluated input held.
-
-    Every identity check runs through here: the rows of
-    ``suites.CHECKS`` and the structure axioms of :func:`check_ab_axioms`.
-    Two checks stay outside it.  ``instances.check_poisson_tensor``
-    checks polynomial identities, which cannot overflow, and its
-    homogeneity and symmetry sweeps list every bad entry by design.
-    ``suites.run_mutation`` stops at its first failing row and has
-    no skips.
+    This is the one place a status is read off a run of a law.  Every
+    identity check runs through here: the rows of ``suites.CHECKS``, the
+    structure axioms of :func:`check_ab_axioms` and the cyclic closure of
+    ``instances.check_poisson_tensor``.  The tensor's homogeneity and
+    symmetry checks stay outside it, as they list every bad entry by
+    design, and so does ``suites.run_mutation``, which stops at its first
+    failing row and has no skips.
     """
     evaluated = skipped = 0
     for inp in inputs:
@@ -444,22 +456,62 @@ def sweep(inputs: Iterable, law: Callable[[Any], tuple[bool, Any]]) -> tuple[int
             continue
         evaluated += 1
         if not ok:
-            return evaluated, skipped, (inp, detail)
-    return evaluated, skipped, None
+            witness = f"at {render(inp)}: {detail}"
+            return CheckRecord(check, statement, instance, "fail", evaluated, skipped, witness)
+    if evaluated:
+        return CheckRecord(check, statement, instance, "pass", evaluated, skipped)
+    witness = "every input escaped the truncation" if skipped else "empty input family: no input to evaluate"
+    return CheckRecord(check, statement, instance, "skip", 0, skipped, witness)
 
 
-def _sides(law: Callable[..., tuple[Element, Element]]) -> Callable[[tuple], tuple[bool, tuple]]:
+#: the statement of every structure axiom's record, and of the tensor conditions'
+AXIOM_STATEMENT = "defining structure identity, exact on all generator tuples"
+
+
+def degree_homogeneity(algebras: list[AbAlgebra], checked: bool = True) -> CheckRecord:
+    """The ``degree-homogeneity`` record of the structure-table entries the
+    checks evaluated on ``algebras``, named after the first of them.
+
+    A ``fail`` names every entry off its expected degree, each once.
+    Structure maps record a violation when they are first evaluated, so
+    this is read after the checks.  With no violation the record is a
+    ``pass``, or a ``skip`` when ``checked`` says that nothing was
+    evaluable.  ``Instance.check_structure`` reports it beside the
+    axioms; a run without the axioms reports it only when it fails.
+    """
+    found = list(dict.fromkeys(v for A in algebras for v in A.degree_violations))
+    if found:
+        status, witness = "fail", "; ".join(found)
+    elif checked:
+        status, witness = "pass", ""
+    else:
+        status, witness = "skip", "nothing evaluable at this truncation"
+    statement = "every structure-table entry the checks evaluated is degree-homogeneous"
+    return CheckRecord("degree-homogeneity", statement, algebras[0].name, status, witness=witness)
+
+
+def _render_gen_elem(v: Element) -> str:
+    return format_element(v, render=lambda g: g.gid, key=lambda g: g.gid)
+
+
+def _sides(law: Callable[..., tuple[Element, Element]]) -> Callable[[tuple], tuple[bool, str]]:
     """A law on a generator tuple returning (lhs, rhs), as a :func:`sweep` law
     whose detail is both sides, rendered only for a failing tuple."""
 
-    def holds(t: tuple) -> tuple[bool, tuple]:
+    def holds(t: tuple) -> tuple[bool, str]:
         lhs, rhs = law(*t)
-        return lhs == rhs, (lhs, rhs)
+        if lhs == rhs:
+            return True, ""
+        return False, f"lhs = {_render_gen_elem(lhs)}; rhs = {_render_gen_elem(rhs)}"
 
     return holds
 
 
-def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
+def _render_gen_tuple(t: tuple) -> str:
+    return f"({','.join(g.gid for g in t)})"
+
+
+def check_ab_axioms(algebra: AbAlgebra) -> list[CheckRecord]:
     """Evaluate the defining identities exactly on all generator tuples.
 
     Eight laws, one table of (axiom, arity, law): graded commutativity,
@@ -469,9 +521,11 @@ def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
     factory: ``symmetry(op, shift, s)`` for commutativity (s = 1) and
     antisymmetry (s = -1), ``derivation(op, shift)`` for d over the
     product and over the bracket.  Each law is swept by :func:`sweep`
-    over ``itertools.product(generators, repeat=arity)``, so a tuple
-    whose evaluation escapes the truncated basis is a skip for that law,
-    never a pass, and the first failing tuple is reported with both sides.
+    over ``itertools.product(generators, repeat=arity)`` into one record
+    named after the algebra, so a tuple whose evaluation escapes the
+    truncated basis is a skip for that law, never a pass, the record
+    counts the tuples evaluated and skipped, and the first failing tuple
+    is its witness, with both sides.
     """
     A = algebra
     ud = A.udeg
@@ -517,22 +571,11 @@ def check_ab_axioms(algebra: AbAlgebra) -> list[AxiomCheck]:
         ("differential-product", 2, derivation(A.product, a)),
         ("differential-bracket", 2, derivation(A.bracket, b)),
     )
-    checks: list[AxiomCheck] = []
-    for axiom, arity, law in laws:
-        evaluated, skipped, failure = sweep(itertools.product(A.generators, repeat=arity), _sides(law))
-        if failure is not None:
-            t, (lhs, rhs) = failure
-            ids = ",".join(g.gid for g in t)
-            witness = f"at ({ids}): lhs = {_render_gen_elem(lhs)}; rhs = {_render_gen_elem(rhs)}"
-            checks.append(AxiomCheck(axiom, "fail", witness))
-        elif not evaluated:
-            checks.append(AxiomCheck(axiom, "skip", "every sample escaped the truncation" if skipped
-                                     else "no generator tuple to evaluate"))
-        elif skipped:
-            checks.append(AxiomCheck(axiom, "pass", f"{skipped} sample(s) skipped at the truncation boundary"))
-        else:
-            checks.append(AxiomCheck(axiom, "pass"))
-    return checks
+    return [
+        sweep(axiom, AXIOM_STATEMENT, A.name, itertools.product(A.generators, repeat=arity), _sides(law),
+              _render_gen_tuple)
+        for axiom, arity, law in laws
+    ]
 
 
 # -- loading from structure-constant files -------------------------------

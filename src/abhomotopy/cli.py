@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,9 @@ from .suites import (
 
 USAGE_ERROR = 2
 
+#: a ``--param`` value read as an integer: an optional sign and ASCII digits
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
 
 def _parse_param(text: str):
     key, sep, value = text.partition("=")
@@ -53,10 +57,11 @@ def _parse_param(text: str):
             return key, json.loads(value)
         except json.JSONDecodeError as exc:
             raise ValueError(f"--param {key}: not JSON: {exc}") from None
-    try:
+    if _INTEGER_RE.fullmatch(value):
         return key, int(value)
-    except ValueError:  # anything else stays the string typed, refused by its reader
-        return key, value
+    # anything else stays the string typed, refused by its reader: int() would
+    # also read "1_0" as 10 and non-ASCII digits such as "\u0662" as 2
+    return key, value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -89,7 +89,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .ab_core import _RATIONAL_RE, AbAlgebra, AxiomCheck, TruncationOverflow, _integer, check_ab_axioms
+from .ab_core import (_RATIONAL_RE, AXIOM_STATEMENT, AbAlgebra, CheckRecord, TruncationOverflow, _integer,
+                      check_ab_axioms, degree_homogeneity, sweep)
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import sign
 from .tensor_coalgebra import Generator
@@ -376,14 +377,22 @@ def poisson_bracket(T: PoissonTensor, f: Element, g: Element) -> Element:
     return bilinear(lambda m1, m2: poisson_bracket_mono(T, m1, m2), f, g)
 
 
-def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
-    """Evaluate the tensor conditions exactly: homogeneity of every entry,
-    graded symmetry, and the cyclic closure identity for all index triples."""
-    checks: list[AxiomCheck] = []
+def check_poisson_tensor(T: PoissonTensor, label: str) -> list[CheckRecord]:
+    """Evaluate the tensor conditions exactly, as records on the instance
+    ``label``: homogeneity of every entry, graded symmetry, and the
+    cyclic closure identity for all index triples.
+
+    The first two list every bad entry in their witness; the cyclic
+    closure is swept (:func:`~.ab_core.sweep`) over the index triples and
+    names the first that fails.
+    """
     V = T.variables
     names = list(V.degrees)
     ddeg = {v: -d for v, d in V.degrees.items()}  # |d/dv| = -|v|
     render = lambda m: smono_str(V, m)
+
+    def listing(check: str, bad: list[str]) -> CheckRecord:
+        return CheckRecord(check, AXIOM_STATEMENT, label, "fail" if bad else "pass", witness="; ".join(bad))
 
     bad = []
     for (i, j), w in T.omega.items():
@@ -392,9 +401,7 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
             d = smono_degree(V, mono)
             if d != want:
                 bad.append(f"omega[{i},{j}] term {render(mono)} has degree {d}, expected {want}")
-    checks.append(
-        AxiomCheck("tensor-homogeneity", "fail" if bad else "pass", "; ".join(bad))
-    )
+    homogeneity = listing("tensor-homogeneity", bad)
 
     bad = []
     for i in names:
@@ -403,26 +410,23 @@ def check_poisson_tensor(T: PoissonTensor) -> list[AxiomCheck]:
             rhs = T.entry(j, i).scale(sign(ddeg[i] * ddeg[j] + T.m + 1))
             if lhs != rhs:
                 bad.append(f"omega[{i},{j}] vs omega[{j},{i}]")
-    checks.append(
-        AxiomCheck("tensor-graded-symmetry", "fail" if bad else "pass", "; ".join(bad))
-    )
+    symmetry = listing("tensor-graded-symmetry", bad)
 
-    witness = ""
-    for i, j, l in itertools.product(names, repeat=3):
+    def closure(ijl: tuple) -> tuple[bool, str]:
+        i, j, l = ijl
         total = Element.zero()
         for u, v, w in ((l, j, i), (j, i, l), (i, l, j)):
             s = sign(ddeg[u] * (T.m + ddeg[w]))
             for k in names:
                 term = poly_mul(T.entry(u, k), poly_deriv(V.slot[k], T.entry(v, w)))
                 total = total + term.scale(s)
-        if not total.is_zero():
-            witness = (
-                f"cyclic closure fails at indices ({i},{j},{l}): "
-                f"{format_element(total, render=render, key=render)}"
-            )
-            break
-    checks.append(AxiomCheck("tensor-cyclic-closure", "fail" if witness else "pass", witness))
-    return checks
+        if total.is_zero():
+            return True, ""
+        return False, f"cyclic sum {format_element(total, render=render, key=render)}"
+
+    cyclic = sweep("tensor-cyclic-closure", AXIOM_STATEMENT, label, itertools.product(names, repeat=3),
+                   closure, lambda ijl: f"indices ({','.join(ijl)})")
+    return [homogeneity, symmetry, cyclic]
 
 
 # -- instance assembly --------------------------------------------------------
@@ -434,21 +438,16 @@ class Instance:
 
     algebra: AbAlgebra
     params: dict
-    extra_checks: Callable[[], list[AxiomCheck]] = lambda: []
+    extra_checks: Callable[[], list[CheckRecord]] = lambda: []
 
-    def check_structure(self) -> list[AxiomCheck]:
-        checks = list(self.extra_checks())
+    def check_structure(self) -> list[CheckRecord]:
+        """The instance's own checks, the ``degree-homogeneity`` record and
+        the structure axioms, in that order, as records on the algebra."""
+        checks = self.extra_checks()
         axioms = check_ab_axioms(self.algebra)
         # the axiom sweep populates the structure maps, so degree violations
         # are known by now; with nothing evaluable the degree check is moot
-        if self.algebra.degree_violations:
-            degree = AxiomCheck(
-                "degree-homogeneity", "fail", "; ".join(self.algebra.degree_violations)
-            )
-        elif all(c.status == "skip" for c in axioms):
-            degree = AxiomCheck("degree-homogeneity", "skip", "nothing evaluable at this truncation")
-        else:
-            degree = AxiomCheck("degree-homogeneity", "pass")
+        degree = degree_homogeneity([self.algebra], checked=any(c.status != "skip" for c in axioms))
         return checks + [degree] + axioms
 
 
@@ -519,7 +518,7 @@ def _super_polynomials(
     T = PoissonTensor(V, m, _omega_from_param(omega, V, name))
     algebra = _assemble(name, 0, T, _mono_basis(p, q, max_degree), Element.zero())
     params = {"p": p, "q": q, "m": m, "max_degree": max_degree}
-    return Instance(algebra, params, extra_checks=lambda: check_poisson_tensor(T))
+    return Instance(algebra, params, extra_checks=lambda: check_poisson_tensor(T, name))
 
 
 def _polyvectors(

@@ -5,12 +5,15 @@ Every identity is one row of a suite's table, keyed by its check name:
 an :class:`Identity` holding the statement, the probe :class:`Family` it
 runs over (its inputs on a context, and how a witness names one) and the
 law ``law(ctx, input) -> (ok, detail)``.  One runner, :func:`check_identity`,
-turns a row into one record over one :class:`RunContext`, making it
-through :func:`~.ab_core.sweep`, the loop the structure axioms run on
-too: ``pass``, ``fail`` (with the first witness) or ``skip`` when every
-input escaped the truncation; skips never count as passes, and a report
-in which one requested suite has only skips is a skip whatever the other
-suites did.
+turns a row into one :class:`~.ab_core.CheckRecord` over one
+:class:`RunContext`: it empties the row memo and calls
+:func:`~.ab_core.sweep`, the loop that makes the structure axioms' records
+too.  A record is a ``pass``, a ``fail`` (with the first witness) or a
+``skip`` when no input was evaluated, and counts the inputs evaluated and
+skipped; skips never count as passes, and a report in which one requested
+suite has only skips is a skip whatever the other suites did.  The
+``axioms`` suite is ``Instance.check_structure``: the instance's own
+checks, the ``degree-homogeneity`` record and the structure axioms.
 The rows of :data:`COALGEBRA` run on generic letters and read no
 instance, so their records name ``generic-letters`` as their instance.
 The suites are tables of rows, each in report order: :data:`COALGEBRA`,
@@ -103,7 +106,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from .ab_core import (
     AbAlgebra,
+    CheckRecord,
     coderivation_D,
+    degree_homogeneity,
     ell2,
     ell2_oracle,
     load_algebra,
@@ -181,20 +186,6 @@ class SuiteConfig:
     def as_dict(self) -> dict:
         params = {k: str(v) for k, v in sorted(self.params.items())}
         return {**asdict(self), "params": params, "suites": list(self.suites)}
-
-
-@dataclass
-class CheckRecord:
-    check: str
-    statement: str
-    instance: str
-    status: str  # pass | fail | skip
-    evaluated: int = 0
-    skipped: int = 0
-    witness: str = ""
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -946,7 +937,8 @@ MUTATION_ORDER = (
 
 
 def check_identity(name: str, ctx: RunContext) -> CheckRecord:
-    """Evaluate row ``name`` of :data:`CHECKS` over its :class:`Family` on ``ctx``.
+    """The record of row ``name`` of :data:`CHECKS` over its :class:`Family`
+    on ``ctx``, made by :func:`~.ab_core.sweep`.
 
     A row of :data:`COALGEBRA` reads no instance, and its record says
     ``generic-letters`` where the others name ``ctx``.  An input on which
@@ -960,18 +952,10 @@ def check_identity(name: str, ctx: RunContext) -> CheckRecord:
     instance = "generic-letters" if name in COALGEBRA else ctx.label
     ctx.clear_row_memo()
     try:
-        evaluated, skipped, failure = sweep(row.family.inputs(ctx), lambda inp: row.law(ctx, inp))
+        return sweep(name, row.statement, instance, row.family.inputs(ctx), lambda inp: row.law(ctx, inp),
+                     row.family.render)
     finally:
         ctx.clear_row_memo()
-    if failure is not None:
-        inp, detail = failure
-        witness = f"at {row.family.render(inp)}: {detail}"
-        return CheckRecord(name, row.statement, instance, "fail", evaluated, skipped, witness)
-    if evaluated == 0:
-        witness = ("every input escaped the truncation" if skipped
-                   else "empty probe family: no input at these probe sizes")
-        return CheckRecord(name, row.statement, instance, "skip", 0, skipped, witness)
-    return CheckRecord(name, row.statement, instance, "pass", evaluated, skipped)
 
 
 # -- drivers ------------------------------------------------------------------
@@ -988,42 +972,18 @@ def build_instance(config: SuiteConfig) -> Instance:
     return Instance(load_algebra(config.algebra), {})
 
 
-def axiom_records(instance: Instance) -> list[CheckRecord]:
-    label = instance.algebra.name
-    return [
-        CheckRecord(
-            c.axiom,
-            "defining structure identity, exact on all generator tuples",
-            label,
-            c.status,
-            witness=c.witness,
-        )
-        for c in instance.check_structure()
-    ]
-
-
 def degree_records(config: SuiteConfig, algebras: list[AbAlgebra]) -> list[CheckRecord]:
-    """A ``degree-homogeneity`` fail naming every inhomogeneous table entry
-    the run met, when the ``axioms`` suite (which reports it) did not run.
+    """The ``degree-homogeneity`` record of the entries the run met
+    (:func:`~.ab_core.degree_homogeneity`) when it fails and the ``axioms``
+    suite, which reports it whatever its status, did not run.
 
-    Structure maps record a violation when they are first evaluated, so
-    this is read after the checks; without it a run on inhomogeneous
-    input would report identity failures and never name their cause.
+    Without it a run on inhomogeneous input would report identity
+    failures and never name their cause.
     """
     if "axioms" in config.suites:
         return []
-    found = list(dict.fromkeys(v for A in algebras for v in A.degree_violations))
-    if not found:
-        return []
-    return [
-        CheckRecord(
-            "degree-homogeneity",
-            "every structure-table entry the checks evaluated is degree-homogeneous",
-            algebras[0].name,
-            "fail",
-            witness="; ".join(found),
-        )
-    ]
+    record = degree_homogeneity(algebras)
+    return [record] if record.status == "fail" else []
 
 
 def run_check_algebra(config: SuiteConfig, instance: Instance | None = None) -> Report:
@@ -1031,7 +991,7 @@ def run_check_algebra(config: SuiteConfig, instance: Instance | None = None) -> 
     if instance is None:
         instance = build_instance(config)
     # check_structure reports degree-homogeneity itself, whatever the suites
-    return Report("check-algebra", config.as_dict(), axiom_records(instance))
+    return Report("check-algebra", config.as_dict(), instance.check_structure())
 
 
 def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -> Report:
@@ -1042,7 +1002,7 @@ def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -
     amb = ctx.algebra.a - ctx.algebra.b
     rows = {"coalgebra": COALGEBRA, "core": CORE, "envelope": {**ENVELOPE, **SPECIALIZATIONS[amb % 2]}}
     by_suite = {
-        suite: axiom_records(instance) if suite == "axioms"
+        suite: instance.check_structure() if suite == "axioms"
         else [check_identity(name, ctx) for name in rows[suite]]
         for suite in SUITES if suite in config.suites
     }

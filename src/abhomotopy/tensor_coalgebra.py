@@ -269,29 +269,6 @@ def _interleavings(x: Word, y: Word) -> tuple[Iterator[Word], tuple]:
     return zip(*[iter(_flat_getter(p, q)(xy))] * len(xy)), signs
 
 
-def signed_interleavings(x: Word, y: Word) -> list[tuple[Word, int]]:
-    """Every interleaving of ``x`` and ``y`` with its Koszul sign.
-
-    No production path calls this any more: the shuffle product reads
-    :func:`_interleavings`, and ``ab_core.ell2`` its own plans.  It stays
-    as the package's listing of signed interleavings, for callers and
-    tests.  Returns a list of ``(word, sign)``.  Both words keep their
-    internal order, and either may be empty.  The flat getter of shape
-    (len(x), len(y)) reads every interleaving out of ``x + y`` at once,
-    and each is paired with the sign cached for the parities of those
-    letters (see :func:`interleaving_signs`).  Interleavings come in
-    lexicographic order of the positions of ``x``, the order of
-    :func:`~abhomotopy.signs.enumerate_shuffles`.
-
-    >>> a = Generator("a", 1); b = Generator("b", 1)
-    >>> [(render_word(w), s) for w, s in signed_interleavings((a,), (b,))]
-    [('(a|b)', 1), ('(b|a)', -1)]
-    """
-    if not x or not y:
-        return [(x + y, 1)]
-    return list(zip(*_interleavings(x, y)))
-
-
 def _sum_terms(words: list, coefs) -> Element:
     """The Element sum of ``coefs[i] * words[i]``, words in order of first appearance.
 
@@ -317,7 +294,9 @@ def shuffle(x: Word, y: Word) -> Element:
 
     Both blocks keep their internal order; each interleaving carries the
     Koszul sign of the rearrangement, read off the shape tables.  Terms
-    come in the order of :func:`signed_interleavings`.  The signed
+    come in the order of :func:`interleaving_rows`: lexicographic order
+    of the positions of ``x``, as
+    :func:`~abhomotopy.signs.enumerate_shuffles` lists them.  The signed
     interleavings go into one dict; when their words are distinct, as
     they are whenever no letter repeats, that dict is the product.  Only
     when a letter repeats can two interleavings coincide, and then one

@@ -4,18 +4,19 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from abhomotopy import ab_core, suites
+from abhomotopy import ab_core, instances, suites
 from abhomotopy.ab_core import (
+    CheckRecord,
+    Coderivation,
     TruncationOverflow,
     algebra_from_dict,
     bilinear,
     check_ab_axioms,
     coderivation_D,
-    coderivation_d,
-    coderivation_mu,
     ell2,
     ell2_oracle,
     load_algebra,
@@ -32,9 +33,11 @@ from abhomotopy.suites import (
     perturb_algebra,
     probe_generators,
     probe_words,
+    run_verify_envelope,
 )
-from abhomotopy.tensor_coalgebra import QUOTIENT, crossing_sign, shuffle, signed_interleavings, two_blocks
+from abhomotopy.tensor_coalgebra import QUOTIENT, crossing_sign, shuffle, two_blocks
 from test_regrading import FAST, rescaled
+from test_tensor_coalgebra import signed_interleavings
 
 
 def test_loader_rejects_bad_documents():
@@ -144,6 +147,16 @@ def test_ell_poisson_shape(poisson_poly_instance):
         for g2 in list(A.generators)[:6]:
             want = A.bracket(g1, g2).scale(-1 if g1.deg % 2 else 1)
             assert A.ell(g1, g2) == want
+
+
+def coderivation_d(algebra):
+    """The extension of the differential alone (Taylor coefficient at arity 1)."""
+    return Coderivation(1, {1: lambda w: algebra.differential(w[0])})
+
+
+def coderivation_mu(algebra):
+    """The extension of the shifted product alone (Taylor coefficient at arity 2)."""
+    return Coderivation(1, {2: lambda w: algebra.mu(w[0], w[1])})
 
 
 def test_coderivation_single_letter(nilpotent_algebra):
@@ -510,7 +523,7 @@ def test_axiom_checker_reports_commutative_polynomials():
 def test_axiom_checker_catches_perturbation_with_witness():
     inst = builtin_instance("poisson-super")
     mutant = perturb_algebra(inst.algebra, ("bracket", "x1^2", "x2^2", "x1*x2"))
-    failing = {c.axiom: c for c in check_ab_axioms(mutant) if c.status == "fail"}
+    failing = {c.check: c for c in check_ab_axioms(mutant) if c.status == "fail"}
     assert "bracket-jacobi" in failing
     assert "lhs" in failing["bracket-jacobi"].witness
 
@@ -524,7 +537,7 @@ def test_truncation_reports_skip_not_pass():
             "max_degree": 2,
         }
     )
-    checks = {c.axiom: c.status for c in check_ab_axioms(A)}
+    checks = {c.check: c.status for c in check_ab_axioms(A)}
     assert checks["product-commutativity"] == "skip"
     assert checks["bracket-jacobi"] == "skip"
 
@@ -543,22 +556,34 @@ def test_sweep_skips_overflows_and_stops_at_the_first_failure():
         evaluated.append(i)
         return i != 3, f"detail {i}"
 
-    assert sweep(inputs(6), law) == (3, 1, (3, "detail 3"))
+    def run(inputs):
+        return sweep("a-check", "a statement", "an instance", inputs, law, lambda i: f"input {i}")
+
+    assert run(inputs(6)) == CheckRecord(
+        "a-check", "a statement", "an instance", "fail", 3, 1, "at input 3: detail 3"
+    )
     assert drawn == [0, 1, 2, 3]  # no input is drawn past the first failure
     assert evaluated == [0, 2, 3]  # the overflowing input counts as skipped only
-    assert sweep(inputs(3), law) == (2, 1, None)
-    assert sweep([], law) == (0, 0, None)
+    assert run(inputs(3)) == CheckRecord("a-check", "a statement", "an instance", "pass", 2, 1)
+    # nothing evaluated is a skip, never a pass, and says why
+    assert run([1, 1]) == CheckRecord(
+        "a-check", "a statement", "an instance", "skip", 0, 2, "every input escaped the truncation"
+    )
+    assert run([]) == CheckRecord(
+        "a-check", "a statement", "an instance", "skip", 0, 0, "empty input family: no input to evaluate"
+    )
 
 
 def test_identity_rows_and_structure_axioms_run_through_sweep(monkeypatch):
-    """Both runners hold the skip rule through the one loop: with it
-    replaced by a raising stub, neither can evaluate a law on its own."""
+    """Every runner holds the skip rule through the one loop: with it
+    replaced by a raising stub, none can evaluate a law on its own."""
 
-    def stub(inputs, law):
+    def stub(*args):
         raise RuntimeError("stub sweep")
 
     monkeypatch.setattr(ab_core, "sweep", stub)
     monkeypatch.setattr(suites, "sweep", stub)
+    monkeypatch.setattr(instances, "sweep", stub)
     config = SuiteConfig(algebra="gerstenhaber-toy", max_word_len=2, max_sym_factors=2, max_total_letters=3,
                          probe_gens=2)
     ctx = RunContext(build_instance(config), config)
@@ -566,6 +591,48 @@ def test_identity_rows_and_structure_axioms_run_through_sweep(monkeypatch):
         check_identity("codifferential-squared", ctx)
     with pytest.raises(RuntimeError, match="stub sweep"):
         check_ab_axioms(builtin_instance("gerstenhaber-toy").algebra)
+    with pytest.raises(RuntimeError, match="stub sweep"):
+        builtin_instance("poisson-super").check_structure()
+
+
+#: the eight structure axioms and the arity of the generator tuples each runs over
+AXIOM_ARITIES = {
+    "product-commutativity": 2,
+    "product-associativity": 3,
+    "bracket-antisymmetry": 2,
+    "bracket-jacobi": 3,
+    "leibniz": 3,
+    "differential-squared": 1,
+    "differential-product": 2,
+    "differential-bracket": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_axiom_records_count_every_generator_tuple(name):
+    """An axiom sweeps every generator tuple, so a passing record's
+    evaluated and skipped inputs add up to their number; before the
+    axioms reported through the sweep's record every count read 0."""
+    config = SuiteConfig(algebra=name, suites=("axioms",), **FAST)
+    instance = build_instance(config)
+    records = {r.check: r for r in run_verify_envelope(config, instance).records}
+    n = len(instance.algebra.generators)
+    for axiom, arity in AXIOM_ARITIES.items():
+        r = records[axiom]
+        assert r.status == "pass", (axiom, r.witness)
+        assert r.witness == "", axiom  # the skip count is in ``skipped``, not in a witness
+        assert r.evaluated > 0 and r.evaluated + r.skipped == n**arity, axiom
+    if name == "schouten-super":  # 25 generators, 297 pairs leave the truncation
+        assert (records["product-commutativity"].evaluated, records["product-commutativity"].skipped) == (328, 297)
+
+
+def test_a_failing_axiom_record_counts_the_tuples_it_evaluated(monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    config = SuiteConfig(algebra="half-constant-algebra.json", suites=("axioms",), **FAST)
+    records = {r.check: r for r in run_verify_envelope(config).records}
+    r = records["bracket-antisymmetry"]
+    assert r.status == "fail" and r.evaluated >= 1
+    assert r.witness == "at (u,v): lhs = 1/2*w; rhs = -1/2*w"
 
 
 def test_mutant_ell2_differs_from_parent():
@@ -785,7 +852,8 @@ def test_axiom_sweep_without_generators_says_nothing_was_evaluated():
     checks = check_ab_axioms(algebra_from_dict({"a": 0, "b": 0, "generators": []}))
     assert len(checks) == 8
     for c in checks:
-        assert (c.status, c.witness) == ("skip", "no generator tuple to evaluate"), c.axiom
+        assert (c.status, c.evaluated, c.skipped) == ("skip", 0, 0), c.check
+        assert c.witness == "empty input family: no input to evaluate", c.check
 
 
 def test_axiom_checker_takes_no_sample_override():

@@ -142,10 +142,10 @@ def test_criterion_10_tensor_conditions():
         one = Element.of(smono_one(2))
         V2 = variables(2, 0, SUPER)
         valid = PoissonTensor(V2, -4, {("x1", "x2"): one, ("x2", "x1"): one.scale(-1)})
-        assert all(c.status == "pass" for c in check_poisson_tensor(valid))
+        assert all(c.status == "pass" for c in check_poisson_tensor(valid, "tensor"))
 
         symmetric = PoissonTensor(V2, -4, {("x1", "x2"): one, ("x2", "x1"): one})
-        by_name = {c.axiom: c for c in check_poisson_tensor(symmetric)}
+        by_name = {c.check: c for c in check_poisson_tensor(symmetric, "tensor")}
         assert by_name["tensor-graded-symmetry"].status == "fail"
 
         V3 = variables(3, 0, SUPER)
@@ -160,7 +160,7 @@ def test_criterion_10_tensor_conditions():
                 ("x3", "x1"): w13.scale(-1),
             },
         )
-        by_name = {c.axiom: c for c in check_poisson_tensor(crooked)}
+        by_name = {c.check: c for c in check_poisson_tensor(crooked, "tensor")}
         record = by_name["tensor-cyclic-closure"]
         assert record.status == "fail"
         assert "(x1,x2,x3)" in record.witness  # concrete index-triple witness

@@ -312,13 +312,18 @@ def test_poisson_bracket_antisymmetry_random():
 
 
 def test_tensor_condition_checks():
-    assert all(c.status == "pass" for c in check_poisson_tensor(constant_tensor(2)))
+    records = check_poisson_tensor(constant_tensor(2), "tensor")
+    assert all(c.status == "pass" for c in records)
+    assert [(c.check, c.instance) for c in records] == [
+        ("tensor-homogeneity", "tensor"), ("tensor-graded-symmetry", "tensor"), ("tensor-cyclic-closure", "tensor")
+    ]
+    assert records[2].evaluated == 2**3  # the cyclic closure sweeps every index triple
     one = Element.of(smono_one(2))
     V = variables(2, 0, SUPER)
     symmetric = PoissonTensor(V, -4, {("x1", "x2"): one, ("x2", "x1"): one})
-    bad = {c.axiom: c.status for c in check_poisson_tensor(symmetric)}
+    bad = {c.check: c.status for c in check_poisson_tensor(symmetric, "tensor")}
     assert bad["tensor-graded-symmetry"] == "fail"
-    assert all(c.status == "pass" for c in check_poisson_tensor(PoissonTensor(V, -4, {})))
+    assert all(c.status == "pass" for c in check_poisson_tensor(PoissonTensor(V, -4, {}), "tensor"))
 
 
 @pytest.mark.parametrize("name", ["polyvector-even", "schouten-super", "gerstenhaber-toy"])
@@ -331,10 +336,10 @@ def test_canonical_tensor_passes_the_tensor_checks(name):
     degrees, a, b = GRADINGS[grading]
     assert (a, b) == (inst.algebra.a, inst.algebra.b)
     T = canonical_tensor(variables(p, q, degrees), b)
-    assert [c.status for c in check_poisson_tensor(T)] == ["pass"] * 3
+    assert [c.status for c in check_poisson_tensor(T, "tensor")] == ["pass"] * 3
     flipped = dict(T.omega)
     flipped["x1", "dx1"] = flipped["x1", "dx1"].scale(-1)
-    by_name = {c.axiom: c for c in check_poisson_tensor(PoissonTensor(T.variables, b, flipped))}
+    by_name = {c.check: c for c in check_poisson_tensor(PoissonTensor(T.variables, b, flipped), "tensor")}
     assert by_name["tensor-graded-symmetry"].status == "fail"
     assert "omega[x1,dx1] vs omega[dx1,x1]" in by_name["tensor-graded-symmetry"].witness
 
@@ -368,7 +373,7 @@ def test_every_builtin_passes_structure_checks():
     for name in sorted(BUILTINS):
         inst = builtin_instance(name)
         for c in inst.check_structure():
-            assert c.status != "fail", (name, c.axiom, c.witness)
+            assert c.status != "fail", (name, c.check, c.witness)
 
 
 def test_truncation_overflow_is_raised():

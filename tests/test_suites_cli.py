@@ -260,7 +260,7 @@ def test_empty_probe_family_is_named_as_such():
     ctx = suites.RunContext(suites.build_instance(config), config)
     record = check_identity("codifferential-coderivation", ctx)
     assert (record.status, record.evaluated, record.skipped) == ("skip", 0, 0)
-    assert "empty probe family" in record.witness
+    assert record.witness == "empty input family: no input to evaluate"
     assert "escaped the truncation" not in record.witness
 
 
@@ -493,6 +493,8 @@ def test_python_dash_m_runs_the_command_line():
         ("gerstenhaber-toy", "d=5/2"),
         ("schouten-super", "q=[1]"),
         ("poisson-super", "max_degree=1/0"),
+        ("gerstenhaber-toy", "d=1_0"),  # int() reads digit separators: 10
+        ("gerstenhaber-toy", "d=\u0662"),  # and non-ASCII digits: ARABIC-INDIC DIGIT TWO is 2
     ],
 )
 def test_non_integer_builtin_parameter_is_a_named_usage_error(algebra, param, capsys):
@@ -507,6 +509,18 @@ def test_non_integer_builtin_parameter_is_a_named_usage_error(algebra, param, ca
     # a JSON value is parsed before it is refused; any other is quoted as typed
     typed = value if value.startswith("[") else repr(value)
     assert f"must be an integer, got {typed}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, parsed",
+    [("d=2", ("d", 2)), ("d=+2", ("d", 2)), ("m=-4", ("m", -4)), ("d= 2 ", ("d", 2)),
+     ("d=1_0", ("d", "1_0")), ("d=\u0662", ("d", "\u0662")), ("d=2.0", ("d", "2.0")), ("d=", ("d", ""))],
+)
+def test_a_parameter_is_an_integer_only_in_ascii_digits(text, parsed):
+    """A value is an int when it is an optional sign and ASCII digits, and
+    otherwise stays the string typed, for its reader to refuse."""
+    got = cli._parse_param(text)
+    assert got == parsed and type(got[1]) is type(parsed[1])
 
 
 def refused_before_any_check(monkeypatch, capsys, argv: list[str]) -> str:
