@@ -89,8 +89,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .ab_core import (_RATIONAL_RE, AXIOM_STATEMENT, AbAlgebra, CheckRecord, TruncationOverflow, _integer,
-                      check_ab_axioms, degree_homogeneity, sweep)
+from .ab_core import (_RATIONAL_RE, AbAlgebra, CheckRecord, TruncationOverflow, _integer, check_ab_axioms,
+                      degree_homogeneity, sweep)
 from .freemodule import Element, add_term, bilinear, format_element
 from .signs import sign
 from .tensor_coalgebra import Generator
@@ -378,39 +378,37 @@ def poisson_bracket(T: PoissonTensor, f: Element, g: Element) -> Element:
 
 
 def check_poisson_tensor(T: PoissonTensor, label: str) -> list[CheckRecord]:
-    """Evaluate the tensor conditions exactly, as records on the instance
-    ``label``: homogeneity of every entry, graded symmetry, and the
-    cyclic closure identity for all index triples.
+    """Evaluate the tensor conditions exactly, as three records on the
+    instance ``label``, each stating its condition and each made by
+    :func:`~.ab_core.sweep`, which names the first input that fails:
 
-    The first two list every bad entry in their witness; the cyclic
-    closure is swept (:func:`~.ab_core.sweep`) over the index triples and
-    names the first that fails.
+    - homogeneity, over omega's entries: every term of omega[i,j] has
+      degree m - |d_i| - |d_j|; a tensor with no entry has no input, a
+      skip;
+    - graded symmetry, over the index pairs i <= j in coordinate order,
+      so a bad pair is named once;
+    - the cyclic closure identity, over all index triples.
     """
     V = T.variables
     names = list(V.degrees)
     ddeg = {v: -d for v, d in V.degrees.items()}  # |d/dv| = -|v|
     render = lambda m: smono_str(V, m)
+    indices = lambda ij: f"indices ({','.join(ij)})"
 
-    def listing(check: str, bad: list[str]) -> CheckRecord:
-        return CheckRecord(check, AXIOM_STATEMENT, label, "fail" if bad else "pass", witness="; ".join(bad))
-
-    bad = []
-    for (i, j), w in T.omega.items():
+    def homogeneous(entry: tuple) -> tuple[bool, str]:
+        (i, j), w = entry
         want = T.m - ddeg[i] - ddeg[j]
-        for mono, _ in w.items():
+        for mono in w.terms:
             d = smono_degree(V, mono)
             if d != want:
-                bad.append(f"omega[{i},{j}] term {render(mono)} has degree {d}, expected {want}")
-    homogeneity = listing("tensor-homogeneity", bad)
+                return False, f"term {render(mono)} has degree {d}, expected {want}"
+        return True, ""
 
-    bad = []
-    for i in names:
-        for j in names:
-            lhs = T.entry(i, j)
-            rhs = T.entry(j, i).scale(sign(ddeg[i] * ddeg[j] + T.m + 1))
-            if lhs != rhs:
-                bad.append(f"omega[{i},{j}] vs omega[{j},{i}]")
-    symmetry = listing("tensor-graded-symmetry", bad)
+    def symmetric(ij: tuple) -> tuple[bool, str]:
+        i, j = ij
+        if T.entry(i, j) == T.entry(j, i).scale(sign(ddeg[i] * ddeg[j] + T.m + 1)):
+            return True, ""
+        return False, f"omega[{i},{j}] vs omega[{j},{i}]"
 
     def closure(ijl: tuple) -> tuple[bool, str]:
         i, j, l = ijl
@@ -424,9 +422,15 @@ def check_poisson_tensor(T: PoissonTensor, label: str) -> list[CheckRecord]:
             return True, ""
         return False, f"cyclic sum {format_element(total, render=render, key=render)}"
 
-    cyclic = sweep("tensor-cyclic-closure", AXIOM_STATEMENT, label, itertools.product(names, repeat=3),
-                   closure, lambda ijl: f"indices ({','.join(ijl)})")
-    return [homogeneity, symmetry, cyclic]
+    return [
+        sweep("tensor-homogeneity", "every entry omega[i,j] is homogeneous of degree m - |d_i| - |d_j|", label,
+              T.omega.items(), homogeneous, lambda entry: "omega[{},{}]".format(*entry[0])),
+        sweep("tensor-graded-symmetry", "omega[i,j] = (-1)^(|d_i||d_j| + m + 1) omega[j,i] on every index pair",
+              label, itertools.combinations_with_replacement(names, 2), symmetric, indices),
+        sweep("tensor-cyclic-closure",
+              "the cyclic sum of (-1)^(|d_u|(m + |d_w|)) omega[u,k] d_k(omega[v,w]) vanishes on every index triple",
+              label, itertools.product(names, repeat=3), closure, indices),
+    ]
 
 
 # -- instance assembly --------------------------------------------------------
@@ -434,21 +438,28 @@ def check_poisson_tensor(T: PoissonTensor, label: str) -> list[CheckRecord]:
 
 @dataclass
 class Instance:
-    """A built algebra plus its structure-specific invariant checks."""
+    """A built algebra plus its structure-specific invariant checks, which
+    make their records on the instance's :attr:`label`."""
 
     algebra: AbAlgebra
     params: dict
-    extra_checks: Callable[[], list[CheckRecord]] = lambda: []
+    extra_checks: Callable[[str], list[CheckRecord]] = lambda label: []
+
+    @property
+    def label(self) -> str:
+        """The instance every record on it names: the algebra's name with its
+        parameters, or the bare name when it has none (a structure file)."""
+        if not self.params:
+            return self.algebra.name
+        return f"{self.algebra.name}({', '.join(f'{k}={v}' for k, v in sorted(self.params.items()))})"
 
     def check_structure(self) -> list[CheckRecord]:
         """The instance's own checks, the ``degree-homogeneity`` record and
-        the structure axioms, in that order, as records on the algebra."""
-        checks = self.extra_checks()
-        axioms = check_ab_axioms(self.algebra)
-        # the axiom sweep populates the structure maps, so degree violations
-        # are known by now; with nothing evaluable the degree check is moot
-        degree = degree_homogeneity([self.algebra], checked=any(c.status != "skip" for c in axioms))
-        return checks + [degree] + axioms
+        the structure axioms, in that order, as records on :attr:`label`."""
+        checks = self.extra_checks(self.label)
+        axioms = check_ab_axioms(self.algebra, self.label)
+        # the axiom sweep has read the structure-table entries by now
+        return checks + [degree_homogeneity(self.label, [self.algebra])] + axioms
 
 
 def _mono_basis(p: int, q: int, max_degree: int) -> list[SMono]:
@@ -518,7 +529,7 @@ def _super_polynomials(
     T = PoissonTensor(V, m, _omega_from_param(omega, V, name))
     algebra = _assemble(name, 0, T, _mono_basis(p, q, max_degree), Element.zero())
     params = {"p": p, "q": q, "m": m, "max_degree": max_degree}
-    return Instance(algebra, params, extra_checks=lambda: check_poisson_tensor(T, name))
+    return Instance(algebra, params, extra_checks=lambda label: check_poisson_tensor(T, label))
 
 
 def _polyvectors(

@@ -371,7 +371,7 @@ class RunContext:
     def __post_init__(self):
         A = self.instance.algebra
         self.algebra = A
-        self.label = f"{A.name}({', '.join(f'{k}={v}' for k, v in sorted(self.instance.params.items()))})"
+        self.label = self.instance.label
         gens = probe_generators(A, self.config.probe_gens)
         for gid in reversed(self.forced_gens):
             g = A.gen(gid)
@@ -619,9 +619,9 @@ def _jacobi(form: str):
     a :class:`TruncationOverflow` stores no verdict, so the next rotation
     meets it again.  A kept value spares only work whose structure
     constants were already fetched, so the order in which constants are
-    first touched (hence ``degree_violations``) does not change.  Each
-    rotation is still its own input, counted in a record's ``evaluated``;
-    a failing orbit ends the row at its first rotation.
+    first touched (hence the ``degree-homogeneity`` record) does not
+    change.  Each rotation is still its own input, counted in a record's
+    ``evaluated``; a failing orbit ends the row at its first rotation.
 
     An orbit is summed in one dict: for each rotation (x, y, z), each
     term u (coefficient c) of the kept f(x, y) and each term (coefficient
@@ -972,17 +972,18 @@ def build_instance(config: SuiteConfig) -> Instance:
     return Instance(load_algebra(config.algebra), {})
 
 
-def degree_records(config: SuiteConfig, algebras: list[AbAlgebra]) -> list[CheckRecord]:
-    """The ``degree-homogeneity`` record of the entries the run met
-    (:func:`~.ab_core.degree_homogeneity`) when it fails and the ``axioms``
-    suite, which reports it whatever its status, did not run.
+def degree_records(config: SuiteConfig, label: str, algebras: list[AbAlgebra]) -> list[CheckRecord]:
+    """The ``degree-homogeneity`` record, on instance ``label``, of the
+    entries the run's ``algebras`` read (:func:`~.ab_core.degree_homogeneity`)
+    when it fails and the ``axioms`` suite, which reports it whatever its
+    status, did not run.
 
     Without it a run on inhomogeneous input would report identity
     failures and never name their cause.
     """
     if "axioms" in config.suites:
         return []
-    record = degree_homogeneity(algebras)
+    record = degree_homogeneity(label, algebras)
     return [record] if record.status == "fail" else []
 
 
@@ -1007,7 +1008,7 @@ def run_verify_envelope(config: SuiteConfig, instance: Instance | None = None) -
         for suite in SUITES if suite in config.suites
     }
     records = [r for suite in by_suite.values() for r in suite]
-    records += degree_records(config, [instance.algebra])
+    records += degree_records(config, instance.label, [instance.algebra])
     # passes in one suite never cover a suite that checked nothing
     idle = tuple(name for name, suite in by_suite.items() if all(r.status == "skip" for r in suite))
     return Report("verify-envelope", config.as_dict(), records, idle)
@@ -1038,8 +1039,8 @@ def perturb_algebra(algebra: AbAlgebra, choice: tuple[str, ...]) -> AbAlgebra:
     copy whose map of that kind (product, bracket or differential, by
     :data:`_MAP_FIELDS`) adds the generator ``target`` to its value on
     ``input_ids`` and agrees with the parent's everywhere else.  The copy
-    starts an empty structure-constant cache and ``degree_violations``
-    list of its own, so it never reads its parent's values.
+    starts an empty structure-constant cache of its own, so it never
+    reads its parent's values or overflows.
     """
     kind, *inputs, tgt = choice
     key, bump = tuple(inputs), Element.of(algebra.gen(tgt))
@@ -1086,6 +1087,6 @@ def run_mutation(config: SuiteConfig, rounds: int = 1, instance: Instance | None
                 witness=f"detected by {found}" if found else "no identity failed on the mutant",
             )
         )
-    # perturbations are homogeneous: a mutant's violations are its parent's entries
-    records += degree_records(config, [instance.algebra, *mutants])
+    # perturbations are homogeneous: a mutant's off-degree entries are its parent's
+    records += degree_records(config, instance.label, [instance.algebra, *mutants])
     return Report("mutation", config.as_dict(), records)

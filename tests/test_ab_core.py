@@ -17,6 +17,7 @@ from abhomotopy.ab_core import (
     bilinear,
     check_ab_axioms,
     coderivation_D,
+    degree_homogeneity,
     ell2,
     ell2_oracle,
     load_algebra,
@@ -33,6 +34,7 @@ from abhomotopy.suites import (
     perturb_algebra,
     probe_generators,
     probe_words,
+    run_check_algebra,
     run_verify_envelope,
 )
 from abhomotopy.tensor_coalgebra import QUOTIENT, crossing_sign, shuffle, two_blocks
@@ -56,7 +58,9 @@ def test_loader_rejects_bad_documents():
         )
 
 
-def test_loader_records_degree_violations():
+def test_an_off_degree_loader_entry_fails_degree_homogeneity():
+    """The record sweeps the entries the algebra read, names the first
+    off-degree one, and counts what it covered."""
     A = algebra_from_dict(
         {
             "a": 0,
@@ -65,8 +69,12 @@ def test_loader_records_degree_violations():
             "product": [["u", "u", [["w", 1]]]],
         }
     )
+    assert degree_homogeneity("toy", [A]).witness == "empty input family: no input to evaluate"
+    A.bracket(A.gen("u"), A.gen("w"))
     A.product(A.gen("u"), A.gen("u"))
-    assert A.degree_violations
+    record = degree_homogeneity("toy", [A])
+    assert (record.status, record.instance, record.evaluated, record.skipped) == ("fail", "toy", 2, 0)
+    assert record.witness == "at product(u,u): w has degree 5, expected 0"
 
 
 def test_load_from_file(tmp_path, nilpotent_algebra):
@@ -81,7 +89,7 @@ def test_load_from_file(tmp_path, nilpotent_algebra):
     path.write_text(json.dumps(doc), encoding="utf-8")
     A = load_algebra(str(path))
     assert A.differential(A.gen("u")) == Element.of(A.gen("v"))
-    assert all(c.status == "pass" for c in check_ab_axioms(A))
+    assert all(c.status == "pass" for c in check_ab_axioms(A, A.name))
 
 
 def test_max_degree_marks_missing_entries_as_overflow():
@@ -105,20 +113,70 @@ def test_max_degree_marks_missing_entries_as_overflow():
     assert A.differential(v) == Element.zero()
 
 
+# -- the shifted operations ----------------------------------------------------
+# The algebra keeps only the instance's constants; D and ell2 apply the
+# shift signs themselves.  These are the shifted product and bracket as
+# the paper defines them, and D as the coderivation of the differential
+# and mu, written apart from the kernels: each coefficient at w[j:j+r]
+# signed by the prefix w[:j] alone.  The kernels must equal them term for
+# term and in order (the frozen ell2 is ``_ell2_pair_first`` below).
+
+
+def mu(A, g1, g2) -> Element:
+    """Shifted product, degree 1 in dg: (-1)^dg(g1) g1.g2."""
+    return A.product(g1, g2).scale(sign(g1.deg))
+
+
+def ell(A, g1, g2) -> Element:
+    """Shifted bracket, degree b - a + 1 in dg: (-1)^((b-a+1) dg(g1)) [g1, g2]."""
+    return A.bracket(g1, g2).scale(sign((A.b - A.a + 1) * g1.deg))
+
+
+def frozen_D(A, w) -> Element:
+    """D on a word as the coderivation of d and ``mu``, walked term by term."""
+    acc: dict = {}
+    for r, fn in ((1, lambda v: A.differential(v[0])), (2, lambda v: mu(A, *v))):
+        prefix_odd = 0  # parity of dg w[:j]
+        for j in range(len(w) - r + 1):
+            for g, c in fn(w[j : j + r]).terms.items():
+                add_term(acc, w[:j] + (g,) + w[j + r :], -c if prefix_odd else c)
+            prefix_odd ^= w[j].deg % 2
+    return Element(acc)
+
+
+def as_words(v: Element) -> Element:
+    """An Element of generators as one of one-letter words."""
+    return Element({(g,): c for g, c in v.terms.items()})
+
+
+def coderivation_d(algebra):
+    """The extension of the differential alone (Taylor coefficient at arity 1)."""
+    return Coderivation(1, {1: lambda w: algebra.differential(w[0])})
+
+
+def coderivation_mu(algebra):
+    """The extension of the shifted product alone (Taylor coefficient at arity
+    2): the coefficient is the product table, and ``Coderivation`` applies
+    mu's sign."""
+    return Coderivation(1, {2: lambda w: algebra.product(w[0], w[1])})
+
+
 def test_mu_sign_examples(toy_instance):
     A = toy_instance.algebra
+    mu1 = coderivation_mu(A)
     one, x1, dx1 = A.gen("1"), A.gen("x1"), A.gen("dx1")
     # dg('1') is odd (shift of degree 0), dg(dx1) is even
-    assert A.mu(one, x1) == Element.of(x1, -1)
-    assert A.mu(dx1, one) == Element.of(dx1)
+    assert mu1((one, x1)) == Element.of((x1,), -1)
+    assert mu1((dx1, one)) == Element.of((dx1,))
 
 
 def test_mu_antisymmetry_law(toy_instance):
     A = toy_instance.algebra
+    mu1 = coderivation_mu(A)
     for g1 in A.generators:
         for g2 in A.generators:
             try:
-                diff = A.mu(g1, g2) + A.mu(g2, g1).scale(
+                diff = mu1((g1, g2)) + mu1((g2, g1)).scale(
                     -1 if (g1.deg * g2.deg) % 2 else 1
                 )
             except TruncationOverflow:
@@ -133,30 +191,21 @@ def test_ell_symmetry_law(toy_instance):
         for g2 in A.generators:
             try:
                 sign = -1 if (twist + g1.deg * g2.deg) % 2 else 1
-                diff = A.ell(g1, g2) + A.ell(g2, g1).scale(sign)
+                diff = ell2(A, (g1,), (g2,)) + ell2(A, (g2,), (g1,)).scale(sign)
             except TruncationOverflow:
                 continue
             assert diff.is_zero(), (g1, g2)
 
 
 def test_ell_poisson_shape(poisson_poly_instance):
-    # at a = b the shifted bracket is (-1)^dg times the plain one
+    # at a = b the shifted bracket, ell2 on two letters, is (-1)^dg times the plain one
     A = poisson_poly_instance.algebra
     assert A.a == A.b == 0
     for g1 in list(A.generators)[:6]:
         for g2 in list(A.generators)[:6]:
-            want = A.bracket(g1, g2).scale(-1 if g1.deg % 2 else 1)
-            assert A.ell(g1, g2) == want
-
-
-def coderivation_d(algebra):
-    """The extension of the differential alone (Taylor coefficient at arity 1)."""
-    return Coderivation(1, {1: lambda w: algebra.differential(w[0])})
-
-
-def coderivation_mu(algebra):
-    """The extension of the shifted product alone (Taylor coefficient at arity 2)."""
-    return Coderivation(1, {2: lambda w: algebra.mu(w[0], w[1])})
+            want = as_words(A.bracket(g1, g2)).scale(-1 if g1.deg % 2 else 1)
+            assert ell2(A, (g1,), (g2,)) == want
+            assert as_words(ell(A, g1, g2)) == want
 
 
 def test_coderivation_single_letter(nilpotent_algebra):
@@ -284,7 +333,7 @@ def _ell2_by_walk(A, x, y) -> dict:
         for k in range(len(out) - 1):
             if order[k] < p <= order[k + 1]:
                 sgn = eps * sign((A.b - A.a + 1) * sum(degs[i] for i in order[:k]))
-                for g, c in A.ell(out[k], out[k + 1]).items():
+                for g, c in ell(A, out[k], out[k + 1]).items():
                     add_term(acc, out[:k] + (g,) + out[k + 2 :], c * sgn)
     return acc
 
@@ -302,16 +351,18 @@ def test_ell2_matches_a_walk_over_all_shuffles(name):
                 continue
             got = ell2(A, x, y)
             assert got == Element(_ell2_by_walk(A, x, y)), (x, y)
-            pairs = sum(not A.ell(g, h).is_zero() for g in x for h in y)
+            pairs = sum(not A.bracket(g, h).is_zero() for g in x for h in y)
             several += pairs > 1 and len(got.terms) > 1
     assert several
 
 
 def _ell2_pair_first(A, x, y) -> Element:
-    """The pair-first bracket extension as a term-by-term walk: pair,
-    then the interleavings before and after it, then the bracket's
-    letters, each term through ``add_term``.  The ``ell`` lookups run in
-    (r, s) order, interleaved with the terms of the earlier pairs."""
+    """The pair-first bracket extension as a term-by-term walk over the
+    shifted bracket ``ell``: pair, then the interleavings before and
+    after it, then the bracket's letters, each term through
+    ``add_term``, signed by the letters before the pair alone.  The
+    bracket lookups run in (r, s) order, interleaved with the terms of
+    the earlier pairs."""
     bma1_odd = (A.b - A.a + 1) % 2
     p, q = len(x), len(y)
     x_pre, y_pre = [0], [0]
@@ -322,7 +373,7 @@ def _ell2_pair_first(A, x, y) -> Element:
     acc: dict = {}
     for r in range(p):
         for s in range(q):
-            val = A.ell(x[r], y[s])
+            val = ell(A, x[r], y[s])
             if not val.terms:
                 continue
             x_after_r = x_pre[p] ^ x_pre[r + 1]
@@ -358,7 +409,8 @@ def test_contractions_map_the_shuffle_layers_interleavings():
     interleaving rows and signs mapped through the index runs around the
     contracted pair, equal those of the frozen per-run enumeration: on
     all 900 shapes and parity patterns up to 4 x 4 letters, at every pair
-    and at both parities of b - a + 1."""
+    and at both parities of b - a + 1.  The (b - a + 1) term covers
+    x[:r+1] and y[:s]: the shift of ell is the bracket passing x_r too."""
     cases = 0
     for p in range(1, 5):
         for q in range(1, 5):
@@ -374,7 +426,7 @@ def test_contractions_map_the_shuffle_layers_interleavings():
                             block = (odd[r] & _odd_sum(odd, p, p + s)) ^ (
                                 _odd_sum(odd, r + 1, p) & _odd_sum(odd, p, p + s + 1)
                             )
-                            block ^= bma1_odd & (_odd_sum(odd, 0, r) ^ _odd_sum(odd, p, p + s))
+                            block ^= bma1_odd & (_odd_sum(odd, 0, r + 1) ^ _odd_sum(odd, p, p + s))
                             want_signs = tuple(-e1 * e2 if block else e1 * e2 for _, e1 in pres for _, e2 in posts)
                             get, signs = ab_core._contraction(p, q, r, s, bma1_odd, odd)
                             assert (get(xy_g), signs) == (want_flat, want_signs), (p, q, odd, r, s)
@@ -387,21 +439,21 @@ def _odd_sum(odd: tuple, start: int, stop: int) -> int:
 
 def _lookups(A, bracket_extension, x, y):
     """The result (or overflow message) of ``bracket_extension(A, x, y)``,
-    and the ``ell`` lookups it made, in order."""
+    and the bracket lookups it made, in order."""
     seen = []
-    ell = A.ell
+    bracket = A.bracket
 
     def recording(g, h):
         seen.append((g, h))
-        return ell(g, h)
+        return bracket(g, h)
 
-    A.ell = recording
+    A.bracket = recording
     try:
         return bracket_extension(A, x, y), seen
     except TruncationOverflow as exc:
         return str(exc), seen
     finally:
-        del A.ell
+        del A.bracket
 
 
 def _same_as_the_walk(A, words, max_letters):
@@ -424,7 +476,7 @@ def _same_as_the_walk(A, words, max_letters):
             items = [(w, c, type(c)) for w, c in got.terms.items()]
             assert items == [(w, c, type(c)) for w, c in want.terms.items()], (x, y)
             seen["pairs"] += 1
-            vals = [(r, s, A.ell(g, h)) for r, g in enumerate(x) for s, h in enumerate(y)]
+            vals = [(r, s, A.bracket(g, h)) for r, g in enumerate(x) for s, h in enumerate(y)]
             # the walk's term count; a result with fewer terms had two walk terms on one word
             walked = sum(
                 len(v.terms) * math.comb(r + s, r) * math.comb(len(x) + len(y) - r - s - 2, len(x) - r - 1)
@@ -446,6 +498,37 @@ def test_ell2_plans_match_the_walk_on_probe_words(name):
     assert seen["pairs"]
     if name == "schouten-super":
         assert seen["overflows"]
+
+
+def _terms(fn, *args):
+    """``fn(*args)``'s terms with their coefficient types, in order, or the
+    message of the overflow it raised."""
+    try:
+        return [(w, c, type(c)) for w, c in fn(*args).terms.items()]
+    except TruncationOverflow as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS) + ["bracket_algebra", "nilpotent_algebra"])
+def test_D_and_ell2_equal_the_frozen_shifted_definitions(name, request):
+    """D and ell2 apply the shift signs of mu and ell themselves; they equal
+    the definitions over the shifted constants (``frozen_D`` and the walk
+    ``_ell2_pair_first``) term for term, in order and with coefficient
+    types, on every builtin's probe words and on the two conftest
+    algebras that are no builtin, and overflow with the same message.
+    ell2 is compared on the builtins by
+    ``test_ell2_plans_match_the_walk_on_probe_words`` at these sizes."""
+    A = builtin_instance(name).algebra if name in BUILTINS else request.getfixturevalue(name)
+    words = probe_words(probe_generators(A, 4), 3)
+    D = coderivation_D(A)
+    images = [_terms(D, w) for w in words]
+    assert images == [_terms(frozen_D, A, w) for w in words]
+    # bracket_algebra has a zero product and a zero differential
+    assert any(isinstance(image, list) and image for image in images) or name == "bracket_algebra"
+    if name in BUILTINS:
+        return
+    seen = _same_as_the_walk(A, words, 5)
+    assert seen["pairs"]
 
 
 @pytest.mark.parametrize("name", ["gerstenhaber-toy", "poisson-polynomial", "schouten-super"])
@@ -470,7 +553,7 @@ def _closed_letters(A, count: int) -> list:
     then those with fractional ones."""
     def brackets(g, among):
         try:
-            return [A.ell(g, h) for h in among] + [A.ell(h, g) for h in among]
+            return [A.bracket(g, h) for h in among] + [A.bracket(h, g) for h in among]
         except TruncationOverflow:
             return None
 
@@ -511,19 +594,19 @@ def test_shifted_variants_are_scalings(bracket_algebra):
 
 
 def test_axiom_checker_passes_valid_instances(bracket_algebra):
-    assert all(c.status == "pass" for c in check_ab_axioms(bracket_algebra))
+    assert all(c.status == "pass" for c in check_ab_axioms(bracket_algebra, bracket_algebra.name))
 
 
 def test_axiom_checker_reports_commutative_polynomials():
     inst = builtin_instance("poisson-polynomial", {"omega": {}})
     # zero bracket, zero differential: a plain commutative algebra passes
-    assert all(c.status != "fail" for c in check_ab_axioms(inst.algebra))
+    assert all(c.status != "fail" for c in check_ab_axioms(inst.algebra, inst.label))
 
 
 def test_axiom_checker_catches_perturbation_with_witness():
     inst = builtin_instance("poisson-super")
     mutant = perturb_algebra(inst.algebra, ("bracket", "x1^2", "x2^2", "x1*x2"))
-    failing = {c.check: c for c in check_ab_axioms(mutant) if c.status == "fail"}
+    failing = {c.check: c for c in check_ab_axioms(mutant, mutant.name) if c.status == "fail"}
     assert "bracket-jacobi" in failing
     assert "lhs" in failing["bracket-jacobi"].witness
 
@@ -537,7 +620,7 @@ def test_truncation_reports_skip_not_pass():
             "max_degree": 2,
         }
     )
-    checks = {c.check: c.status for c in check_ab_axioms(A)}
+    checks = {c.check: c.status for c in check_ab_axioms(A, A.name)}
     assert checks["product-commutativity"] == "skip"
     assert checks["bracket-jacobi"] == "skip"
 
@@ -590,9 +673,16 @@ def test_identity_rows_and_structure_axioms_run_through_sweep(monkeypatch):
     with pytest.raises(RuntimeError, match="stub sweep"):
         check_identity("codifferential-squared", ctx)
     with pytest.raises(RuntimeError, match="stub sweep"):
-        check_ab_axioms(builtin_instance("gerstenhaber-toy").algebra)
+        check_ab_axioms(builtin_instance("gerstenhaber-toy").algebra, "gerstenhaber-toy")
     with pytest.raises(RuntimeError, match="stub sweep"):
         builtin_instance("poisson-super").check_structure()
+    with pytest.raises(RuntimeError, match="stub sweep"):
+        degree_homogeneity("gerstenhaber-toy", [ctx.algebra])
+    # each of the three tensor conditions is one sweep
+    swept = []
+    monkeypatch.setattr(instances, "sweep", lambda check, *args: swept.append(check))
+    builtin_instance("poisson-super").extra_checks("poisson-super")
+    assert swept == ["tensor-homogeneity", "tensor-graded-symmetry", "tensor-cyclic-closure"]
 
 
 #: the eight structure axioms and the arity of the generator tuples each runs over
@@ -638,11 +728,11 @@ def test_a_failing_axiom_record_counts_the_tuples_it_evaluated(monkeypatch):
 def test_mutant_ell2_differs_from_parent():
     """Guard for the per-algebra caches: a mutant must not reuse its parent's values.
 
-    The parent's shifted-constant caches (``mu``, ``ell``) are filled
-    first; a product mutant must then return its own ``mu`` and a
-    bracket mutant its own ``ell`` on the perturbed pair.
+    The parent's product and bracket caches are filled first; a bracket
+    mutant must then give its own ell2 and a product mutant its own D on
+    the perturbed pair, each with the shift sign of the perturbed
+    constant.
     """
-    from abhomotopy.signs import sign
     from abhomotopy.suites import perturbation_candidates
 
     parent = builtin_instance("poisson-super").algebra
@@ -650,7 +740,7 @@ def test_mutant_ell2_differs_from_parent():
     for h1 in parent.generators:
         for h2 in parent.generators:
             try:
-                parent.mu(h1, h2), parent.ell(h1, h2)
+                parent.product(h1, h2), parent.bracket(h1, h2)
             except TruncationOverflow:
                 continue
             filled.add((h1.gid, h2.gid))
@@ -664,22 +754,23 @@ def test_mutant_ell2_differs_from_parent():
     assert ell2(mutant, *pairs[0]) != before[0]
     assert any(ell2(mutant, x, y) != b for (x, y), b in zip(pairs, before))
     bump = Element.of(parent.gen(tgt))
-    ell_sign = sign((parent.b - parent.a + 1) * g1.deg)
-    assert mutant.ell(g1, g2) == (parent.bracket(g1, g2) + bump).scale(ell_sign)
-    assert mutant.ell(g1, g2) != parent.ell(g1, g2)
+    assert mutant.bracket(g1, g2) == parent.bracket(g1, g2) + bump
+    assert ell2(mutant, *pairs[0]) == as_words(ell(parent, g1, g2) + bump.scale(sign((parent.b - parent.a + 1) * g1.deg)))
     # the parent is unchanged by building and evaluating the mutant
     assert [ell2(parent, x, y) for x, y in pairs] == before
 
     choice = next(c for c in candidates if c[0] == "product" and c[1:3] in filled)
     _, i1, i2, tgt = choice
     g1, g2 = parent.gen(i1), parent.gen(i2)
-    before_mu = parent.mu(g1, g2)
+    mu1 = coderivation_mu(parent)
+    before_mu = mu1((g1, g2))
+    assert before_mu == as_words(mu(parent, g1, g2))
     mutant = perturb_algebra(parent, choice)
     bump = Element.of(parent.gen(tgt))
-    assert mutant.mu(g1, g2) == (parent.product(g1, g2) + bump).scale(sign(g1.deg))
-    assert mutant.mu(g1, g2) != before_mu
-    assert mutant.ell(g1, g2) == parent.ell(g1, g2)
-    assert parent.mu(g1, g2) == before_mu
+    assert coderivation_mu(mutant)((g1, g2)) == as_words(mu(parent, g1, g2) + bump.scale(sign(g1.deg)))
+    assert coderivation_mu(mutant)((g1, g2)) != before_mu
+    assert ell2(mutant, (g1,), (g2,)) == ell2(parent, (g1,), (g2,))
+    assert mu1((g1, g2)) == before_mu
 
 
 def _value(method, gens):
@@ -715,20 +806,24 @@ def test_perturb_algebra_changes_one_entry_of_one_map():
                     assert want is not TruncationOverflow
                     want = want + Element.of(parent.gen(tgt))
                 assert _value(getattr(mutant, other), gens) == want, (kind, other, gens)
-        assert mutant.degree_violations == [] and parent.degree_violations == []
+        for algebra in (mutant, parent):
+            assert degree_homogeneity(algebra.name, [algebra]).status == "pass"
 
 
-def test_a_replace_copy_owns_its_degree_violations():
-    """``degree_violations`` is made by ``__init__``, never passed in, so a
-    ``dataclasses.replace`` copy (every mutant is one) starts an empty list
+def test_a_replace_copy_owns_its_cache():
+    """The cache is made by ``__init__``, never passed in, so a
+    ``dataclasses.replace`` copy (every mutant is one) starts an empty one
     of its own: an off-degree value the copy meets is not its parent's."""
     parent = builtin_instance("poisson-super").algebra
     x1 = parent.gen("x1")
+    parent.product(x1, x1)
     copy = dataclasses.replace(parent, product_fn=lambda g1, g2: Element.of(x1))
-    assert copy.degree_violations == [] and copy.degree_violations is not parent.degree_violations
+    assert copy._cache == {} and copy._cache is not parent._cache
     copy.product(x1, x1)  # x1 has degree 2, so x1.x1 has degree 4, not 2
-    assert copy.degree_violations == ["product('x1', 'x1') -> x1 has degree 2, expected 4"]
-    assert parent.degree_violations == []
+    record = degree_homogeneity("copy", [copy])
+    assert (record.status, record.witness) == ("fail", "at product(x1,x1): x1 has degree 2, expected 4")
+    assert degree_homogeneity("parent", [parent]).status == "pass"
+    assert list(parent._cache) == list(copy._cache) == [("product", "x1", "x1")]
 
 
 def _counted(algebra) -> tuple[collections.Counter, dict]:
@@ -750,6 +845,11 @@ def _counted(algebra) -> tuple[collections.Counter, dict]:
     return calls, overflows
 
 
+def _kept_overflows(algebra) -> dict:
+    """The overflow messages ``algebra`` keeps in its cache, by key."""
+    return {key: value for key, value in algebra._cache.items() if type(value) is str}
+
+
 def _raised(method, *gens) -> TruncationOverflow:
     with pytest.raises(TruncationOverflow) as info:
         method(*gens)
@@ -761,26 +861,90 @@ def test_every_structure_constant_reaches_the_instance_map_once(name):
     """A whole run of every suite calls the instance's map once per
     (map, ids) key, also on a key that leaves the basis: the algebra keeps
     the overflow's message, and a later lookup raises a new exception
-    with it, through ``mu`` and ``ell`` too."""
+    with it, through D and ell2 too."""
     instance = builtin_instance(name)
     A = instance.algebra
-    assert A._cache == {} and A._overflows == {}
+    assert A._cache == {}
     calls, overflows = _counted(A)
     config = SuiteConfig(algebra=name, suites=suites.SUITES, seed=1, **FAST)
     suites.run_verify_envelope(config, instance)
     assert calls and set(calls.values()) == {1}
-    assert A._overflows == overflows
+    assert _kept_overflows(A) == overflows
     if name != "schouten-super":
         return
     assert overflows
-    shifted = {"product": A.mu, "bracket": A.ell}
+    kernels = {"product": lambda g, h: coderivation_mu(A)((g, h)), "bracket": lambda g, h: ell2(A, (g,), (h,))}
     for (kind, *gids), msg in overflows.items():
         gens = [A.gen(gid) for gid in gids]
         first, again = _raised(getattr(A, kind), *gens), _raised(getattr(A, kind), *gens)
         assert first is not again and str(first) == str(again) == msg
-        if kind in shifted:
-            assert str(_raised(shifted[kind], *gens)) == msg
+        if kind in kernels:
+            assert str(_raised(kernels[kind], *gens)) == msg
         assert calls[(kind, *gids)] == 1
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_degree_homogeneity_covers_every_structure_constant_a_run_read(name):
+    """After a default core,envelope run the algebra's cache holds only
+    product, bracket and differential keys, and the degree-homogeneity
+    record sweeps each key the run read once: its evaluated and skipped
+    entries add up to the keys the instance's maps were called on, and
+    the skips are those that left the truncation."""
+    instance = builtin_instance(name)
+    A = instance.algebra
+    calls, overflows = _counted(A)
+    run_verify_envelope(SuiteConfig(algebra=name, suites=("core", "envelope")), instance)
+    assert {kind for kind, *_ in A._cache} <= {"product", "bracket", "differential"}
+    record = degree_homogeneity(instance.label, [A])
+    assert record.status == "pass" and record.evaluated > 0
+    assert record.evaluated + record.skipped == len(calls) == len(A._cache)
+    assert record.skipped == len(overflows)
+
+
+def test_check_algebra_counts_the_entries_the_axioms_read():
+    """The axioms read every product and bracket pair and every
+    differential entry: 2 * 25^2 + 25 on schouten-super, a third of them
+    outside the truncation."""
+    report = run_check_algebra(SuiteConfig(algebra="schouten-super"))
+    (record,) = [r for r in report.records if r.check == "degree-homogeneity"]
+    assert (record.status, record.evaluated, record.skipped) == ("pass", 850, 425)
+    assert record.instance == builtin_instance("schouten-super").label
+
+
+def test_the_oracle_row_pins_the_shift_of_ell2(monkeypatch):
+    """``ell2_oracle`` applies the shift of ell itself, so plans without the
+    (b - a + 1) dg(x_r) twist fail bracket-extension-oracle on
+    poisson-polynomial, where b - a + 1 is odd, and no other core or
+    envelope row sees it."""
+    contraction = ab_core._contraction
+
+    def untwisted(p, q, r, s, bma1_odd, odd):
+        get, signs = contraction(p, q, r, s, bma1_odd, odd)
+        return get, tuple(-e for e in signs) if bma1_odd & odd[r] else signs
+
+    monkeypatch.setattr(ab_core, "_contraction", untwisted)
+    ab_core._ell2_plan.cache_clear()
+    try:
+        report = run_verify_envelope(SuiteConfig(algebra="poisson-polynomial", suites=("core", "envelope")))
+    finally:
+        ab_core._ell2_plan.cache_clear()
+    assert [r.check for r in report.records if r.status == "fail"] == ["bracket-extension-oracle"]
+
+
+def test_the_codifferential_row_pins_the_shift_of_mu_in_D(monkeypatch):
+    """``Coderivation`` applies mu's sign (-1)^dg(x) to the product table;
+    a D whose product coefficient cancels it, the coderivation of the
+    unshifted product, breaks D^2 = 0 on gerstenhaber-toy at the default
+    probe sizes."""
+
+    def unshifted_D(A):
+        return Coderivation(1, {1: lambda w: A.differential(w[0]),
+                                2: lambda w: A.product(w[0], w[1]).scale(sign(w[0].deg))})
+
+    monkeypatch.setattr(suites, "coderivation_D", unshifted_D)
+    config = SuiteConfig(algebra="gerstenhaber-toy", suites=("core",))
+    failing = [r.check for r in run_verify_envelope(config).records if r.status == "fail"]
+    assert failing[0] == "codifferential-squared"
 
 
 def test_a_mutant_starts_with_none_of_its_parents_overflows():
@@ -795,15 +959,15 @@ def test_a_mutant_starts_with_none_of_its_parents_overflows():
     )
     key = ("product", *(g.gid for g in gens))
     msg = overflows[key]
-    assert parent._overflows == {key: msg} and calls[key] == 1
+    assert _kept_overflows(parent) == {key: msg} and calls[key] == 1
     choice = next(c for c in suites.perturbation_candidates(parent) if c[0] == "product")
     mutant = perturb_algebra(parent, choice)
-    assert mutant._overflows == {} and mutant._cache == {}
+    assert mutant._cache == {}
     for _ in range(2):
         # the mutant's map wraps the parent's, so the parent's counter sees it
         assert str(_raised(mutant.product, *gens)) == msg
         assert calls[key] == 2
-    assert mutant._overflows == {key: msg}
+    assert _kept_overflows(mutant) == {key: msg}
     assert str(_raised(parent.product, *gens)) == msg and calls[key] == 2
 
 
@@ -849,7 +1013,7 @@ def test_an_integer_or_num_den_coefficient_loads(coeff, value):
 
 def test_axiom_sweep_without_generators_says_nothing_was_evaluated():
     # with no generator there is no tuple to evaluate: nothing escaped the truncation
-    checks = check_ab_axioms(algebra_from_dict({"a": 0, "b": 0, "generators": []}))
+    checks = check_ab_axioms(algebra_from_dict({"a": 0, "b": 0, "generators": []}), "empty")
     assert len(checks) == 8
     for c in checks:
         assert (c.status, c.evaluated, c.skipped) == ("skip", 0, 0), c.check
@@ -860,4 +1024,4 @@ def test_axiom_checker_takes_no_sample_override():
     # the checker always runs every generator tuple
     A = builtin_instance("poisson-super").algebra
     with pytest.raises(TypeError):
-        check_ab_axioms(A, pairs=[])
+        check_ab_axioms(A, A.name, pairs=[])

@@ -52,7 +52,7 @@ import pytest
 
 from fractions import Fraction
 
-from abhomotopy.ab_core import load_algebra
+from abhomotopy.ab_core import coderivation_D, ell2, load_algebra
 from abhomotopy.cli import main
 from abhomotopy.instances import BUILTINS
 
@@ -127,6 +127,6 @@ def test_fractional_constants_report_matches_golden(capsys, monkeypatch):
 def test_fractional_constants_stay_fractions():
     A = load_algebra(str(GOLDEN / "half-constant-algebra.json"))
     u, v = A.gen("u"), A.gen("v")
-    for value in (A.product(u, u), A.bracket(u, v), A.mu(u, u)):
+    for value in (A.product(u, u), A.bracket(u, v), coderivation_D(A)((u, u)), ell2(A, (u,), (v,))):
         (c,) = (c for _, c in value.items())
         assert type(c) is Fraction and abs(c) == Fraction(1, 2)

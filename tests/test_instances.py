@@ -11,6 +11,7 @@ from abhomotopy.instances import (
     BUILTINS,
     GRADINGS,
     SUPER,
+    Instance,
     PoissonTensor,
     SMono,
     builtin_instance,
@@ -317,13 +318,30 @@ def test_tensor_condition_checks():
     assert [(c.check, c.instance) for c in records] == [
         ("tensor-homogeneity", "tensor"), ("tensor-graded-symmetry", "tensor"), ("tensor-cyclic-closure", "tensor")
     ]
-    assert records[2].evaluated == 2**3  # the cyclic closure sweeps every index triple
+    # homogeneity sweeps omega's two entries, symmetry the index pairs
+    # i <= j, the cyclic closure every index triple
+    assert [c.evaluated for c in records] == [2, 3, 2**3]
+    assert len({c.statement for c in records}) == 3
+    assert not any("generator tuples" in c.statement for c in records)
     one = Element.of(smono_one(2))
     V = variables(2, 0, SUPER)
     symmetric = PoissonTensor(V, -4, {("x1", "x2"): one, ("x2", "x1"): one})
-    bad = {c.check: c.status for c in check_poisson_tensor(symmetric, "tensor")}
-    assert bad["tensor-graded-symmetry"] == "fail"
-    assert all(c.status == "pass" for c in check_poisson_tensor(PoissonTensor(V, -4, {}), "tensor"))
+    bad = {c.check: c for c in check_poisson_tensor(symmetric, "tensor")}
+    # the bad pair is named once, not once from each side
+    assert bad["tensor-graded-symmetry"].status == "fail"
+    assert bad["tensor-graded-symmetry"].witness == "at indices (x1,x2): omega[x1,x2] vs omega[x2,x1]"
+    empty = check_poisson_tensor(PoissonTensor(V, -4, {}), "tensor")
+    assert [c.status for c in empty] == ["skip", "pass", "pass"]
+    assert empty[0].witness == "empty input family: no input to evaluate"
+
+
+def test_an_off_degree_tensor_entry_is_named():
+    V = variables(2, 0, SUPER)
+    x1 = parse_poly("x1", V)
+    crooked = PoissonTensor(V, -4, {("x1", "x2"): x1, ("x2", "x1"): x1.scale(-1)})
+    record = check_poisson_tensor(crooked, "tensor")[0]
+    assert (record.check, record.status, record.evaluated) == ("tensor-homogeneity", "fail", 1)
+    assert record.witness == "at omega[x1,x2]: term x1 has degree 2, expected 0"
 
 
 @pytest.mark.parametrize("name", ["polyvector-even", "schouten-super", "gerstenhaber-toy"])
@@ -374,6 +392,13 @@ def test_every_builtin_passes_structure_checks():
         inst = builtin_instance(name)
         for c in inst.check_structure():
             assert c.status != "fail", (name, c.check, c.witness)
+
+
+def test_an_instance_label_is_its_name_with_its_parameters():
+    inst = builtin_instance("poisson-super")
+    assert inst.label == "poisson-super(m=-4, max_degree=4, p=2, q=1)"
+    assert {c.instance for c in inst.check_structure()} == {inst.label}
+    assert Instance(inst.algebra, {}).label == "poisson-super"
 
 
 def test_truncation_overflow_is_raised():

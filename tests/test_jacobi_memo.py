@@ -43,6 +43,17 @@ def nonzero_brackets(ctx):
     return count
 
 
+def off_degree_keys(A) -> list:
+    """The keys of the structure-table entries ``A`` read whose value has a
+    generator off the degree of its inputs plus the map's."""
+    shift = {"product": A.a, "bracket": A.b, "differential": 1}
+    return [
+        (kind, *gids) for (kind, *gids), value in A._cache.items()
+        if not isinstance(value, str)
+        and any(A.unshifted[g.gid] != sum(A.unshifted[i] for i in gids) + shift[kind] for g in value.terms)
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(FORMS))
 @pytest.mark.parametrize("builtin", sorted(FORCED))
 def test_memo_records_equal_the_reference(builtin, name):
@@ -80,7 +91,7 @@ def test_memo_keeps_skips_and_first_touch_order(doc, name):
     if doc is TRUNCATED:
         assert record.status == "pass" and record.skipped > 0 and record.evaluated > 0
     else:
-        assert record.status == "fail" and len(ctx.algebra.degree_violations) >= 2
+        assert record.status == "fail" and len(off_degree_keys(ctx.algebra)) >= 2
 
 
 @pytest.mark.parametrize("builtin", sorted(FORCED) + ["mutant"])

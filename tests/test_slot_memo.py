@@ -14,7 +14,8 @@ builtin, with a probe set that makes the bracket nonzero, and on two
 hand-made algebras (one where truncation skips inputs, one with
 inhomogeneous table entries), the rows must give the reference's record
 field for field and touch structure constants in the same first order
-(``degree_violations``).  The table must be empty once a
+(the order of the keys of ``AbAlgebra._cache``, which the
+``degree-homogeneity`` record sweeps).  The table must be empty once a
 row has ended, belong to its context alone, keep nothing for an input
 that left the truncation, and never take in an image of the input being
 checked.
@@ -337,7 +338,7 @@ def assert_records_equal_the_reference(make_context, name):
     expected = reference_record(name, reference_ctx)
     record = check_identity(name, ctx)
     assert record.as_dict() == expected.as_dict()
-    assert ctx.algebra.degree_violations == reference_ctx.algebra.degree_violations
+    assert list(ctx.algebra._cache) == list(reference_ctx.algebra._cache)
     assert ctx.row_memo == {}
     return record, ctx
 

@@ -767,7 +767,8 @@ INHOMOGENEOUS = {
 )
 def test_every_command_names_inhomogeneous_input(tmp_path, capsys, command):
     """Without the axioms suite the identity failures alone never say why;
-    the report must carry one degree-homogeneity fail naming the entries."""
+    the report must carry one degree-homogeneity fail naming the first
+    off-degree entry."""
     path = tmp_path / "inhomogeneous.json"
     path.write_text(json.dumps(INHOMOGENEOUS), encoding="utf-8")
     sizes = ["--max-word-len", "2", "--max-sym-factors", "2", "--max-total-letters", "3"]
@@ -777,7 +778,7 @@ def test_every_command_names_inhomogeneous_input(tmp_path, capsys, command):
     degree = [r for r in doc["records"] if r["check"] == "degree-homogeneity"]
     assert len(degree) == 1
     assert degree[0]["status"] == "fail"
-    assert "bracket('x', 'y') -> y has degree 1, expected 0" in degree[0]["witness"]
+    assert degree[0]["witness"] == "at bracket(x,y): y has degree 1, expected 0"
 
 
 def test_check_algebra_names_inhomogeneous_input_once_whatever_the_suites(tmp_path):
@@ -789,6 +790,18 @@ def test_check_algebra_names_inhomogeneous_input_once_whatever_the_suites(tmp_pa
     report = run_check_algebra(SuiteConfig(algebra=str(path)))
     degree = [r for r in report.records if r.check == "degree-homogeneity"]
     assert len(degree) == 1 and degree[0].status == "fail"
+
+
+def test_every_record_of_a_report_names_one_instance_label(monkeypatch):
+    """The axioms, tensor and degree records name the instance as the rows
+    do: a builtin with its parameters, a structure file by its bare name."""
+    config = SuiteConfig(algebra="poisson-super", suites=("axioms", "core"), **FAST)
+    records = run_verify_envelope(config).records
+    assert {r.check for r in records} >= {"tensor-homogeneity", "degree-homogeneity", "leibniz"}
+    assert {r.instance for r in records} == {"poisson-super(m=-4, max_degree=4, p=2, q=1)"}
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    config = SuiteConfig(algebra="half-constant-algebra.json", suites=("axioms", "core"), **FAST)
+    assert {r.instance for r in run_verify_envelope(config).records} == {"half-constant"}
 
 
 def test_homogeneous_input_gets_no_extra_degree_record():

@@ -239,7 +239,7 @@ def test_the_oracles_read_neither_split_enumerator(builtin, monkeypatch):
 
 def _nonzero_bracket(A, g, h) -> bool:
     try:
-        return not A.ell(g, h).is_zero()
+        return not A.bracket(g, h).is_zero()
     except TruncationOverflow:
         return False
 

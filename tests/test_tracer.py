@@ -82,10 +82,14 @@ KERNEL_CALLS = {
 # moved coderivation and the cached lookups again (416 and 19229 before).
 # slot_calculus moved as above (2082, then 1482 before).  structure_fn
 # moved as above when overflows began to be kept (1528 before); it now
-# counts exactly the first touches
+# counts exactly the first touches.  The cached lookups moved again when
+# the algebra stopped caching the shifted constants mu and ell beside the
+# structure constants: D and ell2 now read the product and bracket
+# through the traced lookups each time, where a cached mu or ell was
+# found without one (19221 before); structure_fn does not move
 SCHOUTEN_KERNEL_CALLS = {
     "instances.structure_fn": 300,
-    "ab_core.structure_maps": 19221,
+    "ab_core.structure_maps": 22003,
     "ab_core.coderivation": 408,
     "ab_core.ell2": 848,
     "tensor_coalgebra.slot_calculus": 736,
