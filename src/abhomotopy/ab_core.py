@@ -85,6 +85,13 @@ class TruncationOverflow(Exception):
     """
 
 
+def map_degree(op: str, a: int, b: int) -> int:
+    """The degree the structure map ``op`` adds to the unshifted degrees of
+    its inputs, on an (a,b)-algebra: ``a`` for the product, ``b`` for the
+    bracket and 1 for the differential."""
+    return {"product": a, "bracket": b, "differential": 1}[op]
+
+
 @dataclass
 class AbAlgebra:
     """Graded (a,b)-algebra on an explicit finite generator basis.
@@ -479,7 +486,7 @@ def degree_homogeneity(label: str, algebras: list[AbAlgebra]) -> CheckRecord:
         A, (op, *gids), value = entry
         if type(value) is not Element:  # the message of the entry's overflow
             raise TruncationOverflow(value)
-        expected = sum(A.unshifted[gid] for gid in gids) + {"product": A.a, "bracket": A.b, "differential": 1}[op]
+        expected = sum(A.unshifted[gid] for gid in gids) + map_degree(op, A.a, A.b)
         for g in value.terms:
             deg = A.unshifted.get(g.gid)
             if deg != expected:
@@ -713,7 +720,9 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
     brk = table("bracket", 2)
     diff = table("differential", 1)
 
-    def lookup(op: str, tbl: dict, op_degree: int):
+    def lookup(op: str, tbl: dict):
+        op_degree = map_degree(op, a, b)
+
         def fn(*gids: str) -> Element:
             hit = tbl.get(gids)
             if hit is not None:
@@ -735,9 +744,9 @@ def algebra_from_dict(data: dict) -> AbAlgebra:
         b=b,
         generators=tuple(gens),
         unshifted=unshifted,
-        product_fn=lookup("product", prod, a),
-        bracket_fn=lookup("bracket", brk, b),
-        diff_fn=lookup("differential", diff, 1),
+        product_fn=lookup("product", prod),
+        bracket_fn=lookup("bracket", brk),
+        diff_fn=lookup("differential", diff),
     )
 
 

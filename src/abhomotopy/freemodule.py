@@ -23,7 +23,11 @@ term.  They add a term by one of two rules:
   a basis object that cancels and comes back moves to the end.  The
   kernels whose term order is pinned use it: the Element arithmetic
   here, the slot maps and ``tensor_power``, the coderivations, ``ell2``
-  when two of its words coincide, Delta and ``extend``.  The symmetric
+  when two of its words coincide, Delta and ``extend``.  A slot map can
+  also add into a caller's dict, by the same rule: the coderivation,
+  coassociativity and coLeibniz laws of ``suites`` sum both sides of
+  their identity into one dict, which is then only zero-tested, instead
+  of subtracting two Elements.  The symmetric
   cobracket ``cobracket_doubleprime`` inlines the same rule in its
   innermost loop, sparing a call per output pair, and keeps its order.
 - A running sum adds through ``dict.get`` and, once at the end, drops

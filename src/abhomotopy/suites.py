@@ -87,7 +87,8 @@ mix parities when the basis allows it), all words over them up to the
 configured length, and the symmetric words one enumerator,
 :func:`probe_syms`, builds from them: every multiset of words within a
 factor budget and a letter budget.  The three symmetric families of a
-:class:`RunContext` differ only in those budgets.  A check whose family
+:class:`RunContext` differ only in those budgets, and each is built the
+first time a row reads it.  A check whose family
 is empty at the configured sizes is a skip that says so.  A row names
 one :class:`Family`, which pairs the inputs with the way a witness names
 one of them: the six that several rows share (generic words, pairs of pair
@@ -112,9 +113,10 @@ from .ab_core import (
     ell2,
     ell2_oracle,
     load_algebra,
+    map_degree,
     sweep,
 )
-from .freemodule import Element, _coeff, bilinear, format_element
+from .freemodule import Element, _coeff, add_term, bilinear, format_element
 from .instances import BUILTINS, Instance, builtin_instance
 from .signs import sign
 from .sym_coalgebra import (
@@ -356,6 +358,15 @@ class RunContext:
     memos that no other context shares, so a mutant, which gets a context
     of its own, never reads its parent's values.
 
+    ``__post_init__`` chooses the probe generators (``gens``, the forced
+    ones first) and builds the words, the pair words and ``maps``, so a
+    bad size or an unknown forced generator fails there.  The symmetric
+    families ``syms_letters``, ``syms_factors`` and ``syms_small`` are
+    cached properties, built by :func:`probe_syms` the first time a row
+    reads them: most mutation rounds stop at a row over word pairs, and
+    the generic-letter rows read no instance, so such a context builds
+    none of them.
+
     ``sdeg`` memoizes sym degrees for the life of the context.
     ``row_memo`` is the row table: what the laws keep for later inputs of
     one row, filled through :meth:`kept` (and the Jacobi law's orbit
@@ -378,12 +389,9 @@ class RunContext:
             if g in gens:
                 gens.remove(g)
             gens.insert(0, g)
+        self.gens = gens
         self.words = probe_words(gens, self.config.max_word_len)
         self.pair_words = [w for w in self.words if len(w) <= 2]
-        letters, factors = self.config.max_total_letters, self.config.max_sym_factors
-        self.syms_letters = probe_syms(A, probe_words(gens, letters), letters, letters)
-        self.syms_factors = probe_syms(A, self.pair_words, factors, 2 * factors)
-        self.syms_small = probe_syms(A, self.pair_words, 2, 4)
         self._sdeg: dict[SymWord, int] = {}
         # kept images under (map name, argument), each interned sym and
         # word to itself, and the Jacobi law's orbit verdict
@@ -413,6 +421,20 @@ class RunContext:
             "ell''": StructureMap(lambda s: extend(A, s, 2, maps["ell2''"].fn), 1, sdeg, sym_zero, 1),
         }
         self.maps = maps
+
+    @functools.cached_property
+    def syms_letters(self) -> list[SymWord]:
+        letters = self.config.max_total_letters
+        return probe_syms(self.algebra, probe_words(self.gens, letters), letters, letters)
+
+    @functools.cached_property
+    def syms_factors(self) -> list[SymWord]:
+        factors = self.config.max_sym_factors
+        return probe_syms(self.algebra, self.pair_words, factors, 2 * factors)
+
+    @functools.cached_property
+    def syms_small(self) -> list[SymWord]:
+        return probe_syms(self.algebra, self.pair_words, 2, 4)
 
     def clear_row_memo(self) -> None:
         """Forget every value a law kept for later inputs of its row."""
@@ -537,15 +559,22 @@ def _square_zero(op: str, render, key):
 
 def _coderivation(co: str, op: str, detail: str):
     """(op x id + id x op) c = (-1)^(deg c deg op) c op, for the maps named
-    ``op`` and ``co`` (a co-operation); ``op`` in a slot is the row's kept map."""
+    ``op`` and ``co`` (a co-operation); ``op`` in a slot is the row's kept map.
+    Both sides are summed in one dict, the maps called in the order the
+    left side, then the right, calls them."""
 
     def law(ctx, x):
         c, f = ctx.maps[co], ctx.maps[op]
         inner = ctx.kept(op)
         d, deg = c.fn(x), c.grading
-        lhs = apply_in_slot(d, 0, inner, f.degree, deg) + apply_in_slot(d, 1, inner, f.degree, deg)
-        rhs = f.fn(x).map_basis(c.fn).scale(sign(c.degree * f.degree))
-        return c.zero(lhs - rhs, 2), detail
+        acc: dict = {}
+        apply_in_slot(d, 0, inner, f.degree, deg, into=acc)
+        apply_in_slot(d, 1, inner, f.degree, deg, into=acc)
+        k = -sign(c.degree * f.degree)
+        for s, cs in f.fn(x).terms.items():
+            for t, ct in c.fn(s).terms.items():
+                add_term(acc, t, k * cs * ct)
+        return c.zero(Element(acc), 2), detail
 
     return law
 
@@ -669,26 +698,34 @@ def _leibniz(form: str, detail: str):
 
 
 def _coproduct_coassociative(ctx, sym):
-    """(Delta x id) Delta = (id x Delta) Delta, with the row's kept Delta in the slots."""
+    """(Delta x id) Delta = (id x Delta) Delta, with the row's kept Delta in
+    the slots; both sides are summed in one dict."""
     Delta = ctx.maps["Delta"]
     inner = ctx.kept("Delta")
     d = Delta.fn(sym)
-    lhs = splice_in_slot(d, 0, inner, Delta.degree, Delta.grading)
-    rhs = splice_in_slot(d, 1, inner, Delta.degree, Delta.grading)
-    return Delta.zero(lhs - rhs, 3), "coassociativity fails"
+    acc: dict = {}
+    splice_in_slot(d, 0, inner, Delta.degree, Delta.grading, into=acc)
+    splice_in_slot(d, 1, inner, Delta.degree, Delta.grading, into=acc, scale=-1)
+    return Delta.zero(Element(acc), 3), "coassociativity fails"
+
+
+#: t12 on three slots, in word notation
+_T12 = (1, 0, 2)
 
 
 def _coleibniz(ctx, sym):
     """(id x Delta) delta'' = (delta'' x id) Delta + t12 (id x delta'') Delta,
-    with the row's kept Delta and delta'' in the slots."""
+    with the row's kept Delta and delta'' in the slots.  The three terms
+    are summed in one dict, t12 applied to each output of its splice."""
     Delta, delta = ctx.maps["Delta"], ctx.maps["delta''"]
     deg = Delta.grading
-    lhs = splice_in_slot(delta.fn(sym), 1, ctx.kept("Delta"), Delta.degree, deg)
+    acc: dict = {}
+    splice_in_slot(delta.fn(sym), 1, ctx.kept("Delta"), Delta.degree, deg, into=acc)
     d = Delta.fn(sym)
     inner = ctx.kept("delta''")
-    r1 = splice_in_slot(d, 0, inner, delta.degree, deg)
-    r2 = swap_adjacent_slots(splice_in_slot(d, 1, inner, delta.degree, deg), 0, deg)
-    return Delta.zero(lhs - r1 - r2, 3), "coLeibniz fails"
+    splice_in_slot(d, 0, inner, delta.degree, deg, into=acc, scale=-1)
+    splice_in_slot(d, 1, inner, delta.degree, deg, into=acc, scale=-1, perm=_T12)
+    return Delta.zero(Element(acc), 3), "coLeibniz fails"
 
 
 # -- the tables ---------------------------------------------------------------------
@@ -1020,7 +1057,8 @@ def perturbation_candidates(algebra: AbAlgebra) -> list[tuple[str, str, str, str
     for g in algebra.generators:
         by_degree.setdefault(algebra.unshifted[g.gid], []).append(g)
     out = []
-    for kind, shift in (("product", algebra.a), ("bracket", algebra.b)):
+    for kind in ("product", "bracket"):
+        shift = map_degree(kind, algebra.a, algebra.b)
         for g1 in algebra.generators:
             for g2 in algebra.generators:
                 target_degree = algebra.unshifted[g1.gid] + algebra.unshifted[g2.gid] + shift

@@ -52,14 +52,16 @@ a value it is handed.  ``cache_info()`` gives a table's size and
 Tensor products of words (pairs, triples) are plain tuples of words.
 The graded slot calculus on them has two kernels.  ``_slot_map``
 feeds one or two adjacent slots to a graded map with the Koszul prefix
-sign and puts the value back as one entry or spliced in.
-:func:`apply_in_slot`, :func:`splice_in_slot` and
+sign and puts the value back as one entry or spliced in; it can scale
+each output, permute its slots at their Koszul sign, and add it into a
+caller's accumulator, so a law sums both sides of an identity in one
+dict.  :func:`apply_in_slot`, :func:`splice_in_slot` and
 :func:`contract_adjacent_slots` are its entry points, and every caller
 goes through them, so a wrapper installed on those names (a profiler,
 a tracer) sees every call.  :func:`permute_slots` is the one loop that
-permutes slots: it sums graded permutations of the slots, each at its
-Koszul sign, in one pass, reading getters and signs planned per
-permutation list and parity pattern.  The flip and coJacobi laws call it
+sums graded permutations of the slots, each at its Koszul sign, in one
+pass, reading getters and signs planned per permutation list and parity
+pattern (:func:`_perm_plan`, which a slot map's permutation reads too).  The flip and coJacobi laws call it
 directly, so a wrapper on the slot-map names does not see those calls;
 :func:`swap_adjacent_slots`, the graded flip, is its one-permutation
 entry point.
@@ -558,8 +560,9 @@ def tensor_power(v: Element, f: Callable) -> Element:
 
 
 def _slot_map(
-    v: Element, slot: int, width: int, f: Callable, f_degree: int, deg_of: Callable, splice: bool
-) -> Element:
+    v: Element, slot: int, width: int, f: Callable, f_degree: int, deg_of: Callable, splice: bool,
+    into: dict | None = None, scale=1, perm: tuple | None = None,
+) -> Element | None:
     """The one slot-calculus kernel behind the three public slot maps.
 
     Feeds the ``width`` entries starting at ``slot`` (one or two) of each
@@ -569,27 +572,56 @@ def _slot_map(
     past the slots to the left of ``slot`` costs (-1)**(f_degree * sum
     of their degrees).  The sign and the untouched head and tail of a
     tuple are computed once per input term.
+
+    Three optional inputs let a law sum both sides of an identity in one
+    dict.  ``scale`` multiplies every image term.  ``perm``, a graded
+    permutation of the output slots in word notation, is applied to each
+    output tuple at its Koszul sign, read from :func:`_perm_plan` per
+    parity pattern.  ``into``, a caller's accumulator, receives the terms
+    instead of a fresh dict, and then nothing is returned.  Every term is
+    added by :func:`~abhomotopy.freemodule.add_term`'s rule, so ``into``
+    stays a valid Element's terms at every step.
     """
-    acc: dict = {}
+    acc = {} if into is None else into
     odd = f_degree % 2
+    plans: dict = {}  # perm's getter and sign per parity pattern of an output tuple
     for t, c in v.terms.items():
         head, tail = t[:slot], t[slot + width :]
         if odd and sum(map(deg_of, head)) % 2:
             c = -c
+        if scale != 1:
+            c *= scale
         for r, c2 in f(*t[slot : slot + width]).terms.items():
-            add_term(acc, head + (r if splice else (r,)) + tail, c * c2)
-    return Element(acc)
+            out = head + (r if splice else (r,)) + tail
+            if perm is not None:
+                parities = tuple([deg_of(e) & 1 for e in out])
+                plan = plans.get(parities)
+                if plan is None:
+                    plan = plans[parities] = _perm_plan(((perm, 1),), parities)[0]
+                pick, k = plan
+                if pick:
+                    out = pick(out)
+                c2 *= k
+            add_term(acc, out, c * c2)
+    return Element(acc) if into is None else None
 
 
-def apply_in_slot(v: Element, slot: int, f: Callable, f_degree: int, deg_of: Callable) -> Element:
-    """Apply a graded map ``f`` (slot entry -> Element of slot entries) to one slot."""
-    return _slot_map(v, slot, 1, f, f_degree, deg_of, False)
+def apply_in_slot(
+    v: Element, slot: int, f: Callable, f_degree: int, deg_of: Callable, *, into: dict | None = None
+) -> Element | None:
+    """Apply a graded map ``f`` (slot entry -> Element of slot entries) to
+    one slot; ``into`` as in :func:`_slot_map`."""
+    return _slot_map(v, slot, 1, f, f_degree, deg_of, False, into)
 
 
-def splice_in_slot(v: Element, slot: int, f: Callable, f_degree: int, deg_of: Callable) -> Element:
+def splice_in_slot(
+    v: Element, slot: int, f: Callable, f_degree: int, deg_of: Callable, *,
+    into: dict | None = None, scale=1, perm: tuple | None = None,
+) -> Element | None:
     """Apply a graded map whose values are tuples of slot entries (cobrackets,
-    coproducts) to one slot, splicing the tuple in and raising the arity."""
-    return _slot_map(v, slot, 1, f, f_degree, deg_of, True)
+    coproducts) to one slot, splicing the tuple in and raising the arity;
+    ``into``, ``scale`` and ``perm`` as in :func:`_slot_map`."""
+    return _slot_map(v, slot, 1, f, f_degree, deg_of, True, into, scale, perm)
 
 
 def contract_adjacent_slots(

@@ -38,6 +38,15 @@ pinned at the sizes a user runs, not only at the ``FAST`` ones.
 
 the one golden that runs delta'' and the symmetric-coalgebra rows on
 syms of four factors (66 of them on gerstenhaber-toy).
+``mutation-bench-<builtin>.json`` is the stdout of the benchmark's own
+mutation command, ``perfbench/workloads.py:mutation_argv``:
+
+    abhomotopy mutation --algebra <builtin> --seed 1 --rounds 2 \
+        --max-word-len 2 --max-sym-factors 2 --max-total-letters 3 \
+        --format json
+
+at the default ``--probe-gens`` of 3, where the ``mutation-<builtin>.json``
+files take 2, so the rounds the benchmark times are pinned as it runs them.
 
 A kernel change that alters any verdict, count or witness text changes
 these bytes; the determinism test in ``test_suites_cli.py`` only
@@ -46,6 +55,7 @@ golden only for a change that is meant to alter the report, and say
 why in CHANGES.md.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,6 +67,7 @@ from abhomotopy.cli import main
 from abhomotopy.instances import BUILTINS
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FAST_ARGS = [
     "--max-word-len", "2",
     "--max-sym-factors", "2",
@@ -84,6 +95,24 @@ def test_mutation_report_matches_golden(builtin, capsys):
     )
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"mutation-{builtin}.json").read_text(encoding="utf-8")
+    assert code == (1 if "no identity failed on the mutant" in out else 0)
+
+
+def benchmark_mutation_argv(builtin: str) -> list[str]:
+    """The benchmark's mutation command on ``builtin``, read from its workload table."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.mutation_argv(builtin)
+
+
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_benchmark_mutation_report_matches_golden(builtin, capsys):
+    argv = benchmark_mutation_argv(builtin)
+    assert "--probe-gens" not in argv  # the default of 3, which no other mutation golden takes
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"mutation-bench-{builtin}.json").read_text(encoding="utf-8")
     assert code == (1 if "no identity failed on the mutant" in out else 0)
 
 

@@ -649,6 +649,28 @@ def _tensors(arity):
     return st.lists(term, max_size=8).map(Element.from_terms)
 
 
+@pytest.mark.parametrize("f_degree", [0, 1])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_a_slot_map_adds_into_a_callers_dict(slot, f_degree):
+    """With ``into``, a slot map adds its image into the caller's dict by
+    add_term's rule and returns nothing; ``scale`` multiplies the image,
+    and ``perm`` permutes each output tuple's slots at its Koszul sign."""
+    unary = lambda w: Element.from_terms([(w[::-1], 2), (w + (_O,), -1)])
+    split = lambda w: Element.from_terms([((w, w[:1]), 1), ((w[-1:], w), 3)])
+    v = _TRIPLES
+    acc: dict = {}
+    assert apply_in_slot(v, slot, unary, f_degree, word_degree, into=acc) is None
+    assert Element(acc) == _slot_map_by_hand(v, slot, 1, unary, f_degree, False)
+    spliced = _slot_map_by_hand(v, slot, 1, split, f_degree, True)
+    acc = dict(spliced.terms)
+    splice_in_slot(v, slot, split, f_degree, word_degree, into=acc, scale=-1)
+    assert acc == {}  # every sum cancels and is dropped
+    half = Fraction(1, 2)
+    splice_in_slot(v, slot, split, f_degree, word_degree, into=acc, scale=half, perm=(1, 0, 2, 3))
+    assert Element(acc) == _swap_by_hand(spliced, 0).scale(half)
+    assert _stored(Element(acc))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tensors(2), st.sampled_from([1, -1, 2, Fraction(1, 2)]))
 def test_permute_slots_is_the_flip_plus_a_multiple(v, k):

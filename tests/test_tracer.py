@@ -57,7 +57,11 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "groups": 
 # which is not traced) instead of through swap_adjacent_slots (1482
 # calls before).  structure_fn moved when the algebra began to keep the
 # message of each overflow of its maps, so a key that leaves the basis
-# reaches the instance's map once, like any other (1253 calls before)
+# reaches the instance's map once, like any other (1253 calls before).
+# slot_calculus moved again when the coLeibniz law began to apply its t12
+# to each output of its splice, summing all three terms in one dict,
+# instead of through a separate swap_adjacent_slots pass: one traced call
+# fewer per input of the row (736 calls before)
 KERNEL_CALLS = {
     "ab_core.ell2": 849,
     "sym_coalgebra.cobracket": 180,
@@ -68,7 +72,7 @@ KERNEL_CALLS = {
     # enumeration were each folded into one body (2082 calls); the
     # generic-letter cobracket rows' zero test then began to skip the
     # slotwise normal form of a raw zero, as the instance rows' always did
-    "tensor_coalgebra.slot_calculus": 736,
+    "tensor_coalgebra.slot_calculus": 712,
     "sym_coalgebra.oracles": 50,
 }
 
@@ -86,13 +90,15 @@ KERNEL_CALLS = {
 # the algebra stopped caching the shifted constants mu and ell beside the
 # structure constants: D and ell2 now read the product and bracket
 # through the traced lookups each time, where a cached mu or ell was
-# found without one (19221 before); structure_fn does not move
+# found without one (19221 before); structure_fn does not move.
+# slot_calculus moved as above when the coLeibniz swap was folded into its
+# splice (736 before)
 SCHOUTEN_KERNEL_CALLS = {
     "instances.structure_fn": 300,
     "ab_core.structure_maps": 22003,
     "ab_core.coderivation": 408,
     "ab_core.ell2": 848,
-    "tensor_coalgebra.slot_calculus": 736,
+    "tensor_coalgebra.slot_calculus": 712,
     "sym_coalgebra.oracles": 50,
 }
 
